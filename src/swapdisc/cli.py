@@ -22,8 +22,11 @@ from typing import Any
 
 from . import __version__
 from .adversary import (
+    SCAN_DEFAULT_MAX_RANKS,
+    STRATEGIES,
     AdversaryResult,
     minimal_maximizer_property,
+    pool_size,
     worst_case,
 )
 from .construct import (
@@ -148,6 +151,7 @@ def certificate(
         },
         "checks": checks,
         "adversary": {
+            "engine": res.engine,
             "maximizer_count": res.maximizer_count,
             "enumerated": res.enumerated,
         }
@@ -346,7 +350,8 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
         failures = 0
         for _ in range(args.sample):
             sample_ds = random_balanced(ds.t, rng)
-            sample_res = worst_case(sample_ds, strategy="branch_and_bound")
+            sample_res = worst_case(sample_ds, strategy="branch_and_bound",
+                                    force_exhaustive=args.force_exhaustive)
             ok = minimal_maximizer_property(sample_ds, sample_res)
             rep = verify_lemma2(sample_ds, sample_res.minimal_maximizer)
             p1 = verify_prop1(sample_ds, sample_res.minimal_maximizer, subsets="components")
@@ -410,10 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1, help="parallel worker count")
-        p.add_argument("--strategy", choices=("exhaustive", "branch_and_bound"), default=None)
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel worker count for the scan strategies (>= 1)")
+        p.add_argument("--strategy", choices=STRATEGIES, default=None,
+                       help="worst-case engine (default: frontier, or exhaustive "
+                       f"for 4t <= {SCAN_DEFAULT_MAX_RANKS})")
         p.add_argument("--force-exhaustive", action="store_true",
-                       help="override the exhaustive-scan size refusal")
+                       help="override the scan strategies' size refusal")
 
     p = sub.add_parser("construct", help="emit the level-z recursive defining set")
     p.add_argument("--z", type=int, required=True, help="construction level, z >= 2")
@@ -465,6 +473,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "workers"):
+            pool_size(args.workers)  # rejects --workers below 1 for every command
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

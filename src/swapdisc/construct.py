@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import EXHAUSTIVE_MAX_RANKS, worst_case
+from .adversary import worst_case
 from .core import (
     CompanionPair,
     DefiningSet,
@@ -126,20 +126,8 @@ class Lemma1Report:
 
 
 def check_lemma1(z: int, workers: int = 1) -> Lemma1Report:
-    """Exact d_z and d_{z+1} via full scans; holds iff d_{z+1} <= 2*d_z + 2.
-
-    Refused when either level exceeds the exhaustive envelope (in practice
-    only z = 2 is checkable: level 3 already takes F(37) = 24,157,817
-    matchings, level 4 would need F(77)).
-    """
-    for level in (z, z + 1):
-        if 4 * t_for_z(level) > EXHAUSTIVE_MAX_RANKS:
-            raise SizeRefused(
-                f"level {level} has 4t = {4 * t_for_z(level)} ranks, beyond the "
-                f"exhaustive envelope of {EXHAUSTIVE_MAX_RANKS}"
-            )
-    d_z = worst_case(construct_for_z(z), strategy="exhaustive", workers=workers).worst_case
-    d_z1 = worst_case(
-        construct_for_z(z + 1), strategy="exhaustive", workers=workers
-    ).worst_case
+    """Exact d_z and d_{z+1} with the default engine; holds iff
+    d_{z+1} <= 2*d_z + 2."""
+    d_z = worst_case(construct_for_z(z), workers=workers).worst_case
+    d_z1 = worst_case(construct_for_z(z + 1), workers=workers).worst_case
     return Lemma1Report(z=z, d_z=d_z, d_z_plus_1=d_z1, bound=2 * d_z + 2, holds=d_z1 <= 2 * d_z + 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .adversary import worst_case, worst_case_bounded
+from .adversary import pool_size, worst_case, worst_case_bounded
 from .core import CompanionPair, DefiningSet, InvalidInput
 
 
@@ -137,6 +137,7 @@ def find_optimal(
     A blown time budget returns the partial incumbent with certified=False.
     """
     started = time.perf_counter()
+    workers = pool_size(workers)
     stream = enumerate_balanced(t)
 
     first = next(stream)
@@ -169,7 +170,7 @@ def find_optimal(
         elif batch_min == d_star:
             optima.extend(keep)
 
-    if workers <= 1:
+    if workers == 1:
         for batch in batches():
             if out_of_time():
                 certified = False

@@ -137,6 +137,47 @@ def test_eval_size_refusal_exit4(tmp_path, capsys):
     assert code == EXIT_SIZE
 
 
+def test_eval_branch_and_bound_refused_above_envelope_exit4(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    main(["construct", "--z", "4", "--out", str(big)])
+    capsys.readouterr()
+    code = main(["eval", "--sets", str(big), "--worst-case", "--strategy", "branch_and_bound"])
+    assert code == EXIT_SIZE
+    assert "--force-exhaustive" in capsys.readouterr().err
+
+
+def test_eval_worst_case_level4_default_engine(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    main(["construct", "--z", "4", "--out", str(big)])
+    assert main(["eval", "--sets", str(big), "--worst-case"]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["worst_case"] == 30 == cert["bounds"]["upper"]
+    assert len(cert["minimal_maximizer"]) == 15
+    assert cert["adversary"]["engine"] == "frontier"
+
+
+def test_certificate_names_the_engine(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    engines = {}
+    for strategy in ("frontier", "exhaustive", "branch_and_bound"):
+        argv = ["eval", "--sets", sets, "--worst-case", "--strategy", strategy]
+        assert main(argv) == EXIT_OK
+        cert = json.loads(capsys.readouterr().out)
+        engines[strategy] = cert.pop("adversary")
+        assert cert["worst_case"] == 4
+    assert {s: a["engine"] for s, a in engines.items()} == {s: s for s in engines}
+    assert engines["exhaustive"]["enumerated"] == 34
+
+
+def test_workers_below_one_exit2(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    swaps = write(tmp_path / "w.json", {"swaps": []})
+    assert main(["eval", "--sets", sets, "--worst-case", "--workers", "0"]) == EXIT_INVALID
+    assert main(["eval", "--sets", sets, "--swaps", swaps, "--workers", "-2"]) == EXIT_INVALID
+    assert main(["search", "--t", "1", "--workers", "0"]) == EXIT_INVALID
+    assert "workers" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- search
 
 def test_search_t2(capsys):

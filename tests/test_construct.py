@@ -124,9 +124,12 @@ def test_upper_bound_values():
         upper_bound_for_t(10)
 
 
-def test_lemma1_refused_beyond_envelope():
-    with pytest.raises(SizeRefused):
-        check_lemma1(3)
+@pytest.mark.parametrize("z", [3, 4])
+def test_lemma1_beyond_the_scan_envelope(z):
+    rep = check_lemma1(z)
+    assert rep.d_z == 2 ** (z + 1) - 2
+    assert rep.d_z_plus_1 == 2 ** (z + 2) - 2 == rep.bound
+    assert rep.holds
 
 
 def test_worst_case_within_upper_bound_at_base_level():
