@@ -14,11 +14,17 @@ exact maximum, maximizer count and minimum-size maximizer:
 - branch_and_bound: the same scan with sound pruning; `enumerated` counts
   the matchings it visited.
 
-Scan work is split into chunks keyed by the first one or two swap
-positions; the chunk list and the per-chunk pruning floors depend only on
-the instance, so results (including the `enumerated` counter) are identical
-for any worker count and scheduling order.  The frontier engine runs in one
-process whatever the worker count.
+A full scan (`worst_case`) is split into chunks keyed by the first one or
+two swap positions; the chunk list and the per-chunk pruning floors depend
+only on the instance, so results (including the `enumerated` counter) are
+identical for any worker count and scheduling order.  The frontier engine
+runs in one process whatever the worker count.
+
+The bounded scan (`worst_case_bounded`, used by the optimal-set search) is
+not chunked: it first tries the swap sets that beat earlier cutoffs (a
+caller-owned witness list, the killer heuristic of game-tree search), then
+runs one branch-and-bound scan that stops at the first swap set beating the
+cutoff.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ MAXIMIZER_LIST_MAX_RANKS = 28
 SCAN_DEFAULT_MAX_RANKS = 16
 # cap on the states of one position; past it the frontier DP is refused
 FRONTIER_MAX_STATES = 300_000
+# most swap sets a witness list keeps for worst_case_bounded
+WITNESS_CAP = 128
 
 
 def fibonacci(k: int) -> int:
@@ -106,15 +114,15 @@ def _chunks(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _fold(acc, nxt):
-    best_d, best_m, best, count, nodes, abandoned = acc
-    d2, m2, b2, c2, n2, a2 = nxt
+    best_d, best_m, best, count, nodes = acc
+    d2, m2, b2, c2, n2, _abandoned = nxt
     if d2 > best_d:
         best_d, best_m, best, count = d2, m2, b2, c2
     elif d2 == best_d:
         count += c2
         if m2 < best_m:
             best_m, best = m2, b2
-    return best_d, best_m, best, count, nodes + n2, abandoned or a2
+    return best_d, best_m, best, count, nodes + n2
 
 
 def _scan_star(args):
@@ -141,26 +149,19 @@ def pool_size(workers: int, tasks: int | None = None) -> int:
 
 
 def _run(
-    ds: DefiningSet,
-    prune: bool,
-    abandon_above: int,
-    workers: int,
-) -> tuple[int, int, tuple[int, ...], int, int, bool]:
+    ds: DefiningSet, prune: bool, workers: int
+) -> tuple[int, int, tuple[int, ...], int, int]:
     n, pair_of, side_of, diff = _arrays(ds)
     chunk_list = _chunks(n)
-    if abandon_above < 0 and workers > 1:
+    acc = (-1, -1, (), 0, 0)
+    if workers > 1:
         workers = pool_size(workers, len(chunk_list))
-    acc = (-1, -1, (), 0, 0, False)
 
-    if workers == 1 or abandon_above >= 0:
-        # abandon mode stays sequential so the early exit is deterministic
+    if workers == 1:
         for prefix, start in chunk_list:
-            res = _kernels.scan_chunk(
-                n, pair_of, side_of, diff, prefix, start, prune, -1, abandon_above
-            )
-            acc = _fold(acc, res)
-            if acc[5]:
-                break
+            acc = _fold(acc, _kernels.scan_chunk(
+                n, pair_of, side_of, diff, prefix, start, prune, -1, -1
+            ))
         return acc
 
     args = [
@@ -309,8 +310,8 @@ def worst_case(
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(*_arrays(ds))
     else:
-        best_d, _m, best, count, nodes, _ab = _run(
-            ds, prune=(strategy == "branch_and_bound"), abandon_above=-1, workers=workers
+        best_d, _m, best, count, nodes = _run(
+            ds, prune=(strategy == "branch_and_bound"), workers=workers
         )
     return AdversaryResult(
         worst_case=best_d,
@@ -321,19 +322,61 @@ def worst_case(
     )
 
 
+def _total_after(
+    positions: tuple[int, ...], n: int, pair_of: list[int], side_of: list[int],
+    diff: list[int],
+) -> int:
+    """Total discrepancy after the swaps at `positions` (ascending left
+    endpoints), or -1 when they are not a matching of the path on [1, n];
+    O(n) on the _arrays tables."""
+    prev = -1
+    d = list(diff)
+    for i in positions:
+        if i < prev + 2 or i >= n:
+            return -1
+        prev = i
+        d[pair_of[i]] += side_of[i]
+        d[pair_of[i + 1]] -= side_of[i + 1]
+    return sum(map(abs, d))
+
+
 def worst_case_bounded(
-    ds: DefiningSet, cutoff: int, workers: int = 1
+    ds: DefiningSet, cutoff: int, witnesses: list[tuple[int, ...]] | None = None
 ) -> tuple[AdversaryResult | None, bool]:
     """(result, exceeded): stop as soon as any swap set beats `cutoff`.
 
     If exceeded is True the defining set's worst case is > cutoff and the
     result is None; otherwise the result is exact (branch-and-bound scan).
+
+    `witnesses` is an optional caller-owned list of swap-position tuples,
+    kept across calls.  Each is tried before the scan; a hit moves to the
+    front.  When the scan finds a beating swap set it is pushed to the front,
+    and the list is cut to WITNESS_CAP entries.  A witness only ever decides
+    "exceeded" as a real swap set beating the cutoff, so the verdict and the
+    exact result never depend on the list; only `enumerated`, the number of
+    swap sets the scan visited, does.
     """
     _check_input(ds)
-    best_d, _m, best, count, nodes, abandoned = _run(
-        ds, prune=True, abandon_above=cutoff, workers=1
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 0:
+        raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    n, pair_of, side_of, diff = _arrays(ds)
+    floor = -1
+    for k, positions in enumerate(witnesses or ()):
+        value = _total_after(positions, n, pair_of, side_of, diff)
+        if value > cutoff:
+            if k:
+                witnesses.insert(0, witnesses.pop(k))
+            return None, True
+        floor = max(floor, value)
+    # the best witness value is attained, so it is a sound pruning floor
+    best_d, _m, best, count, nodes, abandoned = _kernels.scan_chunk(
+        n, pair_of, side_of, diff, (), 1, True, floor, cutoff
     )
     if abandoned:
+        if witnesses is not None:
+            # the scan stops at the first swap set beating the cutoff
+            witnesses.insert(0, best)
+            del witnesses[WITNESS_CAP:]
         return None, True
     return (
         AdversaryResult(
@@ -362,11 +405,7 @@ def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
     n, pair_of, side_of, diff = _arrays(ds)
     out: list[SwapSet] = []
     for positions in _positions_stream(n, 1, []):
-        d = list(diff)
-        for i in positions:
-            d[pair_of[i]] += side_of[i]
-            d[pair_of[i + 1]] -= side_of[i + 1]
-        if sum(abs(v) for v in d) == target:
+        if _total_after(positions, n, pair_of, side_of, diff) == target:
             out.append(SwapSet.from_positions(positions))
     return tuple(out)
 

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import concurrent.futures
 import time
+from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
 from .adversary import pool_size, worst_case, worst_case_bounded
 from .core import CompanionPair, DefiningSet, InvalidInput
+
+# batches queued per worker process in a parallel search
+IN_FLIGHT_PER_WORKER = 2
 
 
 def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
@@ -43,15 +47,20 @@ def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int
                 yield l2, l3, l4
 
 
-def _enum(remaining: tuple[int, ...]) -> Iterator[tuple[CompanionPair, ...]]:
+def _enum(
+    remaining: tuple[int, ...], made: dict[tuple[int, int, int, int], CompanionPair]
+) -> Iterator[tuple[CompanionPair, ...]]:
     if not remaining:
         yield ()
         return
     m = remaining[0]
     for l2, l3, l4 in _balanced_completions(remaining):
-        pair = CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
-        rest = tuple(x for x in remaining if x not in (m, l2, l3, l4))
-        for tail in _enum(rest):
+        quad = (m, l2, l3, l4)
+        pair = made.get(quad)
+        if pair is None:
+            pair = made[quad] = CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
+        rest = tuple(x for x in remaining if x not in quad)
+        for tail in _enum(rest, made):
             yield (pair,) + tail
 
 
@@ -59,11 +68,12 @@ def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
     """Every balanced defining set over [1, 4t], once, in canonical form.
 
     Deterministic order: recursion always pairs the smallest unassigned rank
-    and tries its partners in ascending (l2, l3) order.
+    and tries its partners in ascending (l2, l3) order.  Each distinct
+    companion pair is built once per call and shared by the sets holding it.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    for pairs in _enum(tuple(range(1, 4 * t + 1))):
+    for pairs in _enum(tuple(range(1, 4 * t + 1)), {}):
         yield DefiningSet(t, pairs)
 
 
@@ -105,14 +115,17 @@ class SearchResult:
     certified: bool
 
 
-def _eval_batch(args) -> tuple[int, list[DefiningSet], int]:
-    """Evaluate a batch of candidates; returns (batch minimum worst case,
-    the candidates attaining it in order, number examined)."""
-    batch, seed_cutoff = args
+def _eval_batch(args) -> tuple[int, list[DefiningSet], int, list[tuple[int, ...]]]:
+    """Evaluate a batch of candidates against a cutoff, sharing one witness
+    list: consecutive candidates share most pairs, so a swap set that beat
+    one of them usually beats the next.  Returns (batch minimum worst case,
+    the candidates attaining it in order, number examined, the witness list
+    for the next batch)."""
+    batch, seed_cutoff, witnesses = args
     local_min = seed_cutoff
     keep: list[DefiningSet] = []
     for ds in batch:
-        res, exceeded = worst_case_bounded(ds, cutoff=local_min)
+        res, exceeded = worst_case_bounded(ds, cutoff=local_min, witnesses=witnesses)
         if exceeded:
             continue
         wc = res.worst_case
@@ -121,7 +134,7 @@ def _eval_batch(args) -> tuple[int, list[DefiningSet], int]:
             keep = [ds]
         elif wc == local_min:
             keep.append(ds)
-    return local_min, keep, len(batch)
+    return local_min, keep, len(batch), witnesses
 
 
 def find_optimal(
@@ -134,7 +147,11 @@ def find_optimal(
 
     Candidates are abandoned as soon as some swap set pushes them above the
     best worst case seen so far; results are independent of worker count.
-    A blown time budget returns the partial incumbent with certified=False.
+    One witness list is carried from batch to batch.  With several workers
+    at most IN_FLIGHT_PER_WORKER batches per worker are queued, each with the
+    running incumbent and the latest witness list, and results are folded in
+    enumeration order.  A blown time budget stops further batches and
+    returns the partial incumbent with certified=False.
     """
     started = time.perf_counter()
     workers = pool_size(workers)
@@ -146,6 +163,8 @@ def find_optimal(
     optima: list[DefiningSet] = [first]
     examined = 1
     certified = True
+    # swap sets that beat recent cutoffs; they only ever speed up abandonment
+    witnesses: list[tuple[int, ...]] = []
 
     def batches() -> Iterator[list[DefiningSet]]:
         batch: list[DefiningSet] = []
@@ -160,9 +179,9 @@ def find_optimal(
     def out_of_time() -> bool:
         return time_budget is not None and time.perf_counter() - started > time_budget
 
-    def fold(result: tuple[int, list[DefiningSet], int]) -> None:
-        nonlocal d_star, optima, examined
-        batch_min, keep, n_exam = result
+    def fold(result: tuple[int, list[DefiningSet], int, list[tuple[int, ...]]]) -> None:
+        nonlocal d_star, optima, examined, witnesses
+        batch_min, keep, n_exam, witnesses = result
         examined += n_exam
         if batch_min < d_star:
             d_star = batch_min
@@ -175,16 +194,21 @@ def find_optimal(
             if out_of_time():
                 certified = False
                 break
-            fold(_eval_batch((batch, d_star)))
+            fold(_eval_batch((batch, d_star, witnesses)))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = pool.map(_eval_batch, ((b, d_star) for b in batches()))
-            for result in pending:
-                fold(result)
+            in_flight: deque[concurrent.futures.Future] = deque()
+            for batch in batches():
+                while len(in_flight) >= IN_FLIGHT_PER_WORKER * workers:
+                    fold(in_flight.popleft().result())
                 if out_of_time():
                     certified = False
-                    pool.shutdown(wait=False, cancel_futures=True)
                     break
+                in_flight.append(pool.submit(_eval_batch, (batch, d_star, witnesses)))
+            for future in in_flight:
+                # past the budget, batches that have not started are dropped
+                if certified or not future.cancel():
+                    fold(future.result())
 
     return SearchResult(
         t=t,

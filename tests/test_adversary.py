@@ -1,12 +1,16 @@
-"""Adversary: enumeration order/counts and exact worst-case results,
-cross-checked against the brute-force oracle."""
+"""Adversary: enumeration order/counts, exact worst-case results and the
+bounded scan with its witness list, cross-checked against the brute-force
+oracle."""
 
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naive_oracles import fib, naive_swap_sets, naive_worst_case
+from swapdisc import adversary
 from swapdisc.adversary import (
+    WITNESS_CAP,
     AdversaryResult,
     all_maximizers,
     count_swap_sets,
@@ -21,6 +25,7 @@ from swapdisc.core import (
     SizeRefused,
     SwapSet,
     defining_set,
+    discrepancy,
     reflect,
 )
 from swapdisc.optsearch import enumerate_balanced, random_balanced
@@ -186,3 +191,96 @@ def test_bounded_scan_exceeded_and_exact(sub2):
     full = worst_case(sub2)
     assert res.minimal_maximizer == full.minimal_maximizer
     assert res.maximizer_count == full.maximizer_count
+
+
+def seeded_witnesses(valued, cutoff, rng):
+    """Allowed swap sets on both sides of the cutoff, in random order, plus
+    position tuples that are not allowed swap sets."""
+    above = [w for w, d in valued if d > cutoff]
+    rest = [w for w, d in valued if d <= cutoff]
+    picked = rng.sample(above, min(2, len(above))) + rng.sample(rest, min(3, len(rest)))
+    picked += [(1, 2), (10**6,)]
+    rng.shuffle(picked)
+    return picked
+
+
+def assert_bounded_agrees(ds, full, cutoff, witnesses):
+    res, exceeded = worst_case_bounded(ds, cutoff=cutoff, witnesses=witnesses)
+    assert exceeded == (full.worst_case > cutoff)
+    if exceeded:
+        assert res is None
+        if witnesses is not None:
+            # the verdict rests on a concrete swap set, now first in the list
+            assert discrepancy(ds, SwapSet.from_positions(witnesses[0])) > cutoff
+    else:
+        assert (res.worst_case, res.minimal_maximizer, res.maximizer_count) == (
+            full.worst_case,
+            full.minimal_maximizer,
+            full.maximizer_count,
+        )
+        assert res.engine == "branch_and_bound"
+    if witnesses is not None:
+        assert len(witnesses) <= WITNESS_CAP
+
+
+def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
+    rng = Random(23)
+    pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
+    pool += [random_balanced(t, rng) for t in (4, 4, 4, 5, 5, 6)]
+    shared: list = []  # carried across instances and cutoffs, as the search does
+    for ds in pool:
+        full = worst_case(ds, strategy="branch_and_bound")
+        valued = [
+            (s.positions(), discrepancy(ds, s)) for s in enumerate_swap_sets(ds.t)
+        ] if ds.t <= 4 else []
+        for cutoff in range(13):
+            assert_bounded_agrees(ds, full, cutoff, None)
+            assert_bounded_agrees(ds, full, cutoff, [])
+            assert_bounded_agrees(ds, full, cutoff, shared)
+            if valued:
+                assert_bounded_agrees(ds, full, cutoff, seeded_witnesses(valued, cutoff, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(1, 5),
+    seed=st.integers(0, 10**9),
+    cutoff=st.integers(0, 12),
+    raw=st.lists(st.lists(st.integers(1, 20), max_size=10), max_size=40),
+)
+def test_bounded_scan_any_witnesses_hypothesis(t, seed, cutoff, raw):
+    ds = random_balanced(t, Random(seed))
+    # arbitrary position tuples, which are mostly no allowed swap sets, and
+    # each thinned to a matching (allowed when its positions are below 4t)
+    witnesses = []
+    for w in raw:
+        w = tuple(sorted(set(w)))
+        thinned: list[int] = []
+        for i in w:
+            if not thinned or i >= thinned[-1] + 2:
+                thinned.append(i)
+        witnesses += [w, tuple(thinned)]
+    full = worst_case(ds, strategy="branch_and_bound")
+    assert_bounded_agrees(ds, full, cutoff, witnesses)
+
+
+def test_witness_list_is_move_to_front_and_capped(monkeypatch):
+    monkeypatch.setattr(adversary, "WITNESS_CAP", 3)
+    witnesses: list = []
+    for ds in enumerate_balanced(3):
+        worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
+        assert len(witnesses) <= 3
+    assert len(witnesses) == 3
+    # a hit moves to the front without growing the list; (3, 4) is no
+    # allowed swap set and the empty set does not beat the cutoff
+    ds = random_balanced(3, Random(1))
+    hit = next(s for s in enumerate_swap_sets(3) if discrepancy(ds, s) > 2).positions()
+    witnesses[:] = [(3, 4), (), hit]
+    _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
+    assert exceeded
+    assert witnesses == [hit, (3, 4), ()]
+
+
+def test_bounded_scan_rejects_negative_cutoff(sub2):
+    with pytest.raises(InvalidInput):
+        worst_case_bounded(sub2, cutoff=-1)

@@ -5,12 +5,14 @@ at t <= 3; larger values are frozen regression constants computed once with
 that oracle.
 """
 
+import concurrent.futures
 import math
 from random import Random
 
 import pytest
 
 from naive_oracles import naive_balanced_sets
+from swapdisc import adversary
 from swapdisc.adversary import worst_case
 from swapdisc.construct import base_case, lower_bound
 from swapdisc.core import canonicalize, defining_set, reflect, validate_defining_set
@@ -22,8 +24,9 @@ from swapdisc.optsearch import (
 )
 
 # counts of canonical balanced defining sets (t <= 3 oracle-verified here,
-# t = 4 frozen from the same oracle run during development)
-KNOWN_COUNTS = {1: 1, 2: 6, 3: 86, 4: 1990}
+# t = 4 frozen from the same oracle run during development, t = 5 frozen
+# from the full search)
+KNOWN_COUNTS = {1: 1, 2: 6, 3: 86, 4: 1990, 5: 74_323}
 # full-search regression values: d_star and number of canonical optima
 KNOWN_OPTIMA = {1: (2, 1), 2: (4, 1), 3: (6, 10), 4: (6, 1)}
 
@@ -115,22 +118,93 @@ def test_find_optimal_t4_unique_base_case():
 
 
 def test_find_optimal_parallel_identical():
-    seq = find_optimal(3, workers=1)
-    par = find_optimal(3, workers=2)
-    assert (seq.t, seq.d_star, seq.optima, seq.candidates_examined, seq.certified) == (
-        par.t,
-        par.d_star,
-        par.optima,
-        par.candidates_examined,
-        par.certified,
+    # t = 4 in batches of 64: 32 batches, more than the 4 kept in flight
+    for t, batch_size in ((3, 512), (4, 64)):
+        seq = find_optimal(t, workers=1, batch_size=batch_size)
+        par = find_optimal(t, workers=2, batch_size=batch_size)
+        assert (seq.t, seq.d_star, seq.optima, seq.candidates_examined, seq.certified) == (
+            par.t,
+            par.d_star,
+            par.optima,
+            par.candidates_examined,
+            par.certified,
+        )
+
+
+def test_find_optimal_t5_unique_optimum():
+    res = find_optimal(5)
+    assert res.d_star == 8
+    assert res.certified
+    assert res.candidates_examined == KNOWN_COUNTS[5]
+    assert res.optima == (
+        defining_set(
+            5,
+            (
+                ({1, 20}, {7, 14}),
+                ({2, 17}, {9, 10}),
+                ({3, 8}, {5, 6}),
+                ({4, 19}, {11, 12}),
+                ({13, 18}, {15, 16}),
+            ),
+        ),
     )
 
 
+class RecordingPool:
+    """In-process stand-in for the process pool: runs each batch at once and
+    records the cutoffs it was given and the most results left unfolded."""
+
+    def __init__(self, max_workers):
+        self.cutoffs = []
+        self.unfolded = 0
+        self.peak = 0
+        RecordingPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, args):
+        self.cutoffs.append(args[1])
+        pool = self
+
+        class Folded(concurrent.futures.Future):
+            def result(self, timeout=None):
+                pool.unfolded -= 1
+                return super().result(timeout)
+
+        future = Folded()
+        future.set_result(fn(args))
+        self.unfolded += 1
+        self.peak = max(self.peak, self.unfolded)
+        return future
+
+
+def test_parallel_search_bounds_in_flight_and_passes_running_cutoff(monkeypatch):
+    monkeypatch.setattr(adversary.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    res = find_optimal(4, workers=2, batch_size=16)
+    pool = RecordingPool.last
+    assert res.certified and res.d_star == 6
+    assert res.optima == find_optimal(4).optima
+    assert len(pool.cutoffs) == -(-(KNOWN_COUNTS[4] - 1) // 16)
+    assert pool.peak <= 2 * 2
+    assert pool.unfolded == 0
+    # the first 2 * workers batches get the seed's worst case (12); each later
+    # one gets the incumbent after folding the batches before it in flight
+    assert pool.cutoffs == sorted(pool.cutoffs, reverse=True)
+    assert pool.cutoffs[:5] == [12, 12, 12, 12, 10]
+    assert pool.cutoffs[-1] == 8
+
+
 def test_time_budget_returns_uncertified_partial():
-    res = find_optimal(4, time_budget=0.0, batch_size=16)
-    assert not res.certified
-    assert res.candidates_examined < KNOWN_COUNTS[4]
-    assert res.d_star >= 6  # incumbent never goes below the true optimum
+    for workers in (1, 2):
+        res = find_optimal(4, time_budget=0.0, workers=workers, batch_size=16)
+        assert not res.certified
+        assert res.candidates_examined < KNOWN_COUNTS[4]
+        assert res.d_star >= 6  # incumbent never goes below the true optimum
 
 
 def test_random_balanced_always_valid_and_canonical():
