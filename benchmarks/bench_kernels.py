@@ -15,7 +15,7 @@ import time
 from random import Random
 
 from swapdisc._kernels import pure
-from swapdisc.adversary import _arrays, _chunks, _fold
+from swapdisc.adversary import _arrays
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.optsearch import random_balanced
 
@@ -27,12 +27,7 @@ except ImportError:
 
 def full_scan(kernel, ds, prune=False):
     n, pair_of, side_of, diff = _arrays(ds)
-    acc = (-1, -1, (), 0, 0, False)
-    for prefix, start in _chunks(n):
-        acc = _fold(
-            acc, kernel.scan_chunk(n, pair_of, side_of, diff, prefix, start, prune, -1, -1)
-        )
-    return acc
+    return kernel.scan_chunk(n, pair_of, side_of, diff, (), 1, prune, -1, -1)
 
 
 def bench(label, ds, repeat, prune=False):

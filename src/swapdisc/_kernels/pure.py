@@ -33,7 +33,7 @@ def scan_chunk(
     prune: skip subtrees whose optimistic bound (+2 per placeable swap) falls
         strictly below max(best_floor, best found so far); sound because no
         swap changes the total by more than +2.
-    best_floor: an already-achieved discrepancy from other chunks, or -1.
+    best_floor: an already-attained discrepancy (e.g. a known swap set's), or -1.
     abandon_above: if >= 0, stop as soon as any matching exceeds it.
 
     Returns (best_d, best_size, best_positions, count, nodes, abandoned):

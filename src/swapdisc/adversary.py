@@ -14,22 +14,19 @@ exact maximum, maximizer count and minimum-size maximizer:
 - branch_and_bound: the same scan with sound pruning; `enumerated` counts
   the matchings it visited.
 
-A full scan (`worst_case`) is split into chunks keyed by the first one or
-two swap positions; the chunk list and the per-chunk pruning floors depend
-only on the instance, so results (including the `enumerated` counter) are
-identical for any worker count and scheduling order.  The frontier engine
-runs in one process whatever the worker count.
+Every engine runs in the calling process: a scan is one kernel call over
+all matchings, so results (including the `enumerated` counter) are the same
+for any worker count.  `worst_case` still validates `workers` and otherwise
+ignores it; only the optimal-set search starts processes.
 
-The bounded scan (`worst_case_bounded`, used by the optimal-set search) is
-not chunked: it first tries the swap sets that beat earlier cutoffs (a
-caller-owned witness list, the killer heuristic of game-tree search), then
-runs one branch-and-bound scan that stops at the first swap set beating the
-cutoff.
+The bounded scan (`worst_case_bounded`, used by the optimal-set search)
+first tries the swap sets that beat earlier cutoffs (a caller-owned witness
+list, the killer heuristic of game-tree search), then runs one
+branch-and-bound scan that stops at the first swap set beating the cutoff.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -100,35 +97,6 @@ class AdversaryResult:
     engine: str = "exhaustive"
 
 
-def _chunks(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Deterministic chunk list covering all matchings exactly once, in
-    global lexicographic order: the empty matching, then for each first
-    position j1 the singleton {(j1, j1+1)}, then the subtrees keyed by the
-    first two positions."""
-    out: list[tuple[tuple[int, ...], int]] = [((), n)]
-    for j1 in range(1, n):
-        out.append(((j1,), n))
-        for j2 in range(j1 + 2, n):
-            out.append(((j1, j2), j2 + 2))
-    return out
-
-
-def _fold(acc, nxt):
-    best_d, best_m, best, count, nodes = acc
-    d2, m2, b2, c2, n2, _abandoned = nxt
-    if d2 > best_d:
-        best_d, best_m, best, count = d2, m2, b2, c2
-    elif d2 == best_d:
-        count += c2
-        if m2 < best_m:
-            best_m, best = m2, b2
-    return best_d, best_m, best, count, nodes + n2
-
-
-def _scan_star(args):
-    return _kernels.scan_chunk(*args)
-
-
 def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
     pair_of, side_of = rank_table(ds)
     pair_of.append(0)
@@ -146,34 +114,6 @@ def pool_size(workers: int, tasks: int | None = None) -> int:
     if tasks is not None:
         size = min(size, max(tasks, 1))
     return size
-
-
-def _run(
-    ds: DefiningSet, prune: bool, workers: int
-) -> tuple[int, int, tuple[int, ...], int, int]:
-    n, pair_of, side_of, diff = _arrays(ds)
-    chunk_list = _chunks(n)
-    acc = (-1, -1, (), 0, 0)
-    if workers > 1:
-        workers = pool_size(workers, len(chunk_list))
-
-    if workers == 1:
-        for prefix, start in chunk_list:
-            acc = _fold(acc, _kernels.scan_chunk(
-                n, pair_of, side_of, diff, prefix, start, prune, -1, -1
-            ))
-        return acc
-
-    args = [
-        (n, pair_of, side_of, diff, prefix, start, prune, -1, -1)
-        for prefix, start in chunk_list
-    ]
-    # processes, not threads: even the nogil compiled scan suffers badly from
-    # cross-thread cache contention, while forked workers scale cleanly
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(_scan_star, args, chunksize=max(1, len(args) // (8 * workers))):
-            acc = _fold(acc, res)
-    return acc
 
 
 def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: tuple) -> None:
@@ -300,18 +240,20 @@ def worst_case(
     """Exact max of discrepancy(ds, I) over all allowed swap sets I.
 
     The minimal maximizer is the first minimum-size maximizer in enumeration
-    order; every strategy and any worker count return identical results
-    except for the engine-specific `enumerated` counter.  The scan
+    order; every strategy returns identical results except for the
+    engine-specific `enumerated` counter.  `workers` is checked (>= 1) and
+    otherwise ignored: each engine runs in this process.  The scan
     strategies are refused above EXHAUSTIVE_MAX_RANKS ranks unless forced.
     """
     _check_input(ds)
-    workers = pool_size(workers)
+    pool_size(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
+    arrays = _arrays(ds)
     if strategy == "frontier":
-        best_d, _m, best, count, nodes = _frontier(*_arrays(ds))
+        best_d, _m, best, count, nodes = _frontier(*arrays)
     else:
-        best_d, _m, best, count, nodes = _run(
-            ds, prune=(strategy == "branch_and_bound"), workers=workers
+        best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
+            *arrays, (), 1, strategy == "branch_and_bound", -1, -1
         )
     return AdversaryResult(
         worst_case=best_d,

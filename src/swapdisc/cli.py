@@ -368,6 +368,8 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
 def cmd_verify(args: argparse.Namespace) -> int:
     if (args.sets is None) == (args.z is None):
         raise InvalidInput("verify needs exactly one of --sets or --z")
+    if args.sample < 0:
+        raise InvalidInput(f"--sample must be >= 0, got {args.sample}")
     ds = _load_sets(args.sets) if args.sets else construct_for_z(args.z)
     checks, res = _run_checks(ds, args)
     text = json.dumps(certificate(ds, res, checks), indent=2) + "\n"
@@ -416,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker count for the scan strategies (>= 1)")
+                       help="process count for search (>= 1); the worst-case "
+                       "engines always run in one process")
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
                        help="worst-case engine (default: frontier, or exhaustive "
                        f"for 4t <= {SCAN_DEFAULT_MAX_RANKS})")

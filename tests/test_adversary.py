@@ -105,6 +105,7 @@ def test_strategies_and_workers_agree_everywhere():
         assert rx.worst_case == rb.worst_case
         assert rx.minimal_maximizer == rb.minimal_maximizer
         assert rx.maximizer_count == rb.maximizer_count
+        assert 0 < rb.enumerated <= rx.enumerated == fib(4 * ds.t + 1)
     big = random_balanced(4, Random(6))
     seq = worst_case(big, workers=1)
     par = worst_case(big, workers=2)
@@ -112,11 +113,26 @@ def test_strategies_and_workers_agree_everywhere():
 
 
 def test_enumerated_counter_deterministic_across_workers():
-    # branch-and-bound prunes with chunk-local floors only, so even the
-    # node counter is reproducible for any worker count
+    # every scan is one kernel call in this process whatever the worker
+    # count, so even the branch-and-bound node counter is reproducible
     ds = random_balanced(4, Random(14))
     results = [worst_case(ds, strategy="branch_and_bound", workers=w) for w in (1, 2, 3)]
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "branch_and_bound"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_kernel_call_per_scan(monkeypatch, strategy, workers):
+    calls = []
+    scan = adversary._kernels.scan_chunk
+
+    def counting(*args):
+        calls.append(args[4:6])
+        return scan(*args)
+
+    monkeypatch.setattr(adversary._kernels, "scan_chunk", counting)
+    worst_case(random_balanced(4, Random(21)), strategy=strategy, workers=workers)
+    assert calls == [((), 1)]  # no prefix, first swap position 1: every swap set
 
 
 def test_worst_case_matches_oracle_on_all_t2_and_random_t3_t4():

@@ -251,6 +251,25 @@ def test_verify_sampled_population(tmp_path, capsys):
     assert cert["checks"]["sampled_population"]["details"]["sampled"] == 5
 
 
+def test_verify_negative_sample_exit2(capsys):
+    code = main(["verify", "--z", "2", "--checks", "balance", "--sample", "-3"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sample" in captured.err
+
+
+def test_verify_sampled_certificate_identical_across_workers(capsys):
+    outputs = []
+    for w in ("1", "2"):
+        argv = ["verify", "--z", "2", "--sample", "20", "--seed", "5",
+                "--strategy", "branch_and_bound", "--workers", w]
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["adversary"]["engine"] == "branch_and_bound"
+
+
 def test_verify_needs_sets_xor_z(capsys):
     assert main(["verify"]) == EXIT_INVALID
     assert main(["verify", "--z", "2", "--sets", "x.json"]) == EXIT_INVALID

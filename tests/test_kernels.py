@@ -1,6 +1,6 @@
 """Behavioural parity between the compiled and pure scan kernels.
 
-Every mode (plain scan, pruning, abandonment, chunk prefixes) must return
+Every mode (plain scan, pruning, abandonment, swap prefixes) must return
 bit-identical tuples from both implementations.
 """
 
@@ -10,7 +10,7 @@ import pytest
 
 from swapdisc import _kernels
 from swapdisc._kernels import pure
-from swapdisc.adversary import _arrays, _chunks
+from swapdisc.adversary import _arrays
 from swapdisc.optsearch import random_balanced
 
 try:
@@ -41,7 +41,10 @@ def test_full_scan_parity(t, seed):
 def test_chunked_scan_parity(seed):
     ds = random_balanced(3, Random(seed))
     n, pair_of, side_of, diff = _arrays(ds)
-    for prefix, start in _chunks(n):
+    # the subtrees under every first swap position and every first two
+    prefixes = [((j1,), j1 + 2) for j1 in range(1, n)]
+    prefixes += [((j1, j2), j2 + 2) for j1 in range(1, n) for j2 in range(j1 + 2, n)]
+    for prefix, start in prefixes:
         a = pure.scan_chunk(n, pair_of, side_of, diff, prefix, start, True, 2, -1)
         b = _fast.scan_chunk(n, pair_of, side_of, diff, prefix, start, True, 2, -1)
         assert a == b
