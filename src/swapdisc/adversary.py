@@ -20,25 +20,29 @@ for any worker count.  `worst_case` still validates `workers` and otherwise
 ignores it; only the optimal-set search starts processes.
 
 The bounded scan (`worst_case_bounded`, used by the optimal-set search)
-first tries the swap sets that beat earlier cutoffs (a caller-owned witness
-list, the killer heuristic of game-tree search), then runs one
-branch-and-bound scan that stops at the first swap set beating the cutoff.
+first tries the swap sets that reached earlier cutoffs (a caller-owned
+witness list, the killer heuristic of game-tree search), then runs one
+branch-and-bound scan that stops at the first swap set reaching the cutoff.
+It gives one of three verdicts: the cutoff is beaten, attained (a swap set
+reaches it exactly; the worst case is not proven), or the exact worst case
+lies below it.  `worst_case_is` proves an attained value afterwards.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from . import _kernels
 from .core import (
     DefiningSet,
+    EVEN,
     InvalidInput,
+    ODD,
     SizeRefused,
     SwapSet,
     discrepancy,
-    rank_table,
     validate_defining_set,
 )
 
@@ -97,23 +101,52 @@ class AdversaryResult:
     engine: str = "exhaustive"
 
 
+@dataclass(frozen=True)
+class Attained:
+    """The "attains" verdict of worst_case_bounded: `swap_set` reaches exactly
+    `value` (the cutoff) and no swap set tried beats it, so the worst case is
+    at least `value`; whether it is exactly `value` is not proven.
+    `enumerated` counts the swap sets the scan visited (0 without a scan)."""
+
+    value: int
+    swap_set: SwapSet
+    enumerated: int
+
+
+def _reject(ds: DefiningSet) -> NoReturn:
+    report = validate_defining_set(ds)
+    raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
+
+
 def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
-    pair_of, side_of = rank_table(ds)
-    pair_of.append(0)
-    side_of.append(0)
-    diff = [p.imbalance for p in ds.pairs]
-    return ds.n_ranks, pair_of, side_of, diff
+    """(n, pair_of, side_of, diff) for the engines, in one pass over the pairs.
+
+    pair_of and side_of index ranks 1..n (0 and n+1 hold fillers), diff holds
+    the pairs' signed imbalances, all 0 here.  Raises InvalidInput, worded by
+    validate_defining_set, unless every rank is in [1, n] and none repeats
+    (the 4t ranks then partition [1, 4t]) and every pair is balanced.
+    """
+    n = ds.n_ranks
+    pair_of = [-1] * (n + 1) + [0]
+    side_of = [0] * (n + 2)
+    for p, pair in enumerate(ds.pairs):
+        for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
+            for r in ranks:
+                if r > n or pair_of[r] != -1:
+                    _reject(ds)
+                pair_of[r] = p
+                side_of[r] = side
+        if pair.imbalance:
+            _reject(ds)
+    return n, pair_of, side_of, [0] * len(ds.pairs)
 
 
-def pool_size(workers: int, tasks: int | None = None) -> int:
-    """Worker processes to start: `workers` clamped to the CPU count and, when
-    given, to the number of tasks.  Raises InvalidInput below 1."""
+def pool_size(workers: int) -> int:
+    """Worker processes to start: `workers` clamped to the CPU count.  Raises
+    InvalidInput below 1."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidInput(f"workers must be an integer >= 1, got {workers!r}")
-    size = min(workers, os.cpu_count() or 1)
-    if tasks is not None:
-        size = min(size, max(tasks, 1))
-    return size
+    return min(workers, os.cpu_count() or 1)
 
 
 def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: tuple) -> None:
@@ -211,12 +244,6 @@ def _frontier(
     return best_d, best_m, best, count, states
 
 
-def _check_input(ds: DefiningSet) -> None:
-    report = validate_defining_set(ds)
-    if not report.ok:
-        raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
-
-
 def _pick_strategy(ds: DefiningSet, strategy: str | None, force_exhaustive: bool) -> str:
     if strategy is None:
         return "exhaustive" if ds.n_ranks <= SCAN_DEFAULT_MAX_RANKS else "frontier"
@@ -245,10 +272,9 @@ def worst_case(
     otherwise ignored: each engine runs in this process.  The scan
     strategies are refused above EXHAUSTIVE_MAX_RANKS ranks unless forced.
     """
-    _check_input(ds)
+    arrays = _arrays(ds)
     pool_size(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
-    arrays = _arrays(ds)
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(*arrays)
     else:
@@ -282,44 +308,67 @@ def _total_after(
     return sum(map(abs, d))
 
 
-def worst_case_bounded(
-    ds: DefiningSet, cutoff: int, witnesses: list[tuple[int, ...]] | None = None
-) -> tuple[AdversaryResult | None, bool]:
-    """(result, exceeded): stop as soon as any swap set beats `cutoff`.
-
-    If exceeded is True the defining set's worst case is > cutoff and the
-    result is None; otherwise the result is exact (branch-and-bound scan).
-
-    `witnesses` is an optional caller-owned list of swap-position tuples,
-    kept across calls.  Each is tried before the scan; a hit moves to the
-    front.  When the scan finds a beating swap set it is pushed to the front,
-    and the list is cut to WITNESS_CAP entries.  A witness only ever decides
-    "exceeded" as a real swap set beating the cutoff, so the verdict and the
-    exact result never depend on the list; only `enumerated`, the number of
-    swap sets the scan visited, does.
-    """
-    _check_input(ds)
+def _check_cutoff(cutoff: int) -> None:
     if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 0:
         raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
+
+
+def worst_case_bounded(
+    ds: DefiningSet, cutoff: int, witnesses: list[tuple[int, ...]] | None = None
+) -> tuple[AdversaryResult | Attained | None, bool]:
+    """(result, exceeded): one of three verdicts on the worst case against
+    `cutoff`, without proving a tie.
+
+    - beats: some swap set is above the cutoff; returns (None, True).
+    - attains: a swap set reaches exactly the cutoff and none tried beats
+      it; returns (Attained, False).  The worst case is >= cutoff, but it
+      may be above: the search proves it later with `worst_case_is`.
+    - below: the exact worst case is below the cutoff; returns the
+      branch-and-bound scan's AdversaryResult and False.
+
+    `witnesses` is an optional caller-owned list of swap-position tuples,
+    kept across calls.  Each is tried before the scan, and one beating the
+    cutoff wins over one only attaining it; a beating hit moves to the
+    front.  The scan stops at the first swap set reaching the cutoff, which
+    is pushed to the front (one swap moves the total by at most 2, so that
+    set mostly just attains the cutoff; on the next candidates, which share
+    most pairs, it often beats it), and the list is cut to WITNESS_CAP
+    entries.  A witness only ever decides a verdict as a real swap set
+    reaching or beating the cutoff, so "below" and its exact result never
+    depend on the list; which of "beats" and "attains" a candidate above the
+    cutoff gets, and `enumerated`, the number of swap sets the scan visited,
+    do.
+    """
     n, pair_of, side_of, diff = _arrays(ds)
+    _check_cutoff(cutoff)
     floor = -1
+    attained = None
     for k, positions in enumerate(witnesses or ()):
         value = _total_after(positions, n, pair_of, side_of, diff)
         if value > cutoff:
             if k:
                 witnesses.insert(0, witnesses.pop(k))
             return None, True
-        floor = max(floor, value)
-    # the best witness value is attained, so it is a sound pruning floor
-    best_d, _m, best, count, nodes, abandoned = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, (), 1, True, floor, cutoff
+        if value == cutoff:
+            if attained is None:
+                attained = positions
+        elif value > floor:
+            floor = value
+    if attained is not None:
+        return Attained(cutoff, SwapSet.from_positions(attained), 0), False
+    # the best witness value is attained and below the cutoff, so it is a
+    # sound pruning floor; the scan stops at the first value >= cutoff (at
+    # cutoff 0 it runs to the end)
+    best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
+        n, pair_of, side_of, diff, (), 1, True, floor, cutoff - 1
     )
-    if abandoned:
-        if witnesses is not None:
-            # the scan stops at the first swap set beating the cutoff
-            witnesses.insert(0, best)
-            del witnesses[WITNESS_CAP:]
+    if best_d >= cutoff and witnesses is not None:
+        witnesses.insert(0, best)
+        del witnesses[WITNESS_CAP:]
+    if best_d > cutoff:
         return None, True
+    if best_d == cutoff:
+        return Attained(cutoff, SwapSet.from_positions(best), nodes), False
     return (
         AdversaryResult(
             worst_case=best_d,
@@ -332,19 +381,31 @@ def worst_case_bounded(
     )
 
 
+def worst_case_is(ds: DefiningSet, value: int) -> bool:
+    """Whether the worst case of ds is exactly `value`: one branch-and-bound
+    scan that stops at the first swap set above `value` and prunes every
+    subtree that cannot reach it.  The optimal-set search proves the ties
+    that worst_case_bounded only found attained with it."""
+    n, pair_of, side_of, diff = _arrays(ds)
+    _check_cutoff(value)
+    best_d, _m, _best, _count, _nodes, abandoned = _kernels.scan_chunk(
+        n, pair_of, side_of, diff, (), 1, True, value, value
+    )
+    return not abandoned and best_d == value
+
+
 def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
     """Every swap set attaining the worst case, in enumeration order.
 
     Materializes the maximizers, so it is reserved for small instances
     (4t <= 28 unless forced).
     """
-    _check_input(ds)
-    if ds.n_ranks > MAXIMIZER_LIST_MAX_RANKS and not force:
+    n, pair_of, side_of, diff = _arrays(ds)
+    if n > MAXIMIZER_LIST_MAX_RANKS and not force:
         raise SizeRefused(
-            f"maximizer listing refused for 4t = {ds.n_ranks} > {MAXIMIZER_LIST_MAX_RANKS}"
+            f"maximizer listing refused for 4t = {n} > {MAXIMIZER_LIST_MAX_RANKS}"
         )
     target = worst_case(ds).worst_case
-    n, pair_of, side_of, diff = _arrays(ds)
     out: list[SwapSet] = []
     for positions in _positions_stream(n, 1, []):
         if _total_after(positions, n, pair_of, side_of, diff) == target:

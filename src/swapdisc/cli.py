@@ -226,6 +226,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.t < 1:
         raise InvalidInput(f"--t must be >= 1, got {args.t}")
+    if args.time_budget is not None and not args.time_budget >= 0:
+        # NaN compares false with every elapsed time and would switch the budget off
+        raise InvalidInput(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
     result = find_optimal(args.t, time_budget=args.time_budget, workers=args.workers)
     doc = {
         "t": result.t,

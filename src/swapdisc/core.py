@@ -12,6 +12,7 @@ Everything here is exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -62,9 +63,9 @@ class CompanionPair:
     def sum_even(self) -> int:
         return sum(self.even)
 
-    @property
+    @cached_property
     def imbalance(self) -> int:
-        """Signed difference sum(odd) - sum(even)."""
+        """Signed difference sum(odd) - sum(even), computed once per pair."""
         return self.sum_odd - self.sum_even
 
     @property

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .adversary import pool_size, worst_case, worst_case_bounded
+from .adversary import Attained, pool_size, worst_case, worst_case_bounded, worst_case_is
 from .core import CompanionPair, DefiningSet, InvalidInput
 
 # batches queued per worker process in a parallel search
 IN_FLIGHT_PER_WORKER = 2
+
+_BatchResult = tuple[int, list[tuple[DefiningSet, bool]], int, list[tuple[int, ...]]]
 
 
 def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
@@ -115,26 +117,25 @@ class SearchResult:
     certified: bool
 
 
-def _eval_batch(args) -> tuple[int, list[DefiningSet], int, list[tuple[int, ...]]]:
+def _eval_batch(args) -> _BatchResult:
     """Evaluate a batch of candidates against a cutoff, sharing one witness
     list: consecutive candidates share most pairs, so a swap set that beat
     one of them usually beats the next.  Returns (batch minimum worst case,
-    the candidates attaining it in order, number examined, the witness list
-    for the next batch)."""
-    batch, seed_cutoff, witnesses = args
-    local_min = seed_cutoff
-    keep: list[DefiningSet] = []
+    the candidates that may attain it in order, each with whether it is
+    proven, number examined, the witness list for the next batch).  A tie
+    is never proven here: the cutoff may still fall."""
+    batch, cutoff, witnesses = args
+    keep: list[tuple[DefiningSet, bool]] = []
     for ds in batch:
-        res, exceeded = worst_case_bounded(ds, cutoff=local_min, witnesses=witnesses)
+        res, exceeded = worst_case_bounded(ds, cutoff=cutoff, witnesses=witnesses)
         if exceeded:
             continue
-        wc = res.worst_case
-        if wc < local_min:
-            local_min = wc
-            keep = [ds]
-        elif wc == local_min:
-            keep.append(ds)
-    return local_min, keep, len(batch), witnesses
+        if isinstance(res, Attained):
+            keep.append((ds, False))
+        else:
+            cutoff = res.worst_case
+            keep = [(ds, True)]
+    return cutoff, keep, len(batch), witnesses
 
 
 def find_optimal(
@@ -146,24 +147,29 @@ def find_optimal(
     """Full search for D*(t) and every canonical optimum.
 
     Candidates are abandoned as soon as some swap set pushes them above the
-    best worst case seen so far; results are independent of worker count.
-    One witness list is carried from batch to batch.  With several workers
-    at most IN_FLIGHT_PER_WORKER batches per worker are queued, each with the
+    best worst case seen so far, and kept unproven when one only ties it;
+    after the last batch each kept tie is proven at the final D*, in
+    enumeration order.  Results are independent of worker count.  One
+    witness list is carried from batch to batch.  With several workers at
+    most IN_FLIGHT_PER_WORKER batches per worker are queued, each with the
     running incumbent and the latest witness list, and results are folded in
-    enumeration order.  A blown time budget stops further batches and
-    returns the partial incumbent with certified=False.
+    enumeration order.  A blown time budget (seconds, >= 0) stops further
+    batches and returns the partial incumbent with certified=False.
     """
     started = time.perf_counter()
+    if time_budget is not None and not time_budget >= 0:
+        raise InvalidInput(f"time_budget must be a number of seconds >= 0, got {time_budget!r}")
     workers = pool_size(workers)
     stream = enumerate_balanced(t)
 
     first = next(stream)
     seed_res = worst_case(first, strategy="branch_and_bound")
     d_star = seed_res.worst_case
-    optima: list[DefiningSet] = [first]
+    # candidates that may attain d_star, in enumeration order, and whether proven
+    kept: list[tuple[DefiningSet, bool]] = [(first, True)]
     examined = 1
     certified = True
-    # swap sets that beat recent cutoffs; they only ever speed up abandonment
+    # swap sets that reached recent cutoffs; they only ever speed up the verdicts
     witnesses: list[tuple[int, ...]] = []
 
     def batches() -> Iterator[list[DefiningSet]]:
@@ -179,15 +185,15 @@ def find_optimal(
     def out_of_time() -> bool:
         return time_budget is not None and time.perf_counter() - started > time_budget
 
-    def fold(result: tuple[int, list[DefiningSet], int, list[tuple[int, ...]]]) -> None:
-        nonlocal d_star, optima, examined, witnesses
+    def fold(result: _BatchResult) -> None:
+        nonlocal d_star, kept, examined, witnesses
         batch_min, keep, n_exam, witnesses = result
         examined += n_exam
         if batch_min < d_star:
             d_star = batch_min
-            optima = list(keep)
+            kept = list(keep)
         elif batch_min == d_star:
-            optima.extend(keep)
+            kept.extend(keep)
 
     if workers == 1:
         for batch in batches():
@@ -210,6 +216,7 @@ def find_optimal(
                 if certified or not future.cancel():
                     fold(future.result())
 
+    optima = [ds for ds, proven in kept if proven or worst_case_is(ds, d_star)]
     return SearchResult(
         t=t,
         d_star=d_star,

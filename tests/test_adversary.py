@@ -1,6 +1,6 @@
-"""Adversary: enumeration order/counts, exact worst-case results and the
-bounded scan with its witness list, cross-checked against the brute-force
-oracle."""
+"""Adversary: enumeration order/counts, exact worst-case results, input
+validation, and the bounded scan's three verdicts with its witness list,
+cross-checked against the brute-force oracle."""
 
 from random import Random
 
@@ -12,12 +12,14 @@ from swapdisc import adversary
 from swapdisc.adversary import (
     WITNESS_CAP,
     AdversaryResult,
+    Attained,
     all_maximizers,
     count_swap_sets,
     enumerate_swap_sets,
     minimal_maximizer_property,
     worst_case,
     worst_case_bounded,
+    worst_case_is,
 )
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
@@ -27,6 +29,7 @@ from swapdisc.core import (
     defining_set,
     discrepancy,
     reflect,
+    validate_defining_set,
 )
 from swapdisc.optsearch import enumerate_balanced, random_balanced
 
@@ -84,6 +87,39 @@ def test_worst_case_t1(t1):
 def test_rejects_invalid_and_unbalanced():
     with pytest.raises(InvalidInput):
         worst_case(defining_set(1, (({1, 3}, {2, 4}),)))
+
+
+BROKEN_SETS = {
+    # rank 5 > 4t (and rank 3 missing)
+    "rank above 4t": defining_set(1, (({1, 5}, {2, 4}),)),
+    # ranks 1 and 4 twice (and ranks 6, 7 missing); both pairs balanced
+    "repeated rank": defining_set(2, (({1, 4}, {2, 3}), ({1, 8}, {4, 5}))),
+    # one rank on both sides of a pair (rank 4 missing)
+    "rank on both sides": defining_set(1, (({1, 2}, {2, 3}),)),
+    # a partition whose first pair is unbalanced
+    "unbalanced pair": defining_set(2, (({1, 4}, {2, 3}), ({5, 7}, {6, 8}))),
+}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN_SETS))
+def test_every_violation_raises_with_the_validator_text(kind):
+    ds = BROKEN_SETS[kind]
+    report = validate_defining_set(ds)
+    assert not report.ok
+    if kind != "unbalanced pair":
+        # four ranks per pair: a bad rank always leaves another one missing
+        assert any(v.endswith("missing") for v in report.violations)
+    text = "invalid defining set: " + "; ".join(report.violations)
+    for call in (
+        lambda: worst_case(ds),
+        lambda: worst_case(ds, strategy="frontier"),
+        lambda: worst_case_bounded(ds, cutoff=4, witnesses=[(1,)]),
+        lambda: worst_case_is(ds, 4),
+        lambda: all_maximizers(ds),
+    ):
+        with pytest.raises(InvalidInput) as err:
+            call()
+        assert str(err.value) == text
 
 
 def test_exhaustive_size_refusal():
@@ -199,9 +235,17 @@ def test_all_maximizers_refusal():
 # ------------------------------------------------------------- bounded scan
 
 def test_bounded_scan_exceeded_and_exact(sub2):
-    res, exceeded = worst_case_bounded(sub2, cutoff=4)
+    # one swap moves the total by -2, 0 or +2, so the scan's first swap set
+    # at or above an odd cutoff beats it, and at an even one only attains it
+    res, exceeded = worst_case_bounded(sub2, cutoff=3)
     assert exceeded and res is None
-    res, exceeded = worst_case_bounded(sub2, cutoff=6)
+    # attained is not proven: the worst case is 6, above the cutoff 4
+    for cutoff in (4, 6):
+        res, exceeded = worst_case_bounded(sub2, cutoff=cutoff)
+        assert not exceeded
+        assert isinstance(res, Attained) and res.value == cutoff
+        assert discrepancy(sub2, res.swap_set) == cutoff
+    res, exceeded = worst_case_bounded(sub2, cutoff=7)
     assert not exceeded
     assert res.worst_case == 6
     full = worst_case(sub2)
@@ -221,20 +265,31 @@ def seeded_witnesses(valued, cutoff, rng):
 
 
 def assert_bounded_agrees(ds, full, cutoff, witnesses):
+    """Each verdict is consistent with the exact worst case: beats only above
+    the cutoff, attains only at or above it (with a swap set at exactly the
+    cutoff), and below exactly when the worst case is below it, with the
+    exact result."""
     res, exceeded = worst_case_bounded(ds, cutoff=cutoff, witnesses=witnesses)
-    assert exceeded == (full.worst_case > cutoff)
     if exceeded:
         assert res is None
+        assert full.worst_case > cutoff
         if witnesses is not None:
             # the verdict rests on a concrete swap set, now first in the list
             assert discrepancy(ds, SwapSet.from_positions(witnesses[0])) > cutoff
+    elif isinstance(res, Attained):
+        assert full.worst_case >= cutoff
+        assert res.value == cutoff
+        assert discrepancy(ds, res.swap_set) == cutoff
+        assert res.enumerated >= 0
     else:
+        assert full.worst_case < cutoff
         assert (res.worst_case, res.minimal_maximizer, res.maximizer_count) == (
             full.worst_case,
             full.minimal_maximizer,
             full.maximizer_count,
         )
         assert res.engine == "branch_and_bound"
+        assert res.enumerated > 0
     if witnesses is not None:
         assert len(witnesses) <= WITNESS_CAP
 
@@ -283,8 +338,9 @@ def test_bounded_scan_any_witnesses_hypothesis(t, seed, cutoff, raw):
 def test_witness_list_is_move_to_front_and_capped(monkeypatch):
     monkeypatch.setattr(adversary, "WITNESS_CAP", 3)
     witnesses: list = []
+    # at the odd cutoff 3 every swap set the scan stops at beats it
     for ds in enumerate_balanced(3):
-        worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
+        worst_case_bounded(ds, cutoff=3, witnesses=witnesses)
         assert len(witnesses) <= 3
     assert len(witnesses) == 3
     # a hit moves to the front without growing the list; (3, 4) is no
@@ -300,3 +356,28 @@ def test_witness_list_is_move_to_front_and_capped(monkeypatch):
 def test_bounded_scan_rejects_negative_cutoff(sub2):
     with pytest.raises(InvalidInput):
         worst_case_bounded(sub2, cutoff=-1)
+    with pytest.raises(InvalidInput):
+        worst_case_is(sub2, -1)
+
+
+def test_witness_that_beats_wins_over_one_that_attains(sub2):
+    valued = [(s.positions(), discrepancy(sub2, s)) for s in enumerate_swap_sets(2)]
+    at = next(w for w, d in valued if d == 4)
+    above = next(w for w, d in valued if d > 4)
+    witnesses = [at, above]
+    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witnesses)
+    assert exceeded and res is None
+    assert witnesses == [above, at]
+    # with only the attaining witness: no scan, no proof
+    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=[at])
+    assert not exceeded
+    assert res == Attained(4, SwapSet.from_positions(at), 0)
+
+
+def test_worst_case_is_agrees_with_worst_case():
+    rng = Random(29)
+    pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
+    pool += [random_balanced(t, rng) for t in (4, 5, 6)]
+    for ds in pool:
+        wc = worst_case(ds).worst_case
+        assert [v for v in range(13) if worst_case_is(ds, v)] == ([wc] if wc < 13 else [])

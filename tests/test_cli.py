@@ -205,6 +205,15 @@ def test_search_time_budget_uncertified(capsys):
     assert doc["certified"] is False
 
 
+def test_search_time_budget_nan_or_negative_exit2(capsys):
+    # NaN compares false with every elapsed time: it used to switch the budget
+    # off and still report a certified result
+    for bad in ("nan", "-1", "-0.5"):
+        assert main(["search", "--t", "1", "--time-budget", bad]) == EXIT_INVALID
+        assert "--time-budget" in capsys.readouterr().err
+    assert main(["search", "--t", "1", "--time-budget", "0"]) == EXIT_OK
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_construction_all_checks_pass(capsys):

@@ -4,13 +4,16 @@ Every mode (plain scan, pruning, abandonment, swap prefixes) must return
 bit-identical tuples from both implementations.
 """
 
+import importlib.util
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from swapdisc import _kernels
 from swapdisc._kernels import pure
-from swapdisc.adversary import _arrays
+from swapdisc.adversary import _arrays, count_swap_sets
+from swapdisc.construct import base_case
 from swapdisc.optsearch import random_balanced
 
 try:
@@ -69,3 +72,13 @@ def test_unbalanced_start_parity():
     a = pure.scan_chunk(n, pair_of, side_of, diff, (2,), 4, False, -1, -1)
     b = _fast.scan_chunk(n, pair_of, side_of, diff, (2,), 4, False, -1, -1)
     assert a == b
+
+
+def test_bench_kernels_script_scans_the_base_case():
+    # benchmarks/ is no package: load the script by path, as `python` would
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    best_d, _m, _best, _count, nodes, abandoned = bench.full_scan(pure, base_case())
+    assert (best_d, nodes, abandoned) == (6, count_swap_sets(4), False)

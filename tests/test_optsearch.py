@@ -6,16 +6,23 @@ that oracle.
 """
 
 import concurrent.futures
+import itertools
 import math
 from random import Random
 
 import pytest
 
 from naive_oracles import naive_balanced_sets
-from swapdisc import adversary
+from swapdisc import adversary, optsearch
 from swapdisc.adversary import worst_case
 from swapdisc.construct import base_case, lower_bound
-from swapdisc.core import canonicalize, defining_set, reflect, validate_defining_set
+from swapdisc.core import (
+    InvalidInput,
+    canonicalize,
+    defining_set,
+    reflect,
+    validate_defining_set,
+)
 from swapdisc.optsearch import (
     count_balanced,
     enumerate_balanced,
@@ -112,9 +119,11 @@ def test_find_optimal_matches_naive_search(t):
 
 
 def test_find_optimal_t4_unique_base_case():
-    res = find_optimal(4)
-    assert res.d_star == 6
-    assert res.optima == (canonicalize(base_case()),)
+    # in one batch of 4096 the incumbent falls 12 -> 10 -> 8 -> 6 inside it
+    for batch_size in (512, 4096):
+        res = find_optimal(4, batch_size=batch_size)
+        assert res.d_star == 6
+        assert res.optima == (canonicalize(base_case()),)
 
 
 def test_find_optimal_parallel_identical():
@@ -131,8 +140,21 @@ def test_find_optimal_parallel_identical():
         )
 
 
-def test_find_optimal_t5_unique_optimum():
+def test_find_optimal_t5_unique_optimum(monkeypatch):
+    nodes = []
+    scan = adversary._kernels.scan_chunk
+
+    def counting(*args):
+        result = scan(*args)
+        nodes.append(result[4])
+        return result
+
+    monkeypatch.setattr(adversary._kernels, "scan_chunk", counting)
     res = find_optimal(5)
+    # ties are proven only at the final D*; proving each tie with the
+    # incumbent as it came took 1,166 scans visiting 933,468 swap sets
+    assert len(nodes) < 200
+    assert sum(nodes) < 50_000
     assert res.d_star == 8
     assert res.certified
     assert res.candidates_examined == KNOWN_COUNTS[5]
@@ -205,6 +227,42 @@ def test_time_budget_returns_uncertified_partial():
         assert not res.certified
         assert res.candidates_examined < KNOWN_COUNTS[4]
         assert res.d_star >= 6  # incumbent never goes below the true optimum
+
+
+class SteppingClock:
+    """Stands in for the time module in optsearch: each perf_counter call
+    advances one second, so a budget of b seconds lets about b batches start."""
+
+    def __init__(self):
+        self._ticks = itertools.count()
+
+    def perf_counter(self):
+        return float(next(self._ticks))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blown_budget_proves_every_kept_tie(monkeypatch, workers):
+    monkeypatch.setattr(optsearch, "time", SteppingClock())
+    res = find_optimal(4, time_budget=37, workers=workers, batch_size=16)
+    assert not res.certified
+    assert res.optima
+    for ds in res.optima:
+        assert worst_case(ds).worst_case == res.d_star
+    if workers == 1:
+        # 37 batches of 16 after the seed: D* is then 8, attained by 2 of
+        # the 593 candidates, while about a hundred were kept as ties with 8
+        examined = list(itertools.islice(enumerate_balanced(4), res.candidates_examined))
+        values = [worst_case(ds).worst_case for ds in examined]
+        assert res.candidates_examined == 1 + 37 * 16
+        assert res.d_star == min(values) == 8
+        assert res.optima == tuple(ds for ds, v in zip(examined, values) if v == 8)
+        assert len(res.optima) == 2
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
+def test_time_budget_must_be_nonnegative(budget):
+    with pytest.raises(InvalidInput):
+        find_optimal(2, time_budget=budget)
 
 
 def test_random_balanced_always_valid_and_canonical():
