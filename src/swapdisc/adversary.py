@@ -21,8 +21,9 @@ ignores it; only the optimal-set search starts processes.
 
 The bounded scan (`worst_case_bounded`, used by the optimal-set search)
 first tries the swap sets that reached earlier cutoffs (a caller-owned
-witness list, the killer heuristic of game-tree search), then runs one
-branch-and-bound scan that stops at the first swap set reaching the cutoff.
+Witnesses table, the killer heuristic of game-tree search, which scores
+them all with t integer additions), then runs one branch-and-bound scan
+that stops at the first swap set reaching the cutoff.
 It gives one of three verdicts: the cutoff is beaten, attained (a swap set
 reaches it exactly; the worst case is not proven), or the exact worst case
 lies below it.  `worst_case_is` proves an attained value afterwards.
@@ -32,18 +33,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .core import (
+    CompanionPair,
     DefiningSet,
     EVEN,
     InvalidInput,
     ODD,
     SizeRefused,
     SwapSet,
+    all_ranks,
     discrepancy,
-    validate_defining_set,
+    reject_invalid,
+    require_valid,
 )
 
 STRATEGIES = ("frontier", "exhaustive", "branch_and_bound")
@@ -55,7 +59,7 @@ MAXIMIZER_LIST_MAX_RANKS = 28
 SCAN_DEFAULT_MAX_RANKS = 16
 # cap on the states of one position; past it the frontier DP is refused
 FRONTIER_MAX_STATES = 300_000
-# most swap sets a witness list keeps for worst_case_bounded
+# most swap sets a Witnesses table keeps for worst_case_bounded
 WITNESS_CAP = 128
 
 
@@ -113,18 +117,12 @@ class Attained:
     enumerated: int
 
 
-def _reject(ds: DefiningSet) -> NoReturn:
-    report = validate_defining_set(ds)
-    raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
-
-
 def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
-    """(n, pair_of, side_of, diff) for the engines, in one pass over the pairs.
+    """(n, pair_of, side_of, diff) for the engines, in one pass over the pairs
+    of a valid ds (see require_valid).
 
     pair_of and side_of index ranks 1..n (0 and n+1 hold fillers), diff holds
-    the pairs' signed imbalances, all 0 here.  Raises InvalidInput, worded by
-    validate_defining_set, unless every rank is in [1, n] and none repeats
-    (the 4t ranks then partition [1, 4t]) and every pair is balanced.
+    the pairs' signed imbalances.
     """
     n = ds.n_ranks
     pair_of = [-1] * (n + 1) + [0]
@@ -132,13 +130,9 @@ def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
     for p, pair in enumerate(ds.pairs):
         for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
             for r in ranks:
-                if r > n or pair_of[r] != -1:
-                    _reject(ds)
                 pair_of[r] = p
                 side_of[r] = side
-        if pair.imbalance:
-            _reject(ds)
-    return n, pair_of, side_of, [0] * len(ds.pairs)
+    return n, pair_of, side_of, [pair.imbalance for pair in ds.pairs]
 
 
 def pool_size(workers: int) -> int:
@@ -272,6 +266,7 @@ def worst_case(
     otherwise ignored: each engine runs in this process.  The scan
     strategies are refused above EXHAUSTIVE_MAX_RANKS ranks unless forced.
     """
+    require_valid(ds)
     arrays = _arrays(ds)
     pool_size(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
@@ -291,18 +286,12 @@ def worst_case(
 
 
 def _total_after(
-    positions: tuple[int, ...], n: int, pair_of: list[int], side_of: list[int],
-    diff: list[int],
+    positions: tuple[int, ...], pair_of: list[int], side_of: list[int], diff: list[int]
 ) -> int:
-    """Total discrepancy after the swaps at `positions` (ascending left
-    endpoints), or -1 when they are not a matching of the path on [1, n];
-    O(n) on the _arrays tables."""
-    prev = -1
+    """Total discrepancy after the swaps at `positions`, a matching of the
+    path on the ranks; O(n) on the _arrays tables."""
     d = list(diff)
     for i in positions:
-        if i < prev + 2 or i >= n:
-            return -1
-        prev = i
         d[pair_of[i]] += side_of[i]
         d[pair_of[i + 1]] -= side_of[i + 1]
     return sum(map(abs, d))
@@ -313,8 +302,186 @@ def _check_cutoff(cutoff: int) -> None:
         raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
 
 
+class Witnesses:
+    """The witness list of worst_case_bounded: up to WITNESS_CAP
+    swap-position tuples that reached earlier cutoffs, in move-to-front
+    order, all scored on a candidate at once.
+
+    Each tuple sits in a fixed slot.  A set's total after a witness's swaps
+    is a sum over its pairs, and the search's candidates share few distinct
+    pairs (525 among the 74,323 at t = 5).  So for every pair it has met the
+    table caches one packed integer whose field s holds |the pair's
+    imbalance change| under the witness in slot s.  The sum of a
+    candidate's t packed integers holds every witness's total, one per
+    field; adding one constant and masking the fields' high bits compares
+    them all with the cutoff.  Fields are wide enough that no sum carries
+    into the next one.
+
+    A tuple that is not a matching of the path on [1, 4t] of the scored set
+    (left endpoints not ascending by at least 2, below 1, or at or above
+    4t) is masked out there, so it decides nothing, even in a list shared
+    across different t.
+
+    Pickling keeps the tuples in order only; the per-pair cache is rebuilt
+    as pairs are met again.
+    """
+
+    def __init__(self, positions: Iterable[tuple[int, ...]] = ()):
+        """A table holding the first WITNESS_CAP of `positions`, in order."""
+        self._cap = WITNESS_CAP
+        self._slots: list[tuple[int, ...]] = []
+        self._order: list[int] = []  # slots, front first
+        # per slot: bit i for each swap (i, i+1), and the least 4t the tuple
+        # is a matching for (infinite when it is none; then its bits are 0)
+        self._left: list[int] = []
+        self._reach: list[float] = []
+        self._resize(0)  # the first set scored widens the fields
+        for w in reversed(list(positions)[: self._cap]):
+            self.push(w)
+
+    def _resize(self, n: int) -> None:
+        """Fields wide enough for totals up to n (they never exceed 4t) plus
+        the comparison constants; drops the per-pair cache."""
+        width = (n + 1).bit_length() + 1
+        self._width = width
+        self._half = 1 << (width - 1)  # a field's high bit
+        self._ones = ((1 << width * self._cap) - 1) // ((1 << width) - 1)
+        self._sides: dict[CompanionPair, tuple[int, int]] = {}
+        self._packed: dict[CompanionPair, int] = {}
+        self._valid: dict[int, int] = {}  # 4t -> high bits of the slots valid there
+
+    def _field(self, sides: tuple[int, int], s: int) -> int:
+        odd, even = sides
+        left = self._left[s]
+        right = left << 1
+        return abs(
+            (odd & left).bit_count() - (odd & right).bit_count()
+            - (even & left).bit_count() + (even & right).bit_count()
+        )
+
+    def _add(self, pair: CompanionPair) -> int:
+        sides = self._sides[pair] = (
+            sum(1 << r for r in pair.odd), sum(1 << r for r in pair.even)
+        )
+        packed = 0
+        for s in range(len(self._slots)):
+            packed |= self._field(sides, s) << s * self._width
+        self._packed[pair] = packed
+        return packed
+
+    def push(self, positions: tuple[int, ...]) -> None:
+        """Put `positions` at the front; at the cap the last one leaves."""
+        positions = tuple(positions)
+        if len(self._slots) < self._cap:
+            s = len(self._slots)
+            self._slots.append(positions)
+            self._left.append(0)
+            self._reach.append(0.0)
+        else:
+            s = self._order.pop()
+            self._slots[s] = positions
+        self._order.insert(0, s)
+        left, prev = 0, -1
+        for i in positions:
+            if i < prev + 2:
+                left, prev = 0, float("inf")
+                break
+            left |= 1 << i
+            prev = i
+        self._left[s] = left
+        self._reach[s] = prev + 1
+        shift = s * self._width
+        keep = ~(((1 << self._width) - 1) << shift)
+        for pair, sides in self._sides.items():
+            self._packed[pair] = (self._packed[pair] & keep) | (self._field(sides, s) << shift)
+        self._valid.clear()
+
+    def _scores(self, ds: DefiningSet) -> tuple[int, int]:
+        """(packed totals, high bits of the slots valid on ds), in one pass
+        over ds's pairs that also validates ds (InvalidInput, worded by
+        validate_defining_set)."""
+        n = ds.n_ranks
+        if n + 2 > self._half:
+            self._resize(n)
+        packed = self._packed
+        covered = total = 0
+        for pair in ds.pairs:
+            covered |= pair.partition_bits
+            fields = packed.get(pair)
+            if fields is None:
+                fields = self._add(pair)
+            total += fields
+        if covered != all_ranks(n):
+            reject_invalid(ds)
+        valid = self._valid.get(n)
+        if valid is None:
+            valid = self._valid[n] = sum(
+                self._half << s * self._width
+                for s, reach in enumerate(self._reach)
+                if reach <= n
+            )
+        return total, valid
+
+    def values(self, ds: DefiningSet) -> list[int | None]:
+        """Each witness's total discrepancy on ds, in list order; None for a
+        tuple that is no matching of the path on [1, 4t]."""
+        return self._unpack(*self._scores(ds))
+
+    def _unpack(self, total: int, valid: int) -> list[int | None]:
+        width = self._width
+        return [
+            (total >> s * width) & (self._half * 2 - 1)
+            if (valid >> (s * width + width - 1)) & 1 else None
+            for s in self._order
+        ]
+
+    def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None, int]:
+        """Score every witness on ds against `cutoff`, validating ds first.
+
+        Returns (beats, attained, floor).  beats: some witness is above the
+        cutoff, and the first such in list order has moved to the front.
+        Otherwise attained is the first witness exactly at the cutoff, or
+        None, and then floor is the best witness value (-1 without one).
+        """
+        total, valid = self._scores(ds)
+        _check_cutoff(cutoff)
+        # a field f gets its high bit from f + half - 1 - c exactly when
+        # f > c, and from f + half - c when f >= c; no total exceeds 4t
+        c = min(cutoff, ds.n_ranks + 1)
+        above = (total + (self._half - 1 - c) * self._ones) & valid
+        if above:
+            k = self._first(above)
+            if k:
+                self._order.insert(0, self._order.pop(k))
+            return True, None, -1
+        reach = (total + (self._half - c) * self._ones) & valid
+        if reach:
+            return False, self._slots[self._order[self._first(reach)]], -1
+        values = self._unpack(total, valid)
+        return False, None, max((v for v in values if v is not None), default=-1)
+
+    def _first(self, high_bits: int) -> int:
+        """Index in list order of the first slot whose high bit is set."""
+        top = self._width - 1
+        return next(
+            k for k, s in enumerate(self._order) if (high_bits >> (s * self._width + top)) & 1
+        )
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (self._slots[s] for s in self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getstate__(self) -> list[tuple[int, ...]]:
+        return list(self)
+
+    def __setstate__(self, positions: list[tuple[int, ...]]) -> None:
+        self.__init__(positions)
+
+
 def worst_case_bounded(
-    ds: DefiningSet, cutoff: int, witnesses: list[tuple[int, ...]] | None = None
+    ds: DefiningSet, cutoff: int, witnesses: Witnesses | None = None
 ) -> tuple[AdversaryResult | Attained | None, bool]:
     """(result, exceeded): one of three verdicts on the worst case against
     `cutoff`, without proving a tie.
@@ -326,45 +493,36 @@ def worst_case_bounded(
     - below: the exact worst case is below the cutoff; returns the
       branch-and-bound scan's AdversaryResult and False.
 
-    `witnesses` is an optional caller-owned list of swap-position tuples,
-    kept across calls.  Each is tried before the scan, and one beating the
-    cutoff wins over one only attaining it; a beating hit moves to the
-    front.  The scan stops at the first swap set reaching the cutoff, which
-    is pushed to the front (one swap moves the total by at most 2, so that
-    set mostly just attains the cutoff; on the next candidates, which share
-    most pairs, it often beats it), and the list is cut to WITNESS_CAP
-    entries.  A witness only ever decides a verdict as a real swap set
-    reaching or beating the cutoff, so "below" and its exact result never
-    depend on the list; which of "beats" and "attains" a candidate above the
-    cutoff gets, and `enumerated`, the number of swap sets the scan visited,
-    do.
+    `witnesses` is an optional caller-owned Witnesses table, kept across
+    calls.  Every witness is scored at once before any scan, with t integer
+    additions on cached per-pair fields (see Witnesses); one beating the
+    cutoff wins over one only attaining it, and the first beater in list
+    order moves to the front.  Otherwise the first attaining witness gives
+    the verdict.  Only when neither exists are the scan tables built, and
+    one branch-and-bound scan runs with the best witness value as its
+    pruning floor; it stops at the first swap set reaching the cutoff,
+    which is pushed to the front (one swap moves the total by at most 2, so
+    that set mostly just attains the cutoff; on the next candidates, which
+    share most pairs, it often beats it), the last entry leaving at the
+    cap.  A witness only ever decides a verdict as a real swap set reaching
+    or beating the cutoff, so "below" and its exact result never depend on
+    the table; which of "beats" and "attains" a candidate above the cutoff
+    gets, and `enumerated`, the number of swap sets the scan visited, do.
     """
-    n, pair_of, side_of, diff = _arrays(ds)
-    _check_cutoff(cutoff)
-    floor = -1
-    attained = None
-    for k, positions in enumerate(witnesses or ()):
-        value = _total_after(positions, n, pair_of, side_of, diff)
-        if value > cutoff:
-            if k:
-                witnesses.insert(0, witnesses.pop(k))
-            return None, True
-        if value == cutoff:
-            if attained is None:
-                attained = positions
-        elif value > floor:
-            floor = value
+    table = Witnesses() if witnesses is None else witnesses
+    beats, attained, floor = table.check(ds, cutoff)
+    if beats:
+        return None, True
     if attained is not None:
         return Attained(cutoff, SwapSet.from_positions(attained), 0), False
-    # the best witness value is attained and below the cutoff, so it is a
-    # sound pruning floor; the scan stops at the first value >= cutoff (at
-    # cutoff 0 it runs to the end)
+    # the floor is attained and below the cutoff, so it prunes soundly; the
+    # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
+    n, pair_of, side_of, diff = _arrays(ds)
     best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
         n, pair_of, side_of, diff, (), 1, True, floor, cutoff - 1
     )
-    if best_d >= cutoff and witnesses is not None:
-        witnesses.insert(0, best)
-        del witnesses[WITNESS_CAP:]
+    if best_d >= cutoff:
+        table.push(best)
     if best_d > cutoff:
         return None, True
     if best_d == cutoff:
@@ -386,6 +544,7 @@ def worst_case_is(ds: DefiningSet, value: int) -> bool:
     scan that stops at the first swap set above `value` and prunes every
     subtree that cannot reach it.  The optimal-set search proves the ties
     that worst_case_bounded only found attained with it."""
+    require_valid(ds)
     n, pair_of, side_of, diff = _arrays(ds)
     _check_cutoff(value)
     best_d, _m, _best, _count, _nodes, abandoned = _kernels.scan_chunk(
@@ -400,6 +559,7 @@ def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
     Materializes the maximizers, so it is reserved for small instances
     (4t <= 28 unless forced).
     """
+    require_valid(ds)
     n, pair_of, side_of, diff = _arrays(ds)
     if n > MAXIMIZER_LIST_MAX_RANKS and not force:
         raise SizeRefused(
@@ -408,7 +568,7 @@ def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
     target = worst_case(ds).worst_case
     out: list[SwapSet] = []
     for positions in _positions_stream(n, 1, []):
-        if _total_after(positions, n, pair_of, side_of, diff) == target:
+        if _total_after(positions, pair_of, side_of, diff) == target:
             out.append(SwapSet.from_positions(positions))
     return tuple(out)
 

@@ -43,6 +43,7 @@ from .core import (
     SwapSet,
     defining_set,
     discrepancy,
+    require_valid,
     validate_defining_set,
 )
 from .graphs import (
@@ -205,10 +206,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (args.swaps is None) == (not args.worst_case):
         raise InvalidInput("eval needs exactly one of --swaps or --worst-case")
     ds = _load_sets(args.sets)
-    report = validate_defining_set(ds)
     if args.swaps is not None:
-        if not report.ok:
-            raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
+        require_valid(ds)
         swaps = doc_to_swaps(_load_json(args.swaps))
         print(discrepancy(ds, swaps))
         return EXIT_OK
@@ -385,9 +384,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
     if (args.swaps is None) == (not args.minimal_maximizer):
         raise InvalidInput("graphs needs exactly one of --swaps or --minimal-maximizer")
     ds = _load_sets(args.sets)
-    report = validate_defining_set(ds)
-    if not report.ok:
-        raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
+    require_valid(ds)
     if args.swaps is not None:
         swaps = doc_to_swaps(_load_json(args.swaps))
     else:

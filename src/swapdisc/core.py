@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 
 class InvalidInput(ValueError):
@@ -71,6 +71,12 @@ class CompanionPair:
     @property
     def balanced(self) -> bool:
         return self.imbalance == 0
+
+    @cached_property
+    def partition_bits(self) -> int:
+        """Bit r for each rank r of a balanced pair; 0 for an unbalanced one
+        (see all_ranks)."""
+        return 0 if self.imbalance else sum(1 << r for r in self.elements)
 
     def sorted_elements(self) -> tuple[int, int, int, int]:
         return tuple(sorted(self.elements))
@@ -186,6 +192,31 @@ def validate_defining_set(ds: DefiningSet) -> ValidationReport:
         if r not in counts:
             problems.append(f"rank {r}: missing")
     return ValidationReport(ok=not problems, violations=tuple(problems))
+
+
+def all_ranks(n: int) -> int:
+    """Bits 1..n.  A defining set over [1, n] partitions it into balanced
+    pairs exactly when the OR of its pairs' partition_bits is all_ranks(n):
+    its n/4 pairs hold at most four ranks each, so covering all n ranks
+    leaves no rank repeated, none outside [1, n] and no unbalanced pair."""
+    return (2 << n) - 2
+
+
+def reject_invalid(ds: DefiningSet) -> NoReturn:
+    """Raise InvalidInput with validate_defining_set's wording of ds's faults."""
+    report = validate_defining_set(ds)
+    raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
+
+
+def require_valid(ds: DefiningSet) -> None:
+    """Raise InvalidInput, worded by validate_defining_set, unless ds
+    partitions [1, 4t] into balanced pairs; one pass over the pairs' cached
+    partition_bits."""
+    covered = 0
+    for pair in ds.pairs:
+        covered |= pair.partition_bits
+    if covered != all_ranks(ds.n_ranks):
+        reject_invalid(ds)
 
 
 def rank_table(ds: DefiningSet) -> tuple[list[int], list[int]]:

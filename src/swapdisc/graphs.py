@@ -35,7 +35,7 @@ from .core import (
     check_swap_set,
     classify_pair,
     rank_table,
-    validate_defining_set,
+    require_valid,
 )
 
 PROP1_ALL_SUBSETS_MAX_T = 6
@@ -95,7 +95,7 @@ def _components(t: int, edges: Iterable[SwpEdge]) -> tuple[frozenset[int], ...]:
 def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     """One edge per swap, joining the pairs holding the swap's two ranks
     (in the original defining set); self-loop when both sit in one pair."""
-    _require_balanced(ds)
+    require_valid(ds)
     check_swap_set(ds, swaps)
     pair_of, _ = rank_table(ds)
     edges = []
@@ -106,12 +106,6 @@ def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     return SwpGraph(ds.t, tuple(edges), _components(ds.t, edges))
 
 
-def _require_balanced(ds: DefiningSet) -> None:
-    report = validate_defining_set(ds)
-    if not report.ok:
-        raise InvalidInput("invalid defining set: " + "; ".join(report.violations))
-
-
 def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> PotGraph:
     """All potential-swap arcs for the configuration after `swaps`.
 
@@ -120,7 +114,7 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     """
     if membership not in ("original", "primed"):
         raise InvalidInput(f"membership must be 'original' or 'primed', got {membership!r}")
-    _require_balanced(ds)
+    require_valid(ds)
     check_swap_set(ds, swaps)
     n = ds.n_ranks
     primed = apply_swaps(ds, swaps)

@@ -16,13 +16,20 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .adversary import Attained, pool_size, worst_case, worst_case_bounded, worst_case_is
+from .adversary import (
+    Attained,
+    Witnesses,
+    pool_size,
+    worst_case,
+    worst_case_bounded,
+    worst_case_is,
+)
 from .core import CompanionPair, DefiningSet, InvalidInput
 
 # batches queued per worker process in a parallel search
 IN_FLIGHT_PER_WORKER = 2
 
-_BatchResult = tuple[int, list[tuple[DefiningSet, bool]], int, list[tuple[int, ...]]]
+_BatchResult = tuple[int, list[tuple[DefiningSet, bool]], int, Witnesses]
 
 
 def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
@@ -119,10 +126,10 @@ class SearchResult:
 
 def _eval_batch(args) -> _BatchResult:
     """Evaluate a batch of candidates against a cutoff, sharing one witness
-    list: consecutive candidates share most pairs, so a swap set that beat
+    table: consecutive candidates share most pairs, so a swap set that beat
     one of them usually beats the next.  Returns (batch minimum worst case,
     the candidates that may attain it in order, each with whether it is
-    proven, number examined, the witness list for the next batch).  A tie
+    proven, number examined, the witness table for the next batch).  A tie
     is never proven here: the cutoff may still fall."""
     batch, cutoff, witnesses = args
     keep: list[tuple[DefiningSet, bool]] = []
@@ -150,11 +157,12 @@ def find_optimal(
     best worst case seen so far, and kept unproven when one only ties it;
     after the last batch each kept tie is proven at the final D*, in
     enumeration order.  Results are independent of worker count.  One
-    witness list is carried from batch to batch.  With several workers at
+    witness table is carried from batch to batch.  With several workers at
     most IN_FLIGHT_PER_WORKER batches per worker are queued, each with the
-    running incumbent and the latest witness list, and results are folded in
-    enumeration order.  A blown time budget (seconds, >= 0) stops further
-    batches and returns the partial incumbent with certified=False.
+    running incumbent and the latest witness table (pickled as its
+    positions only), and results are folded in enumeration order.  A blown
+    time budget (seconds, >= 0) stops further batches and returns the
+    partial incumbent with certified=False.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
@@ -170,7 +178,7 @@ def find_optimal(
     examined = 1
     certified = True
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
-    witnesses: list[tuple[int, ...]] = []
+    witnesses = Witnesses()
 
     def batches() -> Iterator[list[DefiningSet]]:
         batch: list[DefiningSet] = []

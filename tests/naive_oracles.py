@@ -175,3 +175,49 @@ def random_swap_positions(t: int, rng: Random, density: float = 0.45) -> tuple[i
             picks.append(i)
             taken.update((i, i + 1))
     return tuple(picks)
+
+
+def naive_is_matching(positions, n: int) -> bool:
+    """Whether `positions` are the left endpoints, ascending, of a matching
+    of the path on [1, n]."""
+    return all(1 <= i < n for i in positions) and all(
+        b - a >= 2 for a, b in zip(positions, positions[1:])
+    )
+
+
+def list_bounded_verdict(pairs, t: int, cutoff: int, witnesses: list, cap: int):
+    """The bounded worst case with a plain move-to-front witness list: the
+    reference for the search's witness table.
+
+    Tries the witnesses in list order (a tuple that is no matching of
+    [1, 4t] counts as -1): the first above the cutoff moves to the front
+    and beats it; otherwise the first at the cutoff attains it.  Failing
+    both, the scan is modelled on the full enumeration: at cutoff 0 it runs
+    to the end and returns the first minimum-size maximizer, above 0 it
+    stops at the first swap set in enumeration order reaching the cutoff.
+    A scan reaching the cutoff pushes its swap set to the front and the
+    list is cut to `cap`.  Mutates `witnesses`; returns ("beats", None),
+    ("attains", positions) or ("below", (worst case, first minimum-size
+    maximizer, maximizer count)).
+    """
+    n = 4 * t
+    attained = None
+    for k, positions in enumerate(witnesses):
+        value = naive_discrepancy(pairs, positions) if naive_is_matching(positions, n) else -1
+        if value > cutoff:
+            witnesses.insert(0, witnesses.pop(k))
+            return "beats", None
+        if value == cutoff and attained is None:
+            attained = positions
+    if attained is not None:
+        return "attains", attained
+    best, best_set, count, _total = naive_worst_case(pairs, t)
+    if best < cutoff:
+        return "below", (best, best_set, count)
+    if cutoff > 0:
+        best_set, best = next(
+            (s, d) for s in naive_swap_sets(n) if (d := naive_discrepancy(pairs, s)) >= cutoff
+        )
+    witnesses.insert(0, best_set)
+    del witnesses[cap:]
+    return ("beats", None) if best > cutoff else ("attains", best_set)

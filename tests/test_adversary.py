@@ -1,18 +1,29 @@
 """Adversary: enumeration order/counts, exact worst-case results, input
-validation, and the bounded scan's three verdicts with its witness list,
-cross-checked against the brute-force oracle."""
+validation, and the bounded scan's three verdicts with its witness table,
+cross-checked against the brute-force oracle and a plain witness list."""
 
+import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import fib, naive_swap_sets, naive_worst_case
+from naive_oracles import (
+    fib,
+    list_bounded_verdict,
+    naive_is_matching,
+    naive_swap_sets,
+    naive_worst_case,
+    random_swap_positions,
+)
 from swapdisc import adversary
 from swapdisc.adversary import (
     WITNESS_CAP,
     AdversaryResult,
     Attained,
+    Witnesses,
+    _arrays,
+    _total_after,
     all_maximizers,
     count_swap_sets,
     enumerate_swap_sets,
@@ -113,7 +124,7 @@ def test_every_violation_raises_with_the_validator_text(kind):
     for call in (
         lambda: worst_case(ds),
         lambda: worst_case(ds, strategy="frontier"),
-        lambda: worst_case_bounded(ds, cutoff=4, witnesses=[(1,)]),
+        lambda: worst_case_bounded(ds, cutoff=4, witnesses=Witnesses([(1,)])),
         lambda: worst_case_is(ds, 4),
         lambda: all_maximizers(ds),
     ):
@@ -275,7 +286,8 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
         assert full.worst_case > cutoff
         if witnesses is not None:
             # the verdict rests on a concrete swap set, now first in the list
-            assert discrepancy(ds, SwapSet.from_positions(witnesses[0])) > cutoff
+            front = next(iter(witnesses))
+            assert discrepancy(ds, SwapSet.from_positions(front)) > cutoff
     elif isinstance(res, Attained):
         assert full.worst_case >= cutoff
         assert res.value == cutoff
@@ -298,7 +310,7 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
     rng = Random(23)
     pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
     pool += [random_balanced(t, rng) for t in (4, 4, 4, 5, 5, 6)]
-    shared: list = []  # carried across instances and cutoffs, as the search does
+    shared = Witnesses()  # carried across instances and cutoffs, as the search does
     for ds in pool:
         full = worst_case(ds, strategy="branch_and_bound")
         valued = [
@@ -306,10 +318,11 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
         ] if ds.t <= 4 else []
         for cutoff in range(13):
             assert_bounded_agrees(ds, full, cutoff, None)
-            assert_bounded_agrees(ds, full, cutoff, [])
+            assert_bounded_agrees(ds, full, cutoff, Witnesses())
             assert_bounded_agrees(ds, full, cutoff, shared)
             if valued:
-                assert_bounded_agrees(ds, full, cutoff, seeded_witnesses(valued, cutoff, rng))
+                seeded = Witnesses(seeded_witnesses(valued, cutoff, rng))
+                assert_bounded_agrees(ds, full, cutoff, seeded)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,12 +345,12 @@ def test_bounded_scan_any_witnesses_hypothesis(t, seed, cutoff, raw):
                 thinned.append(i)
         witnesses += [w, tuple(thinned)]
     full = worst_case(ds, strategy="branch_and_bound")
-    assert_bounded_agrees(ds, full, cutoff, witnesses)
+    assert_bounded_agrees(ds, full, cutoff, Witnesses(witnesses))
 
 
 def test_witness_list_is_move_to_front_and_capped(monkeypatch):
     monkeypatch.setattr(adversary, "WITNESS_CAP", 3)
-    witnesses: list = []
+    witnesses = Witnesses()
     # at the odd cutoff 3 every swap set the scan stops at beats it
     for ds in enumerate_balanced(3):
         worst_case_bounded(ds, cutoff=3, witnesses=witnesses)
@@ -347,10 +360,13 @@ def test_witness_list_is_move_to_front_and_capped(monkeypatch):
     # allowed swap set and the empty set does not beat the cutoff
     ds = random_balanced(3, Random(1))
     hit = next(s for s in enumerate_swap_sets(3) if discrepancy(ds, s) > 2).positions()
-    witnesses[:] = [(3, 4), (), hit]
+    witnesses = Witnesses([(3, 4), (), hit])
     _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
     assert exceeded
-    assert witnesses == [hit, (3, 4), ()]
+    assert list(witnesses) == [hit, (3, 4), ()]
+    # a new swap set pushed at the cap evicts the last entry
+    witnesses.push((1,))
+    assert list(witnesses) == [(1,), hit, (3, 4)]
 
 
 def test_bounded_scan_rejects_negative_cutoff(sub2):
@@ -364,14 +380,105 @@ def test_witness_that_beats_wins_over_one_that_attains(sub2):
     valued = [(s.positions(), discrepancy(sub2, s)) for s in enumerate_swap_sets(2)]
     at = next(w for w, d in valued if d == 4)
     above = next(w for w, d in valued if d > 4)
-    witnesses = [at, above]
+    witnesses = Witnesses([at, above])
     res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witnesses)
     assert exceeded and res is None
-    assert witnesses == [above, at]
+    assert list(witnesses) == [above, at]
     # with only the attaining witness: no scan, no proof
-    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=[at])
+    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=Witnesses([at]))
     assert not exceeded
     assert res == Attained(4, SwapSet.from_positions(at), 0)
+
+
+def witness_pool(rng):
+    """Every balanced set with t <= 3 and seeded sets up to t = 6, shuffled
+    so that a shared table meets growing and shrinking 4t."""
+    pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
+    pool += [random_balanced(t, rng) for t in (4, 4, 5, 5, 6, 6)]
+    rng.shuffle(pool)
+    return pool
+
+
+def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
+    monkeypatch.setattr(adversary, "WITNESS_CAP", 24)
+    rng = Random(41)
+    # matchings of [1, 4t] for t = 1..6 (too long for the smaller sets),
+    # and tuples that are no matchings: adjacent, descending, repeated, 0
+    tuples = [random_swap_positions(t, rng) for t in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    tuples += [(1, 2), (5, 3), (2, 2), (0,), (0, 2), (3, 4, 9), (), (23,)]
+    rng.shuffle(tuples)
+    table = Witnesses(tuples)
+    for ds in witness_pool(rng):
+        n, pair_of, side_of, diff = _arrays(ds)
+        for cutoff in range(n + 3):
+            order = list(table)
+            values = table.values(ds)
+            assert values == [
+                _total_after(w, pair_of, side_of, diff) if naive_is_matching(w, n) else None
+                for w in order
+            ]
+            beats, attained, floor = table.check(ds, cutoff)
+            above = [k for k, v in enumerate(values) if v is not None and v > cutoff]
+            at = [k for k, v in enumerate(values) if v == cutoff]
+            if above:
+                assert (beats, attained, floor) == (True, None, -1)
+                k = above[0]
+                assert list(table) == [order[k]] + order[:k] + order[k + 1:]
+            else:
+                assert list(table) == order
+                if at:
+                    assert (beats, attained, floor) == (False, order[at[0]], -1)
+                else:
+                    best = max((v for v in values if v is not None), default=-1)
+                    assert (beats, attained, floor) == (False, None, best)
+        # a new entry updates every cached pair's field and, at the cap,
+        # evicts the last one
+        table.push(random_swap_positions(rng.randint(1, 6), rng))
+        assert len(table) == 24
+
+
+def test_witness_table_matches_plain_list_loop(monkeypatch):
+    cap = 5
+    monkeypatch.setattr(adversary, "WITNESS_CAP", cap)
+    rng = Random(43)
+    pool = list(enumerate_balanced(2)) + list(enumerate_balanced(3))
+    pool += [random_balanced(t, rng) for t in (2, 3, 3, 4, 4, 4)]
+    start = [(1, 3), (2, 3), (7,), (0, 4), (1, 5, 9, 13)]
+    table, plain = Witnesses(start), list(start)
+    for round_ in range(2):
+        for ds in pool:
+            n = ds.n_ranks
+            # a search-like cutoff near the worst case, or any other one
+            cutoff = rng.choice((rng.randint(0, n + 2), rng.randint(4, 8)))
+            pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
+            kind, ref = list_bounded_verdict(pairs, ds.t, cutoff, plain, cap)
+            res, exceeded = worst_case_bounded(ds, cutoff=cutoff, witnesses=table)
+            if kind == "beats":
+                assert exceeded and res is None
+            elif kind == "attains":
+                assert not exceeded and isinstance(res, Attained)
+                assert res.value == cutoff and res.swap_set.positions() == ref
+            else:
+                assert not exceeded and isinstance(res, AdversaryResult)
+                got = (res.worst_case, res.minimal_maximizer.positions(), res.maximizer_count)
+                assert got == ref
+            assert list(table) == plain
+
+
+def test_witness_table_pickles_as_its_positions_only():
+    table = Witnesses()
+    for ds in enumerate_balanced(3):
+        worst_case_bounded(ds, cutoff=6, witnesses=table)
+    assert table.__getstate__() == list(table)
+    copy = pickle.loads(pickle.dumps(table))
+    assert list(copy) == list(table)
+    assert pickle.dumps(table) == pickle.dumps(Witnesses(list(table)))
+    # the copy rebuilds its per-pair cache and then gives the same verdicts
+    rng = Random(47)
+    for ds in [random_balanced(t, rng) for t in (2, 3, 3, 4, 5)]:
+        for cutoff in (4, 5, 6):
+            assert worst_case_bounded(ds, cutoff, copy) == worst_case_bounded(ds, cutoff, table)
+            assert list(copy) == list(table)
 
 
 def test_worst_case_is_agrees_with_worst_case():

@@ -20,6 +20,7 @@ from swapdisc.core import (
     pair_swap_effect,
     reflect,
     reflect_swaps,
+    require_valid,
     swap_groups,
     validate_defining_set,
 )
@@ -295,3 +296,23 @@ def test_canonicalize_idempotent_and_sorts(opt2):
         min(p.elements) for p in canon.pairs
     )
     assert all(min(p.elements) in p.odd for p in canon.pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 4), seed=st.integers(0, 10**9), data=st.data())
+def test_require_valid_agrees_with_validate_defining_set(t, seed, data):
+    # a balanced set with some pairs replaced by arbitrary ones: ranks above
+    # 4t, repeated ranks and unbalanced pairs all occur
+    pairs = list(random_balanced(t, Random(seed)).pairs)
+    side = st.lists(st.integers(1, 4 * t + 2), min_size=2, max_size=2, unique=True)
+    for k in range(t):
+        if data.draw(st.booleans()):
+            pairs[k] = CompanionPair(frozenset(data.draw(side)), frozenset(data.draw(side)))
+    ds = DefiningSet(t, tuple(pairs))
+    report = validate_defining_set(ds)
+    if report.ok:
+        require_valid(ds)
+    else:
+        with pytest.raises(InvalidInput) as err:
+            require_valid(ds)
+        assert str(err.value) == "invalid defining set: " + "; ".join(report.violations)

@@ -17,7 +17,6 @@ from swapdisc.core import (
     InvalidInput,
     SizeRefused,
     discrepancy,
-    rank_table,
     reflect,
     reflect_swaps,
 )
@@ -87,10 +86,7 @@ def test_frontier_on_unbalanced_partitions_matches_naive_and_scan():
     for t in (1, 2, 3, 4):
         for _ in range(6):
             ds = random_partition(t, rng)
-            # the engines' tables, which _arrays builds for balanced sets only
-            pair_of, side_of = rank_table(ds)
-            diff = [p.imbalance for p in ds.pairs]
-            arrays = (ds.n_ranks, pair_of + [0], side_of + [0], diff)
+            arrays = _arrays(ds)  # diff holds the pairs' imbalances
             best_d, best_m, best, count, _states = _frontier(*arrays)
             assert (best_d, best, count) == naive_fields(ds)
             assert (best_d, best_m, best, count) == full_scan(*arrays)

@@ -19,6 +19,7 @@ from swapdisc.core import (
     SwapSet,
     defining_set,
     discrepancy,
+    validate_defining_set,
 )
 from swapdisc.graphs import (
     DegreeTable,
@@ -172,6 +173,18 @@ def test_pot_membership_conventions_differ_as_pinned(opt2):
     assert all(a.tail != 0 for a in lit.arcs + primed.arcs)
     with pytest.raises(InvalidInput):
         build_pot(opt2, swaps_of(1, 5), membership="nonsense")
+
+
+def test_graph_builders_reject_invalid_sets_with_the_validator_text():
+    for ds in (
+        defining_set(2, (({1, 4}, {2, 3}), ({1, 8}, {4, 5}))),  # repeated ranks
+        defining_set(2, (({1, 4}, {2, 3}), ({5, 7}, {6, 8}))),  # unbalanced pair
+    ):
+        text = "invalid defining set: " + "; ".join(validate_defining_set(ds).violations)
+        for build in (build_swp, build_pot):
+            with pytest.raises(InvalidInput) as err:
+                build(ds, EMPTY_SWAPS)
+            assert str(err.value) == text
 
 
 # ----------------------------------------------------------- verify_lemma2
