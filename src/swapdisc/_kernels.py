@@ -1,18 +1,18 @@
-"""Pure-Python scan kernel: reference implementation of the matching scan.
+"""The scan kernel: walks the matchings of the path graph on [1, n].
 
-Enumerates matchings of the path graph on [1, n] in lexicographic order
-(by ascending left endpoints, shorter prefixes first) while maintaining the
-total discrepancy incrementally, and tracks the maximum, the first
-minimum-size maximizer in enumeration order, the number of maximizers, and
-the number of matchings evaluated.
-
-The compiled kernel in _fast.pyx mirrors this function exactly; both must
-stay behaviourally identical (see tests/test_kernels.py).
+Enumerates matchings in lexicographic order (by ascending left endpoints,
+shorter prefixes first) while maintaining the total discrepancy
+incrementally, and tracks the maximum, the first minimum-size maximizer in
+enumeration order, the number of maximizers, and the number of matchings
+evaluated.  It is pure Python and runs in the calling process.
 """
 
 from __future__ import annotations
 
-BACKEND = "pure"
+
+def backend_name() -> str:
+    """The scan kernel's name: "pure", the only kernel there is."""
+    return "pure"
 
 
 def scan_chunk(
@@ -20,16 +20,14 @@ def scan_chunk(
     pair_of,
     side_of,
     diff,
-    prefix,
-    start: int,
     prune: bool,
     best_floor: int,
     abandon_above: int,
 ):
-    """Scan every matching extending `prefix` with further swaps at >= start.
+    """Scan every matching of the path on [1, n].
 
     pair_of, side_of: rank-indexed tables (index 0 unused), side +1 odd / -1 even.
-    diff: per-pair signed imbalances BEFORE the prefix swaps are applied.
+    diff: per-pair signed imbalances before any swap.
     prune: skip subtrees whose optimistic bound (+2 per placeable swap) falls
         strictly below max(best_floor, best found so far); sound because no
         swap changes the total by more than +2.
@@ -45,16 +43,7 @@ def scan_chunk(
     d = 0
     for v in diff:
         d += abs(v)
-    cur = list(prefix)
-    for i in prefix:
-        pi, si = pair_of[i], side_of[i]
-        d -= abs(diff[pi])
-        diff[pi] += si
-        d += abs(diff[pi])
-        pj, sj = pair_of[i + 1], side_of[i + 1]
-        d -= abs(diff[pj])
-        diff[pj] -= sj
-        d += abs(diff[pj])
+    cur: list[int] = []
 
     best_d = -1
     best_m = -1
@@ -103,5 +92,5 @@ def scan_chunk(
                 return
             j += 1
 
-    visit(start)
+    visit(1)
     return best_d, best_m, best, count, nodes, abandoned

@@ -14,10 +14,10 @@ exact maximum, maximizer count and minimum-size maximizer:
 - branch_and_bound: the same scan with sound pruning; `enumerated` counts
   the matchings it visited.
 
-Every engine runs in the calling process: a scan is one kernel call over
-all matchings, so results (including the `enumerated` counter) are the same
-for any worker count.  `worst_case` still validates `workers` and otherwise
-ignores it; only the optimal-set search starts processes.
+Every engine runs in the calling process: a scan is one call of the pure
+Python kernel over all matchings, so results (including the `enumerated`
+counter) are the same for any worker count.  `worst_case` validates
+`workers` and otherwise ignores it.
 
 The bounded scan (`worst_case_bounded`, used by the optimal-set search)
 first tries the swap sets that reached earlier cutoffs (a caller-owned
@@ -31,7 +31,6 @@ lies below it.  `worst_case_is` proves an attained value afterwards.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -135,12 +134,12 @@ def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
     return n, pair_of, side_of, [pair.imbalance for pair in ds.pairs]
 
 
-def pool_size(workers: int) -> int:
-    """Worker processes to start: `workers` clamped to the CPU count.  Raises
-    InvalidInput below 1."""
+def check_workers(workers: int) -> None:
+    """Raise InvalidInput unless `workers` is an integer >= 1.  Every
+    computation runs in the calling process, so the value has no other
+    effect."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidInput(f"workers must be an integer >= 1, got {workers!r}")
-    return min(workers, os.cpu_count() or 1)
 
 
 def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: tuple) -> None:
@@ -268,13 +267,13 @@ def worst_case(
     """
     require_valid(ds)
     arrays = _arrays(ds)
-    pool_size(workers)
+    check_workers(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(*arrays)
     else:
         best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
-            *arrays, (), 1, strategy == "branch_and_bound", -1, -1
+            *arrays, strategy == "branch_and_bound", -1, -1
         )
     return AdversaryResult(
         worst_case=best_d,
@@ -321,9 +320,6 @@ class Witnesses:
     (left endpoints not ascending by at least 2, below 1, or at or above
     4t) is masked out there, so it decides nothing, even in a list shared
     across different t.
-
-    Pickling keeps the tuples in order only; the per-pair cache is rebuilt
-    as pairs are met again.
     """
 
     def __init__(self, positions: Iterable[tuple[int, ...]] = ()):
@@ -473,12 +469,6 @@ class Witnesses:
     def __len__(self) -> int:
         return len(self._order)
 
-    def __getstate__(self) -> list[tuple[int, ...]]:
-        return list(self)
-
-    def __setstate__(self, positions: list[tuple[int, ...]]) -> None:
-        self.__init__(positions)
-
 
 def worst_case_bounded(
     ds: DefiningSet, cutoff: int, witnesses: Witnesses | None = None
@@ -519,7 +509,7 @@ def worst_case_bounded(
     # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
     n, pair_of, side_of, diff = _arrays(ds)
     best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, (), 1, True, floor, cutoff - 1
+        n, pair_of, side_of, diff, True, floor, cutoff - 1
     )
     if best_d >= cutoff:
         table.push(best)
@@ -548,7 +538,7 @@ def worst_case_is(ds: DefiningSet, value: int) -> bool:
     n, pair_of, side_of, diff = _arrays(ds)
     _check_cutoff(value)
     best_d, _m, _best, _count, _nodes, abandoned = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, (), 1, True, value, value
+        n, pair_of, side_of, diff, True, value, value
     )
     return not abandoned and best_d == value
 

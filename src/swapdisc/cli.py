@@ -25,8 +25,8 @@ from .adversary import (
     SCAN_DEFAULT_MAX_RANKS,
     STRATEGIES,
     AdversaryResult,
+    check_workers,
     minimal_maximizer_property,
-    pool_size,
     worst_case,
 )
 from .construct import (
@@ -418,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="process count for search (>= 1); the worst-case "
-                       "engines always run in one process")
+                       help="accepted by every command (>= 1); no effect: "
+                       "every computation runs in one process")
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
                        help="worst-case engine (default: frontier, or exhaustive "
                        f"for 4t <= {SCAN_DEFAULT_MAX_RANKS})")
@@ -443,7 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive search for optimal defining sets")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--time-budget", type=float, default=None,
-                   help="seconds before returning a partial, uncertified result")
+                   help="seconds before returning a partial, uncertified result; "
+                   "the kept ties are proven after the budget, so the search "
+                   "may return well after it")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p)
     p.set_defaults(func=cmd_search)
@@ -477,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "workers"):
-            pool_size(args.workers)  # rejects --workers below 1 for every command
+            check_workers(args.workers)  # rejects --workers below 1 for every command
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

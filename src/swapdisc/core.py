@@ -101,7 +101,7 @@ class DefiningSet:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not isinstance(self.t, int) or self.t < 1:
+        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
             raise InvalidInput(f"t must be a positive integer, got {self.t!r}")
         if len(self.pairs) != self.t:
             raise InvalidInput(f"expected {self.t} pairs, got {len(self.pairs)}")

@@ -5,13 +5,12 @@ holds each quadruple's minimum, pairs ordered by minimum element), and
 certifies the minimum worst-case discrepancy over the whole space.  The
 symmetry quotient is role-swap and pair-order only; reflection is NOT
 quotiented out, so reflection-related optima are listed separately.
+The search is one loop in the calling process.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator
@@ -19,17 +18,12 @@ from typing import Iterator
 from .adversary import (
     Attained,
     Witnesses,
-    pool_size,
+    check_workers,
     worst_case,
     worst_case_bounded,
     worst_case_is,
 )
 from .core import CompanionPair, DefiningSet, InvalidInput
-
-# batches queued per worker process in a parallel search
-IN_FLIGHT_PER_WORKER = 2
-
-_BatchResult = tuple[int, list[tuple[DefiningSet, bool]], int, Witnesses]
 
 
 def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
@@ -124,105 +118,52 @@ class SearchResult:
     certified: bool
 
 
-def _eval_batch(args) -> _BatchResult:
-    """Evaluate a batch of candidates against a cutoff, sharing one witness
-    table: consecutive candidates share most pairs, so a swap set that beat
-    one of them usually beats the next.  Returns (batch minimum worst case,
-    the candidates that may attain it in order, each with whether it is
-    proven, number examined, the witness table for the next batch).  A tie
-    is never proven here: the cutoff may still fall."""
-    batch, cutoff, witnesses = args
-    keep: list[tuple[DefiningSet, bool]] = []
-    for ds in batch:
-        res, exceeded = worst_case_bounded(ds, cutoff=cutoff, witnesses=witnesses)
-        if exceeded:
-            continue
-        if isinstance(res, Attained):
-            keep.append((ds, False))
-        else:
-            cutoff = res.worst_case
-            keep = [(ds, True)]
-    return cutoff, keep, len(batch), witnesses
-
-
 def find_optimal(
     t: int,
     time_budget: float | None = None,
     workers: int = 1,
-    batch_size: int = 512,
 ) -> SearchResult:
     """Full search for D*(t) and every canonical optimum.
 
-    Candidates are abandoned as soon as some swap set pushes them above the
-    best worst case seen so far, and kept unproven when one only ties it;
-    after the last batch each kept tie is proven at the final D*, in
-    enumeration order.  Results are independent of worker count.  One
-    witness table is carried from batch to batch.  With several workers at
-    most IN_FLIGHT_PER_WORKER batches per worker are queued, each with the
-    running incumbent and the latest witness table (pickled as its
-    positions only), and results are folded in enumeration order.  A blown
-    time budget (seconds, >= 0) stops further batches and returns the
-    partial incumbent with certified=False.
+    One loop over enumerate_balanced in this process, sharing one witness
+    table: consecutive candidates share most pairs, so a swap set that beat
+    one of them usually beats the next.  A candidate is abandoned as soon as
+    some swap set pushes it above the best worst case seen so far, and kept
+    unproven when one only ties it; after the loop each kept tie is proven
+    at the final D*, in enumeration order.  `workers` is checked (>= 1) and
+    otherwise ignored.  A blown time budget (seconds, >= 0, checked before
+    each candidate) stops the loop and returns the partial incumbent with
+    certified=False.  Its kept ties are still proven afterwards, and the
+    budget does not bound that proof.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
         raise InvalidInput(f"time_budget must be a number of seconds >= 0, got {time_budget!r}")
-    workers = pool_size(workers)
+    check_workers(workers)
+    deadline = None if time_budget is None else started + time_budget
     stream = enumerate_balanced(t)
 
     first = next(stream)
-    seed_res = worst_case(first, strategy="branch_and_bound")
-    d_star = seed_res.worst_case
+    d_star = worst_case(first, strategy="branch_and_bound").worst_case
     # candidates that may attain d_star, in enumeration order, and whether proven
     kept: list[tuple[DefiningSet, bool]] = [(first, True)]
     examined = 1
     certified = True
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
     witnesses = Witnesses()
-
-    def batches() -> Iterator[list[DefiningSet]]:
-        batch: list[DefiningSet] = []
-        for ds in stream:
-            batch.append(ds)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def out_of_time() -> bool:
-        return time_budget is not None and time.perf_counter() - started > time_budget
-
-    def fold(result: _BatchResult) -> None:
-        nonlocal d_star, kept, examined, witnesses
-        batch_min, keep, n_exam, witnesses = result
-        examined += n_exam
-        if batch_min < d_star:
-            d_star = batch_min
-            kept = list(keep)
-        elif batch_min == d_star:
-            kept.extend(keep)
-
-    if workers == 1:
-        for batch in batches():
-            if out_of_time():
-                certified = False
-                break
-            fold(_eval_batch((batch, d_star, witnesses)))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            in_flight: deque[concurrent.futures.Future] = deque()
-            for batch in batches():
-                while len(in_flight) >= IN_FLIGHT_PER_WORKER * workers:
-                    fold(in_flight.popleft().result())
-                if out_of_time():
-                    certified = False
-                    break
-                in_flight.append(pool.submit(_eval_batch, (batch, d_star, witnesses)))
-            for future in in_flight:
-                # past the budget, batches that have not started are dropped
-                if certified or not future.cancel():
-                    fold(future.result())
+    for ds in stream:
+        if deadline is not None and time.perf_counter() > deadline:
+            certified = False
+            break
+        examined += 1
+        res, exceeded = worst_case_bounded(ds, cutoff=d_star, witnesses=witnesses)
+        if exceeded:
+            continue
+        if isinstance(res, Attained):
+            kept.append((ds, False))
+        else:
+            d_star = res.worst_case
+            kept = [(ds, True)]
 
     optima = [ds for ds, proven in kept if proven or worst_case_is(ds, d_star)]
     return SearchResult(

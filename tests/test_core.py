@@ -38,6 +38,11 @@ def test_companion_pair_shape_checks():
         CompanionPair(frozenset({1, 2, 3}), frozenset({4, 5}))
     with pytest.raises(InvalidInput):
         CompanionPair(frozenset({0, 2}), frozenset({3, 4}))
+    # bools are ints in Python but neither a rank nor a t
+    with pytest.raises(InvalidInput):
+        CompanionPair(frozenset({True, 4}), frozenset({2, 3}))
+    with pytest.raises(InvalidInput):
+        defining_set(True, [({1, 4}, {2, 3})])
     # overlapping sides stay constructible; the validator reports them
     overlapping = CompanionPair(frozenset({1, 4}), frozenset({2, 4}))
     assert 4 in overlapping.odd and 4 in overlapping.even

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_worst_case
 from swapdisc import _kernels, adversary
-from swapdisc.adversary import _arrays, _frontier, pool_size, worst_case
+from swapdisc.adversary import _arrays, _frontier, check_workers, worst_case
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
     CompanionPair,
@@ -76,7 +76,7 @@ def random_partition(t, rng):
 
 def full_scan(n, pair_of, side_of, diff):
     best_d, best_m, best, count, _nodes, _ab = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, (), 1, False, -1, -1
+        n, pair_of, side_of, diff, False, -1, -1
     )
     return best_d, best_m, best, count
 
@@ -168,16 +168,7 @@ def test_unknown_strategy_rejected():
 def test_pool_size_rejects_below_one():
     for bad in (0, -3, True, 1.5):
         with pytest.raises(InvalidInput):
-            pool_size(bad)
-
-
-def test_pool_size_clamps_to_cpus_and_tasks(monkeypatch):
-    monkeypatch.setattr(adversary.os, "cpu_count", lambda: 4)
-    assert pool_size(1) == 1
-    assert pool_size(3) == 3
-    assert pool_size(10**6) == 4
-    monkeypatch.setattr(adversary.os, "cpu_count", lambda: None)
-    assert pool_size(8) == 1
+            check_workers(bad)
 
 
 def test_workers_below_one_rejected_before_any_work():

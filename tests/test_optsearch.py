@@ -5,7 +5,6 @@ at t <= 3; larger values are frozen regression constants computed once with
 that oracle.
 """
 
-import concurrent.futures
 import itertools
 import math
 from random import Random
@@ -119,18 +118,17 @@ def test_find_optimal_matches_naive_search(t):
 
 
 def test_find_optimal_t4_unique_base_case():
-    # in one batch of 4096 the incumbent falls 12 -> 10 -> 8 -> 6 inside it
-    for batch_size in (512, 4096):
-        res = find_optimal(4, batch_size=batch_size)
-        assert res.d_star == 6
-        assert res.optima == (canonicalize(base_case()),)
+    # the incumbent falls 12 -> 10 -> 8 -> 6 during the search
+    res = find_optimal(4)
+    assert res.d_star == 6
+    assert res.optima == (canonicalize(base_case()),)
 
 
 def test_find_optimal_parallel_identical():
-    # t = 4 in batches of 64: 32 batches, more than the 4 kept in flight
-    for t, batch_size in ((3, 512), (4, 64)):
-        seq = find_optimal(t, workers=1, batch_size=batch_size)
-        par = find_optimal(t, workers=2, batch_size=batch_size)
+    # workers is checked and otherwise ignored
+    for t in (3, 4):
+        seq = find_optimal(t, workers=1)
+        par = find_optimal(t, workers=2)
         assert (seq.t, seq.d_star, seq.optima, seq.candidates_examined, seq.certified) == (
             par.t,
             par.d_star,
@@ -172,66 +170,17 @@ def test_find_optimal_t5_unique_optimum(monkeypatch):
     )
 
 
-class RecordingPool:
-    """In-process stand-in for the process pool: runs each batch at once and
-    records the cutoffs it was given and the most results left unfolded."""
-
-    def __init__(self, max_workers):
-        self.cutoffs = []
-        self.unfolded = 0
-        self.peak = 0
-        RecordingPool.last = self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, args):
-        self.cutoffs.append(args[1])
-        pool = self
-
-        class Folded(concurrent.futures.Future):
-            def result(self, timeout=None):
-                pool.unfolded -= 1
-                return super().result(timeout)
-
-        future = Folded()
-        future.set_result(fn(args))
-        self.unfolded += 1
-        self.peak = max(self.peak, self.unfolded)
-        return future
-
-
-def test_parallel_search_bounds_in_flight_and_passes_running_cutoff(monkeypatch):
-    monkeypatch.setattr(adversary.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    res = find_optimal(4, workers=2, batch_size=16)
-    pool = RecordingPool.last
-    assert res.certified and res.d_star == 6
-    assert res.optima == find_optimal(4).optima
-    assert len(pool.cutoffs) == -(-(KNOWN_COUNTS[4] - 1) // 16)
-    assert pool.peak <= 2 * 2
-    assert pool.unfolded == 0
-    # the first 2 * workers batches get the seed's worst case (12); each later
-    # one gets the incumbent after folding the batches before it in flight
-    assert pool.cutoffs == sorted(pool.cutoffs, reverse=True)
-    assert pool.cutoffs[:5] == [12, 12, 12, 12, 10]
-    assert pool.cutoffs[-1] == 8
-
-
 def test_time_budget_returns_uncertified_partial():
-    for workers in (1, 2):
-        res = find_optimal(4, time_budget=0.0, workers=workers, batch_size=16)
-        assert not res.certified
-        assert res.candidates_examined < KNOWN_COUNTS[4]
-        assert res.d_star >= 6  # incumbent never goes below the true optimum
+    res = find_optimal(4, time_budget=0.0)
+    assert not res.certified
+    assert res.candidates_examined < KNOWN_COUNTS[4]
+    assert res.d_star >= 6  # incumbent never goes below the true optimum
 
 
 class SteppingClock:
     """Stands in for the time module in optsearch: each perf_counter call
-    advances one second, so a budget of b seconds lets about b batches start."""
+    advances one second, so a budget of b seconds lets b candidates past
+    the seed be examined."""
 
     def __init__(self):
         self._ticks = itertools.count()
@@ -243,20 +192,18 @@ class SteppingClock:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blown_budget_proves_every_kept_tie(monkeypatch, workers):
     monkeypatch.setattr(optsearch, "time", SteppingClock())
-    res = find_optimal(4, time_budget=37, workers=workers, batch_size=16)
+    res = find_optimal(4, time_budget=592, workers=workers)
     assert not res.certified
-    assert res.optima
     for ds in res.optima:
         assert worst_case(ds).worst_case == res.d_star
-    if workers == 1:
-        # 37 batches of 16 after the seed: D* is then 8, attained by 2 of
-        # the 593 candidates, while about a hundred were kept as ties with 8
-        examined = list(itertools.islice(enumerate_balanced(4), res.candidates_examined))
-        values = [worst_case(ds).worst_case for ds in examined]
-        assert res.candidates_examined == 1 + 37 * 16
-        assert res.d_star == min(values) == 8
-        assert res.optima == tuple(ds for ds, v in zip(examined, values) if v == 8)
-        assert len(res.optima) == 2
+    # 592 candidates after the seed: D* is then 8, attained by 2 of the
+    # 593 candidates, while about a hundred were kept as ties with 8
+    examined = list(itertools.islice(enumerate_balanced(4), res.candidates_examined))
+    values = [worst_case(ds).worst_case for ds in examined]
+    assert res.candidates_examined == 1 + 592
+    assert res.d_star == min(values) == 8
+    assert res.optima == tuple(ds for ds, v in zip(examined, values) if v == 8)
+    assert len(res.optima) == 2
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
