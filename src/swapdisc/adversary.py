@@ -21,9 +21,9 @@ counter) are the same for any worker count.  `worst_case` validates
 
 The bounded scan (`worst_case_bounded`, used by the optimal-set search)
 first tries the swap sets that reached earlier cutoffs (a caller-owned
-Witnesses table, the killer heuristic of game-tree search, which scores
-them all with t integer additions), then runs one branch-and-bound scan
-that stops at the first swap set reaching the cutoff.
+Witnesses table for one 4t, the killer heuristic of game-tree search,
+which scores them all with t integer additions), then runs one
+branch-and-bound scan that stops at the first swap set reaching the cutoff.
 It gives one of three verdicts: the cutoff is beaten, attained (a swap set
 reaches it exactly; the worst case is not proven), or the exact worst case
 lies below it.  `worst_case_is` proves an attained value afterwards.
@@ -32,7 +32,7 @@ lies below it.  `worst_case_is` proves an attained value afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import _kernels
 from .core import (
@@ -302,49 +302,38 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 class Witnesses:
-    """The witness list of worst_case_bounded: up to WITNESS_CAP
-    swap-position tuples that reached earlier cutoffs, in move-to-front
-    order, all scored on a candidate at once.
+    """The witness list of worst_case_bounded for the defining sets over
+    [1, n]: up to WITNESS_CAP matchings of the path on [1, n] that reached
+    earlier cutoffs, in move-to-front order, all scored on a candidate at
+    once.
 
-    Each tuple sits in a fixed slot.  A set's total after a witness's swaps
-    is a sum over its pairs, and the search's candidates share few distinct
-    pairs (525 among the 74,323 at t = 5).  So for every pair it has met the
-    table caches one packed integer whose field s holds |the pair's
-    imbalance change| under the witness in slot s.  The sum of a
+    Each matching sits in a fixed slot.  A set's total after a witness's
+    swaps is a sum over its pairs, and the search's candidates share few
+    distinct pairs (525 among the 74,323 at t = 5).  So for every pair it
+    has met the table caches one packed integer whose field s holds |the
+    pair's imbalance change| under the witness in slot s.  The sum of a
     candidate's t packed integers holds every witness's total, one per
-    field; adding one constant and masking the fields' high bits compares
-    them all with the cutoff.  Fields are wide enough that no sum carries
-    into the next one.
+    field; adding one constant and masking the high bits of the filled
+    slots compares them all with the cutoff.  Fields are wide enough for
+    totals up to n, so no sum carries into the next one.
 
-    A tuple that is not a matching of the path on [1, 4t] of the scored set
-    (left endpoints not ascending by at least 2, below 1, or at or above
-    4t) is masked out there, so it decides nothing, even in a list shared
-    across different t.
+    `push` rejects a tuple that is no matching of the path on [1, n], and
+    scoring rejects a set whose 4t is not n (InvalidInput).
     """
 
-    def __init__(self, positions: Iterable[tuple[int, ...]] = ()):
-        """A table holding the first WITNESS_CAP of `positions`, in order."""
+    def __init__(self, n: int):
+        self._n = n
         self._cap = WITNESS_CAP
-        self._slots: list[tuple[int, ...]] = []
-        self._order: list[int] = []  # slots, front first
-        # per slot: bit i for each swap (i, i+1), and the least 4t the tuple
-        # is a matching for (infinite when it is none; then its bits are 0)
-        self._left: list[int] = []
-        self._reach: list[float] = []
-        self._resize(0)  # the first set scored widens the fields
-        for w in reversed(list(positions)[: self._cap]):
-            self.push(w)
-
-    def _resize(self, n: int) -> None:
-        """Fields wide enough for totals up to n (they never exceed 4t) plus
-        the comparison constants; drops the per-pair cache."""
         width = (n + 1).bit_length() + 1
         self._width = width
         self._half = 1 << (width - 1)  # a field's high bit
         self._ones = ((1 << width * self._cap) - 1) // ((1 << width) - 1)
+        self._slots: list[tuple[int, ...]] = []
+        self._order: list[int] = []  # slots, front first
+        self._left: list[int] = []  # per slot: bit i for each swap (i, i+1)
+        self._filled = 0  # high bits of the filled slots
         self._sides: dict[CompanionPair, tuple[int, int]] = {}
         self._packed: dict[CompanionPair, int] = {}
-        self._valid: dict[int, int] = {}  # 4t -> high bits of the slots valid there
 
     def _field(self, sides: tuple[int, int], s: int) -> int:
         odd, even = sides
@@ -366,39 +355,39 @@ class Witnesses:
         return packed
 
     def push(self, positions: tuple[int, ...]) -> None:
-        """Put `positions` at the front; at the cap the last one leaves."""
+        """Put `positions` at the front; at the cap the last one leaves.
+        Raises InvalidInput unless they ascend by at least 2 from 1 and
+        stay below n."""
         positions = tuple(positions)
+        left, prev = 0, -1
+        for i in positions:
+            if not prev + 2 <= i < self._n:
+                raise InvalidInput(
+                    f"witness {positions} is no matching of the path on [1, {self._n}]"
+                )
+            left |= 1 << i
+            prev = i
         if len(self._slots) < self._cap:
             s = len(self._slots)
             self._slots.append(positions)
-            self._left.append(0)
-            self._reach.append(0.0)
+            self._left.append(left)
+            self._filled |= self._half << s * self._width
         else:
             s = self._order.pop()
             self._slots[s] = positions
+            self._left[s] = left
         self._order.insert(0, s)
-        left, prev = 0, -1
-        for i in positions:
-            if i < prev + 2:
-                left, prev = 0, float("inf")
-                break
-            left |= 1 << i
-            prev = i
-        self._left[s] = left
-        self._reach[s] = prev + 1
         shift = s * self._width
         keep = ~(((1 << self._width) - 1) << shift)
         for pair, sides in self._sides.items():
             self._packed[pair] = (self._packed[pair] & keep) | (self._field(sides, s) << shift)
-        self._valid.clear()
 
-    def _scores(self, ds: DefiningSet) -> tuple[int, int]:
-        """(packed totals, high bits of the slots valid on ds), in one pass
-        over ds's pairs that also validates ds (InvalidInput, worded by
-        validate_defining_set)."""
+    def _scores(self, ds: DefiningSet) -> int:
+        """The packed totals on ds, in one pass over ds's pairs that also
+        validates ds (InvalidInput, worded by validate_defining_set)."""
         n = ds.n_ranks
-        if n + 2 > self._half:
-            self._resize(n)
+        if n != self._n:
+            raise InvalidInput(f"a witness table for 4t = {self._n} cannot score 4t = {n}")
         packed = self._packed
         covered = total = 0
         for pair in ds.pairs:
@@ -409,27 +398,15 @@ class Witnesses:
             total += fields
         if covered != all_ranks(n):
             reject_invalid(ds)
-        valid = self._valid.get(n)
-        if valid is None:
-            valid = self._valid[n] = sum(
-                self._half << s * self._width
-                for s, reach in enumerate(self._reach)
-                if reach <= n
-            )
-        return total, valid
+        return total
 
-    def values(self, ds: DefiningSet) -> list[int | None]:
-        """Each witness's total discrepancy on ds, in list order; None for a
-        tuple that is no matching of the path on [1, 4t]."""
-        return self._unpack(*self._scores(ds))
+    def values(self, ds: DefiningSet) -> list[int]:
+        """Each witness's total discrepancy on ds, in list order."""
+        return self._unpack(self._scores(ds))
 
-    def _unpack(self, total: int, valid: int) -> list[int | None]:
-        width = self._width
-        return [
-            (total >> s * width) & (self._half * 2 - 1)
-            if (valid >> (s * width + width - 1)) & 1 else None
-            for s in self._order
-        ]
+    def _unpack(self, total: int) -> list[int]:
+        width, mask = self._width, self._half * 2 - 1
+        return [(total >> s * width) & mask for s in self._order]
 
     def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None, int]:
         """Score every witness on ds against `cutoff`, validating ds first.
@@ -439,22 +416,21 @@ class Witnesses:
         Otherwise attained is the first witness exactly at the cutoff, or
         None, and then floor is the best witness value (-1 without one).
         """
-        total, valid = self._scores(ds)
+        total = self._scores(ds)
         _check_cutoff(cutoff)
         # a field f gets its high bit from f + half - 1 - c exactly when
-        # f > c, and from f + half - c when f >= c; no total exceeds 4t
-        c = min(cutoff, ds.n_ranks + 1)
-        above = (total + (self._half - 1 - c) * self._ones) & valid
+        # f > c, and from f + half - c when f >= c; no total exceeds n
+        c = min(cutoff, self._n + 1)
+        above = (total + (self._half - 1 - c) * self._ones) & self._filled
         if above:
             k = self._first(above)
             if k:
                 self._order.insert(0, self._order.pop(k))
             return True, None, -1
-        reach = (total + (self._half - c) * self._ones) & valid
+        reach = (total + (self._half - c) * self._ones) & self._filled
         if reach:
             return False, self._slots[self._order[self._first(reach)]], -1
-        values = self._unpack(total, valid)
-        return False, None, max((v for v in values if v is not None), default=-1)
+        return False, None, max(self._unpack(total), default=-1)
 
     def _first(self, high_bits: int) -> int:
         """Index in list order of the first slot whose high bit is set."""
@@ -483,8 +459,9 @@ def worst_case_bounded(
     - below: the exact worst case is below the cutoff; returns the
       branch-and-bound scan's AdversaryResult and False.
 
-    `witnesses` is an optional caller-owned Witnesses table, kept across
-    calls.  Every witness is scored at once before any scan, with t integer
+    `witnesses` is an optional caller-owned Witnesses table for 4t =
+    ds.n_ranks, kept across calls; without one a fresh empty table is
+    used.  Every witness is scored at once before any scan, with t integer
     additions on cached per-pair fields (see Witnesses); one beating the
     cutoff wins over one only attaining it, and the first beater in list
     order moves to the front.  Otherwise the first attaining witness gives
@@ -499,7 +476,7 @@ def worst_case_bounded(
     the table; which of "beats" and "attains" a candidate above the cutoff
     gets, and `enumerated`, the number of swap sets the scan visited, do.
     """
-    table = Witnesses() if witnesses is None else witnesses
+    table = Witnesses(ds.n_ranks) if witnesses is None else witnesses
     beats, attained, floor = table.check(ds, cutoff)
     if beats:
         return None, True

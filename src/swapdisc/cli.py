@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from random import Random
-from typing import Any
+from typing import Any, Collection
 
 from . import __version__
 from .adversary import (
@@ -241,6 +241,88 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _adversary_checks(
+    ds: DefiningSet, res: AdversaryResult, wanted: Collection[str], z: int | None
+) -> dict[str, dict[str, Any]]:
+    """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2 and
+    bounds for a valid ds and its worst case res (upper bound only with z)."""
+    entries: dict[str, dict[str, Any]] = {}
+    i_star = res.minimal_maximizer
+    if "eq8" in wanted:
+        entries["eq8"] = {
+            "holds": minimal_maximizer_property(ds, res),
+            "details": {"worst_case": res.worst_case, "maximizer_size": len(i_star)},
+        }
+    if "lemma2" in wanted or "eq10" in wanted:
+        rep = verify_lemma2(ds, i_star)
+        if "lemma2" in wanted:
+            entries["lemma2"] = {
+                "holds": all(c.holds for c in rep.components) and rep.slack_holds,
+                "details": {
+                    "components": [
+                        {
+                            "nodes": sorted(c.nodes),
+                            "in": c.in_arcs,
+                            "out": c.out_arcs,
+                            "bound": c.bound,
+                            "holds": c.holds,
+                        }
+                        for c in rep.components
+                    ],
+                    "global_slack": rep.global_slack,
+                },
+            }
+        if "eq10" in wanted:
+            entries["eq10"] = {
+                "holds": rep.eq10_holds,
+                "details": {"lhs": rep.eq10_lhs, "rhs": _fraction_str(rep.eq10_rhs)},
+            }
+    if "prop1" in wanted:
+        comp = verify_prop1(ds, i_star, subsets="components")
+        single = verify_prop1(ds, i_star, subsets="singletons")
+        entries["prop1"] = {
+            "holds": comp.all_hold and single.all_hold,
+            "details": {
+                "components": [
+                    {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
+                    for e in comp.entries
+                ],
+                "singletons": [
+                    {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
+                    for e in single.entries
+                ],
+            },
+        }
+    if "prop2" in wanted:
+        rep2 = verify_prop2(ds, i_star)
+        entries["prop2"] = {
+            "holds": rep2.all_hold,
+            "details": {
+                "entries": [
+                    {
+                        "node": e.node,
+                        "kind": e.kind,
+                        "d": e.d_swp,
+                        "d_out": e.d_out,
+                        "expected": e.expected,
+                        "holds": e.holds,
+                    }
+                    for e in rep2.entries
+                ],
+                "out_of_regime": list(rep2.out_of_regime),
+            },
+        }
+    if "bounds" in wanted:
+        lb = lower_bound(ds.t)
+        ub = upper_bound(z) if z is not None else None
+        ok = res.worst_case >= lb and (ub is None or res.worst_case <= ub)
+        entries["bounds"] = {
+            "holds": bool(ok),
+            "details": {"worst_case": res.worst_case, "lower": _fraction_str(lb), "upper": ub},
+        }
+    return entries
+
+
 def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, dict[str, Any]], AdversaryResult | None]:
     requested = list(DEFAULT_CHECKS) if not args.checks else args.checks.split(",")
     for name in requested:
@@ -262,85 +344,7 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
         else:
             res = worst_case(ds, strategy=args.strategy, workers=args.workers,
                              force_exhaustive=args.force_exhaustive)
-            i_star = res.minimal_maximizer
-            if "eq8" in requested:
-                ok = minimal_maximizer_property(ds, res)
-                checks["eq8"] = {
-                    "holds": ok,
-                    "details": {"worst_case": res.worst_case, "maximizer_size": len(i_star)},
-                }
-            if "lemma2" in requested or "eq10" in requested:
-                rep = verify_lemma2(ds, i_star)
-                if "lemma2" in requested:
-                    checks["lemma2"] = {
-                        "holds": all(c.holds for c in rep.components) and rep.slack_holds,
-                        "details": {
-                            "components": [
-                                {
-                                    "nodes": sorted(c.nodes),
-                                    "in": c.in_arcs,
-                                    "out": c.out_arcs,
-                                    "bound": c.bound,
-                                    "holds": c.holds,
-                                }
-                                for c in rep.components
-                            ],
-                            "global_slack": rep.global_slack,
-                        },
-                    }
-                if "eq10" in requested:
-                    checks["eq10"] = {
-                        "holds": rep.eq10_holds,
-                        "details": {"lhs": rep.eq10_lhs, "rhs": _fraction_str(rep.eq10_rhs)},
-                    }
-            if "prop1" in requested:
-                comp = verify_prop1(ds, i_star, subsets="components")
-                single = verify_prop1(ds, i_star, subsets="singletons")
-                checks["prop1"] = {
-                    "holds": comp.all_hold and single.all_hold,
-                    "details": {
-                        "components": [
-                            {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
-                            for e in comp.entries
-                        ],
-                        "singletons": [
-                            {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
-                            for e in single.entries
-                        ],
-                    },
-                }
-            if "prop2" in requested:
-                rep2 = verify_prop2(ds, i_star)
-                checks["prop2"] = {
-                    "holds": rep2.all_hold,
-                    "details": {
-                        "entries": [
-                            {
-                                "node": e.node,
-                                "kind": e.kind,
-                                "d": e.d_swp,
-                                "d_out": e.d_out,
-                                "expected": e.expected,
-                                "holds": e.holds,
-                            }
-                            for e in rep2.entries
-                        ],
-                        "out_of_regime": list(rep2.out_of_regime),
-                    },
-                }
-            if "bounds" in requested:
-                lb = lower_bound(ds.t)
-                z = z_for_t(ds.t)
-                ub = upper_bound(z) if z is not None and args.z is not None else None
-                ok = res.worst_case >= lb and (ub is None or res.worst_case <= ub)
-                checks["bounds"] = {
-                    "holds": bool(ok),
-                    "details": {
-                        "worst_case": res.worst_case,
-                        "lower": _fraction_str(lb),
-                        "upper": ub,
-                    },
-                }
+            checks.update(_adversary_checks(ds, res, requested, args.z))
     if "lemma1" in requested:
         rep1 = check_lemma1(args.z, workers=args.workers)
         checks["lemma1"] = {
@@ -352,13 +356,12 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
         failures = 0
         for _ in range(args.sample):
             sample_ds = random_balanced(ds.t, rng)
-            sample_res = worst_case(sample_ds, strategy="branch_and_bound",
+            sample_res = worst_case(sample_ds, strategy=args.strategy or "branch_and_bound",
                                     force_exhaustive=args.force_exhaustive)
-            ok = minimal_maximizer_property(sample_ds, sample_res)
-            rep = verify_lemma2(sample_ds, sample_res.minimal_maximizer)
-            p1 = verify_prop1(sample_ds, sample_res.minimal_maximizer, subsets="components")
-            p1s = verify_prop1(sample_ds, sample_res.minimal_maximizer, subsets="singletons")
-            if not (ok and rep.all_hold and p1.all_hold and p1s.all_hold):
+            entries = _adversary_checks(
+                sample_ds, sample_res, ("eq8", "lemma2", "eq10", "prop1"), None
+            )
+            if not all(entry["holds"] for entry in entries.values()):
                 failures += 1
         checks["sampled_population"] = {
             "holds": failures == 0,
@@ -455,7 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, help="verify the level-z construction instead")
     p.add_argument("--checks", help=f"comma list from: {','.join(ALL_CHECKS)}")
     p.add_argument("--sample", type=int, default=0,
-                   help="additionally verify N random balanced sets of the same t")
+                   help="additionally run eq8, lemma2, eq10 and prop1 on N random "
+                   "balanced sets of the same t")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample only")
     p.add_argument("--out", help="certificate path (default: stdout)")
     common(p)

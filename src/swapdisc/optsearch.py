@@ -150,7 +150,7 @@ def find_optimal(
     examined = 1
     certified = True
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
-    witnesses = Witnesses()
+    witnesses = Witnesses(4 * t)
     for ds in stream:
         if deadline is not None and time.perf_counter() > deadline:
             certified = False

@@ -123,7 +123,7 @@ def test_every_violation_raises_with_the_validator_text(kind):
     for call in (
         lambda: worst_case(ds),
         lambda: worst_case(ds, strategy="frontier"),
-        lambda: worst_case_bounded(ds, cutoff=4, witnesses=Witnesses([(1,)])),
+        lambda: worst_case_bounded(ds, cutoff=4, witnesses=witness_table(ds.n_ranks, [(1,)])),
         lambda: worst_case_is(ds, 4),
         lambda: all_maximizers(ds),
     ):
@@ -263,13 +263,19 @@ def test_bounded_scan_exceeded_and_exact(sub2):
     assert res.maximizer_count == full.maximizer_count
 
 
+def witness_table(n, positions=()):
+    """A Witnesses table for 4t = n holding `positions` in list order."""
+    table = Witnesses(n)
+    for w in reversed(positions):
+        table.push(w)
+    return table
+
+
 def seeded_witnesses(valued, cutoff, rng):
-    """Allowed swap sets on both sides of the cutoff, in random order, plus
-    position tuples that are not allowed swap sets."""
+    """Allowed swap sets on both sides of the cutoff, in random order."""
     above = [w for w, d in valued if d > cutoff]
     rest = [w for w, d in valued if d <= cutoff]
     picked = rng.sample(above, min(2, len(above))) + rng.sample(rest, min(3, len(rest)))
-    picked += [(1, 2), (10**6,)]
     rng.shuffle(picked)
     return picked
 
@@ -309,18 +315,20 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
     rng = Random(23)
     pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
     pool += [random_balanced(t, rng) for t in (4, 4, 4, 5, 5, 6)]
-    shared = Witnesses()  # carried across instances and cutoffs, as the search does
+    # one table per t, carried across instances and cutoffs, as the search does
+    shared = {t: Witnesses(4 * t) for t in range(1, 7)}
     for ds in pool:
+        n = ds.n_ranks
         full = worst_case(ds, strategy="branch_and_bound")
         valued = [
             (s.positions(), discrepancy(ds, s)) for s in enumerate_swap_sets(ds.t)
         ] if ds.t <= 4 else []
         for cutoff in range(13):
             assert_bounded_agrees(ds, full, cutoff, None)
-            assert_bounded_agrees(ds, full, cutoff, Witnesses())
-            assert_bounded_agrees(ds, full, cutoff, shared)
+            assert_bounded_agrees(ds, full, cutoff, Witnesses(n))
+            assert_bounded_agrees(ds, full, cutoff, shared[ds.t])
             if valued:
-                seeded = Witnesses(seeded_witnesses(valued, cutoff, rng))
+                seeded = witness_table(n, seeded_witnesses(valued, cutoff, rng))
                 assert_bounded_agrees(ds, full, cutoff, seeded)
 
 
@@ -333,39 +341,46 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
 )
 def test_bounded_scan_any_witnesses_hypothesis(t, seed, cutoff, raw):
     ds = random_balanced(t, Random(seed))
-    # arbitrary position tuples, which are mostly no allowed swap sets, and
-    # each thinned to a matching (allowed when its positions are below 4t)
-    witnesses = []
+    # arbitrary position tuples, each thinned to a matching of the path; the
+    # thinned ones below 4t are matchings of [1, 4t] and pushed, every other
+    # tuple is refused
+    witnesses = Witnesses(4 * t)
     for w in raw:
         w = tuple(sorted(set(w)))
         thinned: list[int] = []
         for i in w:
             if not thinned or i >= thinned[-1] + 2:
                 thinned.append(i)
-        witnesses += [w, tuple(thinned)]
+        # w is a matching only when thinning leaves it unchanged
+        for positions in dict.fromkeys((w, tuple(thinned))):
+            if naive_is_matching(positions, 4 * t):
+                witnesses.push(positions)
+            else:
+                with pytest.raises(InvalidInput):
+                    witnesses.push(positions)
     full = worst_case(ds, strategy="branch_and_bound")
-    assert_bounded_agrees(ds, full, cutoff, Witnesses(witnesses))
+    assert_bounded_agrees(ds, full, cutoff, witnesses)
 
 
 def test_witness_list_is_move_to_front_and_capped(monkeypatch):
     monkeypatch.setattr(adversary, "WITNESS_CAP", 3)
-    witnesses = Witnesses()
+    witnesses = Witnesses(12)
     # at the odd cutoff 3 every swap set the scan stops at beats it
     for ds in enumerate_balanced(3):
         worst_case_bounded(ds, cutoff=3, witnesses=witnesses)
         assert len(witnesses) <= 3
     assert len(witnesses) == 3
-    # a hit moves to the front without growing the list; (3, 4) is no
-    # allowed swap set and the empty set does not beat the cutoff
+    # a hit moves to the front without growing the list; one swap and the
+    # empty set do not beat the cutoff
     ds = random_balanced(3, Random(1))
     hit = next(s for s in enumerate_swap_sets(3) if discrepancy(ds, s) > 2).positions()
-    witnesses = Witnesses([(3, 4), (), hit])
+    witnesses = witness_table(12, [(3,), (), hit])
     _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
     assert exceeded
-    assert list(witnesses) == [hit, (3, 4), ()]
+    assert list(witnesses) == [hit, (3,), ()]
     # a new swap set pushed at the cap evicts the last entry
     witnesses.push((1,))
-    assert list(witnesses) == [(1,), hit, (3, 4)]
+    assert list(witnesses) == [(1,), hit, (3,)]
 
 
 def test_bounded_scan_rejects_negative_cutoff(sub2):
@@ -379,19 +394,19 @@ def test_witness_that_beats_wins_over_one_that_attains(sub2):
     valued = [(s.positions(), discrepancy(sub2, s)) for s in enumerate_swap_sets(2)]
     at = next(w for w, d in valued if d == 4)
     above = next(w for w, d in valued if d > 4)
-    witnesses = Witnesses([at, above])
+    witnesses = witness_table(8, [at, above])
     res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witnesses)
     assert exceeded and res is None
     assert list(witnesses) == [above, at]
     # with only the attaining witness: no scan, no proof
-    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=Witnesses([at]))
+    res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witness_table(8, [at]))
     assert not exceeded
     assert res == Attained(4, SwapSet.from_positions(at), 0)
 
 
 def witness_pool(rng):
     """Every balanced set with t <= 3 and seeded sets up to t = 6, shuffled
-    so that a shared table meets growing and shrinking 4t."""
+    so that the calls on the per-t tables interleave."""
     pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
     pool += [random_balanced(t, rng) for t in (4, 4, 5, 5, 6, 6)]
     rng.shuffle(pool)
@@ -399,25 +414,26 @@ def witness_pool(rng):
 
 
 def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
-    monkeypatch.setattr(adversary, "WITNESS_CAP", 24)
+    cap = 24
+    monkeypatch.setattr(adversary, "WITNESS_CAP", cap)
     rng = Random(41)
-    # matchings of [1, 4t] for t = 1..6 (too long for the smaller sets),
-    # and tuples that are no matchings: adjacent, descending, repeated, 0
-    tuples = [random_swap_positions(t, rng) for t in (1, 2, 3, 4, 5, 6) for _ in range(3)]
-    tuples += [(1, 2), (5, 3), (2, 2), (0,), (0, 2), (3, 4, 9), (), (23,)]
-    rng.shuffle(tuples)
-    table = Witnesses(tuples)
+    # per t: random matchings of [1, 4u] for u = 1..t (so all of them
+    # matchings of [1, 4t]) and the empty set
+    tables = {}
+    for t in (1, 2, 3, 4, 5, 6):
+        tuples = [random_swap_positions(u, rng) for u in range(1, t + 1) for _ in range(3)]
+        tuples.append(())
+        rng.shuffle(tuples)
+        tables[t] = witness_table(4 * t, tuples)
     for ds in witness_pool(rng):
+        table = tables[ds.t]
         n, pair_of, side_of, diff = _arrays(ds)
         for cutoff in range(n + 3):
             order = list(table)
             values = table.values(ds)
-            assert values == [
-                _total_after(w, pair_of, side_of, diff) if naive_is_matching(w, n) else None
-                for w in order
-            ]
+            assert values == [_total_after(w, pair_of, side_of, diff) for w in order]
             beats, attained, floor = table.check(ds, cutoff)
-            above = [k for k, v in enumerate(values) if v is not None and v > cutoff]
+            above = [k for k, v in enumerate(values) if v > cutoff]
             at = [k for k, v in enumerate(values) if v == cutoff]
             if above:
                 assert (beats, attained, floor) == (True, None, -1)
@@ -428,12 +444,13 @@ def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
                 if at:
                     assert (beats, attained, floor) == (False, order[at[0]], -1)
                 else:
-                    best = max((v for v in values if v is not None), default=-1)
-                    assert (beats, attained, floor) == (False, None, best)
+                    assert (beats, attained, floor) == (False, None, max(values, default=-1))
         # a new entry updates every cached pair's field and, at the cap,
         # evicts the last one
-        table.push(random_swap_positions(rng.randint(1, 6), rng))
-        assert len(table) == 24
+        size = len(table)
+        table.push(random_swap_positions(rng.randint(1, ds.t), rng))
+        assert len(table) == min(cap, size + 1)
+    assert len(tables[3]) == cap
 
 
 def test_witness_table_matches_plain_list_loop(monkeypatch):
@@ -442,11 +459,15 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
     rng = Random(43)
     pool = list(enumerate_balanced(2)) + list(enumerate_balanced(3))
     pool += [random_balanced(t, rng) for t in (2, 3, 3, 4, 4, 4)]
+    # one table and one plain list per t, both starting from the tuples that
+    # are matchings of [1, 4t]
     start = [(1, 3), (2, 3), (7,), (0, 4), (1, 5, 9, 13)]
-    table, plain = Witnesses(start), list(start)
+    plains = {t: [w for w in start if naive_is_matching(w, 4 * t)] for t in (2, 3, 4)}
+    tables = {t: witness_table(4 * t, plain) for t, plain in plains.items()}
     for round_ in range(2):
         for ds in pool:
             n = ds.n_ranks
+            table, plain = tables[ds.t], plains[ds.t]
             # a search-like cutoff near the worst case, or any other one
             cutoff = rng.choice((rng.randint(0, n + 2), rng.randint(4, 8)))
             pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
@@ -462,6 +483,22 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
                 got = (res.worst_case, res.minimal_maximizer.positions(), res.maximizer_count)
                 assert got == ref
             assert list(table) == plain
+
+
+def test_witness_table_takes_only_matchings_and_sets_of_its_4t(opt2):
+    table = Witnesses(8)
+    for bad in ((1, 2), (5, 3), (2, 2), (0,), (8,)):
+        with pytest.raises(InvalidInput):
+            table.push(bad)
+    assert len(table) == 0
+    table.push(())
+    table.push((1, 7))
+    assert list(table) == [(1, 7), ()]
+    assert table.values(opt2) == [discrepancy(opt2, SwapSet.from_positions((1, 7))), 0]
+    with pytest.raises(InvalidInput):
+        Witnesses(12).check(opt2, 4)
+    with pytest.raises(InvalidInput):
+        worst_case_bounded(opt2, cutoff=4, witnesses=Witnesses(12))
 
 
 def test_worst_case_is_agrees_with_worst_case():

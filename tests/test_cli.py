@@ -1,9 +1,11 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from swapdisc import cli
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -258,6 +260,67 @@ def test_verify_sampled_population(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out)
     assert cert["checks"]["sampled_population"]["holds"] is True
     assert cert["checks"]["sampled_population"]["details"]["sampled"] == 5
+
+
+@pytest.mark.parametrize("strategy", [None, "frontier", "exhaustive", "branch_and_bound"])
+def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy):
+    real = cli.worst_case
+    seen = []
+
+    def counting(ds, strategy=None, **kwargs):
+        seen.append(strategy)
+        return real(ds, strategy=strategy, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", counting)
+    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "4", "--seed", "2"]
+    assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
+    capsys.readouterr()
+    # the construction, then the samples (branch-and-bound by default)
+    assert seen == [strategy] + [strategy or "branch_and_bound"] * 4
+
+
+def _failing_first(report, field):
+    """report with the first entry of its tuple `field` failing."""
+    first, *rest = getattr(report, field)
+    return replace(report, **{field: (replace(first, holds=False), *rest)})
+
+
+# one check of the sampled population made to fail by patching its checker
+SAMPLE_FAULTS = {
+    "eq8": ("minimal_maximizer_property", lambda real: lambda ds, res: False),
+    "lemma2": (
+        "verify_lemma2",
+        lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "components"),
+    ),
+    "eq10": (
+        "verify_lemma2",
+        lambda real: lambda ds, i_star: replace(real(ds, i_star), eq10_holds=False),
+    ),
+    "prop1": (
+        "verify_prop1",
+        lambda real: lambda ds, i_star, subsets: (
+            _failing_first(real(ds, i_star, subsets), "entries")
+            if subsets == "singletons" else real(ds, i_star, subsets)
+        ),
+    ),
+    # prop2 is not part of the sampled checks
+    "prop2": (
+        "verify_prop2",
+        lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "entries"),
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(SAMPLE_FAULTS))
+def test_verify_sample_counts_every_failing_instance(monkeypatch, capsys, check):
+    name, fault = SAMPLE_FAULTS[check]
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    code = main(["verify", "--z", "2", "--checks", "balance", "--sample", "3", "--seed", "5"])
+    details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
+    if check == "prop2":
+        assert (details["failures"], code) == (0, EXIT_OK)
+    else:
+        assert (details["failures"], code) == (3, EXIT_CHECK_FAILED)
 
 
 def test_verify_negative_sample_exit2(capsys):

@@ -165,7 +165,7 @@ def test_unknown_strategy_rejected():
 
 # ------------------------------------------------------------- worker count
 
-def test_pool_size_rejects_below_one():
+def test_check_workers_rejects_below_one():
     for bad in (0, -3, True, 1.5):
         with pytest.raises(InvalidInput):
             check_workers(bad)
