@@ -459,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", help=f"comma list from: {','.join(ALL_CHECKS)}")
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
-                   "balanced sets of the same t")
+                   "balanced sets of the same t; refused (exit 4) for --z 4 and "
+                   "above, whose random sets no engine answers")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample only")
     p.add_argument("--out", help="certificate path (default: stdout)")
     common(p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Iterator
 
@@ -23,61 +24,78 @@ from .adversary import (
     worst_case_bounded,
     worst_case_is,
 )
-from .core import CompanionPair, DefiningSet, InvalidInput
+from .core import CompanionPair, DefiningSet, InvalidInput, all_ranks
 
 
-def _balanced_completions(remaining: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-    """(l2, l3, l4) choices pairing remaining[0] into a balanced quadruple.
+@lru_cache(maxsize=1)
+def _quadruples(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every balanced quadruple over [1, n] as a rank bitmask, by smallest
+    rank: entry m lists (m, l2, l3, l4) with l2 + l3 = m + l4 and
+    m < l2 < l3 < l4 <= n, in ascending (l2, l3) order.
 
-    Balance forces l4 = l2 + l3 - min, so candidates are scanned over l2 < l3
-    with an early break once l4 overshoots the largest remaining rank.
+    Built at the first call for an n; only the last n is kept.
     """
-    m = remaining[0]
-    rest = remaining[1:]
-    pool = set(rest)
-    hi = remaining[-1]
-    for i2, l2 in enumerate(rest):
-        if i2 + 1 >= len(rest):
-            break
-        if l2 + rest[i2 + 1] - m > hi:
-            # even the smallest l3 overshoots, and l2 only grows from here
-            break
-        for l3 in rest[i2 + 1 :]:
-            l4 = l2 + l3 - m  # > l3 since l2 > m
-            if l4 > hi:
-                break
-            if l4 in pool:
-                yield l2, l3, l4
+    table = [()]
+    for m in range(1, n + 1):
+        table.append(
+            tuple(
+                (1 << m) | (1 << l2) | (1 << l3) | (1 << (l2 + l3 - m))
+                for l2 in range(m + 1, n + 1)
+                for l3 in range(l2 + 1, n + m - l2 + 1)
+            )
+        )
+    return tuple(table)
 
 
-def _enum(
-    remaining: tuple[int, ...], made: dict[tuple[int, int, int, int], CompanionPair]
-) -> Iterator[tuple[CompanionPair, ...]]:
-    if not remaining:
-        yield ()
-        return
-    m = remaining[0]
-    for l2, l3, l4 in _balanced_completions(remaining):
-        quad = (m, l2, l3, l4)
-        pair = made.get(quad)
-        if pair is None:
-            pair = made[quad] = CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
-        rest = tuple(x for x in remaining if x not in quad)
-        for tail in _enum(rest, made):
-            yield (pair,) + tail
+def _pair(q: int) -> CompanionPair:
+    """The canonical pair of the balanced quadruple with bitmask q: the odd
+    set holds its smallest and largest ranks."""
+    m, l2, l3, l4 = (r for r in range(q.bit_length()) if q >> r & 1)
+    return CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
 
 
 def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
     """Every balanced defining set over [1, 4t], once, in canonical form.
 
-    Deterministic order: recursion always pairs the smallest unassigned rank
-    and tries its partners in ascending (l2, l3) order.  Each distinct
-    companion pair is built once per call and shared by the sets holding it.
+    Deterministic order: the walk always pairs the smallest unassigned rank
+    and tries its partners in ascending (l2, l3) order.  The unassigned
+    ranks are one bitmask; at the last pair a dict lookup says whether the
+    four left are a balanced quadruple.  Each distinct companion pair is
+    built once per call and shared by the sets holding it.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    for pairs in _enum(tuple(range(1, 4 * t + 1)), {}):
-        yield DefiningSet(t, pairs)
+    table = _quadruples(4 * t)
+    pair_of = {q: _pair(q) for options in table for q in options}
+    full = all_ranks(4 * t)
+    if t == 1:
+        yield DefiningSet(t, (pair_of[full],))
+        return
+    last = t - 1
+    chosen: list[CompanionPair | None] = [None] * t
+    rems = [full] * last
+    # options[d] iterates the quadruples of the smallest rank left at depth d
+    options = [iter(table[1])] + [iter(())] * (last - 1)
+    depth = 0
+    while depth >= 0:
+        rem = rems[depth]
+        for q in options[depth]:
+            if q & rem != q:
+                continue
+            chosen[depth] = pair_of[q]
+            child = rem ^ q
+            if depth + 1 == last:
+                tail = pair_of.get(child)
+                if tail is not None:
+                    chosen[last] = tail
+                    yield DefiningSet(t, tuple(chosen))
+                continue
+            depth += 1
+            rems[depth] = child
+            options[depth] = iter(table[(child & -child).bit_length() - 1])
+            break
+        else:
+            depth -= 1
 
 
 def count_balanced(t: int) -> int:
@@ -86,24 +104,25 @@ def count_balanced(t: int) -> int:
 
 def random_balanced(t: int, rng: Random) -> DefiningSet:
     """One balanced defining set drawn by randomized backtracking (canonical
-    form; not uniform, but seeded and reproducible)."""
+    form; not uniform, but seeded and reproducible).  Each step shuffles
+    the quadruples of the smallest unassigned rank that fit, taken in
+    enumerate_balanced's order."""
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
+    table = _quadruples(4 * t)
 
-    def rec(remaining: tuple[int, ...]) -> tuple[CompanionPair, ...] | None:
-        if not remaining:
+    def rec(rem: int) -> tuple[CompanionPair, ...] | None:
+        if not rem:
             return ()
-        m = remaining[0]
-        options = list(_balanced_completions(remaining))
+        options = [q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q]
         rng.shuffle(options)
-        for l2, l3, l4 in options:
-            rest = tuple(x for x in remaining if x not in (m, l2, l3, l4))
-            tail = rec(rest)
+        for q in options:
+            tail = rec(rem ^ q)
             if tail is not None:
-                return (CompanionPair(frozenset({m, l4}), frozenset({l2, l3})),) + tail
+                return (_pair(q),) + tail
         return None
 
-    pairs = rec(tuple(range(1, 4 * t + 1)))
+    pairs = rec(all_ranks(4 * t))
     assert pairs is not None  # a balanced partition always exists
     return DefiningSet(t, pairs)
 

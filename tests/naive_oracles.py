@@ -221,3 +221,55 @@ def list_bounded_verdict(pairs, t: int, cutoff: int, witnesses: list, cap: int):
     witnesses.insert(0, best_set)
     del witnesses[cap:]
     return ("beats", None) if best > cutoff else ("attains", best_set)
+
+
+def _ordered_completions(remaining: tuple[int, ...]):
+    """(l2, l3, l4) choices pairing remaining[0] into a balanced quadruple,
+    in ascending (l2, l3) order: balance forces l4 = l2 + l3 - min."""
+    m = remaining[0]
+    rest = remaining[1:]
+    pool = set(rest)
+    for i2, l2 in enumerate(rest):
+        for l3 in rest[i2 + 1 :]:
+            if l2 + l3 - m in pool:
+                yield l2, l3, l2 + l3 - m
+
+
+def ordered_balanced_sets(t: int):
+    """The balanced defining sets over [1, 4t] as lists of (odd, even)
+    frozenset pairs, in the search's order: a tuple recursion that always
+    pairs the smallest remaining rank and tries its partners in ascending
+    (l2, l3) order."""
+
+    def rec(remaining: tuple[int, ...]):
+        if not remaining:
+            yield []
+            return
+        m = remaining[0]
+        for l2, l3, l4 in _ordered_completions(remaining):
+            rest = tuple(x for x in remaining if x not in (m, l2, l3, l4))
+            for tail in rec(rest):
+                yield [(frozenset({m, l4}), frozenset({l2, l3}))] + tail
+
+    yield from rec(tuple(range(1, 4 * t + 1)))
+
+
+def ordered_random_balanced(t: int, rng: Random):
+    """One balanced set drawn by randomized backtracking, as (odd, even)
+    frozenset pairs: at each step the completions of the smallest remaining
+    rank, in ascending (l2, l3) order, are shuffled with rng and tried in
+    turn."""
+
+    def rec(remaining: tuple[int, ...]):
+        if not remaining:
+            return []
+        m = remaining[0]
+        options = list(_ordered_completions(remaining))
+        rng.shuffle(options)
+        for l2, l3, l4 in options:
+            tail = rec(tuple(x for x in remaining if x not in (m, l2, l3, l4)))
+            if tail is not None:
+                return [(frozenset({m, l4}), frozenset({l2, l3}))] + tail
+        return None
+
+    return rec(tuple(range(1, 4 * t + 1)))

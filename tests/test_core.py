@@ -48,6 +48,18 @@ def test_companion_pair_shape_checks():
     assert 4 in overlapping.odd and 4 in overlapping.even
 
 
+def test_companion_pair_hash_and_equality_follow_the_fields():
+    pair = CompanionPair(frozenset({1, 4}), frozenset({2, 3}))
+    same = CompanionPair([4, 1], (3, 2))
+    swapped = CompanionPair(frozenset({2, 3}), frozenset({1, 4}))
+    assert hash(pair) == hash(same) == hash((pair.odd, pair.even))
+    assert pair == same and pair != swapped
+    assert hash(swapped) == hash((swapped.odd, swapped.even))
+    assert {pair: 1}[same] == 1
+    # the cached hash is not a field
+    assert repr(pair) == "CompanionPair(odd=frozenset({1, 4}), even=frozenset({2, 3}))"
+
+
 def test_swap_set_rejects_overlap_and_non_adjacent():
     with pytest.raises(InvalidInput):
         SwapSet(frozenset({(1, 2), (2, 3)}))

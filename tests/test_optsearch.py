@@ -5,13 +5,18 @@ at t <= 3; larger values are frozen regression constants computed once with
 that oracle.
 """
 
+import inspect
 import itertools
 import math
 from random import Random
 
 import pytest
 
-from naive_oracles import naive_balanced_sets
+from naive_oracles import (
+    naive_balanced_sets,
+    ordered_balanced_sets,
+    ordered_random_balanced,
+)
 from swapdisc import adversary, optsearch
 from swapdisc.adversary import worst_case
 from swapdisc.construct import base_case, lower_bound
@@ -47,6 +52,41 @@ def test_enumeration_matches_partition_oracle(t):
     oracle = naive_balanced_sets(t)
     assert ours == {tuple(entry) for entry in oracle}
     assert len(ours) == KNOWN_COUNTS[t]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_enumeration_order_matches_ordered_reference(t):
+    # the search's witness order, candidates_examined and optima order all
+    # follow this order
+    ours = [[(p.odd, p.even) for p in ds.pairs] for ds in enumerate_balanced(t)]
+    assert ours == list(ordered_balanced_sets(t))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7])
+def test_random_balanced_draws_match_ordered_reference(t):
+    ours, reference = Random(100 + t), Random(100 + t)
+    for _ in range(30):
+        ds = random_balanced(t, ours)
+        assert [(p.odd, p.even) for p in ds.pairs] == ordered_random_balanced(t, reference)
+    # the same draws leave the generator in the same state
+    assert ours.random() == reference.random()
+
+
+def test_search_draws_its_candidates_through_enumerate_balanced(monkeypatch):
+    # perfbench's tracer times optsearch.enumerate_s and counts
+    # optsearch.candidates by wrapping this generator function in the module
+    assert inspect.isgeneratorfunction(optsearch.enumerate_balanced)
+    drawn = []
+    original = optsearch.enumerate_balanced
+
+    def counting(t):
+        for ds in original(t):
+            drawn.append(ds)
+            yield ds
+
+    monkeypatch.setattr(optsearch, "enumerate_balanced", counting)
+    res = find_optimal(3)
+    assert len(drawn) == res.candidates_examined == KNOWN_COUNTS[3] == 86
 
 
 def test_t4_count_frozen():
