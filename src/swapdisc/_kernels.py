@@ -26,8 +26,11 @@ def scan_chunk(
 ):
     """Scan every matching of the path on [1, n].
 
-    pair_of, side_of: rank-indexed tables (index 0 unused), side +1 odd / -1 even.
-    diff: per-pair signed imbalances before any swap.
+    pair_of, side_of, diff: the tables of core.rank_table.  pair_of[r] and
+        side_of[r] (+1 odd, -1 even) locate rank r for r in 1..n; index 0
+        is unused and no index above n is read.  diff holds the pairs'
+        signed imbalances before any swap of the scan; it is copied, not
+        changed.
     prune: skip subtrees whose optimistic bound (+2 per placeable swap) falls
         strictly below max(best_floor, best found so far); sound because no
         swap changes the total by more than +2.

@@ -38,13 +38,12 @@ from . import _kernels
 from .core import (
     CompanionPair,
     DefiningSet,
-    EVEN,
     InvalidInput,
-    ODD,
     SizeRefused,
     SwapSet,
     all_ranks,
     discrepancy,
+    rank_table,
     reject_invalid,
     require_valid,
 )
@@ -114,24 +113,6 @@ class Attained:
     value: int
     swap_set: SwapSet
     enumerated: int
-
-
-def _arrays(ds: DefiningSet) -> tuple[int, list[int], list[int], list[int]]:
-    """(n, pair_of, side_of, diff) for the engines, in one pass over the pairs
-    of a valid ds (see require_valid).
-
-    pair_of and side_of index ranks 1..n (0 and n+1 hold fillers), diff holds
-    the pairs' signed imbalances.
-    """
-    n = ds.n_ranks
-    pair_of = [-1] * (n + 1) + [0]
-    side_of = [0] * (n + 2)
-    for p, pair in enumerate(ds.pairs):
-        for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
-            for r in ranks:
-                pair_of[r] = p
-                side_of[r] = side
-    return n, pair_of, side_of, [pair.imbalance for pair in ds.pairs]
 
 
 def check_workers(workers: int) -> None:
@@ -266,14 +247,14 @@ def worst_case(
     strategies are refused above EXHAUSTIVE_MAX_RANKS ranks unless forced.
     """
     require_valid(ds)
-    arrays = _arrays(ds)
+    tables = rank_table(ds)
     check_workers(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
     if strategy == "frontier":
-        best_d, _m, best, count, nodes = _frontier(*arrays)
+        best_d, _m, best, count, nodes = _frontier(ds.n_ranks, *tables)
     else:
         best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
-            *arrays, strategy == "branch_and_bound", -1, -1
+            ds.n_ranks, *tables, strategy == "branch_and_bound", -1, -1
         )
     return AdversaryResult(
         worst_case=best_d,
@@ -282,18 +263,6 @@ def worst_case(
         enumerated=nodes,
         engine=strategy,
     )
-
-
-def _total_after(
-    positions: tuple[int, ...], pair_of: list[int], side_of: list[int], diff: list[int]
-) -> int:
-    """Total discrepancy after the swaps at `positions`, a matching of the
-    path on the ranks; O(n) on the _arrays tables."""
-    d = list(diff)
-    for i in positions:
-        d[pair_of[i]] += side_of[i]
-        d[pair_of[i + 1]] -= side_of[i + 1]
-    return sum(map(abs, d))
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -484,9 +453,8 @@ def worst_case_bounded(
         return Attained(cutoff, SwapSet.from_positions(attained), 0), False
     # the floor is attained and below the cutoff, so it prunes soundly; the
     # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
-    n, pair_of, side_of, diff = _arrays(ds)
     best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, True, floor, cutoff - 1
+        ds.n_ranks, *rank_table(ds), True, floor, cutoff - 1
     )
     if best_d >= cutoff:
         table.push(best)
@@ -512,10 +480,10 @@ def worst_case_is(ds: DefiningSet, value: int) -> bool:
     subtree that cannot reach it.  The optimal-set search proves the ties
     that worst_case_bounded only found attained with it."""
     require_valid(ds)
-    n, pair_of, side_of, diff = _arrays(ds)
+    tables = rank_table(ds)
     _check_cutoff(value)
     best_d, _m, _best, _count, _nodes, abandoned = _kernels.scan_chunk(
-        n, pair_of, side_of, diff, True, value, value
+        ds.n_ranks, *tables, True, value, value
     )
     return not abandoned and best_d == value
 
@@ -527,17 +495,14 @@ def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
     (4t <= 28 unless forced).
     """
     require_valid(ds)
-    n, pair_of, side_of, diff = _arrays(ds)
+    n = ds.n_ranks
     if n > MAXIMIZER_LIST_MAX_RANKS and not force:
         raise SizeRefused(
             f"maximizer listing refused for 4t = {n} > {MAXIMIZER_LIST_MAX_RANKS}"
         )
     target = worst_case(ds).worst_case
-    out: list[SwapSet] = []
-    for positions in _positions_stream(n, 1, []):
-        if _total_after(positions, pair_of, side_of, diff) == target:
-            out.append(SwapSet.from_positions(positions))
-    return tuple(out)
+    swap_sets = map(SwapSet.from_positions, _positions_stream(n, 1, []))
+    return tuple(swaps for swaps in swap_sets if discrepancy(ds, swaps) == target)
 
 
 def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:

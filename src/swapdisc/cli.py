@@ -114,7 +114,7 @@ def doc_to_swaps(doc: Any) -> SwapSet:
     swaps = doc["swaps"]
     if not isinstance(swaps, list):
         raise InvalidInput("'swaps' must be a list")
-    pairs = []
+    pairs: set[tuple[int, int]] = set()
     for entry in swaps:
         if (
             not isinstance(entry, list)
@@ -122,7 +122,10 @@ def doc_to_swaps(doc: Any) -> SwapSet:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
         ):
             raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
-        pairs.append((entry[0], entry[1]))
+        pair = (entry[0], entry[1])
+        if pair in pairs:
+            raise InvalidInput(f"swap entry {entry!r} appears more than once")
+        pairs.add(pair)
     return SwapSet(frozenset(pairs))
 
 

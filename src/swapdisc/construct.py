@@ -18,7 +18,7 @@ from .core import (
     InvalidInput,
     SizeRefused,
     defining_set,
-    validate_defining_set,
+    require_valid,
 )
 
 DEFAULT_MAX_RANKS = 1_000_000
@@ -63,9 +63,7 @@ def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
     t2 = t_for_z(z)
     if prev.t != t2:
         raise InvalidInput(f"level-{z} input must have t = {t2}, got {prev.t}")
-    report = validate_defining_set(prev)
-    if not report.ok:
-        raise InvalidInput("level input invalid: " + "; ".join(report.violations))
+    require_valid(prev)
     shift2 = 5 * 2**z - 1
     closing = CompanionPair(
         frozenset({1, 5 * 2 ** (z + 1) - 4}),

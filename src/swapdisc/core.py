@@ -123,9 +123,6 @@ class DefiningSet:
     def balanced(self) -> bool:
         return all(p.balanced for p in self.pairs)
 
-    def total_discrepancy(self) -> int:
-        return sum(abs(p.imbalance) for p in self.pairs)
-
 
 def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> DefiningSet:
     """Convenience constructor from ((odd, even), ...) iterables."""
@@ -228,36 +225,42 @@ def require_valid(ds: DefiningSet) -> None:
         reject_invalid(ds)
 
 
-def rank_table(ds: DefiningSet) -> tuple[list[int], list[int]]:
-    """Index ranks 1..4t to (pair index 0..t-1, side ODD/EVEN).
+def rank_table(
+    ds: DefiningSet, swaps: SwapSet = EMPTY_SWAPS
+) -> tuple[list[int], list[int], list[int]]:
+    """The rank tables of ds after `swaps`: (pair_of, side_of, imbalance).
 
-    Requires ds to partition [1, 4t]; raises InvalidInput otherwise.
+    pair_of[r] and side_of[r] name the pair (0..t-1) and the side (ODD or
+    EVEN) holding rank r, for r in 1..4t (index 0 is unused); imbalance[p]
+    is pair p's signed sum(odd) - sum(even).  A swap (i, i+1) moves
+    imbalance[pair_of[i]] by side_of[i] and imbalance[pair_of[i+1]] by
+    -side_of[i+1], then exchanges the two ranks' table entries.
+
+    Requires ds to partition [1, 4t], balanced or not, and every swap to lie
+    in [1, 4t]; raises InvalidInput otherwise.
     """
     n = ds.n_ranks
     pair_of = [-1] * (n + 1)
     side_of = [0] * (n + 1)
     for p, pair in enumerate(ds.pairs):
-        for r in pair.odd:
-            if r > n or pair_of[r] != -1:
-                raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
-            pair_of[r] = p
-            side_of[r] = ODD
-        for r in pair.even:
-            if r > n or pair_of[r] != -1:
-                raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
-            pair_of[r] = p
-            side_of[r] = EVEN
-    if any(p == -1 for p in pair_of[1:]):
-        missing = next(r for r in range(1, n + 1) if pair_of[r] == -1)
+        for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
+            for r in ranks:
+                if r > n or pair_of[r] != -1:
+                    raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
+                pair_of[r] = p
+                side_of[r] = side
+    if -1 in pair_of[1:]:
+        missing = pair_of.index(-1, 1)
         raise InvalidInput(f"ranks do not partition [1, {n}] (rank {missing} missing)")
-    return pair_of, side_of
-
-
-def check_swap_set(ds: DefiningSet, swaps: SwapSet) -> None:
-    """Reject swap sets whose endpoints fall outside [1, 4t]."""
+    imbalance = [pair.imbalance for pair in ds.pairs]
     for i, j in swaps:
-        if j > ds.n_ranks:
-            raise InvalidInput(f"swap ({i}, {j}) outside [1, {ds.n_ranks}]")
+        if j > n:
+            raise InvalidInput(f"swap ({i}, {j}) outside [1, {n}]")
+        imbalance[pair_of[i]] += side_of[i]
+        imbalance[pair_of[j]] -= side_of[j]
+        pair_of[i], pair_of[j] = pair_of[j], pair_of[i]
+        side_of[i], side_of[j] = side_of[j], side_of[i]
+    return pair_of, side_of, imbalance
 
 
 def apply_swaps(ds: DefiningSet, swaps: SwapSet) -> DefiningSet:
@@ -265,11 +268,7 @@ def apply_swaps(ds: DefiningSet, swaps: SwapSet) -> DefiningSet:
 
     An involution: applying the same swap set twice restores the input.
     """
-    check_swap_set(ds, swaps)
-    pair_of, side_of = rank_table(ds)
-    for i, j in swaps:
-        pair_of[i], pair_of[j] = pair_of[j], pair_of[i]
-        side_of[i], side_of[j] = side_of[j], side_of[i]
+    pair_of, side_of, _ = rank_table(ds, swaps)
     odd_sets: list[set[int]] = [set() for _ in range(ds.t)]
     even_sets: list[set[int]] = [set() for _ in range(ds.t)]
     for r in range(1, ds.n_ranks + 1):
@@ -284,7 +283,7 @@ def apply_swaps(ds: DefiningSet, swaps: SwapSet) -> DefiningSet:
 
 def discrepancy(ds: DefiningSet, swaps: SwapSet) -> int:
     """Total discrepancy sum_i |sum(odd_i') - sum(even_i')| after the swaps."""
-    return apply_swaps(ds, swaps).total_discrepancy()
+    return sum(map(abs, rank_table(ds, swaps)[2]))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,6 @@ from .core import (
     ODD,
     SizeRefused,
     SwapSet,
-    apply_swaps,
-    check_swap_set,
     classify_pair,
     rank_table,
     require_valid,
@@ -96,8 +94,9 @@ def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     """One edge per swap, joining the pairs holding the swap's two ranks
     (in the original defining set); self-loop when both sit in one pair."""
     require_valid(ds)
-    check_swap_set(ds, swaps)
-    pair_of, _ = rank_table(ds)
+    # the tables after the swaps: each swap exchanged its two ranks'
+    # entries, so they still name the same two pairs
+    pair_of, _, _ = rank_table(ds, swaps)
     edges = []
     for i, j in swaps:
         a, b = pair_of[i] + 1, pair_of[j] + 1
@@ -115,13 +114,11 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     if membership not in ("original", "primed"):
         raise InvalidInput(f"membership must be 'original' or 'primed', got {membership!r}")
     require_valid(ds)
-    check_swap_set(ds, swaps)
     n = ds.n_ranks
-    primed = apply_swaps(ds, swaps)
-    pdiff = [p.imbalance for p in primed.pairs]  # sum(odd') - sum(even') per pair
-    p_pair, p_side = rank_table(primed)
+    # the primed tables; pdiff holds sum(odd') - sum(even') per pair
+    p_pair, p_side, pdiff = rank_table(ds, swaps)
     if membership == "original":
-        m_pair, m_side = rank_table(ds)
+        m_pair, m_side, _ = rank_table(ds)
     else:
         m_pair, m_side = p_pair, p_side
     taken = {i for i, _ in swaps}
@@ -131,12 +128,9 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
         # bump: -1 for (0,1) decrementing rank 1, +1 for (4t,4t+1) incrementing 4t
         i1 = m_pair[rank]
         if pdiff[i1] != 0:
-            # simulate on the primed configuration, wherever the rank now sits
-            p_loc, s_loc = p_pair[rank], p_side[rank]
-            delta = bump * s_loc
-            new = list(pdiff)
-            new[p_loc] += delta
-            if abs(new[i1]) > abs(pdiff[i1]):
+            # simulate on the primed configuration: the push moves only the
+            # imbalance of the pair now holding the rank, by bump * its side
+            if p_pair[rank] == i1 and abs(pdiff[i1] + bump * p_side[rank]) > abs(pdiff[i1]):
                 arcs.append(PotArc(i1 + 1, 0, swap, "b1"))
         else:
             # zero-discrepancy rule: only the positive push direction counts,
@@ -250,7 +244,7 @@ def verify_lemma2(
     table = DegreeTable(swp, pot)
     comps = []
     for comp in swp.components:
-        n_e = sum(1 for e in swp.edges if e.u in comp or e.v in comp)
+        n_e = table.d_of(comp)
         in_a, out_a = table.in_of(comp), table.out_of(comp)
         bound = len(comp) + 4 * (n_e - len(comp))
         comps.append(
@@ -370,7 +364,7 @@ def verify_prop2(
     entries = []
     skipped: list[int] = []
     for comp in swp.components:
-        n_e = sum(1 for e in swp.edges if e.u in comp or e.v in comp)
+        n_e = table.d_of(comp)
         acyclic = n_e + 1 == len(comp)
         for v in sorted(comp):
             if not acyclic:

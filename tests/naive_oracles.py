@@ -101,16 +101,18 @@ def naive_balanced_sets(t: int) -> set[tuple]:
     return out
 
 
-def naive_pot_arcs(pairs, swaps, t: int):
+def naive_pot_arcs(pairs, swaps, t: int, membership: str = "original"):
     """Potential-graph arcs by literally scanning every ordered node pair
-    for each potential swap: membership on the original sets, sums on the
-    primed sets.  pairs: [(odd set, even set), ...]; swaps: left endpoints.
+    for each potential swap: membership on the original sets (or on the
+    primed sets with membership="primed"), sums on the primed sets.
+    pairs: [(odd set, even set), ...]; swaps: left endpoints.
 
     Returns a sorted list of (tail, head, (i, i+1), cond) with nodes 1..t,
     head 0 for the virtual node, cond in 1..6 or 'b1'/'b2'.
     """
     n = 4 * t
     primed = naive_apply(pairs, swaps)
+    member = {"original": pairs, "primed": primed}[membership]
     pdiff = [sum(o) - sum(e) for o, e in primed]
     arcs = []
     taken = set(swaps)
@@ -119,10 +121,10 @@ def naive_pot_arcs(pairs, swaps, t: int):
             continue
         j = i + 1
         for i1 in range(t):
-            odd1, even1 = pairs[i1]
+            odd1, even1 = member[i1]
             d1 = pdiff[i1]
             for i2 in range(t):
-                union2 = pairs[i2][0] | pairs[i2][1]
+                union2 = member[i2][0] | member[i2][1]
                 if i in even1 and j in union2 - even1 and d1 < 0:
                     arcs.append((i1 + 1, i2 + 1, (i, j), 1))
                 if j in even1 and i in union2 - even1 and d1 > 0:
@@ -144,7 +146,7 @@ def naive_pot_arcs(pairs, swaps, t: int):
                 return k, pdiff[k] - bump
 
     for i1 in range(t):
-        odd1, even1 = pairs[i1]
+        odd1, even1 = member[i1]
         if 1 in odd1 | even1:
             if pdiff[i1] != 0:
                 loc, new = simulate(1, -1)

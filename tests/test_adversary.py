@@ -21,8 +21,6 @@ from swapdisc.adversary import (
     AdversaryResult,
     Attained,
     Witnesses,
-    _arrays,
-    _total_after,
     all_maximizers,
     count_swap_sets,
     enumerate_swap_sets,
@@ -427,11 +425,10 @@ def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
         tables[t] = witness_table(4 * t, tuples)
     for ds in witness_pool(rng):
         table = tables[ds.t]
-        n, pair_of, side_of, diff = _arrays(ds)
-        for cutoff in range(n + 3):
+        for cutoff in range(ds.n_ranks + 3):
             order = list(table)
             values = table.values(ds)
-            assert values == [_total_after(w, pair_of, side_of, diff) for w in order]
+            assert values == [discrepancy(ds, SwapSet.from_positions(w)) for w in order]
             beats, attained, floor = table.check(ds, cutoff)
             above = [k for k, v in enumerate(values) if v > cutoff]
             at = [k for k, v in enumerate(values) if v == cutoff]

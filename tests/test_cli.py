@@ -97,6 +97,15 @@ def test_eval_empty_swaps_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_eval_rejects_a_repeated_swap_entry(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    swaps = write(tmp_path / "w.json", {"swaps": [[1, 2], [1, 2]]})
+    assert main(["eval", "--sets", sets, "--swaps", swaps]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "swap entry [1, 2] appears more than once" in captured.err
+
+
 def test_eval_worst_case_certificate(tmp_path, capsys):
     out = tmp_path / "eq5.json"
     main(["construct", "--z", "2", "--out", str(out)])
@@ -411,6 +420,18 @@ def test_graphs_json_round_trip(tmp_path, capsys):
 def test_graphs_needs_swaps_xor_flag(tmp_path, capsys):
     sets = write(tmp_path / "s.json", OPT2_DOC)
     assert main(["graphs", "--sets", sets, "--format", "dot", "--out", "x"]) == EXIT_INVALID
+
+
+def test_graphs_rejects_a_repeated_swap_entry(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    swaps = write(tmp_path / "w.json", {"swaps": [[5, 6], [1, 2], [5, 6]]})
+    out = tmp_path / "g"
+    code = main(
+        ["graphs", "--sets", sets, "--swaps", swaps, "--format", "json", "--out", str(out)]
+    )
+    assert code == EXIT_INVALID
+    assert not (tmp_path / "g.graphs.json").exists()
+    assert "swap entry [5, 6] appears more than once" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -6,11 +6,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import naive_discrepancy, random_swap_positions
+from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
 from swapdisc.core import (
     CompanionPair,
     DefiningSet,
     InvalidInput,
+    ODD,
     SwapSet,
     apply_swaps,
     canonicalize,
@@ -18,6 +19,7 @@ from swapdisc.core import (
     defining_set,
     discrepancy,
     pair_swap_effect,
+    rank_table,
     reflect,
     reflect_swaps,
     require_valid,
@@ -285,6 +287,44 @@ def test_discrepancy_even_and_matches_naive(t, seed):
     assert d % 2 == 0
     naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
     assert d == naive_discrepancy(naive_pairs, positions)
+
+
+def draw_matching(data, n):
+    """Left endpoints of a matching of the path on [1, n], drawn greedily."""
+    picks = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    positions: list[int] = []
+    for i, pick in enumerate(picks, start=1):
+        if pick and (not positions or positions[-1] + 1 < i):
+            positions.append(i)
+    return tuple(positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 4), data=st.data())
+def test_swaps_on_any_partition_match_naive(t, data):
+    # a partition of [1, 4t] into 2 + 2 sets, balanced or not, and a chain of
+    # matchings applied one after another
+    ranks = data.draw(st.permutations(range(1, 4 * t + 1)))
+    ds = DefiningSet(
+        t,
+        tuple(
+            CompanionPair(frozenset(ranks[k : k + 2]), frozenset(ranks[k + 2 : k + 4]))
+            for k in range(0, 4 * t, 4)
+        ),
+    )
+    naive = [(set(p.odd), set(p.even)) for p in ds.pairs]
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = draw_matching(data, 4 * t)
+        swaps = SwapSet.from_positions(positions)
+        moved = naive_apply(naive, positions)
+        pair_of, side_of, imbalance = rank_table(ds, swaps)
+        assert imbalance == [sum(o) - sum(e) for o, e in moved]
+        for r in range(1, 4 * t + 1):
+            assert r in moved[pair_of[r]][0 if side_of[r] == ODD else 1]
+        assert discrepancy(ds, swaps) == naive_discrepancy(naive, positions)
+        ds = apply_swaps(ds, swaps)
+        assert [(p.odd, p.even) for p in ds.pairs] == moved
+        naive = moved
 
 
 @settings(max_examples=80, deadline=None)

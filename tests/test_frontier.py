@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_worst_case
 from swapdisc import _kernels, adversary
-from swapdisc.adversary import _arrays, _frontier, check_workers, worst_case
+from swapdisc.adversary import _frontier, check_workers, worst_case
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
     CompanionPair,
@@ -17,6 +17,7 @@ from swapdisc.core import (
     InvalidInput,
     SizeRefused,
     discrepancy,
+    rank_table,
     reflect,
     reflect_swaps,
 )
@@ -86,7 +87,7 @@ def test_frontier_on_unbalanced_partitions_matches_naive_and_scan():
     for t in (1, 2, 3, 4):
         for _ in range(6):
             ds = random_partition(t, rng)
-            arrays = _arrays(ds)  # diff holds the pairs' imbalances
+            arrays = (ds.n_ranks, *rank_table(ds))  # diff holds the pairs' imbalances
             best_d, best_m, best, count, _states = _frontier(*arrays)
             assert (best_d, best, count) == naive_fields(ds)
             assert (best_d, best_m, best, count) == full_scan(*arrays)
@@ -96,7 +97,9 @@ def test_frontier_on_arbitrary_starting_imbalances_matches_scan():
     rng = Random(31)
     for t in (1, 2, 3, 4, 5):
         for _ in range(6):
-            n, pair_of, side_of, diff = _arrays(random_balanced(t, rng))
+            ds = random_balanced(t, rng)
+            n = ds.n_ranks
+            pair_of, side_of, diff = rank_table(ds)
             diff = [rng.randint(-4, 4) for _ in diff]
             got = _frontier(n, pair_of, side_of, diff)
             assert got[:4] == full_scan(n, pair_of, side_of, diff)

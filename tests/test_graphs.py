@@ -133,7 +133,8 @@ def test_pot_conditions_5_and_6_only_at_equality():
 
 def test_pot_arcs_match_literal_oracle():
     # independent transcription of the six conditions plus boundary rules,
-    # scanning every ordered node pair with plain set membership
+    # scanning every ordered node pair with plain set membership, read from
+    # the original and from the primed sets
     from naive_oracles import naive_pot_arcs, random_swap_positions
 
     rng = Random(77)
@@ -141,13 +142,14 @@ def test_pot_arcs_match_literal_oracle():
         t = rng.randint(1, 4)
         ds = random_balanced(t, rng)
         positions = random_swap_positions(t, rng)
-        pot = build_pot(ds, SwapSet.from_positions(positions))
-        got = sorted(
-            ((a.tail, a.head, a.swap, a.cond) for a in pot.arcs),
-            key=lambda a: (a[2], str(a[3])),
-        )
         naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
-        assert got == naive_pot_arcs(naive_pairs, positions, t)
+        for membership in ("original", "primed"):
+            pot = build_pot(ds, SwapSet.from_positions(positions), membership=membership)
+            got = sorted(
+                ((a.tail, a.head, a.swap, a.cond) for a in pot.arcs),
+                key=lambda a: (a[2], str(a[3])),
+            )
+            assert got == naive_pot_arcs(naive_pairs, positions, t, membership)
 
 
 def test_pot_membership_conventions_differ_as_pinned(opt2):
@@ -184,6 +186,17 @@ def test_graph_builders_reject_invalid_sets_with_the_validator_text():
         for build in (build_swp, build_pot):
             with pytest.raises(InvalidInput) as err:
                 build(ds, EMPTY_SWAPS)
+            assert str(err.value) == text
+
+
+def test_graph_builders_reject_a_swap_outside_the_ranks(t1, opt2):
+    for ds, swaps, text in (
+        (t1, swaps_of(4), "swap (4, 5) outside [1, 4]"),
+        (opt2, swaps_of(1, 8), "swap (8, 9) outside [1, 8]"),
+    ):
+        for build in (build_swp, build_pot):
+            with pytest.raises(InvalidInput) as err:
+                build(ds, swaps)
             assert str(err.value) == text
 
 
