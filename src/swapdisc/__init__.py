@@ -24,7 +24,7 @@ from .core import (
     swap_groups,
     validate_defining_set,
 )
-from .adversary import AdversaryResult, enumerate_swap_sets, worst_case
+from .adversary import AdversaryResult, worst_case
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "classify_pair",
     "defining_set",
     "discrepancy",
-    "enumerate_swap_sets",
     "reflect",
     "swap_groups",
     "validate_defining_set",

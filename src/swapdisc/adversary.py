@@ -10,7 +10,8 @@ exact maximum, maximizer count and minimum-size maximizer:
   al., IEICE Trans. Fundamentals 2017).  The default above
   SCAN_DEFAULT_MAX_RANKS ranks; `enumerated` counts its DP states.
 - exhaustive: the scan kernel walks every matching; `enumerated` is
-  F(4t+1).  Kept as the brute-force reference.
+  F(4t+1).  The brute-force strategy; the tests check every engine
+  against the reference enumeration in tests/naive_oracles.py.
 - branch_and_bound: the same scan with sound pruning; `enumerated` counts
   the matchings it visited.
 
@@ -50,7 +51,6 @@ from .core import (
 
 STRATEGIES = ("frontier", "exhaustive", "branch_and_bound")
 EXHAUSTIVE_MAX_RANKS = 40
-MAXIMIZER_LIST_MAX_RANKS = 28
 # up to this many ranks (t <= 4, at most F(17) = 1,597 swap sets) the default
 # engine stays the exhaustive scan: it costs about a millisecond there, and
 # perfbench's per-layer test expects the z = 2 base case to be scanned
@@ -74,23 +74,6 @@ def fibonacci(k: int) -> int:
 def count_swap_sets(t: int) -> int:
     """Number of matchings of the path on [1, 4t]: F(4t+1)."""
     return fibonacci(4 * t + 1)
-
-
-def _positions_stream(n: int, start: int, cur: list[int]) -> Iterator[tuple[int, ...]]:
-    yield tuple(cur)
-    for j in range(start, n):
-        cur.append(j)
-        yield from _positions_stream(n, j + 2, cur)
-        cur.pop()
-
-
-def enumerate_swap_sets(t: int) -> Iterator[SwapSet]:
-    """All allowed swap sets, lexicographic by ascending left endpoints,
-    shorter prefixes first (so the empty set comes first)."""
-    if t < 1:
-        raise InvalidInput(f"t must be >= 1, got {t}")
-    for positions in _positions_stream(4 * t, 1, []):
-        yield SwapSet.from_positions(positions)
 
 
 @dataclass(frozen=True)
@@ -416,7 +399,7 @@ class Witnesses:
 
 
 def worst_case_bounded(
-    ds: DefiningSet, cutoff: int, witnesses: Witnesses | None = None
+    ds: DefiningSet, cutoff: int, witnesses: Witnesses
 ) -> tuple[AdversaryResult | Attained | None, bool]:
     """(result, exceeded): one of three verdicts on the worst case against
     `cutoff`, without proving a tie.
@@ -428,9 +411,9 @@ def worst_case_bounded(
     - below: the exact worst case is below the cutoff; returns the
       branch-and-bound scan's AdversaryResult and False.
 
-    `witnesses` is an optional caller-owned Witnesses table for 4t =
-    ds.n_ranks, kept across calls; without one a fresh empty table is
-    used.  Every witness is scored at once before any scan, with t integer
+    `witnesses` is the caller-owned Witnesses table for 4t = ds.n_ranks,
+    kept across calls; the search passes one table for all its candidates.
+    Every witness is scored at once before any scan, with t integer
     additions on cached per-pair fields (see Witnesses); one beating the
     cutoff wins over one only attaining it, and the first beater in list
     order moves to the front.  Otherwise the first attaining witness gives
@@ -445,8 +428,7 @@ def worst_case_bounded(
     the table; which of "beats" and "attains" a candidate above the cutoff
     gets, and `enumerated`, the number of swap sets the scan visited, do.
     """
-    table = Witnesses(ds.n_ranks) if witnesses is None else witnesses
-    beats, attained, floor = table.check(ds, cutoff)
+    beats, attained, floor = witnesses.check(ds, cutoff)
     if beats:
         return None, True
     if attained is not None:
@@ -457,7 +439,7 @@ def worst_case_bounded(
         ds.n_ranks, *rank_table(ds), True, floor, cutoff - 1
     )
     if best_d >= cutoff:
-        table.push(best)
+        witnesses.push(best)
     if best_d > cutoff:
         return None, True
     if best_d == cutoff:
@@ -486,23 +468,6 @@ def worst_case_is(ds: DefiningSet, value: int) -> bool:
         ds.n_ranks, *tables, True, value, value
     )
     return not abandoned and best_d == value
-
-
-def all_maximizers(ds: DefiningSet, force: bool = False) -> tuple[SwapSet, ...]:
-    """Every swap set attaining the worst case, in enumeration order.
-
-    Materializes the maximizers, so it is reserved for small instances
-    (4t <= 28 unless forced).
-    """
-    require_valid(ds)
-    n = ds.n_ranks
-    if n > MAXIMIZER_LIST_MAX_RANKS and not force:
-        raise SizeRefused(
-            f"maximizer listing refused for 4t = {n} > {MAXIMIZER_LIST_MAX_RANKS}"
-        )
-    target = worst_case(ds).worst_case
-    swap_sets = map(SwapSet.from_positions, _positions_stream(n, 1, []))
-    return tuple(swaps for swaps in swap_sets if discrepancy(ds, swaps) == target)
 
 
 def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:

@@ -25,6 +25,7 @@ from .adversary import (
     SCAN_DEFAULT_MAX_RANKS,
     STRATEGIES,
     AdversaryResult,
+    _pick_strategy,
     check_workers,
     minimal_maximizer_property,
     worst_case,
@@ -333,6 +334,8 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             raise InvalidInput(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     if "lemma1" in requested and args.z is None:
         raise InvalidInput("the lemma1 check needs --z (it compares construction levels)")
+    if args.sample:  # the samples have ds's t: refuse their scan before any work
+        _pick_strategy(ds, args.strategy or "branch_and_bound", args.force_exhaustive)
 
     checks: dict[str, dict[str, Any]] = {}
     report = validate_defining_set(ds)
@@ -463,7 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
                    "balanced sets of the same t; refused (exit 4) for --z 4 and "
-                   "above, whose random sets no engine answers")
+                   "above, whose random sets no engine answers: before any work "
+                   "on a scan strategy (the default), and only after the first "
+                   "draw with --strategy frontier, whose refusal is a state cap")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample only")
     p.add_argument("--out", help="certificate path (default: stdout)")
     common(p)

@@ -81,10 +81,10 @@ def construct_for_z(z: int, max_ranks: int = DEFAULT_MAX_RANKS) -> DefiningSet:
     """Iterate the recursion from the base case up to level z."""
     if z < 2:
         raise InvalidInput(f"construction levels start at z = 2, got {z}")
-    if 4 * t_for_z(z) > max_ranks:
-        raise SizeRefused(
-            f"level {z} needs {4 * t_for_z(z)} ranks, above the cap {max_ranks}"
-        )
+    # once z - 2 passes the cap's bit length, 2 ** (z - 2) alone exceeds the
+    # cap: refuse without computing that power
+    if z - 2 > max_ranks.bit_length() or 4 * t_for_z(z) > max_ranks:
+        raise SizeRefused(f"level {z} is above the cap of {max_ranks} ranks")
     ds = base_case()
     for level in range(2, z):
         ds = recursive_step(ds, level)

@@ -258,10 +258,9 @@ def verify_lemma2(
                 holds=in_a - out_a <= bound,
             )
         )
-    everything = range(1, ds.t + 1)
-    slack = sum(table.d_pot_in(v) for v in everything) - sum(
-        table.d_pot_out(v) for v in everything
-    )
+    # d_in - d_out summed over v1..vt: every arc has its tail there (none
+    # leaves v0), so all that is left is minus the arcs into v0
+    slack = -sum(1 for a in pot.arcs if a.head == 0)
     eq10_lhs = 2 * swp.n_edges
     eq10_rhs = Fraction(3 * ds.t, 2) - 1
     return Lemma2Report(

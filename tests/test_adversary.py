@@ -1,4 +1,4 @@
-"""Adversary: enumeration order/counts, exact worst-case results, input
+"""Adversary: enumeration counts, exact worst-case results, input
 validation, and the bounded scan's three verdicts with its witness table,
 cross-checked against the brute-force oracle and a plain witness list."""
 
@@ -21,9 +21,7 @@ from swapdisc.adversary import (
     AdversaryResult,
     Attained,
     Witnesses,
-    all_maximizers,
     count_swap_sets,
-    enumerate_swap_sets,
     minimal_maximizer_property,
     worst_case,
     worst_case_bounded,
@@ -44,25 +42,13 @@ from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 # -------------------------------------------------------------- enumeration
 
-def test_enumerate_t1_exact_listing():
-    got = [s.positions() for s in enumerate_swap_sets(1)]
-    assert got == [(), (1,), (1, 3), (2,), (3,)]
-
-
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_enumeration_count_is_fibonacci(t):
-    n = sum(1 for _ in enumerate_swap_sets(t))
-    assert n == count_swap_sets(t) == fib(4 * t + 1)
+    assert count_swap_sets(t) == fib(4 * t + 1) == len(naive_swap_sets(4 * t))
 
 
 def test_t4_count_value():
     assert count_swap_sets(4) == 1597
-
-
-def test_enumeration_matches_oracle_order():
-    got = [s.positions() for s in enumerate_swap_sets(2)]
-    assert got == naive_swap_sets(8)
-    assert len(got) == len(set(got)) == 34
 
 
 # --------------------------------------------------------------- worst case
@@ -123,7 +109,6 @@ def test_every_violation_raises_with_the_validator_text(kind):
         lambda: worst_case(ds, strategy="frontier"),
         lambda: worst_case_bounded(ds, cutoff=4, witnesses=witness_table(ds.n_ranks, [(1,)])),
         lambda: worst_case_is(ds, 4),
-        lambda: all_maximizers(ds),
     ):
         with pytest.raises(InvalidInput) as err:
             call()
@@ -230,30 +215,20 @@ def test_minimal_maximizer_property_rejects_padded_maximizer(t1):
     assert not minimal_maximizer_property(t1, fake)
 
 
-def test_all_maximizers_t1(t1):
-    maxima = all_maximizers(t1)
-    assert [m.positions() for m in maxima] == [(1,), (3,)]
-
-
-def test_all_maximizers_refusal():
-    with pytest.raises(SizeRefused):
-        all_maximizers(construct_for_z(3))
-
-
 # ------------------------------------------------------------- bounded scan
 
 def test_bounded_scan_exceeded_and_exact(sub2):
     # one swap moves the total by -2, 0 or +2, so the scan's first swap set
     # at or above an odd cutoff beats it, and at an even one only attains it
-    res, exceeded = worst_case_bounded(sub2, cutoff=3)
+    res, exceeded = worst_case_bounded(sub2, cutoff=3, witnesses=Witnesses(sub2.n_ranks))
     assert exceeded and res is None
     # attained is not proven: the worst case is 6, above the cutoff 4
     for cutoff in (4, 6):
-        res, exceeded = worst_case_bounded(sub2, cutoff=cutoff)
+        res, exceeded = worst_case_bounded(sub2, cutoff=cutoff, witnesses=Witnesses(sub2.n_ranks))
         assert not exceeded
         assert isinstance(res, Attained) and res.value == cutoff
         assert discrepancy(sub2, res.swap_set) == cutoff
-    res, exceeded = worst_case_bounded(sub2, cutoff=7)
+    res, exceeded = worst_case_bounded(sub2, cutoff=7, witnesses=Witnesses(sub2.n_ranks))
     assert not exceeded
     assert res.worst_case == 6
     full = worst_case(sub2)
@@ -287,10 +262,9 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
     if exceeded:
         assert res is None
         assert full.worst_case > cutoff
-        if witnesses is not None:
-            # the verdict rests on a concrete swap set, now first in the list
-            front = next(iter(witnesses))
-            assert discrepancy(ds, SwapSet.from_positions(front)) > cutoff
+        # the verdict rests on a concrete swap set, now first in the list
+        front = next(iter(witnesses))
+        assert discrepancy(ds, SwapSet.from_positions(front)) > cutoff
     elif isinstance(res, Attained):
         assert full.worst_case >= cutoff
         assert res.value == cutoff
@@ -305,8 +279,7 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
         )
         assert res.engine == "branch_and_bound"
         assert res.enumerated > 0
-    if witnesses is not None:
-        assert len(witnesses) <= WITNESS_CAP
+    assert len(witnesses) <= WITNESS_CAP
 
 
 def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
@@ -319,10 +292,9 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
         n = ds.n_ranks
         full = worst_case(ds, strategy="branch_and_bound")
         valued = [
-            (s.positions(), discrepancy(ds, s)) for s in enumerate_swap_sets(ds.t)
+            (w, discrepancy(ds, SwapSet.from_positions(w))) for w in naive_swap_sets(n)
         ] if ds.t <= 4 else []
         for cutoff in range(13):
-            assert_bounded_agrees(ds, full, cutoff, None)
             assert_bounded_agrees(ds, full, cutoff, Witnesses(n))
             assert_bounded_agrees(ds, full, cutoff, shared[ds.t])
             if valued:
@@ -371,7 +343,7 @@ def test_witness_list_is_move_to_front_and_capped(monkeypatch):
     # a hit moves to the front without growing the list; one swap and the
     # empty set do not beat the cutoff
     ds = random_balanced(3, Random(1))
-    hit = next(s for s in enumerate_swap_sets(3) if discrepancy(ds, s) > 2).positions()
+    hit = next(w for w in naive_swap_sets(12) if discrepancy(ds, SwapSet.from_positions(w)) > 2)
     witnesses = witness_table(12, [(3,), (), hit])
     _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
     assert exceeded
@@ -383,13 +355,13 @@ def test_witness_list_is_move_to_front_and_capped(monkeypatch):
 
 def test_bounded_scan_rejects_negative_cutoff(sub2):
     with pytest.raises(InvalidInput):
-        worst_case_bounded(sub2, cutoff=-1)
+        worst_case_bounded(sub2, cutoff=-1, witnesses=Witnesses(sub2.n_ranks))
     with pytest.raises(InvalidInput):
         worst_case_is(sub2, -1)
 
 
 def test_witness_that_beats_wins_over_one_that_attains(sub2):
-    valued = [(s.positions(), discrepancy(sub2, s)) for s in enumerate_swap_sets(2)]
+    valued = [(w, discrepancy(sub2, SwapSet.from_positions(w))) for w in naive_swap_sets(8)]
     at = next(w for w, d in valued if d == 4)
     above = next(w for w, d in valued if d > 4)
     witnesses = witness_table(8, [at, above])

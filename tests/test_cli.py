@@ -81,6 +81,16 @@ def test_construct_z1_exit2(capsys):
     assert "z >= 2" in capsys.readouterr().err or True
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("z", ["15000", "1000000000000"])
+def test_oversize_z_refused_before_any_work(capsys, command, z):
+    # neither 4t (thousands of digits) nor 2 ** (z - 2) is ever computed
+    assert main([command, "--z", z]) == EXIT_SIZE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: level {z} is above the cap of 1000000 ranks\n"
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_with_swaps(tmp_path, capsys):
@@ -338,6 +348,18 @@ def test_verify_negative_sample_exit2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--sample" in captured.err
+
+
+def test_verify_sample_refused_before_drawing(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the size refusal")
+
+    monkeypatch.setattr(cli, "random_balanced", fail)
+    monkeypatch.setattr(cli, "worst_case", fail)
+    assert main(["verify", "--z", "4", "--checks", "balance", "--sample", "1"]) == EXIT_SIZE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: branch_and_bound scan refused for 4t = 76")
 
 
 def test_verify_sampled_certificate_identical_across_workers(capsys):

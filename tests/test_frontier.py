@@ -1,6 +1,7 @@
 """Frontier DP engine: field-by-field agreement with the exhaustive scan and
-the brute-force oracle, reflection invariance, the state cap, construction
-levels beyond the scan's reach, and the worker-count helper."""
+the brute-force oracle, reflection invariance (checked on the
+branch-and-bound scan too), the state cap, construction levels beyond the
+scan's reach, and the worker-count helper."""
 
 from random import Random
 
@@ -106,11 +107,17 @@ def test_frontier_on_arbitrary_starting_imbalances_matches_scan():
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=st.integers(1, 6), seed=st.integers(0, 10**9))
-def test_frontier_invariant_under_reflection(t, seed):
+@given(
+    t=st.integers(1, 6),
+    seed=st.integers(0, 10**9),
+    strategy=st.sampled_from(["frontier", "branch_and_bound"]),
+)
+def test_frontier_invariant_under_reflection(t, seed, strategy):
+    # the DP and the scan alike; build_pot is not compared, because its
+    # boundary rule b2 is not reflection-symmetric
     ds = random_balanced(t, Random(seed))
-    res = worst_case(ds, strategy="frontier")
-    mirrored = worst_case(reflect(ds), strategy="frontier")
+    res = worst_case(ds, strategy=strategy)
+    mirrored = worst_case(reflect(ds), strategy=strategy)
     assert mirrored.worst_case == res.worst_case
     assert mirrored.maximizer_count == res.maximizer_count
     assert len(mirrored.minimal_maximizer) == len(res.minimal_maximizer)

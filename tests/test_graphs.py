@@ -10,7 +10,8 @@ from random import Random
 
 import pytest
 
-from swapdisc.adversary import all_maximizers, worst_case
+from naive_oracles import naive_swap_sets
+from swapdisc.adversary import worst_case
 from swapdisc.construct import base_case
 from swapdisc.core import (
     EMPTY_SWAPS,
@@ -115,6 +116,10 @@ def test_pot_global_flow_balance():
         assert sum(table.d_pot_in(v) for v in nodes) == sum(
             table.d_pot_out(v) for v in nodes
         )
+        # no arc leaves v0, so the slack over v1..vt is minus the arcs into v0
+        slack = sum(table.d_pot_in(v) - table.d_pot_out(v) for v in nodes if v)
+        into_v0 = sum(1 for a in pot.arcs if a.head == 0)
+        assert verify_lemma2(ds, res.minimal_maximizer).global_slack == slack == -into_v0
 
 
 def test_pot_conditions_5_and_6_only_at_equality():
@@ -310,8 +315,9 @@ def test_inequalities_hold_for_every_min_size_maximizer_small_t():
         for ds in enumerate_balanced(t):
             res = worst_case(ds)
             min_size = len(res.minimal_maximizer)
-            for i_star in all_maximizers(ds):
-                if len(i_star) != min_size:
+            for positions in naive_swap_sets(ds.n_ranks):
+                i_star = SwapSet.from_positions(positions)
+                if len(i_star) != min_size or discrepancy(ds, i_star) != res.worst_case:
                     continue
                 maximizers += 1
                 assert verify_lemma2(ds, i_star).all_hold
