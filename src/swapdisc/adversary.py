@@ -43,7 +43,6 @@ from .core import (
     SizeRefused,
     SwapSet,
     all_ranks,
-    discrepancy,
     rank_table,
     reject_invalid,
     require_valid,
@@ -472,12 +471,17 @@ def worst_case_is(ds: DefiningSet, value: int) -> bool:
 
 def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:
     """Check that worst_case equals 2|I*| and that removing any single swap
-    from I* lowers the discrepancy by exactly 2."""
+    from I* lowers the discrepancy by exactly 2.
+
+    One rank table after I*; removing the swap (i, i+1) from I* is applying
+    it once more, since the swaps of I* share no rank."""
     if res.worst_case != 2 * len(res.minimal_maximizer):
         return False
-    positions = res.minimal_maximizer.positions()
-    for i in positions:
-        rest = SwapSet.from_positions(p for p in positions if p != i)
-        if discrepancy(ds, rest) != res.worst_case - 2:
+    pair_of, side_of, imbalance = rank_table(ds, res.minimal_maximizer)
+    for i in res.minimal_maximizer.positions():
+        rest = list(imbalance)
+        rest[pair_of[i]] += side_of[i]
+        rest[pair_of[i + 1]] -= side_of[i + 1]
+        if sum(map(abs, rest)) != res.worst_case - 2:
             return False
     return True

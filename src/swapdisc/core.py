@@ -123,6 +123,26 @@ class DefiningSet:
     def balanced(self) -> bool:
         return all(p.balanced for p in self.pairs)
 
+    @cached_property
+    def _rank_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """rank_table's unswapped (pair_of, side_of, imbalance), built once
+        per set; a partition error raises on every access, since nothing is
+        cached on failure."""
+        n = self.n_ranks
+        pair_of = [-1] * (n + 1)
+        side_of = [0] * (n + 1)
+        for p, pair in enumerate(self.pairs):
+            for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
+                for r in ranks:
+                    if r > n or pair_of[r] != -1:
+                        raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
+                    pair_of[r] = p
+                    side_of[r] = side
+        if -1 in pair_of[1:]:
+            missing = pair_of.index(-1, 1)
+            raise InvalidInput(f"ranks do not partition [1, {n}] (rank {missing} missing)")
+        return tuple(pair_of), tuple(side_of), tuple(pair.imbalance for pair in self.pairs)
+
 
 def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> DefiningSet:
     """Convenience constructor from ((odd, even), ...) iterables."""
@@ -237,22 +257,11 @@ def rank_table(
     -side_of[i+1], then exchanges the two ranks' table entries.
 
     Requires ds to partition [1, 4t], balanced or not, and every swap to lie
-    in [1, 4t]; raises InvalidInput otherwise.
+    in [1, 4t]; raises InvalidInput otherwise.  The unswapped tables are
+    built once per set and cached; each call returns fresh lists.
     """
     n = ds.n_ranks
-    pair_of = [-1] * (n + 1)
-    side_of = [0] * (n + 1)
-    for p, pair in enumerate(ds.pairs):
-        for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
-            for r in ranks:
-                if r > n or pair_of[r] != -1:
-                    raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
-                pair_of[r] = p
-                side_of[r] = side
-    if -1 in pair_of[1:]:
-        missing = pair_of.index(-1, 1)
-        raise InvalidInput(f"ranks do not partition [1, {n}] (rank {missing} missing)")
-    imbalance = [pair.imbalance for pair in ds.pairs]
+    pair_of, side_of, imbalance = map(list, ds._rank_table)
     for i, j in swaps:
         if j > n:
             raise InvalidInput(f"swap ({i}, {j}) outside [1, {n}]")

@@ -54,6 +54,16 @@ def _pair(q: int) -> CompanionPair:
     return CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
 
 
+@lru_cache(maxsize=1)
+def _pairs(n: int) -> dict[int, CompanionPair]:
+    """The canonical pair of every balanced quadruple over [1, n], by
+    bitmask: one CompanionPair per quadruple, shared by every set drawn or
+    enumerated over [1, n], so its cached hash, imbalance and
+    partition_bits are computed once.  Read only: every caller gets the
+    same dict.  Only the last n is kept."""
+    return {q: _pair(q) for options in _quadruples(n) for q in options}
+
+
 def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
     """Every balanced defining set over [1, 4t], once, in canonical form.
 
@@ -61,12 +71,12 @@ def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
     and tries its partners in ascending (l2, l3) order.  The unassigned
     ranks are one bitmask; at the last pair a dict lookup says whether the
     four left are a balanced quadruple.  Each distinct companion pair is
-    built once per call and shared by the sets holding it.
+    built once per 4t (see _pairs) and shared by the sets holding it.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
     table = _quadruples(4 * t)
-    pair_of = {q: _pair(q) for options in table for q in options}
+    pair_of = _pairs(4 * t)
     full = all_ranks(4 * t)
     if t == 1:
         yield DefiningSet(t, (pair_of[full],))
@@ -110,6 +120,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
     table = _quadruples(4 * t)
+    pair_of = _pairs(4 * t)
 
     def rec(rem: int) -> tuple[CompanionPair, ...] | None:
         if not rem:
@@ -119,7 +130,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
         for q in options:
             tail = rec(rem ^ q)
             if tail is not None:
-                return (_pair(q),) + tail
+                return (pair_of[q],) + tail
         return None
 
     pairs = rec(all_ranks(4 * t))
@@ -150,10 +161,11 @@ def find_optimal(
     some swap set pushes it above the best worst case seen so far, and kept
     unproven when one only ties it; after the loop each kept tie is proven
     at the final D*, in enumeration order.  `workers` is checked (>= 1) and
-    otherwise ignored.  A blown time budget (seconds, >= 0, checked before
-    each candidate) stops the loop and returns the partial incumbent with
-    certified=False.  Its kept ties are still proven afterwards, and the
-    budget does not bound that proof.
+    otherwise ignored.  The time budget (seconds, >= 0) is checked before
+    each candidate and before each proof.  Once it is blown, no further
+    candidate is examined and no further tie is proven: the incumbent is
+    returned with certified=False, and `optima` leaves out the kept ties
+    not yet proven.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
@@ -184,7 +196,13 @@ def find_optimal(
             d_star = res.worst_case
             kept = [(ds, True)]
 
-    optima = [ds for ds, proven in kept if proven or worst_case_is(ds, d_star)]
+    optima = []
+    for ds, proven in kept:
+        if not proven and deadline is not None and time.perf_counter() > deadline:
+            certified = False  # the ties not yet proven stay out of optima
+            break
+        if proven or worst_case_is(ds, d_star):
+            optima.append(ds)
     return SearchResult(
         t=t,
         d_star=d_star,

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the definitions with itertools
 and literal set manipulation, sharing no code with the package internals.
-Only usable at small t.
+The one exception is `reference_scan`, the scan kernel in its plain
+recursive form, kept as the reference for the optimized kernel.  Only
+usable at small t.
 """
 
 from __future__ import annotations
@@ -275,3 +277,64 @@ def ordered_random_balanced(t: int, rng: Random):
         return None
 
     return rec(tuple(range(1, 4 * t + 1)))
+
+
+def reference_scan(n, pair_of, side_of, diff, prune, best_floor, abandon_above):
+    """The scan kernel as a recursive walk that tests every position of a
+    node against the pruning bound: the reference for _kernels.scan_chunk,
+    which ends a node's loop early and walks with an explicit stack.  Same
+    arguments and the same (best_d, best_size, best_positions, count,
+    nodes, abandoned) result."""
+    diff = list(diff)
+    d = sum(abs(v) for v in diff)
+    cur: list[int] = []
+
+    best_d = -1
+    best_m = -1
+    best: tuple[int, ...] = ()
+    count = 0
+    nodes = 0
+    abandoned = False
+
+    def visit(i: int) -> None:
+        nonlocal d, best_d, best_m, best, count, nodes, abandoned
+        nodes += 1
+        m = len(cur)
+        if d > best_d:
+            best_d, best_m, best, count = d, m, tuple(cur), 1
+        elif d == best_d:
+            count += 1
+            if m < best_m:
+                best_m, best = m, tuple(cur)
+        if 0 <= abandon_above < d:
+            abandoned = True
+            return
+        j = i
+        while j < n:
+            pi, si = pair_of[j], side_of[j]
+            d -= abs(diff[pi])
+            diff[pi] += si
+            d += abs(diff[pi])
+            pj, sj = pair_of[j + 1], side_of[j + 1]
+            d -= abs(diff[pj])
+            diff[pj] -= sj
+            d += abs(diff[pj])
+            cur.append(j)
+
+            floor_eff = best_floor if best_floor > best_d else best_d
+            if not prune or d + 2 * ((n - j - 1) // 2) >= floor_eff:
+                visit(j + 2)
+
+            cur.pop()
+            d -= abs(diff[pj])
+            diff[pj] += sj
+            d += abs(diff[pj])
+            d -= abs(diff[pi])
+            diff[pi] -= si
+            d += abs(diff[pi])
+            if abandoned:
+                return
+            j += 1
+
+    visit(1)
+    return best_d, best_m, best, count, nodes, abandoned

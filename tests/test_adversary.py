@@ -2,6 +2,7 @@
 validation, and the bounded scan's three verdicts with its witness table,
 cross-checked against the brute-force oracle and a plain witness list."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from naive_oracles import (
     fib,
     list_bounded_verdict,
+    naive_discrepancy,
     naive_is_matching,
     naive_swap_sets,
     naive_worst_case,
@@ -213,6 +215,42 @@ def test_minimal_maximizer_property_rejects_padded_maximizer(t1):
     )
     # {(1,2),(3,4)} has discrepancy 0, not 2; and 2 != 2*2
     assert not minimal_maximizer_property(t1, fake)
+
+
+def naive_minimal_maximizer_property(ds, res) -> bool:
+    """Eq. (8) from the definition: the worst case is 2|I*| and each single
+    removal from I* gives the worst case minus 2, by the naive oracle."""
+    pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
+    positions = res.minimal_maximizer.positions()
+    return res.worst_case == 2 * len(positions) and all(
+        naive_discrepancy(pairs, [p for p in positions if p != i]) == res.worst_case - 2
+        for i in positions
+    )
+
+
+def test_minimal_maximizer_property_matches_the_definition():
+    rng = Random(8)
+    for t in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            ds = random_balanced(t, rng)
+            res = worst_case(ds, strategy="branch_and_bound")
+            assert minimal_maximizer_property(ds, res)
+            assert naive_minimal_maximizer_property(ds, res)
+            # tampered results: another value, and the swap set of I*
+            # shifted, cut short or padded by one swap
+            positions = res.minimal_maximizer.positions()
+            tampered = [replace(res, worst_case=res.worst_case + 2)]
+            for other in (tuple(p + 1 for p in positions), positions[1:],
+                          positions + (4 * t - 1,)):
+                if naive_is_matching(other, 4 * t) and other != positions:
+                    swap_set = SwapSet.from_positions(other)
+                    tampered.append(replace(res, minimal_maximizer=swap_set))
+                    tampered.append(replace(res, minimal_maximizer=swap_set,
+                                            worst_case=2 * len(other)))
+            for fake in tampered:
+                verdict = minimal_maximizer_property(ds, fake)
+                assert verdict == naive_minimal_maximizer_property(ds, fake)
+            assert not minimal_maximizer_property(ds, tampered[0])
 
 
 # ------------------------------------------------------------- bounded scan

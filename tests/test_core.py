@@ -327,6 +327,27 @@ def test_swaps_on_any_partition_match_naive(t, data):
         naive = moved
 
 
+def test_rank_table_returns_fresh_lists(opt2):
+    fresh = DefiningSet(opt2.t, opt2.pairs)  # an equal set with its own cache
+    for swaps in (swaps_of(), swaps_of(2, 5)):
+        expected = rank_table(fresh, swaps)
+        for table in rank_table(opt2, swaps):
+            table[1] = 99
+            table.append(7)
+        assert rank_table(opt2, swaps) == expected
+        assert rank_table(opt2) == rank_table(fresh)
+
+
+@pytest.mark.parametrize(
+    "pairs", [(({1, 4}, {2, 5}),), (({1, 4}, {2, 4}),), (({1, 2}, {3, 6}), ({4, 5}, {7, 9}))]
+)
+def test_rank_table_refuses_a_broken_partition_on_every_call(pairs):
+    ds = defining_set(len(pairs), pairs)
+    for _ in range(3):
+        with pytest.raises(InvalidInput, match="do not partition"):
+            rank_table(ds)
+
+
 @settings(max_examples=80, deadline=None)
 @given(t=st.integers(1, 4), seed=st.integers(0, 10**9))
 def test_reflection_preserves_balance_and_discrepancy(t, seed):

@@ -230,20 +230,35 @@ class SteppingClock:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_blown_budget_proves_every_kept_tie(monkeypatch, workers):
+def test_blown_budget_leaves_unproven_ties_out(monkeypatch, workers):
     monkeypatch.setattr(optsearch, "time", SteppingClock())
     res = find_optimal(4, time_budget=592, workers=workers)
     assert not res.certified
-    for ds in res.optima:
-        assert worst_case(ds).worst_case == res.d_star
     # 592 candidates after the seed: D* is then 8, attained by 2 of the
-    # 593 candidates, while about a hundred were kept as ties with 8
+    # 593 candidates, while about a hundred were kept as ties with 8.  The
+    # budget is blown before any tie is proven, so only the candidate whose
+    # scan proved D* = 8 is listed
     examined = list(itertools.islice(enumerate_balanced(4), res.candidates_examined))
     values = [worst_case(ds).worst_case for ds in examined]
     assert res.candidates_examined == 1 + 592
     assert res.d_star == min(values) == 8
-    assert res.optima == tuple(ds for ds, v in zip(examined, values) if v == 8)
-    assert len(res.optima) == 2
+    assert [k for k, v in enumerate(values) if v == 8] == [33, 569]
+    assert res.optima == (examined[33],)
+
+
+@pytest.mark.parametrize("budget", [85, 86, 90])
+def test_budget_blown_while_proving_stops_the_proofs(monkeypatch, budget):
+    full = find_optimal(3)
+    assert full.certified and len(full.optima) == 10
+    # each clock reading is one second: the loop reads it 85 times, so these
+    # budgets let it examine all 86 candidates and then prove only a few ties
+    monkeypatch.setattr(optsearch, "time", SteppingClock())
+    res = find_optimal(3, time_budget=budget)
+    assert not res.certified
+    assert res.candidates_examined == 86
+    assert res.d_star == full.d_star
+    assert 1 <= len(res.optima) < len(full.optima)
+    assert res.optima == full.optima[: len(res.optima)]
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
