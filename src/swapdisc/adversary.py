@@ -260,13 +260,16 @@ class Witnesses:
 
     Each matching sits in a fixed slot.  A set's total after a witness's
     swaps is a sum over its pairs, and the search's candidates share few
-    distinct pairs (525 among the 74,323 at t = 5).  So for every pair it
-    has met the table caches one packed integer whose field s holds |the
-    pair's imbalance change| under the witness in slot s.  The sum of a
-    candidate's t packed integers holds every witness's total, one per
-    field; adding one constant and masking the high bits of the filled
-    slots compares them all with the cutoff.  Fields are wide enough for
-    totals up to n, so no sum carries into the next one.
+    distinct pairs (525 among the 74,323 at t = 5).  So for every balanced
+    pair it has met the table caches one packed integer whose field s holds
+    |the pair's imbalance change| under the witness in slot s, keyed by the
+    pair's partition_bits: four ranks a < b < c < d balance only as {a, d}
+    against {b, c}, and swapping the roles negates the change, so the rank
+    bitmask fixes every field.  The sum of a candidate's t packed integers
+    holds every witness's total, one per field; adding one constant and
+    masking the high bits of the filled slots compares them all with the
+    cutoff.  Fields are wide enough for totals up to n, so no sum carries
+    into the next one.
 
     `push` rejects a tuple that is no matching of the path on [1, n], and
     scoring rejects a set whose 4t is not n (InvalidInput).
@@ -283,8 +286,13 @@ class Witnesses:
         self._order: list[int] = []  # slots, front first
         self._left: list[int] = []  # per slot: bit i for each swap (i, i+1)
         self._filled = 0  # high bits of the filled slots
-        self._sides: dict[CompanionPair, tuple[int, int]] = {}
-        self._packed: dict[CompanionPair, int] = {}
+        # per balanced pair met, by partition_bits: (odd, even) rank masks
+        # and the packed fields
+        self._sides: dict[int, tuple[int, int]] = {}
+        self._packed: dict[int, int] = {}
+        # check's two comparison constants, for the last valid cutoff seen
+        self._cutoff: int | None = None
+        self._above = self._reach = 0
 
     def _field(self, sides: tuple[int, int], s: int) -> int:
         odd, even = sides
@@ -296,13 +304,13 @@ class Witnesses:
         )
 
     def _add(self, pair: CompanionPair) -> int:
-        sides = self._sides[pair] = (
+        sides = self._sides[pair.partition_bits] = (
             sum(1 << r for r in pair.odd), sum(1 << r for r in pair.even)
         )
         packed = 0
         for s in range(len(self._slots)):
             packed |= self._field(sides, s) << s * self._width
-        self._packed[pair] = packed
+        self._packed[pair.partition_bits] = packed
         return packed
 
     def push(self, positions: tuple[int, ...]) -> None:
@@ -330,8 +338,8 @@ class Witnesses:
         self._order.insert(0, s)
         shift = s * self._width
         keep = ~(((1 << self._width) - 1) << shift)
-        for pair, sides in self._sides.items():
-            self._packed[pair] = (self._packed[pair] & keep) | (self._field(sides, s) << shift)
+        for bits, sides in self._sides.items():
+            self._packed[bits] = (self._packed[bits] & keep) | (self._field(sides, s) << shift)
 
     def _scores(self, ds: DefiningSet) -> int:
         """The packed totals on ds, in one pass over ds's pairs that also
@@ -340,14 +348,18 @@ class Witnesses:
         if n != self._n:
             raise InvalidInput(f"a witness table for 4t = {self._n} cannot score 4t = {n}")
         packed = self._packed
+        full = all_ranks(n)
         covered = total = 0
         for pair in ds.pairs:
-            covered |= pair.partition_bits
-            fields = packed.get(pair)
+            bits = pair.partition_bits
+            if not 0 < bits <= full:
+                reject_invalid(ds)  # an unbalanced pair, or a rank above n
+            covered |= bits
+            fields = packed.get(bits)
             if fields is None:
                 fields = self._add(pair)
             total += fields
-        if covered != all_ranks(n):
+        if covered != full:
             reject_invalid(ds)
         return total
 
@@ -368,17 +380,22 @@ class Witnesses:
         None, and then floor is the best witness value (-1 without one).
         """
         total = self._scores(ds)
-        _check_cutoff(cutoff)
-        # a field f gets its high bit from f + half - 1 - c exactly when
-        # f > c, and from f + half - c when f >= c; no total exceeds n
-        c = min(cutoff, self._n + 1)
-        above = (total + (self._half - 1 - c) * self._ones) & self._filled
+        # only a valid int cutoff reuses the constants (True == 1, 1.0 == 1)
+        if type(cutoff) is not int or cutoff != self._cutoff:
+            _check_cutoff(cutoff)
+            # a field f gets its high bit from f + half - 1 - c exactly when
+            # f > c, and from f + half - c when f >= c; no total exceeds n
+            c = min(cutoff, self._n + 1)
+            self._above = (self._half - 1 - c) * self._ones
+            self._reach = (self._half - c) * self._ones
+            self._cutoff = cutoff
+        above = (total + self._above) & self._filled
         if above:
             k = self._first(above)
             if k:
                 self._order.insert(0, self._order.pop(k))
             return True, None, -1
-        reach = (total + (self._half - c) * self._ones) & self._filled
+        reach = (total + self._reach) & self._filled
         if reach:
             return False, self._slots[self._order[self._first(reach)]], -1
         return False, None, max(self._unpack(total), default=-1)
@@ -386,6 +403,8 @@ class Witnesses:
     def _first(self, high_bits: int) -> int:
         """Index in list order of the first slot whose high bit is set."""
         top = self._width - 1
+        if (high_bits >> (self._order[0] * self._width + top)) & 1:
+            return 0
         return next(
             k for k, s in enumerate(self._order) if (high_bits >> (s * self._width + top)) & 1
         )

@@ -453,8 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before returning a partial, uncertified result; "
-                   "the kept ties are proven after the budget, so the search "
-                   "may return well after it")
+                   "checked before each candidate and before each proof of a "
+                   "kept tie, and the ties not yet proven when it runs out are "
+                   "left out of optima")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p)
     p.set_defaults(func=cmd_search)

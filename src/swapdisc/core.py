@@ -63,15 +63,6 @@ class CompanionPair:
     def sum_even(self) -> int:
         return sum(self.even)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """hash((odd, even)), as the dataclass would give, computed once per
-        pair: the search's witness table looks every pair up by it."""
-        return hash((self.odd, self.even))
-
     @cached_property
     def imbalance(self) -> int:
         """Signed difference sum(odd) - sum(even), computed once per pair."""

@@ -58,10 +58,24 @@ def _pair(q: int) -> CompanionPair:
 def _pairs(n: int) -> dict[int, CompanionPair]:
     """The canonical pair of every balanced quadruple over [1, n], by
     bitmask: one CompanionPair per quadruple, shared by every set drawn or
-    enumerated over [1, n], so its cached hash, imbalance and
-    partition_bits are computed once.  Read only: every caller gets the
-    same dict.  Only the last n is kept."""
+    enumerated over [1, n], so its cached imbalance and partition_bits are
+    computed once.  Read only: every caller gets the same dict.  Only the
+    last n is kept."""
     return {q: _pair(q) for options in _quadruples(n) for q in options}
+
+
+def _last_two(rem: int, table: tuple[tuple[int, ...], ...],
+              pair_of: dict[int, CompanionPair]) -> tuple[CompanionPair, ...]:
+    """Every split of the eight ranks in `rem` into two balanced quadruples,
+    flat: (first, second, first, second, ...), the first holding the
+    smallest rank, in enumerate_balanced's ascending (l2, l3) order."""
+    splits: list[CompanionPair] = []
+    for q in table[(rem & -rem).bit_length() - 1]:
+        if q & rem == q:
+            tail = pair_of.get(rem ^ q)
+            if tail is not None:
+                splits += (pair_of[q], tail)
+    return tuple(splits)
 
 
 def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
@@ -69,9 +83,12 @@ def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
 
     Deterministic order: the walk always pairs the smallest unassigned rank
     and tries its partners in ascending (l2, l3) order.  The unassigned
-    ranks are one bitmask; at the last pair a dict lookup says whether the
-    four left are a balanced quadruple.  Each distinct companion pair is
-    built once per 4t (see _pairs) and shared by the sets holding it.
+    ranks are one bitmask.  The last eight ranks are answered by a memo,
+    local to this call, that maps their bitmask to its splits into two
+    balanced quadruples (at t = 5 the walk reaches 52,199 eight-rank
+    remainders, 7,903 of them distinct); it is dropped when the generator
+    ends.  Each distinct companion pair is built once per 4t (see _pairs)
+    and shared by the sets holding it.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
@@ -81,11 +98,17 @@ def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
     if t == 1:
         yield DefiningSet(t, (pair_of[full],))
         return
-    last = t - 1
+    top = t - 2  # the depth whose remainder holds the last eight ranks
+    if top == 0:
+        splits = _last_two(full, table, pair_of)
+        for k in range(0, len(splits), 2):
+            yield DefiningSet(t, splits[k:k + 2])
+        return
     chosen: list[CompanionPair | None] = [None] * t
-    rems = [full] * last
+    memo: dict[int, tuple[CompanionPair, ...]] = {}
+    rems = [full] * top
     # options[d] iterates the quadruples of the smallest rank left at depth d
-    options = [iter(table[1])] + [iter(())] * (last - 1)
+    options = [iter(table[1])] + [iter(())] * (top - 1)
     depth = 0
     while depth >= 0:
         rem = rems[depth]
@@ -94,10 +117,13 @@ def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
                 continue
             chosen[depth] = pair_of[q]
             child = rem ^ q
-            if depth + 1 == last:
-                tail = pair_of.get(child)
-                if tail is not None:
-                    chosen[last] = tail
+            if depth + 1 == top:
+                splits = memo.get(child)
+                if splits is None:
+                    splits = memo[child] = _last_two(child, table, pair_of)
+                for k in range(0, len(splits), 2):
+                    chosen[top] = splits[k]
+                    chosen[top + 1] = splits[k + 1]
                     yield DefiningSet(t, tuple(chosen))
                 continue
             depth += 1
@@ -112,6 +138,21 @@ def count_balanced(t: int) -> int:
     return sum(1 for _ in enumerate_balanced(t))
 
 
+def _draw(rem: int, table: tuple[tuple[int, ...], ...],
+          pair_of: dict[int, CompanionPair], rng: Random) -> tuple[CompanionPair, ...] | None:
+    """random_balanced's backtracking over the ranks left in `rem`: the pairs
+    of one balanced partition of them, or None when there is none."""
+    if not rem:
+        return ()
+    options = [q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q]
+    rng.shuffle(options)
+    for q in options:
+        tail = _draw(rem ^ q, table, pair_of, rng)
+        if tail is not None:
+            return (pair_of[q],) + tail
+    return None
+
+
 def random_balanced(t: int, rng: Random) -> DefiningSet:
     """One balanced defining set drawn by randomized backtracking (canonical
     form; not uniform, but seeded and reproducible).  Each step shuffles
@@ -119,21 +160,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     enumerate_balanced's order."""
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    table = _quadruples(4 * t)
-    pair_of = _pairs(4 * t)
-
-    def rec(rem: int) -> tuple[CompanionPair, ...] | None:
-        if not rem:
-            return ()
-        options = [q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q]
-        rng.shuffle(options)
-        for q in options:
-            tail = rec(rem ^ q)
-            if tail is not None:
-                return (pair_of[q],) + tail
-        return None
-
-    pairs = rec(all_ranks(4 * t))
+    pairs = _draw(all_ranks(4 * t), _quadruples(4 * t), _pairs(4 * t), rng)
     assert pairs is not None  # a balanced partition always exists
     return DefiningSet(t, pairs)
 
@@ -159,13 +186,16 @@ def find_optimal(
     table: consecutive candidates share most pairs, so a swap set that beat
     one of them usually beats the next.  A candidate is abandoned as soon as
     some swap set pushes it above the best worst case seen so far, and kept
-    unproven when one only ties it; after the loop each kept tie is proven
-    at the final D*, in enumeration order.  `workers` is checked (>= 1) and
-    otherwise ignored.  The time budget (seconds, >= 0) is checked before
-    each candidate and before each proof.  Once it is blown, no further
-    candidate is examined and no further tie is proven: the incumbent is
-    returned with certified=False, and `optima` leaves out the kept ties
-    not yet proven.
+    unproven when one only ties it.  The incumbent, whose worst case a scan
+    proved, is kept apart; an unproven tie is kept as its tuple of pairs
+    only, and its DefiningSet is rebuilt when it is proven.  After the loop
+    each tie is proven at the final D*, in enumeration order, so `optima`
+    lists the incumbent and then the proven ties, in enumeration order.
+    `workers` is checked (>= 1) and otherwise ignored.  The time budget
+    (seconds, >= 0) is checked before each candidate and before each
+    proof.  Once it is blown, no further candidate is examined and no
+    further tie is proven: the incumbent is returned with certified=False,
+    and `optima` leaves out the ties not yet proven.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
@@ -174,10 +204,10 @@ def find_optimal(
     deadline = None if time_budget is None else started + time_budget
     stream = enumerate_balanced(t)
 
-    first = next(stream)
-    d_star = worst_case(first, strategy="branch_and_bound").worst_case
-    # candidates that may attain d_star, in enumeration order, and whether proven
-    kept: list[tuple[DefiningSet, bool]] = [(first, True)]
+    incumbent = next(stream)
+    d_star = worst_case(incumbent, strategy="branch_and_bound").worst_case
+    # the pairs of the later candidates that may attain d_star, in order
+    ties: list[tuple[CompanionPair, ...]] = []
     examined = 1
     certified = True
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
@@ -191,17 +221,20 @@ def find_optimal(
         if exceeded:
             continue
         if isinstance(res, Attained):
-            kept.append((ds, False))
+            ties.append(ds.pairs)
         else:
             d_star = res.worst_case
-            kept = [(ds, True)]
+            incumbent = ds
+            ties = []
+    stream.close()  # a blown budget leaves it open; this drops its memo
 
-    optima = []
-    for ds, proven in kept:
-        if not proven and deadline is not None and time.perf_counter() > deadline:
+    optima = [incumbent]
+    for pairs in ties:
+        if deadline is not None and time.perf_counter() > deadline:
             certified = False  # the ties not yet proven stay out of optima
             break
-        if proven or worst_case_is(ds, d_star):
+        ds = DefiningSet(t, pairs)
+        if worst_case_is(ds, d_star):
             optima.append(ds)
     return SearchResult(
         t=t,

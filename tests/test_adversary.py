@@ -31,6 +31,8 @@ from swapdisc.adversary import (
 )
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
+    CompanionPair,
+    DefiningSet,
     InvalidInput,
     SizeRefused,
     SwapSet,
@@ -396,6 +398,13 @@ def test_bounded_scan_rejects_negative_cutoff(sub2):
         worst_case_bounded(sub2, cutoff=-1, witnesses=Witnesses(sub2.n_ranks))
     with pytest.raises(InvalidInput):
         worst_case_is(sub2, -1)
+    # the table keeps its comparison constants for the last cutoff; a value
+    # equal to it but no int is still refused
+    table = witness_table(sub2.n_ranks, [(1,)])
+    table.check(sub2, 1)
+    for bad in (True, 1.0, -1):
+        with pytest.raises(InvalidInput):
+            table.check(sub2, bad)
 
 
 def test_witness_that_beats_wins_over_one_that_attains(sub2):
@@ -506,6 +515,69 @@ def test_witness_table_takes_only_matchings_and_sets_of_its_4t(opt2):
         Witnesses(12).check(opt2, 4)
     with pytest.raises(InvalidInput):
         worst_case_bounded(opt2, cutoff=4, witnesses=Witnesses(12))
+
+
+def test_role_swapped_twins_share_the_witness_fields():
+    # the table keys a pair's cached fields by its rank bitmask: a twin whose
+    # odd and even sides are exchanged has the same bitmask and the same
+    # |imbalance change| under every swap set, so it reuses the fields of
+    # the pair met first, in either order
+    rng = Random(47)
+    for t in (2, 3, 4, 5):
+        n = 4 * t
+        pool = [random_balanced(t, rng) for _ in range(8)]
+        tuples = [random_swap_positions(t, rng) for _ in range(10)] + [()]
+        for twin_first in (False, True):
+            table = witness_table(n, tuples)
+            for ds in pool:
+                flips = [rng.random() < 0.5 for _ in ds.pairs]
+                twins = [
+                    DefiningSet(t, tuple(
+                        CompanionPair(p.even, p.odd) if flip else p
+                        for p, flip in zip(ds.pairs, flipped)
+                    ))
+                    for flipped in (flips, [True] * t)
+                ]
+                want = [discrepancy(ds, SwapSet.from_positions(w)) for w in table]
+                for s in (twins + [ds] if twin_first else [ds] + twins):
+                    assert [discrepancy(s, SwapSet.from_positions(w)) for w in table] == want
+                    assert table.values(s) == want
+            # a pushed witness updates the shared fields for both roles
+            table.push(random_swap_positions(t, rng))
+            for ds in pool:
+                twin = DefiningSet(t, tuple(CompanionPair(p.even, p.odd) for p in ds.pairs))
+                want = [discrepancy(ds, SwapSet.from_positions(w)) for w in table]
+                assert table.values(ds) == table.values(twin) == want
+
+
+def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
+    # an unbalanced pair has partition_bits 0 and is never scored: the
+    # table raises before caching anything for it, also after it has met
+    # a balanced pair over the same four ranks; so does a balanced pair
+    # with a rank above 4t
+    good = defining_set(2, (({1, 4}, {2, 3}), ({5, 8}, {6, 7})))
+    table = witness_table(8, [(1, 5), (2,), ()])
+    assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
+    cached = len(table._packed)
+    for bad, fault in (
+        (defining_set(2, (({1, 4}, {2, 3}), ({5, 7}, {6, 8}))), "unbalanced"),
+        (defining_set(2, (({1, 2}, {3, 4}), ({5, 8}, {6, 7}))), "unbalanced"),
+        (defining_set(2, (({1, 3}, {2, 4}), ({5, 6}, {7, 8}))), "unbalanced"),
+        (defining_set(2, (({1, 4}, {2, 3}), ({6, 9}, {7, 8}))), "outside [1, 8]"),
+    ):
+        text = "invalid defining set: " + "; ".join(validate_defining_set(bad).violations)
+        assert fault in text
+        for call in (
+            lambda: table.values(bad),
+            lambda: table.check(bad, 4),
+            lambda: worst_case_bounded(bad, cutoff=4, witnesses=table),
+        ):
+            with pytest.raises(InvalidInput) as err:
+                call()
+            assert str(err.value) == text
+    assert len(table._packed) == cached
+    assert list(table) == [(1, 5), (2,), ()]
+    assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
 
 
 def test_worst_case_is_agrees_with_worst_case():

@@ -235,6 +235,16 @@ def test_search_time_budget_nan_or_negative_exit2(capsys):
     assert main(["search", "--t", "1", "--time-budget", "0"]) == EXIT_OK
 
 
+def test_search_time_budget_help_states_the_proof_contract(capsys):
+    # the budget is checked before each proof of a kept tie as well
+    with pytest.raises(SystemExit) as done:
+        main(["search", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "before each proof of a kept tie" in text
+    assert "left out of optima" in text
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_construction_all_checks_pass(capsys):

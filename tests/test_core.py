@@ -58,7 +58,6 @@ def test_companion_pair_hash_and_equality_follow_the_fields():
     assert pair == same and pair != swapped
     assert hash(swapped) == hash((swapped.odd, swapped.even))
     assert {pair: 1}[same] == 1
-    # the cached hash is not a field
     assert repr(pair) == "CompanionPair(odd=frozenset({1, 4}), even=frozenset({2, 3}))"
 
 

@@ -54,12 +54,15 @@ def test_enumeration_matches_partition_oracle(t):
     assert len(ours) == KNOWN_COUNTS[t]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_enumeration_order_matches_ordered_reference(t):
     # the search's witness order, candidates_examined and optima order all
-    # follow this order
-    ours = [[(p.odd, p.even) for p in ds.pairs] for ds in enumerate_balanced(t)]
-    assert ours == list(ordered_balanced_sets(t))
+    # follow this order.  The last eight ranks come from a memo: at t = 2 it
+    # answers the whole set, and at t = 5 the walk reaches 52,199 eight-rank
+    # remainders, 7,903 of them distinct
+    ours = ([(p.odd, p.even) for p in ds.pairs] for ds in enumerate_balanced(t))
+    for got, want in itertools.zip_longest(ours, ordered_balanced_sets(t)):
+        assert got == want
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7])
