@@ -1,7 +1,9 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import json
+from collections import Counter
 from dataclasses import replace
+from random import Random
 
 import pytest
 
@@ -20,6 +22,7 @@ from swapdisc.cli import (
 )
 from swapdisc.core import SwapSet
 from swapdisc.graphs import import_graphs
+from swapdisc.optsearch import random_balanced
 
 OPT2_DOC = {
     "t": 2,
@@ -33,6 +36,16 @@ OPT2_DOC = {
 def write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def set_key(ds):
+    return tuple(pair.partition_bits for pair in ds.pairs)
+
+
+def sample_draws(seed, n, t=4):
+    """How often `verify --sample n --seed seed` draws each set of size t."""
+    rng = Random(seed)
+    return Counter(set_key(random_balanced(t, rng)) for _ in range(n))
 
 
 # ------------------------------------------------------------------ schemas
@@ -98,6 +111,15 @@ def test_eval_with_swaps(tmp_path, capsys):
     swaps = write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]})
     assert main(["eval", "--sets", sets, "--swaps", swaps]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "4"
+
+
+def test_eval_with_swaps_writes_out(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    swaps = write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]})
+    out = tmp_path / "d.txt"
+    assert main(["eval", "--sets", sets, "--swaps", swaps, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == "4\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_empty_swaps_zero(tmp_path, capsys):
@@ -301,11 +323,13 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
         return real(ds, strategy=strategy, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
-    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "4", "--seed", "2"]
+    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
     capsys.readouterr()
-    # the construction, then the samples (branch-and-bound by default)
-    assert seen == [strategy] + [strategy or "branch_and_bound"] * 4
+    # the construction, then each distinct sample once (branch-and-bound by default)
+    distinct = len(sample_draws(1, 300))
+    assert distinct == 275
+    assert seen == [strategy] + [strategy or "branch_and_bound"] * distinct
 
 
 def _failing_first(report, field):
@@ -352,6 +376,46 @@ def test_verify_sample_counts_every_failing_instance(monkeypatch, capsys, check)
         assert (details["failures"], code) == (3, EXIT_CHECK_FAILED)
 
 
+def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, capsys):
+    draws = sample_draws(1, 300)
+    target, times = draws.most_common(1)[0]
+    assert times == 3
+    real = cli.minimal_maximizer_property
+    checked = []
+
+    def fail_target(ds, res):
+        checked.append(set_key(ds))
+        return set_key(ds) != target and real(ds, res)
+
+    monkeypatch.setattr(cli, "minimal_maximizer_property", fail_target)
+    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
+    assert details == {"sampled": 300, "seed": 1, "failures": times}
+    assert Counter(checked) == Counter(set(draws))  # each distinct set checked once
+
+
+def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsys):
+    real = cli.worst_case
+    calls = []
+
+    def counting(ds, **kwargs):
+        calls.append(ds)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", counting)
+    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1"]
+    outputs = []
+    for cap in (cli.SAMPLE_MEMO_MAX, 0):
+        monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
+        calls.clear()
+        assert main(argv) == EXIT_OK
+        outputs.append((capsys.readouterr().out, len(calls)))
+    assert outputs[0][0] == outputs[1][0]
+    # the construction, then every distinct sample (memo) or every draw (cap 0)
+    assert [n for _, n in outputs] == [1 + len(sample_draws(1, 300)), 1 + 300]
+
+
 def test_verify_negative_sample_exit2(capsys):
     code = main(["verify", "--z", "2", "--checks", "balance", "--sample", "-3"])
     assert code == EXIT_INVALID
@@ -375,12 +439,13 @@ def test_verify_sample_refused_before_drawing(monkeypatch, capsys):
 def test_verify_sampled_certificate_identical_across_workers(capsys):
     outputs = []
     for w in ("1", "2"):
-        argv = ["verify", "--z", "2", "--sample", "20", "--seed", "5",
+        argv = ["verify", "--z", "2", "--sample", "40", "--seed", "5",
                 "--strategy", "branch_and_bound", "--workers", w]
         assert main(argv) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["adversary"]["engine"] == "branch_and_bound"
+    assert len(sample_draws(5, 40)) == 38  # the sample has repeats
 
 
 def test_verify_needs_sets_xor_z(capsys):
