@@ -16,9 +16,7 @@ exact maximum, maximizer count and minimum-size maximizer:
   the matchings it visited.
 
 Every engine runs in the calling process: a scan is one call of the pure
-Python kernel over all matchings, so results (including the `enumerated`
-counter) are the same for any worker count.  `worst_case` validates
-`workers` and otherwise ignores it.
+Python kernel over all matchings.
 
 The bounded scan (`worst_case_bounded`, used by the optimal-set search)
 first tries the swap sets that reached earlier cutoffs (a caller-owned
@@ -95,14 +93,6 @@ class Attained:
     value: int
     swap_set: SwapSet
     enumerated: int
-
-
-def check_workers(workers: int) -> None:
-    """Raise InvalidInput unless `workers` is an integer >= 1.  Every
-    computation runs in the calling process, so the value has no other
-    effect."""
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise InvalidInput(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: tuple) -> None:
@@ -217,20 +207,17 @@ def _pick_strategy(ds: DefiningSet, strategy: str | None, force_exhaustive: bool
 def worst_case(
     ds: DefiningSet,
     strategy: str | None = None,
-    workers: int = 1,
     force_exhaustive: bool = False,
 ) -> AdversaryResult:
     """Exact max of discrepancy(ds, I) over all allowed swap sets I.
 
     The minimal maximizer is the first minimum-size maximizer in enumeration
     order; every strategy returns identical results except for the
-    engine-specific `enumerated` counter.  `workers` is checked (>= 1) and
-    otherwise ignored: each engine runs in this process.  The scan
-    strategies are refused above EXHAUSTIVE_MAX_RANKS ranks unless forced.
+    engine-specific `enumerated` counter.  The scan strategies are refused
+    above EXHAUSTIVE_MAX_RANKS ranks unless forced.
     """
     require_valid(ds)
     tables = rank_table(ds)
-    check_workers(workers)
     strategy = _pick_strategy(ds, strategy, force_exhaustive)
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(ds.n_ranks, *tables)

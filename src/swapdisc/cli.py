@@ -22,11 +22,11 @@ from typing import Any, Collection
 
 from . import __version__
 from .adversary import (
+    EXHAUSTIVE_MAX_RANKS,
     SCAN_DEFAULT_MAX_RANKS,
     STRATEGIES,
     AdversaryResult,
     _pick_strategy,
-    check_workers,
     minimal_maximizer_property,
     worst_case,
 )
@@ -218,12 +218,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         swaps = doc_to_swaps(_load_json(args.swaps))
         _emit(f"{discrepancy(ds, swaps)}\n", args.out)
         return EXIT_OK
-    res = worst_case(
-        ds,
-        strategy=args.strategy,
-        workers=args.workers,
-        force_exhaustive=args.force_exhaustive,
-    )
+    res = worst_case(ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive)
     text = json.dumps(certificate(ds, res, checks={}), indent=2) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -235,7 +230,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.time_budget is not None and not args.time_budget >= 0:
         # NaN compares false with every elapsed time and would switch the budget off
         raise InvalidInput(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
-    result = find_optimal(args.t, time_budget=args.time_budget, workers=args.workers)
+    result = find_optimal(args.t, time_budget=args.time_budget)
     doc = {
         "t": result.t,
         "d_star": result.d_star,
@@ -351,11 +346,10 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             for name in needs_adversary:
                 checks[name] = {"holds": None, "details": "skipped: defining set invalid"}
         else:
-            res = worst_case(ds, strategy=args.strategy, workers=args.workers,
-                             force_exhaustive=args.force_exhaustive)
+            res = worst_case(ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive)
             checks.update(_adversary_checks(ds, res, requested, args.z))
     if "lemma1" in requested:
-        rep1 = check_lemma1(args.z, workers=args.workers)
+        rep1 = check_lemma1(args.z)
         checks["lemma1"] = {
             "holds": rep1.holds,
             "details": {"d_z": rep1.d_z, "d_z_plus_1": rep1.d_z_plus_1, "bound": rep1.bound},
@@ -410,8 +404,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         swaps = doc_to_swaps(_load_json(args.swaps))
     else:
         swaps = worst_case(
-            ds, strategy=args.strategy, workers=args.workers,
-            force_exhaustive=args.force_exhaustive,
+            ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive
         ).minimal_maximizer
     swp = build_swp(ds, swaps)
     pot = build_pot(ds, swaps, membership=args.membership)
@@ -421,7 +414,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         _write_text(args.out + ".pot.dot", pot_text)
         print(f"wrote {args.out}.swp.dot and {args.out}.pot.dot")
     else:
-        _write_text(args.out + ".graphs.json", export_graphs(swp, pot, args.format))
+        _write_text(args.out + ".graphs.json", export_graphs(swp, pot))
         print(f"wrote {args.out}.graphs.json")
     return EXIT_OK
 
@@ -437,10 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"swapdisc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, engine: bool = True) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted by every command (>= 1); no effect: "
-                       "every computation runs in one process")
+                       help="must be >= 1; no effect: every computation runs in "
+                       "one process, so the output is the same for every value")
+        if not engine:
+            return
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
                        help="worst-case engine (default: frontier, or exhaustive "
                        f"for 4t <= {SCAN_DEFAULT_MAX_RANKS})")
@@ -462,14 +457,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="exhaustive search for optimal defining sets")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=int, required=True,
+                   help=f"pair count, 1 to {EXHAUSTIVE_MAX_RANKS // 4}; a larger t "
+                   "is refused (exit 4) before any work")
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before returning a partial, uncertified result; "
                    "checked before each candidate and before each proof of a "
                    "kept tie, and the ties not yet proven when it runs out are "
                    "left out of optima")
     p.add_argument("--out", help="output path (default: stdout)")
-    common(p)
+    common(p, engine=False)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run lemma/proposition checks, emit a certificate")
@@ -508,8 +505,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            check_workers(args.workers)  # rejects --workers below 1 for every command
+        if getattr(args, "workers", 1) < 1:
+            raise InvalidInput(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

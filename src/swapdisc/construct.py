@@ -77,14 +77,15 @@ def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
     return DefiningSet(2 * t2 + 1, pairs)
 
 
-def construct_for_z(z: int, max_ranks: int = DEFAULT_MAX_RANKS) -> DefiningSet:
-    """Iterate the recursion from the base case up to level z."""
+def construct_for_z(z: int) -> DefiningSet:
+    """Iterate the recursion from the base case up to level z; refused
+    (SizeRefused) above DEFAULT_MAX_RANKS ranks."""
     if z < 2:
         raise InvalidInput(f"construction levels start at z = 2, got {z}")
     # once z - 2 passes the cap's bit length, 2 ** (z - 2) alone exceeds the
     # cap: refuse without computing that power
-    if z - 2 > max_ranks.bit_length() or 4 * t_for_z(z) > max_ranks:
-        raise SizeRefused(f"level {z} is above the cap of {max_ranks} ranks")
+    if z - 2 > DEFAULT_MAX_RANKS.bit_length() or 4 * t_for_z(z) > DEFAULT_MAX_RANKS:
+        raise SizeRefused(f"level {z} is above the cap of {DEFAULT_MAX_RANKS} ranks")
     ds = base_case()
     for level in range(2, z):
         ds = recursive_step(ds, level)
@@ -123,9 +124,9 @@ class Lemma1Report:
     holds: bool
 
 
-def check_lemma1(z: int, workers: int = 1) -> Lemma1Report:
+def check_lemma1(z: int) -> Lemma1Report:
     """Exact d_z and d_{z+1} with the default engine; holds iff
     d_{z+1} <= 2*d_z + 2."""
-    d_z = worst_case(construct_for_z(z), workers=workers).worst_case
-    d_z1 = worst_case(construct_for_z(z + 1), workers=workers).worst_case
+    d_z = worst_case(construct_for_z(z)).worst_case
+    d_z1 = worst_case(construct_for_z(z + 1)).worst_case
     return Lemma1Report(z=z, d_z=d_z, d_z_plus_1=d_z1, bound=2 * d_z + 2, holds=d_z1 <= 2 * d_z + 2)

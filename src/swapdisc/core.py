@@ -228,11 +228,15 @@ def reject_invalid(ds: DefiningSet) -> NoReturn:
 def require_valid(ds: DefiningSet) -> None:
     """Raise InvalidInput, worded by validate_defining_set, unless ds
     partitions [1, 4t] into balanced pairs; one pass over the pairs' cached
-    partition_bits."""
+    partition_bits.  A rank above 4t is refused before its pair's bitmask
+    is built, so a far out-of-range rank costs no memory."""
+    n = ds.n_ranks
     covered = 0
     for pair in ds.pairs:
+        if max(pair.odd) > n or max(pair.even) > n:
+            reject_invalid(ds)
         covered |= pair.partition_bits
-    if covered != all_ranks(ds.n_ranks):
+    if covered != all_ranks(n):
         reject_invalid(ds)
 
 

@@ -8,13 +8,11 @@ two virtual boundary swaps (0,1) and (4t, 4t+1); the six internal conditions
 and two boundary rules mark swaps that would push a pair's discrepancy
 further up.
 
-Membership in the conditions is tested on the ORIGINAL sets while sums are
-compared on the primed (post-swap) sets, which is the literal reading of the
-defining conditions; membership="primed" switches the membership side for
-sensitivity analysis.
-
-The checkers report, they never assert: a falsified inequality comes back as
-data for the caller (and fails the acceptance suite).
+The checkers build the potential graph with the literal reading of the
+defining conditions: membership on the original sets, sums on the primed
+ones (see build_pot).  They report, they never assert: a falsified
+inequality comes back as data for the caller (and fails the acceptance
+suite).
 """
 
 from __future__ import annotations
@@ -108,8 +106,11 @@ def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
 def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> PotGraph:
     """All potential-swap arcs for the configuration after `swaps`.
 
-    membership selects which sets the membership side of the conditions (and
-    the location of i2) is read from; sums always come from the primed sets.
+    Sums always come from the primed (post-swap) sets.  membership selects
+    which sets the membership side of the conditions (and the location of
+    i2) is read from: "original", the literal reading of the defining
+    conditions and the one the checkers use, or "primed", kept for
+    sensitivity analysis (`graphs --membership primed`).
     """
     if membership not in ("original", "primed"):
         raise InvalidInput(f"membership must be 'original' or 'primed', got {membership!r}")
@@ -230,9 +231,7 @@ class Lemma2Report:
         )
 
 
-def verify_lemma2(
-    ds: DefiningSet, i_star: SwapSet, membership: str = "original"
-) -> Lemma2Report:
+def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:
     """Per-component inequality in - out <= |V| + 4(|E| - |V|), the global
     slack d_in(V) - d_out(V) >= -2, and 2|E| >= 3|V|/2 - 1 overall.
 
@@ -240,7 +239,7 @@ def verify_lemma2(
     only claimed there.
     """
     swp = build_swp(ds, i_star)
-    pot = build_pot(ds, i_star, membership=membership)
+    pot = build_pot(ds, i_star)
     table = DegreeTable(swp, pot)
     comps = []
     for comp in swp.components:
@@ -290,19 +289,14 @@ class Prop1Report:
         return all(e.holds for e in self.entries)
 
 
-def verify_prop1(
-    ds: DefiningSet,
-    i_star: SwapSet,
-    subsets: str = "components",
-    membership: str = "original",
-) -> Prop1Report:
+def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") -> Prop1Report:
     """in(V) <= d(V) for the requested subset family.
 
     subsets: "components", "singletons", or "all_small" (every subset of the
     t nodes including the empty one; refused for t > 6).
     """
     swp = build_swp(ds, i_star)
-    pot = build_pot(ds, i_star, membership=membership)
+    pot = build_pot(ds, i_star)
     table = DegreeTable(swp, pot)
     if subsets == "components":
         families: list[frozenset[int]] = list(swp.components)
@@ -348,9 +342,7 @@ class Prop2Report:
         return all(e.holds for e in self.entries)
 
 
-def verify_prop2(
-    ds: DefiningSet, i_star: SwapSet, membership: str = "original"
-) -> Prop2Report:
+def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> Prop2Report:
     """d(v) + d_out(v) = kind + 2 for kind-1/2 nodes in acyclic components.
 
     Kind-3 nodes inside an acyclic component contradict the exclusion
@@ -358,7 +350,7 @@ def verify_prop2(
     outside the claimed regime and listed separately.
     """
     swp = build_swp(ds, i_star)
-    pot = build_pot(ds, i_star, membership=membership)
+    pot = build_pot(ds, i_star)
     table = DegreeTable(swp, pot)
     entries = []
     skipped: list[int] = []
@@ -371,20 +363,13 @@ def verify_prop2(
                 continue
             kind = classify_pair(ds.pairs[v - 1]).kind
             d_v, d_out = table.d_swp(v), table.d_pot_out(v)
-            if kind == 3:
-                entries.append(
-                    NodeTypeCheck(
-                        node=v, kind=3, d_swp=d_v, d_out=d_out, total=d_v + d_out,
-                        expected=None, holds=False,
-                    )
+            expected = None if kind == 3 else kind + 2  # no total equals None
+            entries.append(
+                NodeTypeCheck(
+                    node=v, kind=kind, d_swp=d_v, d_out=d_out, total=d_v + d_out,
+                    expected=expected, holds=d_v + d_out == expected,
                 )
-            else:
-                entries.append(
-                    NodeTypeCheck(
-                        node=v, kind=kind, d_swp=d_v, d_out=d_out, total=d_v + d_out,
-                        expected=kind + 2, holds=d_v + d_out == kind + 2,
-                    )
-                )
+            )
     return Prop2Report(entries=tuple(entries), out_of_regime=tuple(skipped))
 
 
@@ -411,34 +396,29 @@ def dot_texts(swp: SwpGraph, pot: PotGraph) -> tuple[str, str]:
     return swp_text, "\n".join(out) + "\n"
 
 
-def export_graphs(swp: SwpGraph, pot: PotGraph, format: str) -> str:
-    """Serialize both graphs: 'dot' renders two Graphviz graphs, 'json' a
-    single document that import_graphs restores losslessly."""
-    if format == "dot":
-        swp_text, pot_text = dot_texts(swp, pot)
-        return swp_text + pot_text
-    if format == "json":
-        doc = {
-            "t": swp.t,
-            "swp": {
-                "edges": [
-                    {"u": e.u, "v": e.v, "swap": list(e.swap)} for e in swp.edges
-                ]
-            },
-            "pot": {
-                "arcs": [
-                    {
-                        "tail": a.tail,
-                        "head": a.head,
-                        "swap": list(a.swap),
-                        "cond": a.cond,
-                    }
-                    for a in pot.arcs
-                ]
-            },
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    raise InvalidInput(f"unknown graph format {format!r}")
+def export_graphs(swp: SwpGraph, pot: PotGraph) -> str:
+    """Both graphs as one JSON document that import_graphs restores
+    losslessly."""
+    doc = {
+        "t": swp.t,
+        "swp": {
+            "edges": [
+                {"u": e.u, "v": e.v, "swap": list(e.swap)} for e in swp.edges
+            ]
+        },
+        "pot": {
+            "arcs": [
+                {
+                    "tail": a.tail,
+                    "head": a.head,
+                    "swap": list(a.swap),
+                    "cond": a.cond,
+                }
+                for a in pot.arcs
+            ]
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def import_graphs(text: str) -> tuple[SwpGraph, PotGraph]:

@@ -5,7 +5,8 @@ holds each quadruple's minimum, pairs ordered by minimum element), and
 certifies the minimum worst-case discrepancy over the whole space.  The
 symmetry quotient is role-swap and pair-order only; reflection is NOT
 quotiented out, so reflection-related optima are listed separately.
-The search is one loop in the calling process.
+The search is one loop in the calling process; it scans with branch and
+bound, so it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from random import Random
 from typing import Iterator
 
 from .adversary import (
+    EXHAUSTIVE_MAX_RANKS,
     Attained,
     Witnesses,
-    check_workers,
     worst_case,
     worst_case_bounded,
     worst_case_is,
 )
-from .core import CompanionPair, DefiningSet, InvalidInput, all_ranks
+from .core import CompanionPair, DefiningSet, InvalidInput, SizeRefused, all_ranks
 
 
 @lru_cache(maxsize=1)
@@ -175,11 +176,7 @@ class SearchResult:
     certified: bool
 
 
-def find_optimal(
-    t: int,
-    time_budget: float | None = None,
-    workers: int = 1,
-) -> SearchResult:
+def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     """Full search for D*(t) and every canonical optimum.
 
     One loop over enumerate_balanced in this process, sharing one witness
@@ -191,16 +188,21 @@ def find_optimal(
     only, and its DefiningSet is rebuilt when it is proven.  After the loop
     each tie is proven at the final D*, in enumeration order, so `optima`
     lists the incumbent and then the proven ties, in enumeration order.
-    `workers` is checked (>= 1) and otherwise ignored.  The time budget
-    (seconds, >= 0) is checked before each candidate and before each
-    proof.  Once it is blown, no further candidate is examined and no
-    further tie is proven: the incumbent is returned with certified=False,
-    and `optima` leaves out the ties not yet proven.
+    Every candidate is scanned with branch and bound, so t with 4t above
+    EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
+    The time budget (seconds, >= 0) is checked before each candidate and
+    before each proof.  Once it is blown, no further candidate is examined
+    and no further tie is proven: the incumbent is returned with
+    certified=False, and `optima` leaves out the ties not yet proven.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
         raise InvalidInput(f"time_budget must be a number of seconds >= 0, got {time_budget!r}")
-    check_workers(workers)
+    if 4 * t > EXHAUSTIVE_MAX_RANKS:
+        raise SizeRefused(
+            f"search refused for t = {t}: its branch-and-bound scans are refused "
+            f"above 4t = {EXHAUSTIVE_MAX_RANKS}"
+        )
     deadline = None if time_budget is None else started + time_budget
     stream = enumerate_balanced(t)
 

@@ -98,7 +98,7 @@ def test_criterion_3_base_case_worst_case_6():
 
 def test_criterion_4_full_search_t4_unique_optimum():
     started = time.perf_counter()
-    res = find_optimal(4, workers=2)
+    res = find_optimal(4)
     elapsed = time.perf_counter() - started
     ok = (
         res.d_star == 6
@@ -117,7 +117,7 @@ def test_criterion_4_full_search_t4_unique_optimum():
 def test_criterion_5_exact_d3_brute_force():
     ds = construct_for_z(3)
     started = time.perf_counter()
-    res = worst_case(ds, strategy="exhaustive", workers=2)
+    res = worst_case(ds, strategy="exhaustive")
     elapsed = time.perf_counter() - started
     witness = res.minimal_maximizer
     naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
@@ -167,9 +167,9 @@ def test_criterion_8_lemma2_eq10_prop1_population(population):
     violations = 0
     for ds, res in population:
         i_star = res.minimal_maximizer
-        rep = verify_lemma2(ds, i_star, membership="original")
-        p1c = verify_prop1(ds, i_star, subsets="components", membership="original")
-        p1s = verify_prop1(ds, i_star, subsets="singletons", membership="original")
+        rep = verify_lemma2(ds, i_star)
+        p1c = verify_prop1(ds, i_star, subsets="components")
+        p1s = verify_prop1(ds, i_star, subsets="singletons")
         if not (rep.all_hold and p1c.all_hold and p1s.all_hold):
             violations += 1
     ok = violations == 0

@@ -2,6 +2,7 @@
 validation, and the bounded scan's three verdicts with its witness table,
 cross-checked against the brute-force oracle and a plain witness list."""
 
+import tracemalloc
 from dataclasses import replace
 from random import Random
 
@@ -119,13 +120,29 @@ def test_every_violation_raises_with_the_validator_text(kind):
         assert str(err.value) == text
 
 
+def test_far_out_of_range_rank_refused_without_its_bitmask():
+    # a balanced pair's rank bitmask would take 10^8 bits here
+    r = 10**8
+    ds = defining_set(1, (({1, r}, {2, r - 1}),))
+    text = "invalid defining set: " + "; ".join(validate_defining_set(ds).violations)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput) as err:
+            worst_case(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == text
+    assert peak < 1 << 20
+
+
 def test_exhaustive_size_refusal():
     ds = construct_for_z(4)  # t=19, 4t=76
     with pytest.raises(SizeRefused):
         worst_case(ds, strategy="exhaustive")
 
 
-def test_strategies_and_workers_agree_everywhere():
+def test_strategies_agree_everywhere():
     rng = Random(5)
     pool = (
         list(enumerate_balanced(2))
@@ -139,23 +156,19 @@ def test_strategies_and_workers_agree_everywhere():
         assert rx.minimal_maximizer == rb.minimal_maximizer
         assert rx.maximizer_count == rb.maximizer_count
         assert 0 < rb.enumerated <= rx.enumerated == fib(4 * ds.t + 1)
-    big = random_balanced(4, Random(6))
-    seq = worst_case(big, workers=1)
-    par = worst_case(big, workers=2)
-    assert seq == par
 
 
-def test_enumerated_counter_deterministic_across_workers():
-    # every scan is one kernel call in this process whatever the worker
-    # count, so even the branch-and-bound node counter is reproducible
-    ds = random_balanced(4, Random(14))
-    results = [worst_case(ds, strategy="branch_and_bound", workers=w) for w in (1, 2, 3)]
-    assert results[0] == results[1] == results[2]
+def test_enumerated_counter_deterministic():
+    # every scan is one kernel call in this process, so even the
+    # branch-and-bound node counter is the same on every run
+    for ds, strategy in ((random_balanced(4, Random(14)), "branch_and_bound"),
+                         (random_balanced(4, Random(6)), None)):
+        results = [worst_case(ds, strategy=strategy) for _ in range(3)]
+        assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "branch_and_bound"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_one_kernel_call_per_scan(monkeypatch, strategy, workers):
+def test_one_kernel_call_per_scan(monkeypatch, strategy):
     calls = []
     scan = adversary._kernels.scan_chunk
 
@@ -164,7 +177,7 @@ def test_one_kernel_call_per_scan(monkeypatch, strategy, workers):
         return scan(*args)
 
     monkeypatch.setattr(adversary._kernels, "scan_chunk", counting)
-    worst_case(random_balanced(4, Random(21)), strategy=strategy, workers=workers)
+    worst_case(random_balanced(4, Random(21)), strategy=strategy)
     assert len(calls) == 1
 
 

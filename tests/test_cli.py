@@ -1,6 +1,8 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import json
+import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from random import Random
@@ -218,7 +220,30 @@ def test_workers_below_one_exit2(tmp_path, capsys):
     assert main(["eval", "--sets", sets, "--worst-case", "--workers", "0"]) == EXIT_INVALID
     assert main(["eval", "--sets", sets, "--swaps", swaps, "--workers", "-2"]) == EXIT_INVALID
     assert main(["search", "--t", "1", "--workers", "0"]) == EXIT_INVALID
-    assert "workers" in capsys.readouterr().err
+    assert main(["verify", "--z", "2", "--workers", "0"]) == EXIT_INVALID
+    prefix = tmp_path / "g"
+    argv = ["graphs", "--sets", sets, "--minimal-maximizer", "--format", "json",
+            "--out", str(prefix), "--workers", "-1"]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.count("--workers must be >= 1") == 5
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json", "w.json"]
+
+
+def test_eval_far_out_of_range_rank_costs_no_memory(tmp_path, capsys):
+    # a balanced pair with a rank of 10^8 must be refused before a 10^8-bit
+    # rank bitmask is built
+    r = 10**8
+    sets = write(tmp_path / "s.json", {"t": 1, "pairs": [{"odd": [1, r], "even": [2, r - 1]}]})
+    swaps = write(tmp_path / "w.json", {"swaps": []})
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--sets", sets, "--swaps", swaps]) == EXIT_INVALID
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"rank {r} outside [1, 4]" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- search
@@ -255,6 +280,23 @@ def test_search_time_budget_nan_or_negative_exit2(capsys):
         assert main(["search", "--t", "1", "--time-budget", bad]) == EXIT_INVALID
         assert "--time-budget" in capsys.readouterr().err
     assert main(["search", "--t", "1", "--time-budget", "0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("t", ["11", "1000000"])
+def test_search_above_the_scan_limit_exit4_at_once(capsys, t):
+    started = time.perf_counter()
+    assert main(["search", "--t", t, "--time-budget", "1"]) == EXIT_SIZE
+    assert time.perf_counter() - started < 1.0
+    assert f"search refused for t = {t}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--strategy", "frontier"], ["--force-exhaustive"]])
+def test_search_rejects_the_engine_flags(capsys, flag):
+    # search always scans with branch and bound; it takes only --workers
+    with pytest.raises(SystemExit) as done:
+        main(["search", "--t", "3", *flag])
+    assert done.value.code == EXIT_INVALID
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_search_time_budget_help_states_the_proof_contract(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from swapdisc import construct
 from swapdisc.adversary import worst_case
 from swapdisc.construct import (
     base_case,
@@ -84,11 +85,16 @@ def test_construct_z2_is_base_case():
     assert construct_for_z(2) == base_case()
 
 
-def test_construct_rejects_small_z_and_huge_z():
+def test_construct_rejects_small_z_and_huge_z(monkeypatch):
     with pytest.raises(InvalidInput):
         construct_for_z(1)
     with pytest.raises(SizeRefused):
-        construct_for_z(6, max_ranks=100)
+        construct_for_z(60)
+    # a level just above the cap is refused too, not only one past its bit length
+    monkeypatch.setattr(construct, "DEFAULT_MAX_RANKS", 100)
+    construct_for_z(4)  # 4t = 76
+    with pytest.raises(SizeRefused):
+        construct_for_z(5)  # 4t = 156
 
 
 def test_shifted_copies_reproduce_previous_level():

@@ -1,7 +1,7 @@
 """Frontier DP engine: field-by-field agreement with the exhaustive scan and
 the brute-force oracle, reflection invariance (checked on the
-branch-and-bound scan too), the state cap, construction levels beyond the
-scan's reach, and the worker-count helper."""
+branch-and-bound scan too), the state cap, and construction levels beyond
+the scan's reach."""
 
 from random import Random
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_worst_case
 from swapdisc import _kernels, adversary
-from swapdisc.adversary import _frontier, check_workers, worst_case
+from swapdisc.adversary import _frontier, worst_case
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
     CompanionPair,
@@ -22,7 +22,7 @@ from swapdisc.core import (
     reflect,
     reflect_swaps,
 )
-from swapdisc.optsearch import enumerate_balanced, find_optimal, random_balanced
+from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 
 def fields(res):
@@ -154,13 +154,6 @@ def test_default_engine_by_size():
     assert worst_case(construct_for_z(3)).engine == "frontier"
 
 
-def test_frontier_ignores_workers():
-    ds = random_balanced(5, Random(8))
-    assert worst_case(ds, strategy="frontier", workers=2) == worst_case(
-        ds, strategy="frontier", workers=1
-    )
-
-
 def test_scan_strategies_refused_above_envelope():
     ds = construct_for_z(4)
     for strategy in ("exhaustive", "branch_and_bound"):
@@ -172,19 +165,3 @@ def test_unknown_strategy_rejected():
     with pytest.raises(InvalidInput):
         worst_case(base_case(), strategy="greedy")
 
-
-# ------------------------------------------------------------- worker count
-
-def test_check_workers_rejects_below_one():
-    for bad in (0, -3, True, 1.5):
-        with pytest.raises(InvalidInput):
-            check_workers(bad)
-
-
-def test_workers_below_one_rejected_before_any_work():
-    with pytest.raises(InvalidInput):
-        worst_case(base_case(), workers=0)
-    with pytest.raises(InvalidInput):
-        worst_case(construct_for_z(3), strategy="frontier", workers=-1)
-    with pytest.raises(InvalidInput):
-        find_optimal(1, workers=0)

@@ -26,6 +26,7 @@ from swapdisc.graphs import (
     DegreeTable,
     build_pot,
     build_swp,
+    dot_texts,
     export_graphs,
     import_graphs,
     verify_lemma2,
@@ -294,6 +295,15 @@ def test_prop2_isolated_type2_witness():
     assert entry.holds and rep.all_hold
 
 
+def test_prop2_reports_a_kind3_node_in_an_acyclic_component(t1):
+    # {1, 4} / {2, 3} is kind 3; without swaps it is its own acyclic component
+    rep = verify_prop2(t1, EMPTY_SWAPS)
+    (entry,) = rep.entries
+    assert (entry.node, entry.kind, entry.expected, entry.holds) == (1, 3, None, False)
+    assert entry.total == entry.d_swp + entry.d_out
+    assert rep.out_of_regime == () and not rep.all_hold
+
+
 def test_prop2_type1_with_one_swap_in_istar():
     # base case with maximizer {(1,2),(5,6),(10,11)}: discrepancy 6 = 2*3,
     # so it is a minimum-size maximizer; node v1 then has d=1, d_out=2
@@ -333,32 +343,31 @@ def test_inequalities_hold_for_every_min_size_maximizer_small_t():
 def test_dot_export_t1_example(t1):
     swp = build_swp(t1, swaps_of(1))
     pot = build_pot(t1, swaps_of(1))
-    dot = export_graphs(swp, pot, "dot")
+    swp_text, pot_text = dot_texts(swp, pot)
+    dot = swp_text + pot_text
     assert dot.count("v1 -> v0") == 2
     assert 'swap=(0,1);cond=b1' in dot
     assert 'swap=(4,5);cond=b1' in dot
-    assert "graph G_swp" in dot and "digraph G_pot" in dot
+    assert swp_text.startswith("graph G_swp {") and pot_text.startswith("digraph G_pot {")
 
 
 def test_dot_export_empty_graphs_valid(opt2):
     swp = build_swp(opt2, EMPTY_SWAPS)
     pot_arcs_only_boundary = build_pot(opt2, EMPTY_SWAPS)
-    dot = export_graphs(swp, pot_arcs_only_boundary, "dot")
-    assert "v1;" in dot and "v2;" in dot
+    for dot in dot_texts(swp, pot_arcs_only_boundary):
+        assert "v1;" in dot and "v2;" in dot
 
 
 def test_json_round_trip(opt2):
     swp = build_swp(opt2, swaps_of(1, 5))
     pot = build_pot(opt2, swaps_of(1, 5))
-    text = export_graphs(swp, pot, "json")
+    text = export_graphs(swp, pot)
     swp2, pot2 = import_graphs(text)
     assert swp2 == swp and pot2 == pot
 
 
-def test_unknown_format_rejected(t1):
-    swp = build_swp(t1, swaps_of(1))
-    pot = build_pot(t1, swaps_of(1))
-    with pytest.raises(InvalidInput):
-        export_graphs(swp, pot, "svg")
+def test_unknown_format_rejected():
     with pytest.raises(InvalidInput):
         import_graphs("{not json")
+    with pytest.raises(InvalidInput):
+        import_graphs('{"t": 1}')

@@ -8,6 +8,7 @@ that oracle.
 import inspect
 import itertools
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -22,6 +23,7 @@ from swapdisc.adversary import worst_case
 from swapdisc.construct import base_case, lower_bound
 from swapdisc.core import (
     InvalidInput,
+    SizeRefused,
     canonicalize,
     defining_set,
     reflect,
@@ -167,18 +169,11 @@ def test_find_optimal_t4_unique_base_case():
     assert res.optima == (canonicalize(base_case()),)
 
 
-def test_find_optimal_parallel_identical():
-    # workers is checked and otherwise ignored
+def test_find_optimal_deterministic():
     for t in (3, 4):
-        seq = find_optimal(t, workers=1)
-        par = find_optimal(t, workers=2)
-        assert (seq.t, seq.d_star, seq.optima, seq.candidates_examined, seq.certified) == (
-            par.t,
-            par.d_star,
-            par.optima,
-            par.candidates_examined,
-            par.certified,
-        )
+        first, second = find_optimal(t), find_optimal(t)
+        assert first.wall_time > 0 and second.wall_time > 0
+        assert replace(first, wall_time=0) == replace(second, wall_time=0)
 
 
 def test_find_optimal_t5_unique_optimum(monkeypatch):
@@ -232,10 +227,9 @@ class SteppingClock:
         return float(next(self._ticks))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_blown_budget_leaves_unproven_ties_out(monkeypatch, workers):
+def test_blown_budget_leaves_unproven_ties_out(monkeypatch):
     monkeypatch.setattr(optsearch, "time", SteppingClock())
-    res = find_optimal(4, time_budget=592, workers=workers)
+    res = find_optimal(4, time_budget=592)
     assert not res.certified
     # 592 candidates after the seed: D* is then 8, attained by 2 of the
     # 593 candidates, while about a hundred were kept as ties with 8.  The
@@ -268,6 +262,19 @@ def test_budget_blown_while_proving_stops_the_proofs(monkeypatch, budget):
 def test_time_budget_must_be_nonnegative(budget):
     with pytest.raises(InvalidInput):
         find_optimal(2, time_budget=budget)
+
+
+@pytest.mark.parametrize("t", [11, 1_000_000])
+def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
+    # every candidate is scanned with branch and bound, which is refused
+    # above 4t = EXHAUSTIVE_MAX_RANKS = 40: refuse from t alone, before the
+    # quadruple table is built
+    def no_table(n):
+        raise AssertionError(f"built the quadruple table for n = {n}")
+
+    monkeypatch.setattr(optsearch, "_quadruples", no_table)
+    with pytest.raises(SizeRefused, match="t = "):
+        find_optimal(t, time_budget=1)
 
 
 def test_random_balanced_always_valid_and_canonical():
