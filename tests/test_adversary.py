@@ -2,6 +2,7 @@
 validation, and the bounded scan's three verdicts with its witness table,
 cross-checked against the brute-force oracle and a plain witness list."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 from random import Random
@@ -30,6 +31,7 @@ from swapdisc.adversary import (
     worst_case_bounded,
     worst_case_is,
 )
+from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, construct_for_z
 from swapdisc.core import (
     CompanionPair,
@@ -168,7 +170,8 @@ def test_enumerated_counter_deterministic():
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "branch_and_bound"])
-def test_one_kernel_call_per_scan(monkeypatch, strategy):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_kernel_call_per_scan(monkeypatch, tmp_path, strategy, workers):
     calls = []
     scan = adversary._kernels.scan_chunk
 
@@ -177,8 +180,16 @@ def test_one_kernel_call_per_scan(monkeypatch, strategy):
         return scan(*args)
 
     monkeypatch.setattr(adversary._kernels, "scan_chunk", counting)
-    worst_case(random_balanced(4, Random(21)), strategy=strategy)
+    ds = random_balanced(4, Random(21))
+    worst_case(ds, strategy=strategy)
     assert len(calls) == 1
+    # the CLI accepts --workers and still runs the scan as one kernel call
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps(defining_set_to_doc(ds)))
+    argv = ["eval", "--sets", str(sets), "--worst-case", "--strategy", strategy,
+            "--workers", str(workers), "--out", str(tmp_path / "cert.json")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_worst_case_matches_oracle_on_all_t2_and_random_t3_t4():

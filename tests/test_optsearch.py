@@ -7,6 +7,7 @@ that oracle.
 
 import inspect
 import itertools
+import json
 import math
 from dataclasses import replace
 from random import Random
@@ -20,6 +21,7 @@ from naive_oracles import (
 )
 from swapdisc import adversary, optsearch
 from swapdisc.adversary import worst_case
+from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, lower_bound
 from swapdisc.core import (
     InvalidInput,
@@ -227,7 +229,8 @@ class SteppingClock:
         return float(next(self._ticks))
 
 
-def test_blown_budget_leaves_unproven_ties_out(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blown_budget_leaves_unproven_ties_out(monkeypatch, tmp_path, workers):
     monkeypatch.setattr(optsearch, "time", SteppingClock())
     res = find_optimal(4, time_budget=592)
     assert not res.certified
@@ -241,6 +244,17 @@ def test_blown_budget_leaves_unproven_ties_out(monkeypatch):
     assert res.d_star == min(values) == 8
     assert [k for k, v in enumerate(values) if v == 8] == [33, 569]
     assert res.optima == (examined[33],)
+    # search stops at the same point whatever --workers says
+    monkeypatch.setattr(optsearch, "time", SteppingClock())
+    out = tmp_path / "search.json"
+    argv = ["search", "--t", "4", "--time-budget", "592", "--workers", str(workers),
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["certified"] is False
+    assert doc["d_star"] == 8
+    assert doc["candidates_examined"] == 1 + 592
+    assert doc["optima"] == [defining_set_to_doc(examined[33])]
 
 
 @pytest.mark.parametrize("budget", [85, 86, 90])
