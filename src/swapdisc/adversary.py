@@ -80,7 +80,7 @@ class AdversaryResult:
     maximizer_count: int
     enumerated: int
     # the engine that computed the result; it says what `enumerated` counts
-    engine: str = "exhaustive"
+    engine: str
 
 
 @dataclass(frozen=True)
@@ -240,23 +240,22 @@ def _check_cutoff(cutoff: int) -> None:
 
 
 class Witnesses:
-    """The witness list of worst_case_bounded for the defining sets over
+    """The witness table of worst_case_bounded for the defining sets over
     [1, n]: up to WITNESS_CAP matchings of the path on [1, n] that reached
-    earlier cutoffs, in move-to-front order, all scored on a candidate at
-    once.
+    earlier cutoffs, each in a fixed slot, all scored on a candidate at
+    once.  At the cap a new matching overwrites the oldest slot.
 
-    Each matching sits in a fixed slot.  A set's total after a witness's
-    swaps is a sum over its pairs, and the search's candidates share few
-    distinct pairs (525 among the 74,323 at t = 5).  So for every balanced
-    pair it has met the table caches one packed integer whose field s holds
-    |the pair's imbalance change| under the witness in slot s, keyed by the
-    pair's partition_bits: four ranks a < b < c < d balance only as {a, d}
-    against {b, c}, and swapping the roles negates the change, so the rank
-    bitmask fixes every field.  The sum of a candidate's t packed integers
-    holds every witness's total, one per field; adding one constant and
-    masking the high bits of the filled slots compares them all with the
-    cutoff.  Fields are wide enough for totals up to n, so no sum carries
-    into the next one.
+    A set's total after a witness's swaps is a sum over its pairs, and the
+    search's candidates share few distinct pairs (525 among the 74,323 at
+    t = 5).  So for every balanced pair it has met the table caches one
+    packed integer whose field s holds |the pair's imbalance change| under
+    the witness in slot s, keyed by the pair's partition_bits: four ranks
+    a < b < c < d balance only as {a, d} against {b, c}, and swapping the
+    roles negates the change, so the rank bitmask fixes every field.  The
+    sum of a candidate's t packed integers holds every witness's total, one
+    per field; adding one constant and masking the high bits of the filled
+    slots compares them all with the cutoff.  Fields are wide enough for
+    totals up to n, so no sum carries into the next one.
 
     `push` rejects a tuple that is no matching of the path on [1, n], and
     scoring rejects a set whose 4t is not n (InvalidInput).
@@ -270,8 +269,8 @@ class Witnesses:
         self._half = 1 << (width - 1)  # a field's high bit
         self._ones = ((1 << width * self._cap) - 1) // ((1 << width) - 1)
         self._slots: list[tuple[int, ...]] = []
-        self._order: list[int] = []  # slots, front first
         self._left: list[int] = []  # per slot: bit i for each swap (i, i+1)
+        self._next = 0  # the slot the next push fills: the oldest at the cap
         self._filled = 0  # high bits of the filled slots
         # per balanced pair met, by partition_bits: (odd, even) rank masks
         # and the packed fields
@@ -301,9 +300,9 @@ class Witnesses:
         return packed
 
     def push(self, positions: tuple[int, ...]) -> None:
-        """Put `positions` at the front; at the cap the last one leaves.
-        Raises InvalidInput unless they ascend by at least 2 from 1 and
-        stay below n."""
+        """Put `positions` in the next free slot; at the cap it overwrites
+        the oldest.  Raises InvalidInput unless they ascend by at least 2
+        from 1 and stay below n."""
         positions = tuple(positions)
         left, prev = 0, -1
         for i in positions:
@@ -313,16 +312,15 @@ class Witnesses:
                 )
             left |= 1 << i
             prev = i
-        if len(self._slots) < self._cap:
-            s = len(self._slots)
+        s = self._next
+        if s == len(self._slots):
             self._slots.append(positions)
             self._left.append(left)
             self._filled |= self._half << s * self._width
         else:
-            s = self._order.pop()
             self._slots[s] = positions
             self._left[s] = left
-        self._order.insert(0, s)
+        self._next = (s + 1) % self._cap
         shift = s * self._width
         keep = ~(((1 << self._width) - 1) << shift)
         for bits, sides in self._sides.items():
@@ -351,20 +349,20 @@ class Witnesses:
         return total
 
     def values(self, ds: DefiningSet) -> list[int]:
-        """Each witness's total discrepancy on ds, in list order."""
+        """Each witness's total discrepancy on ds, in slot order."""
         return self._unpack(self._scores(ds))
 
     def _unpack(self, total: int) -> list[int]:
         width, mask = self._width, self._half * 2 - 1
-        return [(total >> s * width) & mask for s in self._order]
+        return [(total >> s * width) & mask for s in range(len(self._slots))]
 
     def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None, int]:
         """Score every witness on ds against `cutoff`, validating ds first.
 
         Returns (beats, attained, floor).  beats: some witness is above the
-        cutoff, and the first such in list order has moved to the front.
-        Otherwise attained is the first witness exactly at the cutoff, or
-        None, and then floor is the best witness value (-1 without one).
+        cutoff.  Otherwise attained is the witness in the lowest slot exactly
+        at the cutoff, or None, and then floor is the best witness value (-1
+        without one).  Nothing moves between slots.
         """
         total = self._scores(ds)
         # only a valid int cutoff reuses the constants (True == 1, 1.0 == 1)
@@ -376,31 +374,19 @@ class Witnesses:
             self._above = (self._half - 1 - c) * self._ones
             self._reach = (self._half - c) * self._ones
             self._cutoff = cutoff
-        above = (total + self._above) & self._filled
-        if above:
-            k = self._first(above)
-            if k:
-                self._order.insert(0, self._order.pop(k))
+        if (total + self._above) & self._filled:
             return True, None, -1
         reach = (total + self._reach) & self._filled
         if reach:
-            return False, self._slots[self._order[self._first(reach)]], -1
+            # the lowest set high bit is bit width - 1 of its slot
+            return False, self._slots[(reach & -reach).bit_length() // self._width - 1], -1
         return False, None, max(self._unpack(total), default=-1)
 
-    def _first(self, high_bits: int) -> int:
-        """Index in list order of the first slot whose high bit is set."""
-        top = self._width - 1
-        if (high_bits >> (self._order[0] * self._width + top)) & 1:
-            return 0
-        return next(
-            k for k, s in enumerate(self._order) if (high_bits >> (s * self._width + top)) & 1
-        )
-
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return (self._slots[s] for s in self._order)
+        return iter(self._slots)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._slots)
 
 
 def worst_case_bounded(
@@ -420,14 +406,13 @@ def worst_case_bounded(
     kept across calls; the search passes one table for all its candidates.
     Every witness is scored at once before any scan, with t integer
     additions on cached per-pair fields (see Witnesses); one beating the
-    cutoff wins over one only attaining it, and the first beater in list
-    order moves to the front.  Otherwise the first attaining witness gives
-    the verdict.  Only when neither exists are the scan tables built, and
-    one branch-and-bound scan runs with the best witness value as its
-    pruning floor; it stops at the first swap set reaching the cutoff,
-    which is pushed to the front (one swap moves the total by at most 2, so
-    that set mostly just attains the cutoff; on the next candidates, which
-    share most pairs, it often beats it), the last entry leaving at the
+    cutoff wins over one only attaining it, which otherwise gives the
+    verdict.  Only when neither exists are the scan tables built, and one
+    branch-and-bound scan runs with the best witness value as its pruning
+    floor; it stops at the first swap set reaching the cutoff, which is
+    pushed into the table (one swap moves the total by at most 2, so that
+    set mostly just attains the cutoff; on the next candidates, which share
+    most pairs, it often beats it), overwriting the oldest witness at the
     cap.  A witness only ever decides a verdict as a real swap set reaching
     or beating the cutoff, so "below" and its exact result never depend on
     the table; which of "beats" and "attains" a candidate above the cutoff

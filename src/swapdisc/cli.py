@@ -171,13 +171,24 @@ def certificate(
 
 # ------------------------------------------------------------------- helpers
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, bytes that are no UTF-8, a duplicate key, or nesting
+        # deeper than the parser's recursion limit
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
 
 

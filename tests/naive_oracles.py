@@ -190,26 +190,26 @@ def naive_is_matching(positions, n: int) -> bool:
 
 
 def list_bounded_verdict(pairs, t: int, cutoff: int, witnesses: list, cap: int):
-    """The bounded worst case with a plain move-to-front witness list: the
+    """The bounded worst case with a plain list of fixed witness slots: the
     reference for the search's witness table.
 
-    Tries the witnesses in list order (a tuple that is no matching of
-    [1, 4t] counts as -1): the first above the cutoff moves to the front
-    and beats it; otherwise the first at the cutoff attains it.  Failing
-    both, the scan is modelled on the full enumeration: at cutoff 0 it runs
-    to the end and returns the first minimum-size maximizer, above 0 it
-    stops at the first swap set in enumeration order reaching the cutoff.
-    A scan reaching the cutoff pushes its swap set to the front and the
-    list is cut to `cap`.  Mutates `witnesses`; returns ("beats", None),
+    `witnesses` holds (push stamp, positions) entries in slot order.  Tries
+    them in slot order (a tuple that is no matching of [1, 4t] counts as -1):
+    one above the cutoff beats it, and nothing moves; otherwise the first at
+    the cutoff attains it.  Failing both, the scan is modelled on the full
+    enumeration: at cutoff 0 it runs to the end and returns the first
+    minimum-size maximizer, above 0 it stops at the first swap set in
+    enumeration order reaching the cutoff.  A scan reaching the cutoff pushes
+    its swap set: appended below `cap`, at the cap it overwrites the entry
+    with the smallest stamp.  Mutates `witnesses`; returns ("beats", None),
     ("attains", positions) or ("below", (worst case, first minimum-size
     maximizer, maximizer count)).
     """
     n = 4 * t
     attained = None
-    for k, positions in enumerate(witnesses):
+    for _stamp, positions in witnesses:
         value = naive_discrepancy(pairs, positions) if naive_is_matching(positions, n) else -1
         if value > cutoff:
-            witnesses.insert(0, witnesses.pop(k))
             return "beats", None
         if value == cutoff and attained is None:
             attained = positions
@@ -222,8 +222,11 @@ def list_bounded_verdict(pairs, t: int, cutoff: int, witnesses: list, cap: int):
         best_set, best = next(
             (s, d) for s in naive_swap_sets(n) if (d := naive_discrepancy(pairs, s)) >= cutoff
         )
-    witnesses.insert(0, best_set)
-    del witnesses[cap:]
+    entry = (1 + max((stamp for stamp, _ in witnesses), default=-1), best_set)
+    if len(witnesses) < cap:
+        witnesses.append(entry)
+    else:
+        witnesses[min(range(cap), key=lambda k: witnesses[k][0])] = entry
     return ("beats", None) if best > cutoff else ("attains", best_set)
 
 

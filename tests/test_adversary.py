@@ -238,6 +238,7 @@ def test_minimal_maximizer_property_rejects_padded_maximizer(t1):
         minimal_maximizer=SwapSet.from_positions((1, 3)),
         maximizer_count=2,
         enumerated=5,
+        engine="exhaustive",
     )
     # {(1,2),(3,4)} has discrepancy 0, not 2; and 2 != 2*2
     assert not minimal_maximizer_property(t1, fake)
@@ -301,9 +302,9 @@ def test_bounded_scan_exceeded_and_exact(sub2):
 
 
 def witness_table(n, positions=()):
-    """A Witnesses table for 4t = n holding `positions` in list order."""
+    """A Witnesses table for 4t = n holding `positions` in slot order."""
     table = Witnesses(n)
-    for w in reversed(positions):
+    for w in positions:
         table.push(w)
     return table
 
@@ -326,9 +327,8 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
     if exceeded:
         assert res is None
         assert full.worst_case > cutoff
-        # the verdict rests on a concrete swap set, now first in the list
-        front = next(iter(witnesses))
-        assert discrepancy(ds, SwapSet.from_positions(front)) > cutoff
+        # the verdict rests on a concrete swap set in the table
+        assert any(discrepancy(ds, SwapSet.from_positions(w)) > cutoff for w in witnesses)
     elif isinstance(res, Attained):
         assert full.worst_case >= cutoff
         assert res.value == cutoff
@@ -396,7 +396,7 @@ def test_bounded_scan_any_witnesses_hypothesis(t, seed, cutoff, raw):
     assert_bounded_agrees(ds, full, cutoff, witnesses)
 
 
-def test_witness_list_is_move_to_front_and_capped(monkeypatch):
+def test_witness_table_is_fixed_slots_overwritten_oldest_first(monkeypatch):
     monkeypatch.setattr(adversary, "WITNESS_CAP", 3)
     witnesses = Witnesses(12)
     # at the odd cutoff 3 every swap set the scan stops at beats it
@@ -404,17 +404,22 @@ def test_witness_list_is_move_to_front_and_capped(monkeypatch):
         worst_case_bounded(ds, cutoff=3, witnesses=witnesses)
         assert len(witnesses) <= 3
     assert len(witnesses) == 3
-    # a hit moves to the front without growing the list; one swap and the
-    # empty set do not beat the cutoff
+    # a hit keeps every witness in its slot; one swap and the empty set do
+    # not beat the cutoff
     ds = random_balanced(3, Random(1))
     hit = next(w for w in naive_swap_sets(12) if discrepancy(ds, SwapSet.from_positions(w)) > 2)
-    witnesses = witness_table(12, [(3,), (), hit])
+    witnesses = witness_table(12, [(3,), hit, ()])
     _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
     assert exceeded
-    assert list(witnesses) == [hit, (3,), ()]
-    # a new swap set pushed at the cap evicts the last entry
+    assert list(witnesses) == [(3,), hit, ()]
+    # each push at the cap overwrites the oldest push, hit or not
     witnesses.push((1,))
-    assert list(witnesses) == [(1,), hit, (3,)]
+    assert list(witnesses) == [(1,), hit, ()]
+    witnesses.push((5,))
+    assert list(witnesses) == [(1,), (5,), ()]
+    witnesses.push((7,))
+    witnesses.push((9,))
+    assert list(witnesses) == [(9,), (5,), (7,)]
 
 
 def test_bounded_scan_rejects_negative_cutoff(sub2):
@@ -438,7 +443,7 @@ def test_witness_that_beats_wins_over_one_that_attains(sub2):
     witnesses = witness_table(8, [at, above])
     res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witnesses)
     assert exceeded and res is None
-    assert list(witnesses) == [above, at]
+    assert list(witnesses) == [at, above]
     # with only the attaining witness: no scan, no proof
     res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witness_table(8, [at]))
     assert not exceeded
@@ -475,21 +480,20 @@ def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
             beats, attained, floor = table.check(ds, cutoff)
             above = [k for k, v in enumerate(values) if v > cutoff]
             at = [k for k, v in enumerate(values) if v == cutoff]
+            assert list(table) == order
             if above:
                 assert (beats, attained, floor) == (True, None, -1)
-                k = above[0]
-                assert list(table) == [order[k]] + order[:k] + order[k + 1:]
+            elif at:
+                assert (beats, attained, floor) == (False, order[at[0]], -1)
             else:
-                assert list(table) == order
-                if at:
-                    assert (beats, attained, floor) == (False, order[at[0]], -1)
-                else:
-                    assert (beats, attained, floor) == (False, None, max(values, default=-1))
+                assert (beats, attained, floor) == (False, None, max(values, default=-1))
         # a new entry updates every cached pair's field and, at the cap,
-        # evicts the last one
+        # overwrites the oldest one
         size = len(table)
-        table.push(random_swap_positions(rng.randint(1, ds.t), rng))
+        new = random_swap_positions(rng.randint(1, ds.t), rng)
+        table.push(new)
         assert len(table) == min(cap, size + 1)
+        assert new in list(table)
     assert len(tables[3]) == cap
 
 
@@ -499,11 +503,13 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
     rng = Random(43)
     pool = list(enumerate_balanced(2)) + list(enumerate_balanced(3))
     pool += [random_balanced(t, rng) for t in (2, 3, 3, 4, 4, 4)]
-    # one table and one plain list per t, both starting from the tuples that
-    # are matchings of [1, 4t]
+    # one table and one plain list of (push stamp, positions) per t, both
+    # starting from the tuples that are matchings of [1, 4t]
     start = [(1, 3), (2, 3), (7,), (0, 4), (1, 5, 9, 13)]
-    plains = {t: [w for w in start if naive_is_matching(w, 4 * t)] for t in (2, 3, 4)}
-    tables = {t: witness_table(4 * t, plain) for t, plain in plains.items()}
+    plains = {
+        t: list(enumerate(w for w in start if naive_is_matching(w, 4 * t))) for t in (2, 3, 4)
+    }
+    tables = {t: witness_table(4 * t, [w for _, w in plain]) for t, plain in plains.items()}
     for round_ in range(2):
         for ds in pool:
             n = ds.n_ranks
@@ -522,7 +528,7 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
                 assert not exceeded and isinstance(res, AdversaryResult)
                 got = (res.worst_case, res.minimal_maximizer.positions(), res.maximizer_count)
                 assert got == ref
-            assert list(table) == plain
+            assert list(table) == [w for _, w in plain]
 
 
 def test_witness_table_takes_only_matchings_and_sets_of_its_4t(opt2):
@@ -533,8 +539,8 @@ def test_witness_table_takes_only_matchings_and_sets_of_its_4t(opt2):
     assert len(table) == 0
     table.push(())
     table.push((1, 7))
-    assert list(table) == [(1, 7), ()]
-    assert table.values(opt2) == [discrepancy(opt2, SwapSet.from_positions((1, 7))), 0]
+    assert list(table) == [(), (1, 7)]
+    assert table.values(opt2) == [0, discrepancy(opt2, SwapSet.from_positions((1, 7)))]
     with pytest.raises(InvalidInput):
         Witnesses(12).check(opt2, 4)
     with pytest.raises(InvalidInput):

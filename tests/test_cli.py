@@ -166,6 +166,39 @@ def test_eval_missing_file_exit3(capsys):
     assert main(["eval", "--sets", "no-such-file.json", "--worst-case"]) == EXIT_IO
 
 
+DUPLICATE_KEY = {
+    # the later value used to win silently: t = 2 here, [[3, 4]] there
+    "sets": '{"t": 3, "t": 2, "pairs": [{"odd": [1, 8], "even": [3, 6]}, '
+    '{"odd": [2, 7], "even": [4, 5]}]}',
+    "swaps": '{"swaps": [[1, 2]], "swaps": [[3, 4]]}',
+}
+
+
+@pytest.mark.parametrize("fault", ["not utf-8", "nested too deep", "duplicate key"])
+@pytest.mark.parametrize("command", ["eval --sets", "eval --swaps", "verify --sets"])
+def test_malformed_json_file_exit2(tmp_path, capsys, command, fault):
+    content = {
+        "not utf-8": b"\xff\xfe\x7b",
+        "nested too deep": b"[" * 100_000,
+        "duplicate key": DUPLICATE_KEY[command.split("--")[1]].encode(),
+    }[fault]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    argv = {
+        "eval --sets": ["eval", "--sets", str(bad), "--worst-case"],
+        "eval --swaps": ["eval", "--sets", sets, "--swaps", str(bad)],
+        "verify --sets": ["verify", "--sets", str(bad)],
+    }[command]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad} is not valid JSON: ")
+    assert captured.err.count("\n") == 1
+    if fault == "duplicate key":
+        assert "duplicate key" in captured.err
+
+
 def test_eval_worst_case_deterministic_across_workers(tmp_path, capsys):
     sets = write(tmp_path / "s.json", OPT2_DOC)
     outputs = []

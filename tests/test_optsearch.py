@@ -178,6 +178,17 @@ def test_find_optimal_deterministic():
         assert replace(first, wall_time=0) == replace(second, wall_time=0)
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_find_optimal_does_not_depend_on_witness_eviction(monkeypatch, cap):
+    # no search up to t = 5 fills the default table; a tiny one overwrites
+    # a witness at nearly every push, and only the speed may change
+    want = {t: find_optimal(t) for t in (3, 4)}
+    monkeypatch.setattr(adversary, "WITNESS_CAP", cap)
+    for t, full in want.items():
+        got = find_optimal(t)
+        assert replace(got, wall_time=0) == replace(full, wall_time=0)
+
+
 def test_find_optimal_t5_unique_optimum(monkeypatch):
     nodes = []
     scan = adversary._kernels.scan_chunk
