@@ -84,6 +84,37 @@ def test_construct_z2_writes_eq5(tmp_path, capsys):
     assert ds.pairs[0].odd == frozenset({1, 16})
 
 
+def test_out_rewrites_existing_file_in_place(tmp_path, capsys):
+    assert main(["construct", "--z", "2"]) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "eq5.json"
+    out.write_bytes(b"junk" * 2560)
+    out.chmod(0o640)
+    before = out.stat()
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    for path in (out, link):
+        assert main(["construct", "--z", "2", "--out", str(path)]) == EXIT_OK
+        assert out.read_bytes() == expected
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize("where", ["existing directory", "missing directory"])
+def test_write_failure_exit3(tmp_path, capsys, where):
+    out = str(tmp_path if where == "existing directory" else tmp_path / "no-dir" / "s.json")
+    assert main(["construct", "--z", "2", "--out", out]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_out_dev_null(tmp_path, capsys):
+    sets = write(tmp_path / "s.json", OPT2_DOC)
+    assert main(["construct", "--z", "2", "--out", "/dev/null"]) == EXIT_OK
+    assert main(["eval", "--sets", sets, "--worst-case", "--out", "/dev/null"]) == EXIT_OK
+
+
 def test_construct_z4_t19(capsys):
     assert main(["construct", "--z", "4"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
