@@ -13,7 +13,6 @@ checks.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import stat
@@ -23,6 +22,8 @@ from random import Random
 from typing import Any, Collection
 
 from . import __version__
+# graphs and optsearch are imported by the commands that run them: each
+# process compiles what it imports, and construct and eval need neither
 from .adversary import (
     EXHAUSTIVE_MAX_RANKS,
     SCAN_DEFAULT_MAX_RANKS,
@@ -49,16 +50,6 @@ from .core import (
     require_valid,
     validate_defining_set,
 )
-from .graphs import (
-    build_pot,
-    build_swp,
-    dot_texts,
-    export_graphs,
-    verify_lemma2,
-    verify_prop1,
-    verify_prop2,
-)
-from .optsearch import find_optimal, random_balanced
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -136,6 +127,8 @@ def doc_to_swaps(doc: Any) -> SwapSet:
 
 
 def _digest(doc: dict[str, Any]) -> str:
+    import hashlib
+
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
@@ -259,6 +252,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.time_budget is not None and not args.time_budget >= 0:
         # NaN compares false with every elapsed time and would switch the budget off
         raise InvalidInput(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
+    from .optsearch import find_optimal
+
     result = find_optimal(args.t, time_budget=args.time_budget)
     doc = {
         "t": result.t,
@@ -277,6 +272,8 @@ def _adversary_checks(
 ) -> dict[str, dict[str, Any]]:
     """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2 and
     bounds for a valid ds and its worst case res (upper bound only with z)."""
+    from .graphs import verify_lemma2, verify_prop1, verify_prop2
+
     entries: dict[str, dict[str, Any]] = {}
     i_star = res.minimal_maximizer
     if "eq8" in wanted:
@@ -355,7 +352,8 @@ def _adversary_checks(
 
 
 def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, dict[str, Any]], AdversaryResult | None]:
-    requested = list(DEFAULT_CHECKS) if not args.checks else args.checks.split(",")
+    # an empty --checks names the check '' and is refused like --checks ,
+    requested = list(DEFAULT_CHECKS) if args.checks is None else args.checks.split(",")
     for name in requested:
         if name not in ALL_CHECKS:
             raise InvalidInput(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
@@ -384,6 +382,8 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             "details": {"d_z": rep1.d_z, "d_z_plus_1": rep1.d_z_plus_1, "bound": rep1.bound},
         }
     if args.sample:
+        from .optsearch import random_balanced
+
         rng = Random(args.seed)
         # random_balanced returns canonical pairs, so their rank bitmasks in
         # order identify the set: a repeated draw reuses its first verdict
@@ -435,6 +435,8 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         swaps = worst_case(
             ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive
         ).minimal_maximizer
+    from .graphs import build_pot, build_swp, dot_texts, export_graphs
+
     swp = build_swp(ds, swaps)
     pot = build_pot(ds, swaps, membership=args.membership)
     if args.format == "dot":

@@ -23,6 +23,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+# rank_table is read from core at call time, so a wrapper set there after
+# this import (perfbench/tracer.py) is the one called
+from . import core
 from .core import (
     DefiningSet,
     InvalidInput,
@@ -30,7 +33,6 @@ from .core import (
     SizeRefused,
     SwapSet,
     classify_pair,
-    rank_table,
     require_valid,
 )
 
@@ -94,7 +96,7 @@ def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     require_valid(ds)
     # the tables after the swaps: each swap exchanged its two ranks'
     # entries, so they still name the same two pairs
-    pair_of, _, _ = rank_table(ds, swaps)
+    pair_of, _, _ = core.rank_table(ds, swaps)
     edges = []
     for i, j in swaps:
         a, b = pair_of[i] + 1, pair_of[j] + 1
@@ -117,9 +119,9 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     require_valid(ds)
     n = ds.n_ranks
     # the primed tables; pdiff holds sum(odd') - sum(even') per pair
-    p_pair, p_side, pdiff = rank_table(ds, swaps)
+    p_pair, p_side, pdiff = core.rank_table(ds, swaps)
     if membership == "original":
-        m_pair, m_side, _ = rank_table(ds)
+        m_pair, m_side, _ = core.rank_table(ds)
     else:
         m_pair, m_side = p_pair, p_side
     taken = {i for i, _ in swaps}

@@ -17,14 +17,10 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator
 
-from .adversary import (
-    EXHAUSTIVE_MAX_RANKS,
-    Attained,
-    Witnesses,
-    worst_case,
-    worst_case_bounded,
-    worst_case_is,
-)
+# the search's scans are read from adversary at call time, so a wrapper set
+# there after this import (perfbench/tracer.py) is the one called
+from . import adversary
+from .adversary import EXHAUSTIVE_MAX_RANKS, Attained, Witnesses
 from .core import CompanionPair, DefiningSet, InvalidInput, SizeRefused, all_ranks
 
 
@@ -207,13 +203,14 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     stream = enumerate_balanced(t)
 
     incumbent = next(stream)
-    d_star = worst_case(incumbent, strategy="branch_and_bound").worst_case
+    d_star = adversary.worst_case(incumbent, strategy="branch_and_bound").worst_case
     # the pairs of the later candidates that may attain d_star, in order
     ties: list[tuple[CompanionPair, ...]] = []
     examined = 1
     certified = True
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
     witnesses = Witnesses(4 * t)
+    worst_case_bounded = adversary.worst_case_bounded
     for ds in stream:
         if deadline is not None and time.perf_counter() > deadline:
             certified = False
@@ -236,7 +233,7 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
             certified = False  # the ties not yet proven stay out of optima
             break
         ds = DefiningSet(t, pairs)
-        if worst_case_is(ds, d_star):
+        if adversary.worst_case_is(ds, d_star):
             optima.append(ds)
     return SearchResult(
         t=t,

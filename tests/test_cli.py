@@ -1,15 +1,19 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from swapdisc import cli
+from swapdisc import cli, graphs, optsearch
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -444,18 +448,22 @@ def _failing_first(report, field):
     return replace(report, **{field: (replace(first, holds=False), *rest)})
 
 
-# one check of the sampled population made to fail by patching its checker
+# one check of the sampled population made to fail by patching its checker,
+# named with the module that the CLI reads it from at call time
 SAMPLE_FAULTS = {
-    "eq8": ("minimal_maximizer_property", lambda real: lambda ds, res: False),
+    "eq8": (cli, "minimal_maximizer_property", lambda real: lambda ds, res: False),
     "lemma2": (
+        graphs,
         "verify_lemma2",
         lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "components"),
     ),
     "eq10": (
+        graphs,
         "verify_lemma2",
         lambda real: lambda ds, i_star: replace(real(ds, i_star), eq10_holds=False),
     ),
     "prop1": (
+        graphs,
         "verify_prop1",
         lambda real: lambda ds, i_star, subsets: (
             _failing_first(real(ds, i_star, subsets), "entries")
@@ -464,6 +472,7 @@ SAMPLE_FAULTS = {
     ),
     # prop2 is not part of the sampled checks
     "prop2": (
+        graphs,
         "verify_prop2",
         lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "entries"),
     ),
@@ -472,8 +481,8 @@ SAMPLE_FAULTS = {
 
 @pytest.mark.parametrize("check", list(SAMPLE_FAULTS))
 def test_verify_sample_counts_every_failing_instance(monkeypatch, capsys, check):
-    name, fault = SAMPLE_FAULTS[check]
-    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    module, name, fault = SAMPLE_FAULTS[check]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     code = main(["verify", "--z", "2", "--checks", "balance", "--sample", "3", "--seed", "5"])
     details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
     if check == "prop2":
@@ -534,7 +543,7 @@ def test_verify_sample_refused_before_drawing(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("called before the size refusal")
 
-    monkeypatch.setattr(cli, "random_balanced", fail)
+    monkeypatch.setattr(optsearch, "random_balanced", fail)
     monkeypatch.setattr(cli, "worst_case", fail)
     assert main(["verify", "--z", "4", "--checks", "balance", "--sample", "1"]) == EXIT_SIZE
     captured = capsys.readouterr()
@@ -561,6 +570,14 @@ def test_verify_needs_sets_xor_z(capsys):
 
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--z", "2", "--checks", "nonsense"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("checks", ["", ","])
+def test_verify_empty_check_name_refused(capsys, checks):
+    assert main(["verify", "--z", "2", "--checks", checks]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown check ''")
 
 
 def test_verify_lemma1_requires_z(tmp_path, capsys):
@@ -638,9 +655,6 @@ def test_graphs_rejects_a_repeated_swap_entry(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     sets = write(tmp_path / "s.json", OPT2_DOC)
     swaps = write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]})
     proc = subprocess.run(
@@ -650,3 +664,45 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"
+
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# swapdisc modules it loaded
+FRESH_RUN = """\
+import json, sys
+from swapdisc.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("swapdisc."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["construct", "--z", "2"], {"graphs": False, "optsearch": False}),
+        (["eval", "--sets", "{sets}", "--worst-case"], {"graphs": False, "optsearch": False}),
+        (["eval", "--sets", "{sets}", "--swaps", "{swaps}"], {"graphs": False, "optsearch": False}),
+        (["search", "--t", "2"], {"graphs": False, "optsearch": True}),
+        (["verify", "--z", "2", "--sample", "1"], {"graphs": True, "optsearch": True}),
+        (["graphs", "--sets", "{sets}", "--minimal-maximizer", "--format", "json"],
+         {"graphs": True, "optsearch": False}),
+    ],
+    ids=["construct", "eval-worst-case", "eval-swaps", "search", "verify-sample", "graphs"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    paths = {
+        "sets": write(tmp_path / "s.json", OPT2_DOC),
+        "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
+    }
+    args = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert {name: f"swapdisc.{name}" in modules for name in loads} == loads

@@ -12,6 +12,7 @@ import pytest
 
 from naive_oracles import naive_swap_sets
 from swapdisc.adversary import worst_case
+from swapdisc.cli import _adversary_checks
 from swapdisc.construct import base_case
 from swapdisc.core import (
     EMPTY_SWAPS,
@@ -20,6 +21,7 @@ from swapdisc.core import (
     SwapSet,
     defining_set,
     discrepancy,
+    reflect,
     validate_defining_set,
 )
 from swapdisc.graphs import (
@@ -371,3 +373,18 @@ def test_unknown_format_rejected():
         import_graphs("{not json")
     with pytest.raises(InvalidInput):
         import_graphs('{"t": 1}')
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_sampled_check_verdicts_survive_reflection(t):
+    # the checks of verify --sample, each on the set's own worst case: they
+    # hold on the mirror image as on the set, though the arcs may differ
+    wanted = ("eq8", "lemma2", "eq10", "prop1")
+    rng = Random(t)
+    for _ in range(25):
+        ds = random_balanced(t, rng)
+        verdicts = []
+        for image in (ds, reflect(ds)):
+            entries = _adversary_checks(image, worst_case(image), wanted, None)
+            verdicts.append({name: entry["holds"] for name, entry in entries.items()})
+        assert verdicts[0] == verdicts[1] == dict.fromkeys(wanted, True)
