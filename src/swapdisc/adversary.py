@@ -12,7 +12,8 @@ exact maximum, maximizer count and minimum-size maximizer:
 - exhaustive: the scan kernel walks every matching; `enumerated` is
   F(4t+1).  The brute-force strategy; the tests check every engine
   against the reference enumeration in tests/naive_oracles.py.
-- branch_and_bound: the same scan with sound pruning; `enumerated` counts
+- branch_and_bound: the same scan with sound pruning, its floor seeded
+  with the total of a left-to-right greedy swap set; `enumerated` counts
   the matchings it visited.
 
 Every engine runs in the calling process: a scan is one call of the pure
@@ -190,6 +191,25 @@ def _frontier(
     return best_d, best_m, best, count, states
 
 
+def _greedy(n: int, pair_of, side_of, diff) -> tuple[int, tuple[int, ...]]:
+    """(total, positions) of the left-to-right greedy swap set on scan_chunk's
+    tables: it takes each free position whose swap raises the total.  A real
+    swap set attains the total, so it is a sound pruning floor."""
+    taken: list[int] = []
+    for j in range(1, n):
+        if taken and taken[-1] == j - 1:
+            continue
+        pi, pj = pair_of[j], pair_of[j + 1]
+        moved = list(diff)
+        moved[pi] += side_of[j]
+        moved[pj] -= side_of[j + 1]
+        # when pi == pj both sides count that pair twice: the test still holds
+        if abs(moved[pi]) + abs(moved[pj]) > abs(diff[pi]) + abs(diff[pj]):
+            diff = moved
+            taken.append(j)
+    return sum(map(abs, diff)), tuple(taken)
+
+
 def _pick_strategy(ds: DefiningSet, strategy: str | None, force_exhaustive: bool) -> str:
     if strategy is None:
         return "exhaustive" if ds.n_ranks <= SCAN_DEFAULT_MAX_RANKS else "frontier"
@@ -222,8 +242,10 @@ def worst_case(
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(ds.n_ranks, *tables)
     else:
+        prune = strategy == "branch_and_bound"
+        floor = _greedy(ds.n_ranks, *tables)[0] if prune else -1
         best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
-            ds.n_ranks, *tables, strategy == "branch_and_bound", -1, -1
+            ds.n_ranks, *tables, prune, floor, -1
         )
     return AdversaryResult(
         worst_case=best_d,

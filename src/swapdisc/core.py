@@ -134,6 +134,19 @@ class DefiningSet:
             raise InvalidInput(f"ranks do not partition [1, {n}] (rank {missing} missing)")
         return tuple(pair_of), tuple(side_of), tuple(pair.imbalance for pair in self.pairs)
 
+    @cached_property
+    def _valid(self) -> bool:
+        """require_valid's check; cached only on success."""
+        n = self.n_ranks
+        covered = 0
+        for pair in self.pairs:
+            if max(pair.odd) > n or max(pair.even) > n:
+                reject_invalid(self)
+            covered |= pair.partition_bits
+        if covered != all_ranks(n):
+            reject_invalid(self)
+        return True
+
 
 def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> DefiningSet:
     """Convenience constructor from ((odd, even), ...) iterables."""
@@ -227,17 +240,11 @@ def reject_invalid(ds: DefiningSet) -> NoReturn:
 
 def require_valid(ds: DefiningSet) -> None:
     """Raise InvalidInput, worded by validate_defining_set, unless ds
-    partitions [1, 4t] into balanced pairs; one pass over the pairs' cached
-    partition_bits.  A rank above 4t is refused before its pair's bitmask
-    is built, so a far out-of-range rank costs no memory."""
-    n = ds.n_ranks
-    covered = 0
-    for pair in ds.pairs:
-        if max(pair.odd) > n or max(pair.even) > n:
-            reject_invalid(ds)
-        covered |= pair.partition_bits
-    if covered != all_ranks(n):
-        reject_invalid(ds)
+    partitions [1, 4t] into balanced pairs: one pass over the pairs' cached
+    partition_bits (see all_ranks), run once per set and cached on success
+    (DefiningSet._valid), so an invalid set raises on every call.  A rank
+    above 4t is refused before its pair's bitmask is built."""
+    ds._valid  # raises unless ds is valid
 
 
 def rank_table(

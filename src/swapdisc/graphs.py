@@ -76,37 +76,41 @@ def _components(t: int, edges: Iterable[SwpEdge]) -> tuple[frozenset[int], ...]:
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     for e in edges:
         ru, rv = find(e.u), find(e.v)
         if ru != rv:
             parent[ru] = rv
-    groups: dict[int, set[int]] = {}
+    # the groups come in order of least node, as each is met first there
+    groups: dict[int, list[int]] = {}
     for v in range(1, t + 1):
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+        groups.setdefault(find(v), []).append(v)
+    return tuple(map(frozenset, groups.values()))
 
 
 def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     """One edge per swap, joining the pairs holding the swap's two ranks
-    (in the original defining set); self-loop when both sit in one pair."""
+    (in the original defining set); self-loop when both sit in one pair.
+    Edges come in ascending swap order, the order SwapSet iterates in."""
     require_valid(ds)
-    # the tables after the swaps: each swap exchanged its two ranks'
-    # entries, so they still name the same two pairs
-    pair_of, _, _ = core.rank_table(ds, swaps)
+    n = ds.n_ranks
+    # the unswapped pair_of: a swap exchanges its two ranks' entries, so the
+    # pairs it names are the same before and after
+    pair_of = ds._rank_table[0]
     edges = []
     for i, j in swaps:
+        if j > n:
+            raise InvalidInput(f"swap ({i}, {j}) outside [1, {n}]")
         a, b = pair_of[i] + 1, pair_of[j] + 1
         edges.append(SwpEdge(min(a, b), max(a, b), (i, j)))
-    edges.sort(key=lambda e: e.swap)
     return SwpGraph(ds.t, tuple(edges), _components(ds.t, edges))
 
 
 def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> PotGraph:
-    """All potential-swap arcs for the configuration after `swaps`.
+    """All potential-swap arcs for the configuration after `swaps`, ordered
+    by (swap, str(cond)).
 
     Sums always come from the primed (post-swap) sets.  membership selects
     which sets the membership side of the conditions (and the location of
@@ -121,10 +125,10 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     # the primed tables; pdiff holds sum(odd') - sum(even') per pair
     p_pair, p_side, pdiff = core.rank_table(ds, swaps)
     if membership == "original":
-        m_pair, m_side, _ = core.rank_table(ds)
+        m_pair, m_side, _ = ds._rank_table  # read, never written
     else:
         m_pair, m_side = p_pair, p_side
-    taken = {i for i, _ in swaps}
+    taken = {i for i, _ in swaps.swaps}
     arcs: list[PotArc] = []
 
     def boundary(rank: int, bump: int, swap: tuple[int, int]) -> None:
@@ -143,32 +147,25 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
 
     boundary(1, -1, (0, 1))
     for i in range(1, n):
-        if i in taken:
-            continue
         pi, si = m_pair[i], m_side[i]
         pj, sj = m_pair[i + 1], m_side[i + 1]
+        if i in taken or (pi == pj and si == sj):
+            continue  # no condition fires on two ranks of one set
         d1, d2 = pdiff[pi], pdiff[pj]
-        # conditions keyed on rank i's pair
-        if si == -1 and not (pj == pi and sj == -1):
-            if d1 < 0:
-                arcs.append(PotArc(pi + 1, pj + 1, (i, i + 1), 1))
-        if si == ODD and not (pj == pi and sj == ODD):
-            if d1 > 0:
-                arcs.append(PotArc(pi + 1, pj + 1, (i, i + 1), 3))
-            elif d1 == 0:
-                arcs.append(PotArc(pi + 1, pj + 1, (i, i + 1), 5))
-        # conditions keyed on rank i+1's pair
-        if sj == -1 and not (pi == pj and si == -1):
-            if d2 > 0:
-                arcs.append(PotArc(pj + 1, pi + 1, (i, i + 1), 2))
-            elif d2 == 0:
-                arcs.append(PotArc(pj + 1, pi + 1, (i, i + 1), 6))
-        if sj == ODD and not (pi == pj and si == ODD):
-            if d2 < 0:
-                arcs.append(PotArc(pj + 1, pi + 1, (i, i + 1), 4))
+        # rank i's pair: 1 (even, d1 < 0), 3 (odd, d1 > 0) or 5 (odd, d1 = 0);
+        # rank i+1's pair: 2 (even, d2 > 0), 6 (even, d2 = 0) or 4 (odd, d2 < 0)
+        ca = (3 if d1 > 0 else 5 if d1 == 0 else 0) if si == ODD else (1 if d1 < 0 else 0)
+        cb = (4 if d2 < 0 else 0) if sj == ODD else (2 if d2 > 0 else 6 if d2 == 0 else 0)
+        swap = (i, i + 1)
+        # at most one arc each, emitted in (swap, str(cond)) order
+        if cb and cb < ca:
+            arcs.append(PotArc(pj + 1, pi + 1, swap, cb))
+            cb = 0
+        if ca:
+            arcs.append(PotArc(pi + 1, pj + 1, swap, ca))
+        if cb:
+            arcs.append(PotArc(pj + 1, pi + 1, swap, cb))
     boundary(n, +1, (n, n + 1))
-
-    arcs.sort(key=lambda a: (a.swap, str(a.cond)))
     return PotGraph(ds.t, tuple(arcs))
 
 

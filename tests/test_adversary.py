@@ -19,7 +19,7 @@ from naive_oracles import (
     naive_worst_case,
     random_swap_positions,
 )
-from swapdisc import adversary
+from swapdisc import _kernels, adversary
 from swapdisc.adversary import (
     WITNESS_CAP,
     AdversaryResult,
@@ -41,7 +41,9 @@ from swapdisc.core import (
     SwapSet,
     defining_set,
     discrepancy,
+    rank_table,
     reflect,
+    require_valid,
     validate_defining_set,
 )
 from swapdisc.optsearch import enumerate_balanced, random_balanced
@@ -111,7 +113,9 @@ def test_every_violation_raises_with_the_validator_text(kind):
         # four ranks per pair: a bad rank always leaves another one missing
         assert any(v.endswith("missing") for v in report.violations)
     text = "invalid defining set: " + "; ".join(report.violations)
-    for call in (
+    # twice each: validity is cached only on success
+    for call in 2 * (
+        lambda: require_valid(ds),
         lambda: worst_case(ds),
         lambda: worst_case(ds, strategy="frontier"),
         lambda: worst_case_bounded(ds, cutoff=4, witnesses=witness_table(ds.n_ranks, [(1,)])),
@@ -120,6 +124,7 @@ def test_every_violation_raises_with_the_validator_text(kind):
         with pytest.raises(InvalidInput) as err:
             call()
         assert str(err.value) == text
+    assert "_valid" not in vars(ds)
 
 
 def test_far_out_of_range_rank_refused_without_its_bitmask():
@@ -158,6 +163,28 @@ def test_strategies_agree_everywhere():
         assert rx.minimal_maximizer == rb.minimal_maximizer
         assert rx.maximizer_count == rb.maximizer_count
         assert 0 < rb.enumerated <= rx.enumerated == fib(4 * ds.t + 1)
+
+
+def test_greedy_floor_keeps_every_maximizer():
+    # branch and bound starts from the greedy's total: a real swap set's, so
+    # every maximizer is still visited and only `enumerated` may fall
+    rng = Random(23)
+    pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
+    pool += [random_balanced(4, rng) for _ in range(8)]
+    pool += [random_balanced(5, rng) for _ in range(3)]
+    for ds in pool:
+        n = ds.n_ranks
+        tables = rank_table(ds)
+        floor, positions = adversary._greedy(n, *tables)
+        assert naive_is_matching(positions, n)
+        assert discrepancy(ds, SwapSet.from_positions(positions)) == floor
+        rx = worst_case(ds, strategy="exhaustive")
+        rb = worst_case(ds, strategy="branch_and_bound")
+        assert (rb.worst_case, rb.minimal_maximizer, rb.maximizer_count) == (
+            rx.worst_case, rx.minimal_maximizer, rx.maximizer_count
+        )
+        assert floor <= rb.worst_case
+        assert rb.enumerated <= _kernels.scan_chunk(n, *tables, True, -1, -1)[4]
 
 
 def test_enumerated_counter_deterministic():

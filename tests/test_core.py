@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
+from swapdisc import core
+from swapdisc.adversary import worst_case, worst_case_is
 from swapdisc.core import (
     CompanionPair,
     DefiningSet,
@@ -26,6 +28,7 @@ from swapdisc.core import (
     swap_groups,
     validate_defining_set,
 )
+from swapdisc.graphs import build_pot, build_swp, verify_lemma2, verify_prop1, verify_prop2
 from swapdisc.optsearch import random_balanced
 
 
@@ -393,3 +396,25 @@ def test_require_valid_agrees_with_validate_defining_set(t, seed, data):
         with pytest.raises(InvalidInput) as err:
             require_valid(ds)
         assert str(err.value) == "invalid defining set: " + "; ".join(report.violations)
+
+
+def test_a_valid_set_walks_its_pairs_once(monkeypatch):
+    # every walk over the pairs ends in one all_ranks call
+    walks = []
+    real = core.all_ranks
+    monkeypatch.setattr(core, "all_ranks", lambda n: walks.append(n) or real(n))
+    ds = random_balanced(4, Random(3))
+    res = worst_case(ds, strategy="branch_and_bound")
+    i_star = res.minimal_maximizer
+    for _ in range(2):
+        require_valid(ds)
+        build_swp(ds, i_star)
+        build_pot(ds, i_star, membership="primed")
+        verify_lemma2(ds, i_star)
+        verify_prop1(ds, i_star)
+        verify_prop2(ds, i_star)
+        assert worst_case_is(ds, res.worst_case)
+    assert walks == [16]
+    # an equal set has its own cache
+    require_valid(DefiningSet(ds.t, ds.pairs))
+    assert walks == [16, 16]

@@ -6,16 +6,19 @@ adversary result, so the frozen values double as determinism checks.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
-from naive_oracles import naive_swap_sets
+from naive_oracles import naive_pot_arcs, naive_swap_sets
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
 from swapdisc.construct import base_case
 from swapdisc.core import (
     EMPTY_SWAPS,
+    CompanionPair,
+    DefiningSet,
     InvalidInput,
     SizeRefused,
     SwapSet,
@@ -206,6 +209,75 @@ def test_graph_builders_reject_a_swap_outside_the_ranks(t1, opt2):
             with pytest.raises(InvalidInput) as err:
                 build(ds, swaps)
             assert str(err.value) == text
+
+
+def reference_swp(ds, swaps):
+    """(edges, components) by definition: per swap in ascending order, the
+    pairs holding its two ranks in the original sets; components by
+    flooding from each node not yet reached, in ascending order."""
+    holder = {r: k + 1 for k, pair in enumerate(ds.pairs) for r in pair.elements}
+    edges = []
+    for i, j in sorted(swaps.swaps):
+        a, b = holder[i], holder[j]
+        edges.append((min(a, b), max(a, b), (i, j)))
+    components, reached = [], set()
+    for v in range(1, ds.t + 1):
+        if v in reached:
+            continue
+        comp, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for a, b, _ in edges:
+                if x in (a, b):
+                    new = {a, b} - comp
+                    comp |= new
+                    todo.extend(new)
+        reached |= comp
+        components.append(frozenset(comp))
+    return edges, tuple(components)
+
+
+def role_variants(ds):
+    """ds with every choice of which side of each pair is odd."""
+    for flips in product((False, True), repeat=ds.t):
+        yield DefiningSet(ds.t, tuple(
+            CompanionPair(p.even, p.odd) if flip else p for p, flip in zip(ds.pairs, flips)
+        ))
+
+
+def test_builds_match_references_in_order():
+    # build_pot emits its arcs in (swap, str(cond)) order without sorting
+    # them, and build_swp its edges in swap order: compare both, order
+    # included, with references that sort by those keys, on every swap set
+    # of every balanced set with t <= 2 and on maximizers at t = 3 and 4
+    cases = [
+        (ds, SwapSet.from_positions(positions))
+        for t in (1, 2)
+        for canon in enumerate_balanced(t)
+        for ds in role_variants(canon)
+        for positions in naive_swap_sets(4 * t)
+    ]
+    rng = Random(61)
+    for t in (3, 3, 3, 4, 4, 4):
+        ds = random_balanced(t, rng)
+        cases += [(image, worst_case(image).minimal_maximizer) for image in role_variants(ds)]
+    for ds, swaps in cases:
+        positions = swaps.positions()
+        naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
+        swp = build_swp(ds, swaps)
+        assert ([(e.u, e.v, e.swap) for e in swp.edges], swp.components) == reference_swp(
+            ds, swaps
+        )
+        for membership in ("original", "primed"):
+            pot = build_pot(ds, swaps, membership=membership)
+            got = [(a.tail, a.head, a.swap, a.cond) for a in pot.arcs]
+            # naive_pot_arcs returns its arcs sorted by (swap, str(cond))
+            assert got == naive_pot_arcs(naive_pairs, positions, ds.t, membership)
+            assert import_graphs(export_graphs(swp, pot)) == (swp, pot)
+    for ds, swaps in ((cases[0][0], swaps_of(4)), (cases[-1][0], swaps_of(3, 40))):
+        for build in (build_swp, build_pot):
+            with pytest.raises(InvalidInput, match="outside"):
+                build(ds, swaps)
 
 
 # ----------------------------------------------------------- verify_lemma2
