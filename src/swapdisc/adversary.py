@@ -26,7 +26,8 @@ which scores them all with t integer additions), then runs one
 branch-and-bound scan that stops at the first swap set reaching the cutoff.
 It gives one of three verdicts: the cutoff is beaten, attained (a swap set
 reaches it exactly; the worst case is not proven), or the exact worst case
-lies below it.  `worst_case_is` proves an attained value afterwards.
+lies below it.  The search proves an attained value afterwards with one
+branch-and-bound `worst_case` scan.
 """
 
 from __future__ import annotations
@@ -256,11 +257,6 @@ def worst_case(
     )
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 0:
-        raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
-
-
 class Witnesses:
     """The witness table of worst_case_bounded for the defining sets over
     [1, n]: up to WITNESS_CAP matchings of the path on [1, n] that reached
@@ -389,7 +385,8 @@ class Witnesses:
         total = self._scores(ds)
         # only a valid int cutoff reuses the constants (True == 1, 1.0 == 1)
         if type(cutoff) is not int or cutoff != self._cutoff:
-            _check_cutoff(cutoff)
+            if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 0:
+                raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
             # a field f gets its high bit from f + half - 1 - c exactly when
             # f > c, and from f + half - c when f >= c; no total exceeds n
             c = min(cutoff, self._n + 1)
@@ -420,7 +417,8 @@ def worst_case_bounded(
     - beats: some swap set is above the cutoff; returns (None, True).
     - attains: a swap set reaches exactly the cutoff and none tried beats
       it; returns (Attained, False).  The worst case is >= cutoff, but it
-      may be above: the search proves it later with `worst_case_is`.
+      may be above: the search proves it later with one branch-and-bound
+      `worst_case` scan.
     - below: the exact worst case is below the cutoff; returns the
       branch-and-bound scan's AdversaryResult and False.
 
@@ -466,20 +464,6 @@ def worst_case_bounded(
         ),
         False,
     )
-
-
-def worst_case_is(ds: DefiningSet, value: int) -> bool:
-    """Whether the worst case of ds is exactly `value`: one branch-and-bound
-    scan that stops at the first swap set above `value` and prunes every
-    subtree that cannot reach it.  The optimal-set search proves the ties
-    that worst_case_bounded only found attained with it."""
-    require_valid(ds)
-    tables = rank_table(ds)
-    _check_cutoff(value)
-    best_d, _m, _best, _count, _nodes, abandoned = _kernels.scan_chunk(
-        ds.n_ranks, *tables, True, value, value
-    )
-    return not abandoned and best_d == value
 
 
 def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:

@@ -359,8 +359,9 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             raise InvalidInput(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     if "lemma1" in requested and args.z is None:
         raise InvalidInput("the lemma1 check needs --z (it compares construction levels)")
+    sample_strategy = args.strategy or "branch_and_bound"
     if args.sample:  # the samples have ds's t: refuse their scan before any work
-        _pick_strategy(ds, args.strategy or "branch_and_bound", args.force_exhaustive)
+        _pick_strategy(ds, sample_strategy, args.force_exhaustive)
 
     checks: dict[str, dict[str, Any]] = {}
     report = validate_defining_set(ds)
@@ -394,7 +395,7 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             key = tuple(pair.partition_bits for pair in sample_ds.pairs)
             holds = verdicts.get(key)
             if holds is None:
-                sample_res = worst_case(sample_ds, strategy=args.strategy or "branch_and_bound",
+                sample_res = worst_case(sample_ds, strategy=sample_strategy,
                                         force_exhaustive=args.force_exhaustive)
                 entries = _adversary_checks(
                     sample_ds, sample_res, ("eq8", "lemma2", "eq10", "prop1"), None

@@ -107,12 +107,11 @@ def upper_bound(z: int) -> int:
 
 
 def upper_bound_for_t(t: int) -> int:
-    """(8t - 2) / 5 for t in the family; equals upper_bound(z_for_t(t))."""
+    """upper_bound(z_for_t(t)), which is (8t - 2) / 5, for t in the family."""
     z = z_for_t(t)
     if z is None:
         raise InvalidInput(f"t = {t} is not of the form 5*2^(z-2) - 1")
-    assert (8 * t - 2) % 5 == 0
-    return (8 * t - 2) // 5
+    return upper_bound(z)
 
 
 @dataclass(frozen=True)

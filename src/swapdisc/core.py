@@ -110,10 +110,6 @@ class DefiningSet:
     def n_ranks(self) -> int:
         return 4 * self.t
 
-    @property
-    def balanced(self) -> bool:
-        return all(p.balanced for p in self.pairs)
-
     @cached_property
     def _rank_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """rank_table's unswapped (pair_of, side_of, imbalance), built once
@@ -136,16 +132,13 @@ class DefiningSet:
 
     @cached_property
     def _valid(self) -> bool:
-        """require_valid's check; cached only on success."""
-        n = self.n_ranks
-        covered = 0
-        for pair in self.pairs:
-            if max(pair.odd) > n or max(pair.even) > n:
-                reject_invalid(self)
-            covered |= pair.partition_bits
-        if covered != all_ranks(n):
-            reject_invalid(self)
-        return True
+        """require_valid's check, on _rank_table's walk; cached only on success."""
+        try:
+            if not any(self._rank_table[2]):
+                return True
+        except InvalidInput:
+            pass
+        reject_invalid(self)
 
 
 def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> DefiningSet:
@@ -161,10 +154,10 @@ class SwapSet:
     bound 4t-1 depends on t and is checked by the operations, not here.
     """
 
-    swaps: frozenset[tuple[int, int]]
+    swaps: tuple[tuple[int, int], ...]  # sorted once here, from any iterable
 
     def __post_init__(self):
-        object.__setattr__(self, "swaps", frozenset(tuple(s) for s in self.swaps))
+        object.__setattr__(self, "swaps", tuple(sorted({tuple(s) for s in self.swaps})))
         seen: set[int] = set()
         for s in self.swaps:
             if len(s) != 2 or s[1] != s[0] + 1 or s[0] < 1:
@@ -179,13 +172,13 @@ class SwapSet:
 
     def positions(self) -> tuple[int, ...]:
         """Left endpoints in ascending order."""
-        return tuple(sorted(i for i, _ in self.swaps))
+        return tuple(i for i, _ in self.swaps)
 
     def __len__(self) -> int:
         return len(self.swaps)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.swaps))
+        return iter(self.swaps)
 
 
 EMPTY_SWAPS = SwapSet(frozenset())
@@ -228,7 +221,10 @@ def all_ranks(n: int) -> int:
     """Bits 1..n.  A defining set over [1, n] partitions it into balanced
     pairs exactly when the OR of its pairs' partition_bits is all_ranks(n):
     its n/4 pairs hold at most four ranks each, so covering all n ranks
-    leaves no rank repeated, none outside [1, n] and no unbalanced pair."""
+    leaves no rank repeated, none outside [1, n] and no unbalanced pair.
+    Only Witnesses._scores checks validity this way, fused with its scoring
+    pass, because the search's speed depends on it; require_valid reads the
+    rank table instead."""
     return (2 << n) - 2
 
 
@@ -240,10 +236,11 @@ def reject_invalid(ds: DefiningSet) -> NoReturn:
 
 def require_valid(ds: DefiningSet) -> None:
     """Raise InvalidInput, worded by validate_defining_set, unless ds
-    partitions [1, 4t] into balanced pairs: one pass over the pairs' cached
-    partition_bits (see all_ranks), run once per set and cached on success
-    (DefiningSet._valid), so an invalid set raises on every call.  A rank
-    above 4t is refused before its pair's bitmask is built."""
+    partitions [1, 4t] into balanced pairs: the walk that builds ds's cached
+    rank table succeeds and leaves every imbalance at 0, so a valid set's
+    pairs are walked once for its validation and its tables.  Cached on
+    success (DefiningSet._valid), so an invalid set raises on every call.
+    A rank above 4t is refused before anything is indexed by it."""
     ds._valid  # raises unless ds is valid
 
 

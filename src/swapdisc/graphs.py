@@ -169,38 +169,22 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     return PotGraph(ds.t, tuple(arcs))
 
 
-@dataclass(frozen=True)
-class DegreeTable:
-    """Node degrees and subset counters over a built graph pair.
+def in_of(pot: PotGraph, nodes: Iterable[int]) -> int:
+    """Arcs entering the node set from outside it (v0 is node 0)."""
+    s = set(nodes)
+    return sum(1 for a in pot.arcs if a.head in s and a.tail not in s)
 
-    d_pot_in/d_pot_out exclude self-loop arcs (the other endpoint must be a
-    different node, v0 included); in_of/out_of count boundary-crossing arcs
-    and d_of counts swap edges incident to the subset (self-loop once).
-    """
 
-    swp: SwpGraph
-    pot: PotGraph
+def out_of(pot: PotGraph, nodes: Iterable[int]) -> int:
+    """Arcs leaving the node set."""
+    s = set(nodes)
+    return sum(1 for a in pot.arcs if a.tail in s and a.head not in s)
 
-    def d_pot_in(self, v: int) -> int:
-        return sum(1 for a in self.pot.arcs if a.head == v and a.tail != v)
 
-    def d_pot_out(self, v: int) -> int:
-        return sum(1 for a in self.pot.arcs if a.tail == v and a.head != v)
-
-    def d_swp(self, v: int) -> int:
-        return sum(1 for e in self.swp.edges if v in (e.u, e.v))
-
-    def in_of(self, nodes: Iterable[int]) -> int:
-        s = set(nodes)
-        return sum(1 for a in self.pot.arcs if a.head in s and a.tail not in s)
-
-    def out_of(self, nodes: Iterable[int]) -> int:
-        s = set(nodes)
-        return sum(1 for a in self.pot.arcs if a.tail in s and a.head not in s)
-
-    def d_of(self, nodes: Iterable[int]) -> int:
-        s = set(nodes)
-        return sum(1 for e in self.swp.edges if e.u in s or e.v in s)
+def d_of(swp: SwpGraph, nodes: Iterable[int]) -> int:
+    """Swap edges with an endpoint in the node set; a self-loop counts once."""
+    s = set(nodes)
+    return sum(1 for e in swp.edges if e.u in s or e.v in s)
 
 
 @dataclass(frozen=True)
@@ -239,11 +223,10 @@ def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    table = DegreeTable(swp, pot)
     comps = []
     for comp in swp.components:
-        n_e = table.d_of(comp)
-        in_a, out_a = table.in_of(comp), table.out_of(comp)
+        n_e = d_of(swp, comp)
+        in_a, out_a = in_of(pot, comp), out_of(pot, comp)
         bound = len(comp) + 4 * (n_e - len(comp))
         comps.append(
             ComponentCheck(
@@ -258,7 +241,7 @@ def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:
         )
     # d_in - d_out summed over v1..vt: every arc has its tail there (none
     # leaves v0), so all that is left is minus the arcs into v0
-    slack = -sum(1 for a in pot.arcs if a.head == 0)
+    slack = -in_of(pot, (0,))
     eq10_lhs = 2 * swp.n_edges
     eq10_rhs = Fraction(3 * ds.t, 2) - 1
     return Lemma2Report(
@@ -296,7 +279,6 @@ def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") 
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    table = DegreeTable(swp, pot)
     if subsets == "components":
         families: list[frozenset[int]] = list(swp.components)
     elif subsets == "singletons":
@@ -315,7 +297,7 @@ def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") 
         raise InvalidInput(f"unknown subset family {subsets!r}")
     entries = []
     for fam in families:
-        in_a, d_e = table.in_of(fam), table.d_of(fam)
+        in_a, d_e = in_of(pot, fam), d_of(swp, fam)
         entries.append(SubsetCheck(nodes=fam, in_arcs=in_a, d_edges=d_e, holds=in_a <= d_e))
     return Prop1Report(entries=tuple(entries))
 
@@ -350,18 +332,17 @@ def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> Prop2Report:
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    table = DegreeTable(swp, pot)
     entries = []
     skipped: list[int] = []
     for comp in swp.components:
-        n_e = table.d_of(comp)
+        n_e = d_of(swp, comp)
         acyclic = n_e + 1 == len(comp)
         for v in sorted(comp):
             if not acyclic:
                 skipped.append(v)
                 continue
             kind = classify_pair(ds.pairs[v - 1]).kind
-            d_v, d_out = table.d_swp(v), table.d_pot_out(v)
+            d_v, d_out = d_of(swp, (v,)), out_of(pot, (v,))
             expected = None if kind == 3 else kind + 2  # no total equals None
             entries.append(
                 NodeTypeCheck(

@@ -233,7 +233,7 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
             certified = False  # the ties not yet proven stay out of optima
             break
         ds = DefiningSet(t, pairs)
-        if adversary.worst_case_is(ds, d_star):
+        if adversary.worst_case(ds, strategy="branch_and_bound").worst_case == d_star:
             optima.append(ds)
     return SearchResult(
         t=t,

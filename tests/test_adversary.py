@@ -29,7 +29,6 @@ from swapdisc.adversary import (
     minimal_maximizer_property,
     worst_case,
     worst_case_bounded,
-    worst_case_is,
 )
 from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, construct_for_z
@@ -119,7 +118,6 @@ def test_every_violation_raises_with_the_validator_text(kind):
         lambda: worst_case(ds),
         lambda: worst_case(ds, strategy="frontier"),
         lambda: worst_case_bounded(ds, cutoff=4, witnesses=witness_table(ds.n_ranks, [(1,)])),
-        lambda: worst_case_is(ds, 4),
     ):
         with pytest.raises(InvalidInput) as err:
             call()
@@ -452,8 +450,6 @@ def test_witness_table_is_fixed_slots_overwritten_oldest_first(monkeypatch):
 def test_bounded_scan_rejects_negative_cutoff(sub2):
     with pytest.raises(InvalidInput):
         worst_case_bounded(sub2, cutoff=-1, witnesses=Witnesses(sub2.n_ranks))
-    with pytest.raises(InvalidInput):
-        worst_case_is(sub2, -1)
     # the table keeps its comparison constants for the last cutoff; a value
     # equal to it but no int is still refused
     table = witness_table(sub2.n_ranks, [(1,)])
@@ -636,11 +632,3 @@ def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
     assert list(table) == [(1, 5), (2,), ()]
     assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
 
-
-def test_worst_case_is_agrees_with_worst_case():
-    rng = Random(29)
-    pool = [ds for t in (1, 2, 3) for ds in enumerate_balanced(t)]
-    pool += [random_balanced(t, rng) for t in (4, 5, 6)]
-    for ds in pool:
-        wc = worst_case(ds).worst_case
-        assert [v for v in range(13) if worst_case_is(ds, v)] == ([wc] if wc < 13 else [])

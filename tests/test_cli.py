@@ -654,11 +654,16 @@ def test_graphs_rejects_a_repeated_swap_entry(tmp_path, capsys):
     assert "swap entry [5, 6] appears more than once" in capsys.readouterr().err
 
 
+# the package source, for the tests that start a fresh interpreter
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def test_module_entry_point(tmp_path):
     sets = write(tmp_path / "s.json", OPT2_DOC)
     swaps = write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]})
     proc = subprocess.run(
         [sys.executable, "-m", "swapdisc", "eval", "--sets", sets, "--swaps", swaps],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
     )
@@ -695,10 +700,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
         "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
     }
     args = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, *args],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,

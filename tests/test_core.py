@@ -1,5 +1,6 @@
 """Core types: validation, swap application, discrepancy, classification."""
 
+from functools import cached_property
 from itertools import combinations
 from random import Random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
 from swapdisc import core
-from swapdisc.adversary import worst_case, worst_case_is
+from swapdisc.adversary import worst_case
 from swapdisc.core import (
     CompanionPair,
     DefiningSet,
@@ -72,6 +73,18 @@ def test_swap_set_rejects_overlap_and_non_adjacent():
     with pytest.raises(InvalidInput):
         SwapSet(frozenset({(0, 1)}))
     assert len(swaps_of(1, 3, 5)) == 3
+
+
+def test_swap_set_is_sorted_once_whatever_the_input_order():
+    given = [
+        SwapSet(frozenset({(5, 6), (1, 2)})),
+        SwapSet([(5, 6), (1, 2), (5, 6)]),
+        SwapSet.from_positions((5, 1)),
+    ]
+    for swaps in given:
+        assert swaps == given[0] and hash(swaps) == hash(given[0])
+        assert swaps.swaps == tuple(swaps) == ((1, 2), (5, 6))
+        assert swaps.positions() == (1, 5)
 
 
 # --------------------------------------------------------------- validation
@@ -399,10 +412,12 @@ def test_require_valid_agrees_with_validate_defining_set(t, seed, data):
 
 
 def test_a_valid_set_walks_its_pairs_once(monkeypatch):
-    # every walk over the pairs ends in one all_ranks call
+    # every walk over the pairs is one build of the set's cached rank table
     walks = []
-    real = core.all_ranks
-    monkeypatch.setattr(core, "all_ranks", lambda n: walks.append(n) or real(n))
+    build = core.DefiningSet._rank_table.func
+    counted = cached_property(lambda ds: walks.append(ds.n_ranks) or build(ds))
+    counted.__set_name__(core.DefiningSet, "_rank_table")
+    monkeypatch.setattr(core.DefiningSet, "_rank_table", counted)
     ds = random_balanced(4, Random(3))
     res = worst_case(ds, strategy="branch_and_bound")
     i_star = res.minimal_maximizer
@@ -413,7 +428,7 @@ def test_a_valid_set_walks_its_pairs_once(monkeypatch):
         verify_lemma2(ds, i_star)
         verify_prop1(ds, i_star)
         verify_prop2(ds, i_star)
-        assert worst_case_is(ds, res.worst_case)
+        assert worst_case(ds, strategy="branch_and_bound") == res
     assert walks == [16]
     # an equal set has its own cache
     require_valid(DefiningSet(ds.t, ds.pairs))

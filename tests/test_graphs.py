@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from naive_oracles import naive_pot_arcs, naive_swap_sets
+from naive_oracles import naive_pot_arcs, naive_swap_sets, random_swap_positions
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
 from swapdisc.construct import base_case
@@ -28,12 +28,14 @@ from swapdisc.core import (
     validate_defining_set,
 )
 from swapdisc.graphs import (
-    DegreeTable,
     build_pot,
     build_swp,
+    d_of,
     dot_texts,
     export_graphs,
     import_graphs,
+    in_of,
+    out_of,
     verify_lemma2,
     verify_prop1,
     verify_prop2,
@@ -82,11 +84,32 @@ def test_pot_t1_worked_example(t1):
         (1, 0, (0, 1), "b1"),
         (1, 0, (4, 5), "b1"),
     ]
-    table = DegreeTable(build_swp(t1, swaps_of(1)), pot)
-    assert table.d_pot_out(1) == 2
-    assert table.d_pot_in(1) == 0
-    assert table.d_pot_in(0) == 2
-    assert table.d_pot_out(0) == 0
+    assert out_of(pot, (1,)) == 2
+    assert in_of(pot, (1,)) == 0
+    assert in_of(pot, (0,)) == 2
+    assert out_of(pot, (0,)) == 0
+
+
+def test_node_set_counts_match_single_node_degrees():
+    # the single-node degrees of the paper, counted straight from their
+    # definitions: an arc into or out of v from another node (v0 included),
+    # a swap edge at v (a self-loop once); on the minimal maximizer and on
+    # a random swap set, whose graphs also hold self-loop arcs
+    rng = Random(34)
+    for t in (1, 2, 3, 4):
+        for _ in range(25):
+            ds = random_balanced(t, rng)
+            for swaps in (worst_case(ds).minimal_maximizer,
+                          swaps_of(*random_swap_positions(t, rng))):
+                swp, pot = build_swp(ds, swaps), build_pot(ds, swaps)
+                for v in range(0, t + 1):
+                    assert in_of(pot, (v,)) == sum(
+                        1 for a in pot.arcs if a.head == v and a.tail != v
+                    )
+                    assert out_of(pot, (v,)) == sum(
+                        1 for a in pot.arcs if a.tail == v and a.head != v
+                    )
+                    assert d_of(swp, (v,)) == sum(1 for e in swp.edges if v in (e.u, e.v))
 
 
 def test_pot_boundary_rule2_rank1_in_even_set():
@@ -117,13 +140,10 @@ def test_pot_global_flow_balance():
         ds = random_balanced(4, rng)
         res = worst_case(ds, strategy="branch_and_bound")
         pot = build_pot(ds, res.minimal_maximizer)
-        table = DegreeTable(build_swp(ds, res.minimal_maximizer), pot)
         nodes = range(0, ds.t + 1)
-        assert sum(table.d_pot_in(v) for v in nodes) == sum(
-            table.d_pot_out(v) for v in nodes
-        )
+        assert sum(in_of(pot, (v,)) for v in nodes) == sum(out_of(pot, (v,)) for v in nodes)
         # no arc leaves v0, so the slack over v1..vt is minus the arcs into v0
-        slack = sum(table.d_pot_in(v) - table.d_pot_out(v) for v in nodes if v)
+        slack = sum(in_of(pot, (v,)) - out_of(pot, (v,)) for v in nodes if v)
         into_v0 = sum(1 for a in pot.arcs if a.head == 0)
         assert verify_lemma2(ds, res.minimal_maximizer).global_slack == slack == -into_v0
 
@@ -146,7 +166,6 @@ def test_pot_arcs_match_literal_oracle():
     # independent transcription of the six conditions plus boundary rules,
     # scanning every ordered node pair with plain set membership, read from
     # the original and from the primed sets
-    from naive_oracles import naive_pot_arcs, random_swap_positions
 
     rng = Random(77)
     for _ in range(60):
