@@ -44,10 +44,11 @@ def scan_chunk(
     best_floor: an already-attained discrepancy (e.g. a known swap set's), or -1.
     abandon_above: if >= 0, stop as soon as any matching exceeds it.
 
-    Returns (best_d, best_size, best_positions, count, nodes, abandoned):
-    the maximum discrepancy seen, the size and left endpoints of the first
-    minimum-size maximizer, how many evaluated matchings attained best_d,
-    the number of matchings evaluated, and whether the scan abandoned early.
+    Returns (best_d, best_size, best_positions, count, nodes): the maximum
+    discrepancy seen, the size and left endpoints of the first minimum-size
+    maximizer, how many evaluated matchings attained best_d, and the number
+    of matchings evaluated.  The scan abandoned early exactly when
+    abandon_above >= 0 and best_d > abandon_above.
     """
     diff = list(diff)
     d = sum(map(abs, diff))
@@ -75,7 +76,7 @@ def scan_chunk(
         if d > best_d:
             best_d, best_m, best, count = d, len(cur), tuple(cur), 1
             if d > stop:
-                return best_d, best_m, best, count, nodes, True
+                return best_d, best_m, best, count, nodes
             if prune and d > floor:
                 floor = d
         elif d == best_d:
@@ -109,4 +110,4 @@ def scan_chunk(
                 diff[pi] = x
                 j += 1
             else:
-                return best_d, best_m, best, count, nodes, False
+                return best_d, best_m, best, count, nodes

@@ -32,8 +32,7 @@ branch-and-bound `worst_case` scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import _kernels
 from .core import (
@@ -75,8 +74,7 @@ def count_swap_sets(t: int) -> int:
     return fibonacci(4 * t + 1)
 
 
-@dataclass(frozen=True)
-class AdversaryResult:
+class AdversaryResult(NamedTuple):
     worst_case: int
     minimal_maximizer: SwapSet
     maximizer_count: int
@@ -85,8 +83,7 @@ class AdversaryResult:
     engine: str
 
 
-@dataclass(frozen=True)
-class Attained:
+class Attained(NamedTuple):
     """The "attains" verdict of worst_case_bounded: `swap_set` reaches exactly
     `value` (the cutoff) and no swap set tried beats it, so the worst case is
     at least `value`; whether it is exactly `value` is not proven.
@@ -245,7 +242,7 @@ def worst_case(
     else:
         prune = strategy == "branch_and_bound"
         floor = _greedy(ds.n_ranks, *tables)[0] if prune else -1
-        best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
+        best_d, _m, best, count, nodes = _kernels.scan_chunk(
             ds.n_ranks, *tables, prune, floor, -1
         )
     return AdversaryResult(
@@ -354,9 +351,13 @@ class Witnesses:
         full = all_ranks(n)
         covered = total = 0
         for pair in ds.pairs:
-            bits = pair.partition_bits
+            bits = pair._bits
             if not 0 < bits <= full:
-                reject_invalid(ds)  # an unbalanced pair, or a rank above n
+                # -1: not built yet, and not built for a rank above n
+                if bits < 0 and max(pair.elements) <= n:
+                    bits = pair.partition_bits
+                if not 0 < bits <= full:
+                    reject_invalid(ds)  # an unbalanced pair, or a rank above n
             covered |= bits
             fields = packed.get(bits)
             if fields is None:
@@ -445,7 +446,7 @@ def worst_case_bounded(
         return Attained(cutoff, SwapSet.from_positions(attained), 0), False
     # the floor is attained and below the cutoff, so it prunes soundly; the
     # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
-    best_d, _m, best, count, nodes, _abandoned = _kernels.scan_chunk(
+    best_d, _m, best, count, nodes = _kernels.scan_chunk(
         ds.n_ranks, *rank_table(ds), True, floor, cutoff - 1
     )
     if best_d >= cutoff:

@@ -8,8 +8,8 @@ d_{z+1} <= 2*d_z + 2, giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .adversary import worst_case
 from .core import (
@@ -114,8 +114,7 @@ def upper_bound_for_t(t: int) -> int:
     return upper_bound(z)
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(NamedTuple):
     z: int
     d_z: int
     d_z_plus_1: int

@@ -11,9 +11,9 @@ Everything here is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NoReturn
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 
 class InvalidInput(ValueError):
@@ -28,28 +28,67 @@ ODD = 1
 EVEN = -1
 
 
-@dataclass(frozen=True)
-class CompanionPair:
+class Frozen:
+    """Base of the validated values: equal (to a value of the same type
+    only) and hashed by their fields in order, printed as
+    Name(field=value, ...), and read-only, so that assigning or deleting
+    any attribute raises AttributeError.  A subclass names its fields in
+    _fields; its __init__ validates them and stores them in the instance
+    dict, where the lazily computed attributes are cached as well."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # _values(value) is the tuple of value's fields
+        fields = attrgetter(*cls._fields)
+        if len(cls._fields) > 1:
+            cls._values = staticmethod(fields)
+        else:  # attrgetter returns a lone field untupled
+            cls._values = staticmethod(lambda value: (fields(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values(self))
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CompanionPair(Frozen):
     """Two disjoint 2-element rank sets; balanced when their sums agree.
 
     Balance is a predicate, not a constructor constraint: applying swaps can
     and does produce unbalanced pairs.
     """
 
+    _fields = ("odd", "even")
     odd: frozenset[int]
     even: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "odd", frozenset(self.odd))
-        object.__setattr__(self, "even", frozenset(self.even))
+    def __init__(self, odd: Iterable[int], even: Iterable[int]):
+        odd, even = frozenset(odd), frozenset(even)
         # overlap between the sides is left to validate_defining_set so that
         # broken candidates (repeated ranks) stay representable
-        for side in (self.odd, self.even):
+        for side in (odd, even):
             if len(side) != 2:
                 raise InvalidInput(f"companion set needs exactly 2 ranks, got {sorted(side)}")
             for r in side:
                 if not isinstance(r, int) or isinstance(r, bool) or r < 1:
                     raise InvalidInput(f"ranks must be integers >= 1, got {r!r}")
+        self.__dict__.update(odd=odd, even=even)
 
     @property
     def elements(self) -> frozenset[int]:
@@ -72,11 +111,18 @@ class CompanionPair:
     def balanced(self) -> bool:
         return self.imbalance == 0
 
-    @cached_property
+    # partition_bits once built, -1 before: Witnesses reads it directly, so
+    # that scoring a pair met before costs one attribute read, and refuses a
+    # rank above 4t before the bitmask of a far rank is built
+    _bits = -1
+
+    @property
     def partition_bits(self) -> int:
         """Bit r for each rank r of a balanced pair; 0 for an unbalanced one
-        (see all_ranks)."""
-        return 0 if self.imbalance else sum(1 << r for r in self.elements)
+        (see all_ranks).  Built on first use."""
+        if self._bits < 0:
+            self.__dict__["_bits"] = 0 if self.imbalance else sum(1 << r for r in self.elements)
+        return self._bits
 
     def sorted_elements(self) -> tuple[int, int, int, int]:
         return tuple(sorted(self.elements))
@@ -88,23 +134,24 @@ class CompanionPair:
         )
 
 
-@dataclass(frozen=True)
-class DefiningSet:
+class DefiningSet(Frozen):
     """An ordered list of t companion pairs over the ranks [1, 4t].
 
     Only the shape is enforced here; partition and balance are checked by
     validate_defining_set so that broken candidates stay representable.
     """
 
+    _fields = ("t", "pairs")
     t: int
     pairs: tuple[CompanionPair, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
-            raise InvalidInput(f"t must be a positive integer, got {self.t!r}")
-        if len(self.pairs) != self.t:
-            raise InvalidInput(f"expected {self.t} pairs, got {len(self.pairs)}")
+    def __init__(self, t: int, pairs: Iterable[CompanionPair]):
+        pairs = tuple(pairs)
+        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+            raise InvalidInput(f"t must be a positive integer, got {t!r}")
+        if len(pairs) != t:
+            raise InvalidInput(f"expected {t} pairs, got {len(pairs)}")
+        self.__dict__.update(t=t, pairs=pairs)
 
     @property
     def n_ranks(self) -> int:
@@ -146,25 +193,26 @@ def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -
     return DefiningSet(t, tuple(CompanionPair(frozenset(o), frozenset(e)) for o, e in pairs))
 
 
-@dataclass(frozen=True)
-class SwapSet:
+class SwapSet(Frozen):
     """A set of adjacent swaps (i, i+1) with pairwise distinct endpoints.
 
     Equivalently a matching of the path graph on the ranks; the upper range
     bound 4t-1 depends on t and is checked by the operations, not here.
     """
 
+    _fields = ("swaps",)
     swaps: tuple[tuple[int, int], ...]  # sorted once here, from any iterable
 
-    def __post_init__(self):
-        object.__setattr__(self, "swaps", tuple(sorted({tuple(s) for s in self.swaps})))
+    def __init__(self, swaps: Iterable[Iterable[int]]):
+        swaps = tuple(sorted({tuple(s) for s in swaps}))
         seen: set[int] = set()
-        for s in self.swaps:
+        for s in swaps:
             if len(s) != 2 or s[1] != s[0] + 1 or s[0] < 1:
                 raise InvalidInput(f"swap {s} is not an adjacent pair (i, i+1) with i >= 1")
             if s[0] in seen or s[1] in seen:
                 raise InvalidInput(f"swap {s} shares an endpoint with another swap")
             seen.update(s)
+        self.__dict__["swaps"] = swaps
 
     @classmethod
     def from_positions(cls, positions: Iterable[int]) -> "SwapSet":
@@ -184,8 +232,7 @@ class SwapSet:
 EMPTY_SWAPS = SwapSet(frozenset())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -294,8 +341,7 @@ def discrepancy(ds: DefiningSet, swaps: SwapSet) -> int:
     return sum(map(abs, rank_table(ds, swaps)[2]))
 
 
-@dataclass(frozen=True)
-class PairType:
+class PairType(NamedTuple):
     """Structural form of a balanced pair's four sorted elements.
 
     kind 1: {a, a+b, a+b+1, a+2b+1}, b >= 2 under this classifier
@@ -329,8 +375,7 @@ def classify_pair(cp: CompanionPair) -> PairType:
     return PairType(kind=2, a=l1, b=l2 - l1, c=l3 - l2)
 
 
-@dataclass(frozen=True)
-class SwapGroups:
+class SwapGroups(NamedTuple):
     """The two candidate-swap families around a kind-1 or kind-2 pair.
 
     Every swap in group_a pushes the pair's signed imbalance one way, every

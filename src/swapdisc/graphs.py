@@ -18,10 +18,9 @@ suite).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 # rank_table is read from core at call time, so a wrapper set there after
 # this import (perfbench/tracer.py) is the one called
@@ -39,15 +38,13 @@ from .core import (
 PROP1_ALL_SUBSETS_MAX_T = 6
 
 
-@dataclass(frozen=True)
-class SwpEdge:
+class SwpEdge(NamedTuple):
     u: int  # node indices 1..t, u <= v
     v: int
     swap: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SwpGraph:
+class SwpGraph(NamedTuple):
     t: int
     edges: tuple[SwpEdge, ...]
     components: tuple[frozenset[int], ...]
@@ -57,16 +54,14 @@ class SwpGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class PotArc:
+class PotArc(NamedTuple):
     tail: int  # 1..t (no arc leaves v0)
     head: int  # 0..t, 0 is the virtual node v0
     swap: tuple[int, int]
     cond: int | str  # 1..6 for internal conditions, "b1"/"b2" for boundary rules
 
 
-@dataclass(frozen=True)
-class PotGraph:
+class PotGraph(NamedTuple):
     t: int
     arcs: tuple[PotArc, ...]
 
@@ -187,8 +182,7 @@ def d_of(swp: SwpGraph, nodes: Iterable[int]) -> int:
     return sum(1 for e in swp.edges if e.u in s or e.v in s)
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
+class ComponentCheck(NamedTuple):
     nodes: frozenset[int]
     n_vertices: int
     n_edges: int
@@ -198,8 +192,7 @@ class ComponentCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(NamedTuple):
     components: tuple[ComponentCheck, ...]
     global_slack: int
     slack_holds: bool
@@ -254,16 +247,14 @@ def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:
     )
 
 
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(NamedTuple):
     nodes: frozenset[int]
     in_arcs: int
     d_edges: int
     holds: bool
 
 
-@dataclass(frozen=True)
-class Prop1Report:
+class Prop1Report(NamedTuple):
     entries: tuple[SubsetCheck, ...]
 
     @property
@@ -302,8 +293,7 @@ def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") 
     return Prop1Report(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class NodeTypeCheck:
+class NodeTypeCheck(NamedTuple):
     node: int
     kind: int
     d_swp: int
@@ -313,8 +303,7 @@ class NodeTypeCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class Prop2Report:
+class Prop2Report(NamedTuple):
     entries: tuple[NodeTypeCheck, ...]
     out_of_regime: tuple[int, ...]  # nodes in cyclic components, not claimed
 

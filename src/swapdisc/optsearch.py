@@ -12,10 +12,9 @@ bound, so it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # the search's scans are read from adversary at call time, so a wrapper set
 # there after this import (perfbench/tracer.py) is the one called
@@ -162,8 +161,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     return DefiningSet(t, pairs)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     t: int
     d_star: int
     optima: tuple[DefiningSet, ...]

@@ -287,7 +287,7 @@ def reference_scan(n, pair_of, side_of, diff, prune, best_floor, abandon_above):
     node against the pruning bound: the reference for _kernels.scan_chunk,
     which ends a node's loop early and walks with an explicit stack.  Same
     arguments and the same (best_d, best_size, best_positions, count,
-    nodes, abandoned) result."""
+    nodes) result."""
     diff = list(diff)
     d = sum(abs(v) for v in diff)
     cur: list[int] = []
@@ -340,4 +340,4 @@ def reference_scan(n, pair_of, side_of, diff, prune, best_floor, abandon_above):
             j += 1
 
     visit(1)
-    return best_d, best_m, best, count, nodes, abandoned
+    return best_d, best_m, best, count, nodes

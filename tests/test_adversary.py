@@ -4,7 +4,6 @@ cross-checked against the brute-force oracle and a plain witness list."""
 
 import json
 import tracemalloc
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -125,20 +124,37 @@ def test_every_violation_raises_with_the_validator_text(kind):
     assert "_valid" not in vars(ds)
 
 
-def test_far_out_of_range_rank_refused_without_its_bitmask():
-    # a balanced pair's rank bitmask would take 10^8 bits here
-    r = 10**8
-    ds = defining_set(1, (({1, r}, {2, r - 1}),))
+def assert_refused_in_little_memory(ds, call):
+    """call(ds) raises InvalidInput with validate_defining_set's text, and
+    tracemalloc's peak stays under 1 MiB meanwhile."""
     text = "invalid defining set: " + "; ".join(validate_defining_set(ds).violations)
     tracemalloc.start()
     try:
         with pytest.raises(InvalidInput) as err:
-            worst_case(ds)
+            call(ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(err.value) == text
     assert peak < 1 << 20
+
+
+def test_far_out_of_range_rank_refused_without_its_bitmask():
+    # a balanced pair's rank bitmask would take 10^8 bits here
+    r = 10**8
+    assert_refused_in_little_memory(defining_set(1, (({1, r}, {2, r - 1}),)), worst_case)
+
+
+def test_witness_table_refuses_a_far_rank_without_its_bitmask():
+    r = 10**8
+    ds = defining_set(2, (({1, 4}, {2, 3}), ({5, r}, {6, r - 1})))
+    table = witness_table(8, [(1, 5)])
+    assert_refused_in_little_memory(ds, lambda ds: worst_case_bounded(ds, 4, table))
+    assert "_bits" not in vars(ds.pairs[1])  # no bitmask built
+    # a pair whose bitmask is already built is refused by the same pass
+    near = defining_set(2, (({1, 4}, {2, 3}), ({5, 10}, {6, 9})))
+    assert near.pairs[1].partition_bits
+    assert_refused_in_little_memory(near, lambda ds: worst_case_bounded(ds, 4, table))
 
 
 def test_exhaustive_size_refusal():
@@ -291,14 +307,14 @@ def test_minimal_maximizer_property_matches_the_definition():
             # tampered results: another value, and the swap set of I*
             # shifted, cut short or padded by one swap
             positions = res.minimal_maximizer.positions()
-            tampered = [replace(res, worst_case=res.worst_case + 2)]
+            tampered = [res._replace(worst_case=res.worst_case + 2)]
             for other in (tuple(p + 1 for p in positions), positions[1:],
                           positions + (4 * t - 1,)):
                 if naive_is_matching(other, 4 * t) and other != positions:
                     swap_set = SwapSet.from_positions(other)
-                    tampered.append(replace(res, minimal_maximizer=swap_set))
-                    tampered.append(replace(res, minimal_maximizer=swap_set,
-                                            worst_case=2 * len(other)))
+                    tampered.append(res._replace(minimal_maximizer=swap_set))
+                    tampered.append(res._replace(minimal_maximizer=swap_set,
+                                                 worst_case=2 * len(other)))
             for fake in tampered:
                 verdict = minimal_maximizer_property(ds, fake)
                 assert verdict == naive_minimal_maximizer_property(ds, fake)

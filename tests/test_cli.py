@@ -7,7 +7,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -445,7 +444,7 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
 def _failing_first(report, field):
     """report with the first entry of its tuple `field` failing."""
     first, *rest = getattr(report, field)
-    return replace(report, **{field: (replace(first, holds=False), *rest)})
+    return report._replace(**{field: (first._replace(holds=False), *rest)})
 
 
 # one check of the sampled population made to fail by patching its checker,
@@ -460,7 +459,7 @@ SAMPLE_FAULTS = {
     "eq10": (
         graphs,
         "verify_lemma2",
-        lambda real: lambda ds, i_star: replace(real(ds, i_star), eq10_holds=False),
+        lambda real: lambda ds, i_star: real(ds, i_star)._replace(eq10_holds=False),
     ),
     "prop1": (
         graphs,
@@ -671,14 +670,30 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "4"
 
 
-# runs one command in a fresh interpreter, then prints its exit code and the
-# swapdisc modules it loaded
+# runs one command in a fresh interpreter, then prints its exit code, the
+# swapdisc modules it loaded, whether dataclasses was loaded before swapdisc
+# was imported and whether it was loaded after the command
 FRESH_RUN = """\
 import json, sys
+preloaded = "dataclasses" in sys.modules
 from swapdisc.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("swapdisc."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("swapdisc.")),
+                  preloaded, "dataclasses" in sys.modules]))
 """
+
+
+def fresh_run(script, *args):
+    """The JSON that `script` prints last, run in a fresh interpreter with
+    these command-line arguments."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -700,13 +715,25 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
         "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
     }
     args = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUN, *args],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, modules, preloaded, dataclasses = fresh_run(FRESH_RUN, *args)
     assert code == EXIT_OK
     assert {name: f"swapdisc.{name}" in modules for name in loads} == loads
+    # no module of the package imports dataclasses (see README, Benchmark)
+    assert preloaded or not dataclasses
+
+
+# imports every module of the package in a fresh interpreter, then prints
+# whether dataclasses was loaded before it and after it
+FRESH_IMPORT = """\
+import json, sys
+preloaded = "dataclasses" in sys.modules
+import swapdisc.cli, swapdisc.graphs, swapdisc.optsearch
+print(json.dumps([preloaded, "dataclasses" in sys.modules]))
+"""
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    preloaded, loaded = fresh_run(FRESH_IMPORT)
+    if preloaded:
+        pytest.skip("this interpreter loads dataclasses at start-up")
+    assert not loaded

@@ -65,6 +65,47 @@ def test_companion_pair_hash_and_equality_follow_the_fields():
     assert repr(pair) == "CompanionPair(odd=frozenset({1, 4}), even=frozenset({2, 3}))"
 
 
+def test_values_compare_hash_print_and_refuse_assignment_by_their_fields():
+    pair = CompanionPair(frozenset({1, 4}), frozenset({2, 3}))
+    ds = DefiningSet(1, [pair])
+    swaps = SwapSet([(5, 6), (1, 2)])
+    equal = (
+        (ds, defining_set(1, [((4, 1), (3, 2))])),
+        (swaps, SwapSet.from_positions((1, 5))),
+    )
+    for value, same in equal:
+        assert value == same and hash(value) == hash(same)
+        assert not value != same
+    assert hash(ds) == hash((1, (pair,)))
+    assert hash(swaps) == hash((((1, 2), (5, 6)),))
+    assert ds != DefiningSet(1, [CompanionPair(pair.even, pair.odd)])
+    # values of different types, or plain tuples of the same fields, differ
+    assert swaps != swaps.swaps and swaps != (swaps.swaps,)
+    assert pair != (pair.odd, pair.even) and ds != (1, (pair,))
+    assert SwapSet([]) != ((),) and pair != ds
+    for value, name in ((pair, "odd"), (ds, "t"), (ds, "pairs"), (swaps, "swaps"),
+                        (pair, "partition_bits"), (ds, "anything")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert pair.odd == frozenset({1, 4}) and ds.t == 1
+    assert repr(swaps) == "SwapSet(swaps=((1, 2), (5, 6)))"
+    assert repr(ds) == (
+        "DefiningSet(t=1, pairs=(CompanionPair(odd=frozenset({1, 4}), "
+        "even=frozenset({2, 3})),))"
+    )
+    assert repr(classify_pair(pair)) == "PairType(kind=3, a=1, b=1, c=None)"
+
+
+def test_far_rank_pair_builds_without_its_bitmask():
+    r = 10**9
+    pair = CompanionPair(frozenset({1, r}), frozenset({2, r - 1}))
+    assert pair.balanced and pair.sorted_elements() == (1, 2, r - 1, r)
+    assert "_bits" not in vars(pair)  # no bitmask built
+    assert pair == CompanionPair([r, 1], [r - 1, 2])
+
+
 def test_swap_set_rejects_overlap_and_non_adjacent():
     with pytest.raises(InvalidInput):
         SwapSet(frozenset({(1, 2), (2, 3)}))

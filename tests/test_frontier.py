@@ -77,7 +77,7 @@ def random_partition(t, rng):
 
 
 def full_scan(n, pair_of, side_of, diff):
-    best_d, best_m, best, count, _nodes, _ab = _kernels.scan_chunk(
+    best_d, best_m, best, count, _nodes = _kernels.scan_chunk(
         n, pair_of, side_of, diff, False, -1, -1
     )
     return best_d, best_m, best, count

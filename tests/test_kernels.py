@@ -2,9 +2,10 @@
 
 The scan is checked directly against `reference_scan` in
 tests/naive_oracles.py, the recursive kernel that tests every position of
-a node against the pruning bound: all six return values must agree, with
+a node against the pruning bound: all five return values must agree, with
 pruning on and off, for pruning floors and abandon thresholds, and on
-unbalanced starts.  It is also checked through the engines that call it:
+unbalanced starts.  A scan abandons exactly when the threshold is set and
+its best total passes it: otherwise the threshold changes nothing.  It is also checked through the engines that call it:
 against the naive oracle and the frontier DP (tests/test_frontier.py) and
 in abandon mode by the worst_case_bounded tests (tests/test_adversary.py).
 """
@@ -38,7 +39,16 @@ def test_scan_matches_the_reference_kernel(t):
             for prune in (False, True):
                 for floor, abandon in BOUNDS:
                     args = (n, pair_of, side_of, start, prune, floor, abandon)
-                    assert _kernels.scan_chunk(*args) == reference_scan(*args), args
+                    got = _kernels.scan_chunk(*args)
+                    assert got == reference_scan(*args), args
+                    unbounded = _kernels.scan_chunk(*args[:-1], -1)
+                    if 0 <= abandon < got[0]:
+                        # stopped at the first matching above the threshold,
+                        # on the walk of the scan without one
+                        assert got[3] == 1 and got[4] <= unbounded[4], args
+                        assert got[0] <= unbounded[0], args
+                    else:
+                        assert got == unbounded, args
 
 
 def test_scan_leaves_its_tables_unchanged():
