@@ -94,20 +94,23 @@ class Attained(NamedTuple):
     enumerated: int
 
 
-def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: tuple) -> None:
+def _merge(table: dict, key: tuple, value: int, size: int, count: int, witness: int) -> None:
     """Record `count` partial swap sets reaching state `key` with `value`.
 
     A state keeps the best value, the number of partial sets attaining it,
     and among those the smallest size and then the lexicographically first
     positions.  Lower values are dropped: every completion adds the same to
-    all partial sets reaching one state.
+    all partial sets reaching one state.  `witness` holds swap position i
+    as bit n - i, so of two position sets of one size the lexicographically
+    first is the larger integer (it holds the smallest position in which
+    they differ).
     """
     entry = table.get(key)
     if entry is None or value > entry[0]:
         table[key] = [value, size, count, witness]
     elif value == entry[0]:
         entry[2] += count
-        if size < entry[1] or (size == entry[1] and witness < entry[3]):
+        if size < entry[1] or (size == entry[1] and witness > entry[3]):
             entry[1] = size
             entry[3] = witness
 
@@ -127,7 +130,9 @@ def _frontier(
     Partial sets meeting in one state with equal value and size share every
     completion, and the first of them in enumeration order stays first
     whatever completion follows; so keeping the lexicographically first
-    witness per state yields the first minimum-size maximizer overall.
+    witness per state yields the first minimum-size maximizer overall.  A
+    witness is an integer bitmask (see _merge), so a swap transition adds
+    one bit instead of copying a tuple of positions.
 
     Returns (best_d, best_size, best_positions, count, states), states being
     the number of DP states created.  Raises SizeRefused as soon as one
@@ -140,7 +145,7 @@ def _frontier(
         last[pair_of[r]] = r
 
     open_pairs = [pair_of[1]]
-    free: dict = {(diff[pair_of[1]],): [0, 0, 1, ()]}  # rank i+1 unmatched
+    free: dict = {(diff[pair_of[1]],): [0, 0, 1, 0]}  # rank i+1 unmatched
     taken: dict = {}  # rank i+1 matched by the swap at i
     states = 1
     for i in range(1, n):
@@ -157,6 +162,7 @@ def _frontier(
         shut = sum(1 for q in open_pairs if last[q] <= closing)
         del open_pairs[:shut]
 
+        bit = 1 << (n - i)
         nxt_free: dict = {}
         nxt_taken: dict = {}
         for table, can_swap in ((free, True), (taken, False)):
@@ -172,7 +178,7 @@ def _frontier(
                     for x in moved[:shut]:
                         value += abs(x)
                     _merge(nxt_taken, tuple(moved[shut:]), value, size + 1, count,
-                           witness + (i,))
+                           witness | bit)
                 if len(nxt_free) + len(nxt_taken) > FRONTIER_MAX_STATES:
                     raise SizeRefused(
                         f"frontier DP refused: more than {FRONTIER_MAX_STATES} live "
@@ -185,7 +191,8 @@ def _frontier(
     for table in (free, taken):
         for value, size, count, witness in table.values():
             _merge(final, (), value, size, count, witness)
-    best_d, best_m, count, best = final[()]
+    best_d, best_m, count, mask = final[()]
+    best = tuple(i for i in range(1, n) if mask >> (n - i) & 1)
     return best_d, best_m, best, count, states
 
 

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from swapdisc import cli, graphs, optsearch
+from swapdisc import adversary, cli, graphs, optsearch
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -25,7 +25,7 @@ from swapdisc.cli import (
     main,
     swaps_to_doc,
 )
-from swapdisc.core import SwapSet
+from swapdisc.core import SizeRefused, SwapSet
 from swapdisc.graphs import import_graphs
 from swapdisc.optsearch import random_balanced
 
@@ -432,7 +432,9 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
         return real(ds, strategy=strategy, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
-    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
+    # one process, so that every call lands in `seen`
+    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1",
+            "--workers", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
     capsys.readouterr()
     # the construction, then each distinct sample once (branch-and-bound by default)
@@ -502,7 +504,8 @@ def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, 
         return set_key(ds) != target and real(ds, res)
 
     monkeypatch.setattr(cli, "minimal_maximizer_property", fail_target)
-    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1"]
+    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1",
+            "--workers", "1"]
     assert main(argv) == EXIT_CHECK_FAILED
     details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
     assert details == {"sampled": 300, "seed": 1, "failures": times}
@@ -518,7 +521,7 @@ def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsy
         return real(ds, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
-    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1"]
+    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", "1"]
     outputs = []
     for cap in (cli.SAMPLE_MEMO_MAX, 0):
         monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
@@ -560,6 +563,190 @@ def test_verify_sampled_certificate_identical_across_workers(capsys):
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["adversary"]["engine"] == "branch_and_bound"
     assert len(sample_draws(5, 40)) == 38  # the sample has repeats
+
+
+# ------------------------------------------------- forked --sample workers
+
+def run_reaped(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), after checking that it left
+    no child process behind, reaped or not."""
+    code = main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture
+def fork_any_share(monkeypatch):
+    """A forked worker for every share of at least one check, on up to 3
+    usable cores whatever the machine has."""
+    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+
+
+def checked_one_by_one(seed, n, cap, t=4):
+    """The sets the one-by-one --sample loop checks, with a memo of `cap` sets."""
+    rng = Random(seed)
+    kept, checked = set(), []
+    for _ in range(n):
+        key = set_key(random_balanced(t, rng))
+        if key not in kept:
+            checked.append(key)
+            if len(kept) < cap:
+                kept.add(key)
+    return checked
+
+
+# an optimal t = 3 set: its random sets repeat often (86 canonical sets)
+OPT3_DOC = {
+    "t": 3,
+    "pairs": [
+        {"odd": [1, 6], "even": [3, 4]},
+        {"odd": [2, 11], "even": [5, 8]},
+        {"odd": [7, 12], "even": [9, 10]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "t, cap, block",
+    [(4, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK), (3, 40, 64), (4, 0, 64)],
+    ids=["memo", "t3-memo-40-blocks-64", "no-memo-blocks-64"],
+)
+def test_forked_workers_check_the_same_sets(fork_any_share, monkeypatch, tmp_path, capsys,
+                                            t, cap, block):
+    monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+    real = cli.worst_case
+    log = tmp_path / "checked.txt"
+
+    def logging(ds, **kwargs):
+        # one O_APPEND write per line, so lines of several processes never mix
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()} {set_key(ds)}\n".encode())
+        finally:
+            os.close(fd)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", logging)
+    want = Counter(str(key) for key in checked_one_by_one(1, 300, cap, t))
+    sets = ["--z", "2"] if t == 4 else ["--sets", write(tmp_path / "s.json", OPT3_DOC)]
+    outputs = []
+    for workers in (1, 2, 3):
+        log.write_text("")
+        argv = ["verify", *sets, "--checks", "balance", "--sample", "300", "--seed", "1",
+                "--workers", str(workers)]
+        outputs.append(run_reaped(argv, capsys))
+        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert Counter(key for _, key in lines) == want
+        # the parent, and workers - 1 children for each block
+        blocks = -(-300 // block)
+        assert len({pid for pid, _ in lines}) == 1 + (workers - 1) * blocks
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("check", list(SAMPLE_FAULTS))
+def test_forked_workers_count_every_failing_instance(fork_any_share, monkeypatch, capsys, check):
+    module, name, fault = SAMPLE_FAULTS[check]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    outputs = []
+    for workers in ("1", "2"):
+        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
+                "--workers", workers]
+        outputs.append(run_reaped(argv, capsys))
+    assert outputs[0] == outputs[1]
+    details = json.loads(outputs[0][1])["checks"]["sampled_population"]["details"]
+    assert details["failures"] == (0 if check == "prop2" else 40)
+
+
+@pytest.mark.parametrize("targets", [(20, 30), (5, 30), (30, 20)])
+def test_forked_workers_raise_the_earliest_checks_error(fork_any_share, monkeypatch, capsys,
+                                                        targets):
+    # 38 distinct sets in 3 shares: 0-11 here, 12-24 and 25-37 in children
+    jobs = checked_one_by_one(5, 40, cli.SAMPLE_MEMO_MAX)
+    assert len(jobs) == 38
+    refused = [jobs[j] for j in targets]
+    real = cli.worst_case
+
+    def refusing(ds, **kwargs):
+        if set_key(ds) in refused:
+            raise SizeRefused(f"refused {set_key(ds)}")
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", refusing)
+    outputs = []
+    for workers in ("1", "3"):
+        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
+                "--workers", workers]
+        outputs.append(run_reaped(argv, capsys))
+    assert outputs[0] == outputs[1] == (EXIT_SIZE, "", f"error: refused {jobs[min(targets)]}\n")
+
+
+def test_forked_frontier_refusal_exits_4_with_the_same_error(fork_any_share, monkeypatch,
+                                                             capsys):
+    # with this cap the frontier DP refuses 2 of the 38 distinct sets, the
+    # first of them in the second half: a child's share at --workers 2
+    monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 180)
+    real = cli.worst_case
+    calls = []
+
+    def counting(ds, **kwargs):
+        calls.append(ds)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", counting)
+    outputs = []
+    for workers in ("1", "2"):
+        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
+                "--strategy", "frontier", "--workers", workers]
+        outputs.append(run_reaped(argv, capsys))
+        if workers == "1":
+            assert len(calls) > 38 // 2  # the refused check is past share 0
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, out) == (EXIT_SIZE, "")
+    assert err.startswith("error: frontier DP refused: more than 180 live states")
+
+
+def test_dead_worker_is_an_error_without_certificate(fork_any_share, monkeypatch, tmp_path,
+                                                    capsys):
+    parent = os.getpid()
+    real = cli.worst_case
+
+    def dying(ds, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(ds, **kwargs)
+
+    monkeypatch.setattr(cli, "worst_case", dying)
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", "2",
+            "--out", str(out)]
+    code, stdout, stderr = run_reaped(argv, capsys)
+    assert code == EXIT_IO and stdout == "" and not out.exists()
+    assert stderr.count("\n") == 1 and stderr.startswith("error: --sample worker ")
+    assert "exited with status 3 after 0 of its 138 checks" in stderr
+
+
+def test_workers_beyond_the_cores_fork_at_most_cores_minus_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError("no process to spare")
+
+    # a failed fork leaves its share to the parent, so nothing is started
+    monkeypatch.setattr(os, "fork", failing_fork)
+    outputs = []
+    for workers in ("1000000", "1"):
+        argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", workers]
+        outputs.append(run_reaped(argv, capsys))
+    assert len(forks) == cli._usable_cores() - 1
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
 def test_verify_needs_sets_xor_z(capsys):
