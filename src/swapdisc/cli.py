@@ -65,14 +65,11 @@ DEFAULT_CHECKS = ("balance", "eq8", "lemma2", "eq10", "prop1", "prop2", "bounds"
 SAMPLE_MEMO_MAX = 1 << 14
 # --sample draws per block: the parent holds at most this many sets at once
 SAMPLE_BLOCK = 1 << 11
-# fewest checks a forked --sample worker is given: a fork, the child's first
-# writes to shared pages and the reap cost about as much as this many checks
-# of t = 4 sets (on 2 cores, 128 checks take 15.1 ms in one process and 13.8
-# ms in two, 64 checks 7.6 ms in one and 8.9 ms in two)
-SAMPLE_MIN_SHARE = 64
-# the byte that a worker writes after its verdicts when a check raised,
-# followed by the pickled exception
-_RAISED = 2
+# fewest checks a forked --sample worker is given: importing and starting
+# the process pool costs about as much as this many checks of t = 4 sets (on
+# 2 cores, medians of 7: 256 checks take 28.5 ms in one process and 32.6 ms
+# in a pool of two, 384 checks 43.3 ms and 40.3 ms)
+SAMPLE_MIN_SHARE = 160
 
 
 # ---------------------------------------------------------------- documents
@@ -211,19 +208,15 @@ def _write_text(path: str, text: str) -> None:
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            _write_all(fd, data)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_all(fd: int, data: bytes | bytearray) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -406,8 +399,7 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             )
             return all(entry["holds"] for entry in entries.values())
 
-        failures = _sample_failures(ds.t, args.sample, args.seed, holds,
-                                    args.workers or _usable_cores())
+        failures = _sample_failures(ds.t, args.sample, args.seed, holds)
         checks["sampled_population"] = {
             "holds": failures == 0,
             "details": {"sampled": args.sample, "seed": args.seed, "failures": failures},
@@ -418,36 +410,38 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
 # ------------------------------------------------------------ --sample workers
 
 def _usable_cores() -> int:
-    """The cores this process may run on: the default --workers."""
+    """The cores this process may run on: one --sample worker process each."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _sample_failures(
-    t: int, sample: int, seed: int, holds: Callable[[DefiningSet], bool], workers: int
-) -> int:
+def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSet], bool]) -> int:
     """Failing draws among `sample` random balanced sets of t pairs.
 
-    The sets are drawn in order from one Random(seed), SAMPLE_BLOCK at a
-    time.  Each block lists exactly the checks a one-by-one loop would run:
-    a draw whose set has a kept verdict, or is already listed in the block
-    and will keep its verdict, is counted on that verdict; the verdicts of
-    the first SAMPLE_MEMO_MAX distinct sets are kept.  The listed checks
-    then run in up to `workers` processes (_verdicts)."""
+    The sets are drawn in order from one Random(seed) in blocks: one set
+    first, so that a check that refuses (the frontier DP's state cap) does
+    so before more sets are drawn, then SAMPLE_BLOCK at a time.  Each block
+    lists exactly the checks a one-by-one loop would run: a draw whose set
+    has a kept verdict, or is already listed in the block and will keep its
+    verdict, is counted on that verdict; the verdicts of the first
+    SAMPLE_MEMO_MAX distinct sets are kept.  The listed checks then run in
+    forked processes, one per usable core (_verdicts)."""
     from .optsearch import random_balanced
 
     rng = Random(seed)
     # random_balanced returns canonical pairs, so their rank bitmasks in
     # order identify the set
     kept: dict[tuple[int, ...], bool] = {}
-    failures = 0
-    for start in range(0, sample, SAMPLE_BLOCK):
+    failures = drawn = 0
+    while drawn < sample:
+        block = min(SAMPLE_BLOCK if drawn else 1, sample - drawn)
+        drawn += block
         jobs: list[DefiningSet] = []
         draws: list[int] = []  # the draws counted on each job's verdict
         listed: dict[tuple[int, ...], int] = {}  # key -> job, for kept keys
-        for _ in range(min(SAMPLE_BLOCK, sample - start)):
+        for _ in range(block):
             sample_ds = random_balanced(t, rng)
             key = tuple(pair.partition_bits for pair in sample_ds.pairs)
             verdict = kept.get(key)
@@ -462,110 +456,62 @@ def _sample_failures(
                 if len(kept) + len(listed) < SAMPLE_MEMO_MAX:
                     listed[key] = job
             draws[job] += 1
-        verdicts = _verdicts(jobs, holds, workers)
+        verdicts = _verdicts(jobs, holds)
         failures += sum(n for n, ok in zip(draws, verdicts) if not ok)
         for key, job in listed.items():
             kept[key] = bool(verdicts[job])
     return failures
 
 
-def _verdicts(jobs: list[DefiningSet], holds: Callable[[DefiningSet], bool], workers: int) -> bytes:
-    """bytes(map(holds, jobs)), computed in up to `workers` processes.
+# the shares of jobs and the check, set in a forked --sample worker
+_worker_shares: tuple[list[list[DefiningSet]], Callable[[DefiningSet], bool]]
 
-    The jobs are cut into contiguous shares, one per process, each of at
-    least SAMPLE_MIN_SHARE jobs and no more shares than usable cores.  Share
-    0 runs here; every other share runs in an os.fork child (_forked_share),
-    or here as well if the fork fails.  Like the one-process loop, this
-    raises the error of the earliest job that raises, whichever process ran
-    it.  Every child is reaped before this returns or raises."""
+
+def _verdicts(jobs: list[DefiningSet], holds: Callable[[DefiningSet], bool]) -> bytes:
+    """bytes(map(holds, jobs)), computed in one process per usable core.
+
+    The jobs are cut into contiguous shares of at least SAMPLE_MIN_SHARE
+    jobs, no more shares than usable cores, and each share runs in a pool
+    of forked processes, which inherit the jobs and the check instead of
+    unpickling them.  Like the one-process loop, this raises the error of
+    the earliest share that raises; a worker that dies is a
+    ChildProcessError.  A process that cannot fork checks the jobs itself."""
     import threading
 
-    shares = max(1, min(workers, _usable_cores(), len(jobs) // SAMPLE_MIN_SHARE))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        shares = 1  # a forked child would hold only the calling thread
+    shares = min(_usable_cores(), len(jobs) // SAMPLE_MIN_SHARE)
+    # a forked child would hold only the calling thread
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return bytes(map(holds, jobs))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     cuts = [len(jobs) * s // shares for s in range(shares + 1)]
-    children: dict[int, tuple[int, int]] = {}  # share -> (pid, pipe read end)
-    try:
-        for s in range(1, shares):
-            try:
-                children[s] = _forked_share(jobs[cuts[s]:cuts[s + 1]], holds)
-            except OSError:  # no process to spare: the share runs here
-                pass
-        verdicts = bytearray()
-        for s in range(shares):
-            share = jobs[cuts[s]:cuts[s + 1]]
-            if s not in children:
-                verdicts += bytes(map(holds, share))
-                continue
-            pid, fd = children[s]
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            status = os.waitpid(pid, 0)[1]
-            del children[s]
-            os.close(fd)
-            data = b"".join(chunks)
-            raised = data.find(_RAISED)
-            if status == 0 and raised >= 0:
-                import pickle
-
-                raise pickle.loads(data[raised + 1:])
-            if status != 0 or len(data) != len(share):
-                code = os.waitstatus_to_exitcode(status)
-                how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-                done = len(data) if raised < 0 else raised
-                raise ChildProcessError(
-                    f"--sample worker {pid} {how} after {done} of its {len(share)} checks"
-                )
-            verdicts += data
-        return bytes(verdicts)
-    finally:
-        # left only when an error ends the loop: their verdicts are not needed
-        for pid, fd in children.values():
-            import signal
-
-            os.close(fd)
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:  # already reaped
-                pass
-
-
-def _forked_share(share: list[DefiningSet], holds: Callable[[DefiningSet], bool]) -> tuple[int, int]:
-    """Fork a child that writes one verdict byte per set of `share` to a pipe
-    and exits; returns (its pid, the pipe's read end).  If a check raises,
-    the child writes _RAISED and the pickled exception after the verdicts
-    before it; it never returns into the caller's code."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        os.close(read_fd)
-        out = bytearray()
+    split = [jobs[cuts[s]:cuts[s + 1]] for s in range(shares)]
+    others = multiprocessing.active_children()
+    with ProcessPoolExecutor(shares, multiprocessing.get_context("fork"),
+                             _start_worker, (split, holds)) as pool:
         try:
-            for sample_ds in share:
-                out.append(holds(sample_ds))
-        except BaseException as exc:  # the parent raises it
-            import pickle
+            verdicts = pool.map(_share_verdicts, range(shares))
+        except OSError:  # a fork failed: stop the workers it started
+            for child in set(multiprocessing.active_children()) - set(others):
+                child.kill()
+                child.join()
+            return bytes(map(holds, jobs))
+        try:
+            return b"".join(verdicts)
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a --sample worker died: {exc}") from None
 
-            out.append(_RAISED)
-            try:
-                out += pickle.dumps(exc)
-            except Exception:  # an exception pickle cannot carry
-                out += pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        _write_all(write_fd, out)
-        code = 0
-    finally:
-        os._exit(code)
+
+def _start_worker(split: list[list[DefiningSet]], holds: Callable[[DefiningSet], bool]) -> None:
+    global _worker_shares
+    _worker_shares = split, holds
+
+
+def _share_verdicts(share: int) -> bytes:
+    split, holds = _worker_shares
+    return bytes(map(holds, split[share]))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -619,11 +565,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, engine: bool = True) -> None:
-        p.add_argument("--workers", type=int, default=None,
-                       help="must be >= 1; only verify --sample uses it: the "
-                       "processes that check its sets (default: the usable "
-                       "cores); every other computation runs in one process, "
-                       "and the output is the same for every value")
+        p.add_argument("--workers", type=int, default=1,
+                       help="must be >= 1; no effect, so the output is the same "
+                       "for every value: verify --sample checks its sets in one "
+                       "process per usable core, and every other computation "
+                       "runs in one process")
         if not engine:
             return
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
@@ -665,17 +611,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", help=f"comma list from: {','.join(ALL_CHECKS)}")
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
-                   "balanced sets of the same t, drawn in blocks of "
-                   f"{SAMPLE_BLOCK}; each distinct set is checked once, and a "
-                   "repeated draw reuses its verdict and counts again "
+                   "balanced sets of the same t, drawn one set first and then in "
+                   f"blocks of {SAMPLE_BLOCK}; each distinct set is checked once, "
+                   "and a repeated draw reuses its verdict and counts again "
                    f"(verdicts of the first {SAMPLE_MEMO_MAX} distinct sets are "
                    "kept; later new sets are checked on every draw); a block's "
-                   "checks are split among up to --workers forked processes, "
+                   "checks are split among forked processes, one per usable core, "
                    f"each given at least {SAMPLE_MIN_SHARE}; refused (exit 4) "
                    "for --z 4 and above, whose random sets no engine answers: "
                    "before any work on a scan strategy (the default), and only "
-                   "after the first block of draws with --strategy frontier, "
-                   "whose refusal is a state cap")
+                   "after the first draw with --strategy frontier, whose refusal "
+                   "is a state cap")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample only")
     p.add_argument("--out", help="certificate path (default: stdout)")
     common(p)
@@ -698,9 +644,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        workers = getattr(args, "workers", None)
-        if workers is not None and workers < 1:
-            raise InvalidInput(f"--workers must be >= 1, got {workers}")
+        if getattr(args, "workers", 1) < 1:
+            raise InvalidInput(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

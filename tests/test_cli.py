@@ -433,8 +433,8 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
 
     monkeypatch.setattr(cli, "worst_case", counting)
     # one process, so that every call lands in `seen`
-    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1",
-            "--workers", "1"]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
     capsys.readouterr()
     # the construction, then each distinct sample once (branch-and-bound by default)
@@ -504,8 +504,8 @@ def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, 
         return set_key(ds) != target and real(ds, res)
 
     monkeypatch.setattr(cli, "minimal_maximizer_property", fail_target)
-    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1",
-            "--workers", "1"]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1"]
     assert main(argv) == EXIT_CHECK_FAILED
     details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
     assert details == {"sampled": 300, "seed": 1, "failures": times}
@@ -521,7 +521,8 @@ def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsy
         return real(ds, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
-    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", "1"]
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1"]
     outputs = []
     for cap in (cli.SAMPLE_MEMO_MAX, 0):
         monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
@@ -578,11 +579,15 @@ def run_reaped(argv, capsys):
 
 
 @pytest.fixture
-def fork_any_share(monkeypatch):
-    """A forked worker for every share of at least one check, on up to 3
-    usable cores whatever the machine has."""
+def on_cores(monkeypatch):
+    """Sets the usable cores that --sample sees, with a forked worker for
+    every share of at least one check."""
     monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+
+    def set_cores(n):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: n)
+
+    return set_cores
 
 
 def checked_one_by_one(seed, n, cap, t=4):
@@ -614,7 +619,7 @@ OPT3_DOC = {
     [(4, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK), (3, 40, 64), (4, 0, 64)],
     ids=["memo", "t3-memo-40-blocks-64", "no-memo-blocks-64"],
 )
-def test_forked_workers_check_the_same_sets(fork_any_share, monkeypatch, tmp_path, capsys,
+def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, capsys,
                                             t, cap, block):
     monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
     monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
@@ -633,29 +638,32 @@ def test_forked_workers_check_the_same_sets(fork_any_share, monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "worst_case", logging)
     want = Counter(str(key) for key in checked_one_by_one(1, 300, cap, t))
     sets = ["--z", "2"] if t == 4 else ["--sets", write(tmp_path / "s.json", OPT3_DOC)]
+    argv = ["verify", *sets, "--checks", "balance", "--sample", "300", "--seed", "1"]
     outputs = []
-    for workers in (1, 2, 3):
+    for cores in (1, 2, 3):
+        on_cores(cores)
         log.write_text("")
-        argv = ["verify", *sets, "--checks", "balance", "--sample", "300", "--seed", "1",
-                "--workers", str(workers)]
         outputs.append(run_reaped(argv, capsys))
         lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert Counter(key for _, key in lines) == want
-        # the parent, and workers - 1 children for each block
-        blocks = -(-300 // block)
-        assert len({pid for pid, _ in lines}) == 1 + (workers - 1) * blocks
+        # the parent checks the first draw, and at most `cores` workers
+        # each block after it
+        pids = {int(pid) for pid, _ in lines}
+        assert os.getpid() in pids
+        assert (len(pids) == 1) == (cores == 1)
+        assert len(pids) <= 1 + cores * -(-299 // block)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == EXIT_OK
 
 
 @pytest.mark.parametrize("check", list(SAMPLE_FAULTS))
-def test_forked_workers_count_every_failing_instance(fork_any_share, monkeypatch, capsys, check):
+def test_forked_workers_count_every_failing_instance(on_cores, monkeypatch, capsys, check):
     module, name, fault = SAMPLE_FAULTS[check]
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     outputs = []
-    for workers in ("1", "2"):
-        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
-                "--workers", workers]
+    for cores in (1, 2):
+        on_cores(cores)
+        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5"]
         outputs.append(run_reaped(argv, capsys))
     assert outputs[0] == outputs[1]
     details = json.loads(outputs[0][1])["checks"]["sampled_population"]["details"]
@@ -663,9 +671,10 @@ def test_forked_workers_count_every_failing_instance(fork_any_share, monkeypatch
 
 
 @pytest.mark.parametrize("targets", [(20, 30), (5, 30), (30, 20)])
-def test_forked_workers_raise_the_earliest_checks_error(fork_any_share, monkeypatch, capsys,
+def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, capsys,
                                                         targets):
-    # 38 distinct sets in 3 shares: 0-11 here, 12-24 and 25-37 in children
+    # 38 distinct sets: 0 alone, then 3 shares in workers, 1-12, 13-24 and
+    # 25-37
     jobs = checked_one_by_one(5, 40, cli.SAMPLE_MEMO_MAX)
     assert len(jobs) == 38
     refused = [jobs[j] for j in targets]
@@ -678,17 +687,16 @@ def test_forked_workers_raise_the_earliest_checks_error(fork_any_share, monkeypa
 
     monkeypatch.setattr(cli, "worst_case", refusing)
     outputs = []
-    for workers in ("1", "3"):
-        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
-                "--workers", workers]
+    for cores in (1, 3):
+        on_cores(cores)
+        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5"]
         outputs.append(run_reaped(argv, capsys))
     assert outputs[0] == outputs[1] == (EXIT_SIZE, "", f"error: refused {jobs[min(targets)]}\n")
 
 
-def test_forked_frontier_refusal_exits_4_with_the_same_error(fork_any_share, monkeypatch,
-                                                             capsys):
+def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypatch, capsys):
     # with this cap the frontier DP refuses 2 of the 38 distinct sets, the
-    # first of them in the second half: a child's share at --workers 2
+    # first of them in the second worker's share on 2 cores (sets 19-37)
     monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 180)
     real = cli.worst_case
     calls = []
@@ -698,21 +706,40 @@ def test_forked_frontier_refusal_exits_4_with_the_same_error(fork_any_share, mon
         return real(ds, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
+    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
+            "--strategy", "frontier"]
     outputs = []
-    for workers in ("1", "2"):
-        argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
-                "--strategy", "frontier", "--workers", workers]
+    for cores in (1, 2):
+        on_cores(cores)
         outputs.append(run_reaped(argv, capsys))
-        if workers == "1":
-            assert len(calls) > 38 // 2  # the refused check is past share 0
+        if cores == 1:
+            # the construction, then the sampled sets up to the refused one
+            assert len(calls) - 2 >= 19
     assert outputs[0] == outputs[1]
     code, out, err = outputs[0]
     assert (code, out) == (EXIT_SIZE, "")
     assert err.startswith("error: frontier DP refused: more than 180 live states")
 
 
-def test_dead_worker_is_an_error_without_certificate(fork_any_share, monkeypatch, tmp_path,
-                                                    capsys):
+def test_frontier_sample_refused_after_one_draw(monkeypatch, capsys):
+    monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 1000)
+    real = optsearch.random_balanced
+    draws = []
+
+    def counting(t, rng):
+        draws.append(t)
+        return real(t, rng)
+
+    monkeypatch.setattr(optsearch, "random_balanced", counting)
+    argv = ["verify", "--z", "4", "--checks", "balance", "--sample", "5000",
+            "--strategy", "frontier"]
+    code, out, err = run_reaped(argv, capsys)
+    assert (code, out, draws) == (EXIT_SIZE, "", [19])
+    assert err.startswith("error: frontier DP refused: more than 1000 live states")
+
+
+def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, capsys):
+    on_cores(2)
     parent = os.getpid()
     real = cli.worst_case
 
@@ -723,29 +750,33 @@ def test_dead_worker_is_an_error_without_certificate(fork_any_share, monkeypatch
 
     monkeypatch.setattr(cli, "worst_case", dying)
     out = tmp_path / "cert.json"
-    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", "2",
-            "--out", str(out)]
+    argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--out", str(out)]
     code, stdout, stderr = run_reaped(argv, capsys)
     assert code == EXIT_IO and stdout == "" and not out.exists()
-    assert stderr.count("\n") == 1 and stderr.startswith("error: --sample worker ")
-    assert "exited with status 3 after 0 of its 138 checks" in stderr
+    assert stderr.count("\n") == 1 and stderr.startswith("error: a --sample worker died: ")
 
 
-def test_workers_beyond_the_cores_fork_at_most_cores_minus_one(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_failed_fork_checks_every_set_here(on_cores, monkeypatch, capsys,
+                                           forks_before_failing):
+    real_fork = os.fork
     forks = []
 
     def failing_fork():
         forks.append(1)
-        raise BlockingIOError("no process to spare")
+        if len(forks) > forks_before_failing:
+            raise BlockingIOError("no process to spare")
+        return real_fork()
 
-    # a failed fork leaves its share to the parent, so nothing is started
+    # a worker started before the failed fork is stopped, and --workers
+    # changes nothing
     monkeypatch.setattr(os, "fork", failing_fork)
     outputs = []
-    for workers in ("1000000", "1"):
+    for cores, workers in ((3, "1000000"), (1, "1")):
+        on_cores(cores)
         argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", workers]
         outputs.append(run_reaped(argv, capsys))
-    assert len(forks) == cli._usable_cores() - 1
+    assert len(forks) == forks_before_failing + 1
     assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
