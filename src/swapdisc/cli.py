@@ -1,8 +1,8 @@
 """Command-line front end: construct, eval, search, verify, graphs.
 
 Exit codes: 0 success / all checks hold, 1 verification failure, 2 invalid
-input, 3 I/O failure (or a verify --sample worker that died), 4 size
-refusal.
+input, 3 I/O failure (or a forked search or verify --sample worker that
+died), 4 size refusal.
 
 Documents are strict JSON.  A defining set is {"t": T, "pairs": [{"odd":
 [a, b], "even": [c, d]}, ...]}; a swap set is {"swaps": [[i, i+1], ...]};
@@ -65,11 +65,11 @@ DEFAULT_CHECKS = ("balance", "eq8", "lemma2", "eq10", "prop1", "prop2", "bounds"
 SAMPLE_MEMO_MAX = 1 << 14
 # --sample draws per block: the parent holds at most this many sets at once
 SAMPLE_BLOCK = 1 << 11
-# fewest checks a forked --sample worker is given: importing and starting
-# the process pool costs about as much as this many checks of t = 4 sets (on
-# 2 cores, medians of 7: 256 checks take 28.5 ms in one process and 32.6 ms
-# in a pool of two, 384 checks 43.3 ms and 40.3 ms)
-SAMPLE_MIN_SHARE = 160
+# fewest checks per --sample share: a fork, the child's first writes to
+# shared pages and the reap cost about as much as this many checks of t = 4
+# sets (on 2 cores, medians of 15: 16 checks take 1.7 ms in one process and
+# in two, 32 checks 3.3 ms in one and 2.5 ms in two)
+SAMPLE_MIN_SHARE = 16
 
 
 # ---------------------------------------------------------------- documents
@@ -255,12 +255,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.t < 1:
-        raise InvalidInput(f"--t must be >= 1, got {args.t}")
-    if args.time_budget is not None and not args.time_budget >= 0:
-        # NaN compares false with every elapsed time and would switch the budget off
-        raise InvalidInput(f"--time-budget must be >= 0 seconds, got {args.time_budget}")
-    from .optsearch import find_optimal
+    from .optsearch import find_optimal  # it validates --t and --time-budget
 
     result = find_optimal(args.t, time_budget=args.time_budget)
     doc = {
@@ -407,15 +402,7 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
     return checks, res
 
 
-# ------------------------------------------------------------ --sample workers
-
-def _usable_cores() -> int:
-    """The cores this process may run on: one --sample worker process each."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
+# ------------------------------------------------------------ --sample shares
 
 def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSet], bool]) -> int:
     """Failing draws among `sample` random balanced sets of t pairs.
@@ -427,7 +414,7 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     has a kept verdict, or is already listed in the block and will keep its
     verdict, is counted on that verdict; the verdicts of the first
     SAMPLE_MEMO_MAX distinct sets are kept.  The listed checks then run in
-    forked processes, one per usable core (_verdicts)."""
+    one process per usable core (_verdicts)."""
     from .optsearch import random_balanced
 
     rng = Random(seed)
@@ -463,55 +450,20 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     return failures
 
 
-# the shares of jobs and the check, set in a forked --sample worker
-_worker_shares: tuple[list[list[DefiningSet]], Callable[[DefiningSet], bool]]
-
-
 def _verdicts(jobs: list[DefiningSet], holds: Callable[[DefiningSet], bool]) -> bytes:
     """bytes(map(holds, jobs)), computed in one process per usable core.
 
     The jobs are cut into contiguous shares of at least SAMPLE_MIN_SHARE
-    jobs, no more shares than usable cores, and each share runs in a pool
-    of forked processes, which inherit the jobs and the check instead of
-    unpickling them.  Like the one-process loop, this raises the error of
-    the earliest share that raises; a worker that dies is a
-    ChildProcessError.  A process that cannot fork checks the jobs itself."""
-    import threading
+    jobs, no more shares than usable cores; share 0 runs here and each
+    other share in a forked child (_fork.fork_map), so the earliest failing
+    check's error is raised as in one process."""
+    from . import _fork
 
-    shares = min(_usable_cores(), len(jobs) // SAMPLE_MIN_SHARE)
-    # a forked child would hold only the calling thread
-    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return bytes(map(holds, jobs))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    shares = max(1, min(_fork.usable_cores(), len(jobs) // SAMPLE_MIN_SHARE))
     cuts = [len(jobs) * s // shares for s in range(shares + 1)]
     split = [jobs[cuts[s]:cuts[s + 1]] for s in range(shares)]
-    others = multiprocessing.active_children()
-    with ProcessPoolExecutor(shares, multiprocessing.get_context("fork"),
-                             _start_worker, (split, holds)) as pool:
-        try:
-            verdicts = pool.map(_share_verdicts, range(shares))
-        except OSError:  # a fork failed: stop the workers it started
-            for child in set(multiprocessing.active_children()) - set(others):
-                child.kill()
-                child.join()
-            return bytes(map(holds, jobs))
-        try:
-            return b"".join(verdicts)
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a --sample worker died: {exc}") from None
-
-
-def _start_worker(split: list[list[DefiningSet]], holds: Callable[[DefiningSet], bool]) -> None:
-    global _worker_shares
-    _worker_shares = split, holds
-
-
-def _share_verdicts(share: int) -> bytes:
-    split, holds = _worker_shares
-    return bytes(map(holds, split[share]))
+    return b"".join(_fork.fork_map(lambda share: bytes(map(holds, share)), split,
+                                   "--sample worker"))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -567,9 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, engine: bool = True) -> None:
         p.add_argument("--workers", type=int, default=1,
                        help="must be >= 1; no effect, so the output is the same "
-                       "for every value: verify --sample checks its sets in one "
-                       "process per usable core, and every other computation "
-                       "runs in one process")
+                       "for every value: search (from t = 5) and verify --sample "
+                       "split their work among forked processes, one per usable "
+                       "core, and every other computation runs in one process")
         if not engine:
             return
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
@@ -592,7 +544,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", help="exhaustive search for optimal defining sets")
+    p = sub.add_parser(
+        "search", help="exhaustive search for optimal defining sets",
+        description="Scan every canonical balanced defining set of t pairs and "
+        "list every one of least worst case.  From t = 5 on, the sets of the "
+        "first top-level branch (one choice of the pair holding rank 1) are "
+        "scanned first, and the other branches are then split into contiguous "
+        "runs among forked processes, one per usable core; the output, apart "
+        "from wall_time, is the same on every core count.")
     p.add_argument("--t", type=int, required=True,
                    help=f"pair count, 1 to {EXHAUSTIVE_MAX_RANKS // 4}; a larger t "
                    "is refused (exit 4) before any work")

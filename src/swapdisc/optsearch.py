@@ -5,8 +5,11 @@ holds each quadruple's minimum, pairs ordered by minimum element), and
 certifies the minimum worst-case discrepancy over the whole space.  The
 symmetry quotient is role-swap and pair-order only; reflection is NOT
 quotiented out, so reflection-related optima are listed separately.
-The search is one loop in the calling process; it scans with branch and
-bound, so it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.
+The search walks the candidates in this process; from t = 5 on it walks
+the first top-level branch here and splits the others among forked
+processes, one per usable core (find_optimal).  It scans with branch and
+bound, so it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any
+work.
 """
 
 from __future__ import annotations
@@ -14,13 +17,21 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from random import Random
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 # the search's scans are read from adversary at call time, so a wrapper set
 # there after this import (perfbench/tracer.py) is the one called
-from . import adversary
+from . import _fork, adversary
 from .adversary import EXHAUSTIVE_MAX_RANKS, Attained, Witnesses
 from .core import CompanionPair, DefiningSet, InvalidInput, SizeRefused, all_ranks
+
+# rank-1 branches walked in this process before the rest are split among
+# forked shares (see find_optimal)
+SEARCH_WARM_UP = 1
+# fewest rank-1 branches per share: t = 4 (49 branches) runs in one process,
+# where on 2 cores two shares saved 0.4 ms of its 8.1 ms for 50 % more CPU;
+# t = 5 (81 branches) is split in up to 3 shares
+SEARCH_MIN_SHARE = 25
 
 
 @lru_cache(maxsize=1)
@@ -74,37 +85,43 @@ def _last_two(rem: int, table: tuple[tuple[int, ...], ...],
     return tuple(splits)
 
 
-def enumerate_balanced(t: int) -> Iterator[DefiningSet]:
+def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterator[DefiningSet]:
     """Every balanced defining set over [1, 4t], once, in canonical form.
 
     Deterministic order: the walk always pairs the smallest unassigned rank
-    and tries its partners in ascending (l2, l3) order.  The unassigned
-    ranks are one bitmask.  The last eight ranks are answered by a memo,
-    local to this call, that maps their bitmask to its splits into two
-    balanced quadruples (at t = 5 the walk reaches 52,199 eight-rank
-    remainders, 7,903 of them distinct); it is dropped when the generator
-    ends.  Each distinct companion pair is built once per 4t (see _pairs)
-    and shared by the sets holding it.
+    and tries its partners in ascending (l2, l3) order.  `branches`, if
+    given, names the top-level branches to walk, as ascending indices into
+    _quadruples(4t)[1], the quadruples holding rank 1: the sets whose pair
+    of rank 1 is one of them, in the same order.  The unassigned ranks are
+    one bitmask.  The last eight ranks are answered by a memo, local to
+    this call, that maps their bitmask to its splits into two balanced
+    quadruples (at t = 5 the walk reaches 52,199 eight-rank remainders,
+    7,903 of them distinct); it is dropped when the generator ends.  Each
+    distinct companion pair is built once per 4t (see _pairs) and shared
+    by the sets holding it.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
     table = _quadruples(4 * t)
     pair_of = _pairs(4 * t)
     full = all_ranks(4 * t)
+    first = table[1] if branches is None else [table[1][b] for b in branches]
     if t == 1:
-        yield DefiningSet(t, (pair_of[full],))
+        if full in first:
+            yield DefiningSet(t, (pair_of[full],))
         return
     top = t - 2  # the depth whose remainder holds the last eight ranks
     if top == 0:
-        splits = _last_two(full, table, pair_of)
-        for k in range(0, len(splits), 2):
-            yield DefiningSet(t, splits[k:k + 2])
+        for q in first:
+            tail = pair_of.get(full ^ q)
+            if tail is not None:
+                yield DefiningSet(t, (pair_of[q], tail))
         return
     chosen: list[CompanionPair | None] = [None] * t
     memo: dict[int, tuple[CompanionPair, ...]] = {}
     rems = [full] * top
     # options[d] iterates the quadruples of the smallest rank left at depth d
-    options = [iter(table[1])] + [iter(())] * (top - 1)
+    options = [iter(first)] + [iter(())] * (top - 1)
     depth = 0
     while depth >= 0:
         rem = rems[depth]
@@ -170,46 +187,30 @@ class SearchResult(NamedTuple):
     certified: bool
 
 
-def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
-    """Full search for D*(t) and every canonical optimum.
+class _Walk(NamedTuple):
+    """What one walk over candidates found: its last cutoff d_star, the
+    sets kept at it, as (pairs, proven) in enumeration order, the
+    candidates examined, and whether the walk ended before the deadline."""
 
-    One loop over enumerate_balanced in this process, sharing one witness
-    table: consecutive candidates share most pairs, so a swap set that beat
-    one of them usually beats the next.  A candidate is abandoned as soon as
-    some swap set pushes it above the best worst case seen so far, and kept
-    unproven when one only ties it.  The incumbent, whose worst case a scan
-    proved, is kept apart; an unproven tie is kept as its tuple of pairs
-    only, and its DefiningSet is rebuilt when it is proven.  After the loop
-    each tie is proven at the final D*, in enumeration order, so `optima`
-    lists the incumbent and then the proven ties, in enumeration order.
-    Every candidate is scanned with branch and bound, so t with 4t above
-    EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
-    The time budget (seconds, >= 0) is checked before each candidate and
-    before each proof.  Once it is blown, no further candidate is examined
-    and no further tie is proven: the incumbent is returned with
-    certified=False, and `optima` leaves out the ties not yet proven.
-    """
-    started = time.perf_counter()
-    if time_budget is not None and not time_budget >= 0:
-        raise InvalidInput(f"time_budget must be a number of seconds >= 0, got {time_budget!r}")
-    if 4 * t > EXHAUSTIVE_MAX_RANKS:
-        raise SizeRefused(
-            f"search refused for t = {t}: its branch-and-bound scans are refused "
-            f"above 4t = {EXHAUSTIVE_MAX_RANKS}"
-        )
-    deadline = None if time_budget is None else started + time_budget
-    stream = enumerate_balanced(t)
+    d_star: int
+    kept: list[tuple[tuple[CompanionPair, ...], bool]]
+    examined: int
+    certified: bool
 
-    incumbent = next(stream)
-    d_star = adversary.worst_case(incumbent, strategy="branch_and_bound").worst_case
-    # the pairs of the later candidates that may attain d_star, in order
-    ties: list[tuple[CompanionPair, ...]] = []
-    examined = 1
+
+def _walk(candidates: Generator[DefiningSet, None, None], d_star: int,
+          kept: list[tuple[tuple[CompanionPair, ...], bool]], witnesses: Witnesses,
+          deadline: float | None) -> _Walk:
+    """The search's loop over `candidates`, from cutoff d_star and the sets
+    `kept` at it: a candidate is abandoned as soon as some swap set pushes
+    it above the cutoff, kept unproven when one only ties it, and kept
+    proven, as the new cutoff, when a scan proves it below.  A new cutoff
+    drops every set kept at the old one.  The deadline is checked before
+    each candidate."""
+    examined = 0
     certified = True
-    # swap sets that reached recent cutoffs; they only ever speed up the verdicts
-    witnesses = Witnesses(4 * t)
     worst_case_bounded = adversary.worst_case_bounded
-    for ds in stream:
+    for ds in candidates:
         if deadline is not None and time.perf_counter() > deadline:
             certified = False
             break
@@ -218,26 +219,106 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
         if exceeded:
             continue
         if isinstance(res, Attained):
-            ties.append(ds.pairs)
+            kept.append((ds.pairs, False))
         else:
             d_star = res.worst_case
-            incumbent = ds
-            ties = []
-    stream.close()  # a blown budget leaves it open; this drops its memo
+            kept = [(ds.pairs, True)]
+    candidates.close()  # a blown budget leaves it open; this drops its memo
+    return _Walk(d_star, kept, examined, certified)
 
-    optima = [incumbent]
-    for pairs in ties:
-        if deadline is not None and time.perf_counter() > deadline:
-            certified = False  # the ties not yet proven stay out of optima
-            break
-        ds = DefiningSet(t, pairs)
-        if adversary.worst_case(ds, strategy="branch_and_bound").worst_case == d_star:
-            optima.append(ds)
+
+def _prove(t: int, walk: _Walk, deadline: float | None) -> _Walk:
+    """`walk` with each set it kept unproven proven at its cutoff: scanned
+    exactly, and kept only if its worst case is the cutoff.  The deadline
+    is checked before each proof; once it is blown, the sets not yet
+    proven are dropped and the walk is no longer certified."""
+    kept = []
+    certified = walk.certified
+    for pairs, proven in walk.kept:
+        if not proven:
+            if deadline is not None and time.perf_counter() > deadline:
+                certified = False
+                continue
+            ds = DefiningSet(t, pairs)
+            if adversary.worst_case(ds, strategy="branch_and_bound").worst_case != walk.d_star:
+                continue
+        kept.append((pairs, True))
+    return walk._replace(kept=kept, certified=certified)
+
+
+def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
+    """Full search for D*(t) and every canonical optimum.
+
+    The candidates of enumerate_balanced are walked (_walk) against the
+    best worst case seen so far, sharing one witness table: consecutive
+    candidates share most pairs, so a swap set that beat one of them
+    usually beats the next.  The first candidate is scanned exactly and
+    is the first cutoff.  When the quadruples of rank 1, the top-level
+    branches, number at least SEARCH_MIN_SHARE per share on two or more
+    usable cores, the walk here stops after the first SEARCH_WARM_UP
+    branches.  The branches are then cut into one contiguous run per
+    share, and _fork.fork_map walks the runs at once (the first one, less
+    the warm-up, here, the others in forked children), each from the
+    warm-up's cutoff and witness table; a share that lowers the cutoff
+    proves its ties itself (_prove).  D* is the lowest cutoff a walk ended
+    at.  The sets kept by the walks that ended at D* are merged in
+    enumeration order, and each one still unproven is proven at D*, so
+    `optima` lists every canonical optimum in enumeration order, and the
+    result is the same on every core count.
+
+    Every candidate is scanned with branch and bound, so t with 4t above
+    EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
+    The time budget (seconds, >= 0) is checked before each candidate and
+    before each proof.  Once it is blown, no further candidate is examined
+    and no further tie is proven: the result has certified=False, and
+    `optima` leaves out the ties not yet proven.
+    """
+    started = time.perf_counter()
+    if time_budget is not None and not time_budget >= 0:
+        # NaN compares false with every elapsed time and would switch the budget off
+        raise InvalidInput(
+            f"time_budget (--time-budget) must be a number of seconds >= 0, got {time_budget!r}"
+        )
+    if t < 1:
+        raise InvalidInput(f"t must be >= 1, got {t}")
+    if 4 * t > EXHAUSTIVE_MAX_RANKS:
+        raise SizeRefused(
+            f"search refused for t = {t}: its branch-and-bound scans are refused "
+            f"above 4t = {EXHAUSTIVE_MAX_RANKS}"
+        )
+    deadline = None if time_budget is None else started + time_budget
+    rank1 = _quadruples(4 * t)[1]
+    shares = min(_fork.usable_cores(), len(rank1) // SEARCH_MIN_SHARE)
+    stream = enumerate_balanced(t) if shares < 2 else enumerate_balanced(t, range(SEARCH_WARM_UP))
+    seed = next(stream)
+    d_star = adversary.worst_case(seed, strategy="branch_and_bound").worst_case
+    # swap sets that reached recent cutoffs; they only ever speed up the verdicts
+    witnesses = Witnesses(4 * t)
+    walk = _walk(stream, d_star, [(seed.pairs, True)], witnesses, deadline)
+    walks = [walk._replace(examined=walk.examined + 1)]
+    if shares > 1 and walk.certified:
+        def share(branches: range) -> _Walk:
+            found = _walk(enumerate_balanced(t, branches), walk.d_star, [], witnesses, deadline)
+            # a share that lowered the cutoff likely holds D*: it proves its
+            # ties while the other shares still run
+            return _prove(t, found, deadline) if found.d_star < walk.d_star else found
+
+        cuts = [len(rank1) * s // shares for s in range(shares + 1)]
+        runs = [range(max(cuts[s], SEARCH_WARM_UP), cuts[s + 1]) for s in range(shares)]
+        walks += _fork.fork_map(share, runs, "search worker")
+
+    d_star = min(w.d_star for w in walks)
+    # a walk that ended above D* kept sets above it.  Each walk keeps its
+    # sets in enumeration order and walks the branches after the previous
+    # walk's, so the list is in enumeration order, led by a proven set
+    kept = [item for w in walks if w.d_star == d_star for item in w.kept]
+    merged = _prove(t, _Walk(d_star, kept, sum(w.examined for w in walks),
+                             all(w.certified for w in walks)), deadline)
     return SearchResult(
         t=t,
         d_star=d_star,
-        optima=tuple(optima),
-        candidates_examined=examined,
+        optima=tuple(DefiningSet(t, pairs) for pairs, _ in merged.kept),
+        candidates_examined=merged.examined,
         wall_time=time.perf_counter() - started,
-        certified=certified,
+        certified=merged.certified,
     )

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from swapdisc import adversary, cli, graphs, optsearch
+from swapdisc import _fork, adversary, cli, graphs, optsearch
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -433,7 +433,7 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
 
     monkeypatch.setattr(cli, "worst_case", counting)
     # one process, so that every call lands in `seen`
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
     capsys.readouterr()
@@ -504,7 +504,7 @@ def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, 
         return set_key(ds) != target and real(ds, res)
 
     monkeypatch.setattr(cli, "minimal_maximizer_property", fail_target)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1"]
     assert main(argv) == EXIT_CHECK_FAILED
     details = json.loads(capsys.readouterr().out)["checks"]["sampled_population"]["details"]
@@ -521,7 +521,7 @@ def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsy
         return real(ds, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", counting)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1"]
     outputs = []
     for cap in (cli.SAMPLE_MEMO_MAX, 0):
@@ -585,7 +585,7 @@ def on_cores(monkeypatch):
     monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
 
     def set_cores(n):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: n)
+        monkeypatch.setattr(_fork, "usable_cores", lambda: n)
 
     return set_cores
 

@@ -18,7 +18,7 @@ from naive_oracles import (
     ordered_balanced_sets,
     ordered_random_balanced,
 )
-from swapdisc import adversary, optsearch
+from swapdisc import _fork, adversary, optsearch
 from swapdisc.adversary import worst_case
 from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, lower_bound
@@ -66,6 +66,17 @@ def test_enumeration_order_matches_ordered_reference(t):
     ours = ([(p.odd, p.even) for p in ds.pairs] for ds in enumerate_balanced(t))
     for got, want in itertools.zip_longest(ours, ordered_balanced_sets(t)):
         assert got == want
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_enumeration_by_top_level_branches(t):
+    # the search's shares walk runs of these branches, the quadruples that
+    # hold rank 1, and merge what they keep in this order
+    branches = range(len(optsearch._quadruples(4 * t)[1]))
+    whole = list(enumerate_balanced(t))
+    assert [ds for b in branches for ds in enumerate_balanced(t, [b])] == whole
+    assert list(enumerate_balanced(t, branches)) == whole
+    assert list(enumerate_balanced(t, [])) == []
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7])
@@ -189,6 +200,8 @@ def test_find_optimal_does_not_depend_on_witness_eviction(monkeypatch, cap):
 
 
 def test_find_optimal_t5_unique_optimum(monkeypatch):
+    # one process: scans in forked shares would not reach `nodes`
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     nodes = []
     scan = adversary._kernels.scan_chunk
 
@@ -230,7 +243,9 @@ def test_time_budget_returns_uncertified_partial():
 class SteppingClock:
     """Stands in for the time module in optsearch: each perf_counter call
     advances one second, so a budget of b seconds lets b candidates past
-    the seed be examined."""
+    the seed be examined.  The searches at t = 3 and 4 that read it run in
+    one process on every core count: below t = 5 the search does not fork
+    (tests/test_fork.py)."""
 
     def __init__(self):
         self._ticks = itertools.count()
