@@ -1,6 +1,6 @@
 """The fork helper behind `search` and `verify --sample`: its contract, at
-the helper and through `search` (tests/test_cli.py checks it through
-`verify --sample`).
+the helper and through the commands (tests/test_cli.py has the rest of
+the `verify --sample` cases).
 
 Every test checks afterwards that no child process is left, reaped or not.
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from swapdisc import _fork, adversary, optsearch
+from swapdisc import _fork, adversary, cli, optsearch
 from swapdisc.cli import EXIT_IO, EXIT_OK, EXIT_SIZE, main
 from swapdisc.core import SizeRefused
 from swapdisc.optsearch import find_optimal
@@ -157,9 +157,10 @@ def run_reaped(argv, capsys):
 
 @pytest.fixture
 def on_cores(monkeypatch):
-    """Sets the usable cores that search sees, with a forked share for
-    every top-level branch."""
+    """Sets the usable cores that search and verify --sample see, with a
+    forked share for every top-level branch or sampled check."""
     monkeypatch.setattr(optsearch, "SEARCH_MIN_SHARE", 1)
+    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
 
     def set_cores(n):
         monkeypatch.setattr(_fork, "usable_cores", lambda: n)
@@ -277,18 +278,36 @@ def test_search_after_a_failed_fork_finishes_here(on_cores, monkeypatch, capsys,
     assert len(forks) == forks_before_failing + 1
 
 
-def test_search_with_threads_runs_here(on_cores, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["search", "--t", "4"],
+    ["verify", "--z", "2", "--sample", "300", "--seed", "1"],
+], ids=["search", "verify-sample"])
+@pytest.mark.parametrize("how", ["thread", "no-fork"])
+def test_a_command_runs_in_one_process_with_threads_or_without_fork(
+        on_cores, monkeypatch, capsys, argv, how):
+    on_cores(1)
+    want = run_reaped(argv, capsys)
     on_cores(3)
-    forks = failing_fork(monkeypatch, 0)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
-    thread.start()
+    if how == "thread":
+        forks = failing_fork(monkeypatch, 0)
+        thread.start()
+    else:
+        forks = []
+        monkeypatch.delattr(os, "fork")
     try:
-        code, out, _ = run_reaped(["search", "--t", "4"], capsys)
+        got = run_reaped(argv, capsys)
     finally:
         done.set()
-        thread.join()
-    assert code == EXIT_OK and json.loads(out)["certified"] and forks == []
+        if thread.is_alive():
+            thread.join()
+    assert forks == []
+    assert want[0] == got[0] == EXIT_OK
+    if argv[0] == "search":
+        assert without_wall_time(got[1]) == without_wall_time(want[1])
+    else:
+        assert got == want
 
 
 class SteppingClock:
