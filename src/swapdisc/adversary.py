@@ -84,13 +84,15 @@ class AdversaryResult(NamedTuple):
 
 
 class Attained(NamedTuple):
-    """The "attains" verdict of worst_case_bounded: `swap_set` reaches exactly
-    `value` (the cutoff) and no swap set tried beats it, so the worst case is
-    at least `value`; whether it is exactly `value` is not proven.
-    `enumerated` counts the swap sets the scan visited (0 without a scan)."""
+    """The "attains" verdict of worst_case_bounded: the swap set at
+    `positions` (left endpoints, ascending: the form Witnesses holds)
+    reaches exactly `value` (the cutoff) and no swap set tried beats it, so
+    the worst case is at least `value`; whether it is exactly `value` is not
+    proven.  `enumerated` counts the swap sets the scan visited (0 without a
+    scan)."""
 
     value: int
-    swap_set: SwapSet
+    positions: tuple[int, ...]
     enumerated: int
 
 
@@ -359,16 +361,19 @@ class Witnesses:
         covered = total = 0
         for pair in ds.pairs:
             bits = pair._bits
-            if not 0 < bits <= full:
+            # every cached key is a balanced pair's bitmask within [1, n]:
+            # only a pair missing from the cache has its range checked
+            fields = packed.get(bits)
+            if fields is None:
                 # -1: not built yet, and not built for a rank above n
                 if bits < 0 and max(pair.elements) <= n:
                     bits = pair.partition_bits
                 if not 0 < bits <= full:
                     reject_invalid(ds)  # an unbalanced pair, or a rank above n
+                fields = packed.get(bits)  # a twin with the same ranks may be cached
+                if fields is None:
+                    fields = self._add(pair)
             covered |= bits
-            fields = packed.get(bits)
-            if fields is None:
-                fields = self._add(pair)
             total += fields
         if covered != full:
             reject_invalid(ds)
@@ -450,7 +455,7 @@ def worst_case_bounded(
     if beats:
         return None, True
     if attained is not None:
-        return Attained(cutoff, SwapSet.from_positions(attained), 0), False
+        return Attained(cutoff, attained, 0), False
     # the floor is attained and below the cutoff, so it prunes soundly; the
     # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
     best_d, _m, best, count, nodes = _kernels.scan_chunk(
@@ -461,7 +466,7 @@ def worst_case_bounded(
     if best_d > cutoff:
         return None, True
     if best_d == cutoff:
-        return Attained(cutoff, SwapSet.from_positions(best), nodes), False
+        return Attained(cutoff, best, nodes), False
     return (
         AdversaryResult(
             worst_case=best_d,

@@ -188,6 +188,16 @@ class DefiningSet(Frozen):
         reject_invalid(self)
 
 
+def _unchecked_set(t: int, pairs: tuple[CompanionPair, ...]) -> DefiningSet:
+    """DefiningSet(t, pairs) without DefiningSet.__init__'s checks, for sets
+    built as a t-tuple of pairs by construction (optsearch's enumeration and
+    draws): the search builds one per candidate, and the checks are a third
+    of that cost."""
+    ds = object.__new__(DefiningSet)
+    ds.__dict__.update(t=t, pairs=pairs)
+    return ds
+
+
 def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> DefiningSet:
     """Convenience constructor from ((odd, even), ...) iterables."""
     return DefiningSet(t, tuple(CompanionPair(frozenset(o), frozenset(e)) for o, e in pairs))

@@ -23,7 +23,14 @@ from typing import Generator, Iterable, Iterator, NamedTuple
 # there after this import (perfbench/tracer.py) is the one called
 from . import _fork, adversary
 from .adversary import EXHAUSTIVE_MAX_RANKS, Attained, Witnesses
-from .core import CompanionPair, DefiningSet, InvalidInput, SizeRefused, all_ranks
+from .core import (
+    CompanionPair,
+    DefiningSet,
+    InvalidInput,
+    SizeRefused,
+    _unchecked_set,
+    all_ranks,
+)
 
 # rank-1 branches walked in this process before the rest are split among
 # forked shares (see find_optimal)
@@ -98,7 +105,8 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     quadruples (at t = 5 the walk reaches 52,199 eight-rank remainders,
     7,903 of them distinct); it is dropped when the generator ends.  Each
     distinct companion pair is built once per 4t (see _pairs) and shared
-    by the sets holding it.
+    by the sets holding it, and each set is built without DefiningSet's
+    checks (core._unchecked_set): it is a t-tuple of pairs by construction.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
@@ -108,14 +116,14 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     first = table[1] if branches is None else [table[1][b] for b in branches]
     if t == 1:
         if full in first:
-            yield DefiningSet(t, (pair_of[full],))
+            yield _unchecked_set(t, (pair_of[full],))
         return
     top = t - 2  # the depth whose remainder holds the last eight ranks
     if top == 0:
         for q in first:
             tail = pair_of.get(full ^ q)
             if tail is not None:
-                yield DefiningSet(t, (pair_of[q], tail))
+                yield _unchecked_set(t, (pair_of[q], tail))
         return
     chosen: list[CompanionPair | None] = [None] * t
     memo: dict[int, tuple[CompanionPair, ...]] = {}
@@ -137,7 +145,7 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
                 for k in range(0, len(splits), 2):
                     chosen[top] = splits[k]
                     chosen[top + 1] = splits[k + 1]
-                    yield DefiningSet(t, tuple(chosen))
+                    yield _unchecked_set(t, tuple(chosen))
                 continue
             depth += 1
             rems[depth] = child
@@ -175,7 +183,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
         raise InvalidInput(f"t must be >= 1, got {t}")
     pairs = _draw(all_ranks(4 * t), _quadruples(4 * t), _pairs(4 * t), rng)
     assert pairs is not None  # a balanced partition always exists
-    return DefiningSet(t, pairs)
+    return _unchecked_set(t, pairs)
 
 
 class SearchResult(NamedTuple):

@@ -333,7 +333,7 @@ def test_bounded_scan_exceeded_and_exact(sub2):
         res, exceeded = worst_case_bounded(sub2, cutoff=cutoff, witnesses=Witnesses(sub2.n_ranks))
         assert not exceeded
         assert isinstance(res, Attained) and res.value == cutoff
-        assert discrepancy(sub2, res.swap_set) == cutoff
+        assert discrepancy(sub2, SwapSet.from_positions(res.positions)) == cutoff
     res, exceeded = worst_case_bounded(sub2, cutoff=7, witnesses=Witnesses(sub2.n_ranks))
     assert not exceeded
     assert res.worst_case == 6
@@ -373,7 +373,7 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
     elif isinstance(res, Attained):
         assert full.worst_case >= cutoff
         assert res.value == cutoff
-        assert discrepancy(ds, res.swap_set) == cutoff
+        assert discrepancy(ds, SwapSet.from_positions(res.positions)) == cutoff
         assert res.enumerated >= 0
     else:
         assert full.worst_case < cutoff
@@ -486,7 +486,7 @@ def test_witness_that_beats_wins_over_one_that_attains(sub2):
     # with only the attaining witness: no scan, no proof
     res, exceeded = worst_case_bounded(sub2, cutoff=4, witnesses=witness_table(8, [at]))
     assert not exceeded
-    assert res == Attained(4, SwapSet.from_positions(at), 0)
+    assert res == Attained(4, at, 0)
 
 
 def witness_pool(rng):
@@ -562,7 +562,7 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
                 assert exceeded and res is None
             elif kind == "attains":
                 assert not exceeded and isinstance(res, Attained)
-                assert res.value == cutoff and res.swap_set.positions() == ref
+                assert res.value == cutoff and res.positions == ref
             else:
                 assert not exceeded and isinstance(res, AdversaryResult)
                 got = (res.worst_case, res.minimal_maximizer.positions(), res.maximizer_count)
@@ -648,3 +648,34 @@ def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
     assert list(table) == [(1, 5), (2,), ()]
     assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
 
+
+
+def test_witness_table_still_refuses_sets_of_cached_pairs():
+    # a pair found in the cache skips its range check: the final coverage
+    # test alone refuses a repeated cached pair and cached pairs sharing a
+    # rank, and a pair after cached ones is still range-checked on its miss
+    rng = Random(53)
+    for t in (2, 3):
+        n = 4 * t
+        table = witness_table(n, [random_swap_positions(t, rng) for _ in range(4)])
+        scored = list(enumerate_balanced(t))
+        for ds in scored:
+            table.values(ds)
+        cached = len(table._packed)
+        pairs = {p for ds in scored for p in ds.pairs}
+        assert all(p.partition_bits in table._packed for p in pairs)
+        head = scored[0].pairs[: t - 1]
+        odd, even = sorted(scored[0].pairs[-1].odd), sorted(scored[0].pairs[-1].even)
+        overlapping = next(
+            (p, q) for p in pairs for q in pairs if p.elements & q.elements and p != q
+        )
+        repeated = DefiningSet(t, head + head[-1:])
+        shared = DefiningSet(t, overlapping + scored[0].pairs[2:])
+        unbalanced = DefiningSet(t, head + (CompanionPair((odd[0], even[0]), (odd[1], even[1])),))
+        far = DefiningSet(t, head + (CompanionPair((1, 10**8), (2, 10**8 - 1)),))
+        for bad in (repeated, shared, unbalanced, far):
+            assert not validate_defining_set(bad).ok
+            for call in (table.values, lambda ds: worst_case_bounded(ds, 4, table)):
+                assert_refused_in_little_memory(bad, call)
+        assert "_bits" not in vars(far.pairs[-1])  # no bitmask built
+        assert len(table._packed) == cached

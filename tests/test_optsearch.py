@@ -23,11 +23,14 @@ from swapdisc.adversary import worst_case
 from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, lower_bound
 from swapdisc.core import (
+    DefiningSet,
     InvalidInput,
     SizeRefused,
+    SwapSet,
     canonicalize,
     defining_set,
     reflect,
+    require_valid,
     validate_defining_set,
 )
 from swapdisc.optsearch import (
@@ -49,12 +52,19 @@ def canon_key(ds):
     return tuple((p.odd, p.even) for p in ds.pairs)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_enumeration_matches_partition_oracle(t):
-    ours = {canon_key(ds) for ds in enumerate_balanced(t)}
-    oracle = naive_balanced_sets(t)
-    assert ours == {tuple(entry) for entry in oracle}
-    assert len(ours) == KNOWN_COUNTS[t]
+    candidates = list(enumerate_balanced(t))
+    # each candidate skips DefiningSet's checks; it is the set they accept
+    for ds in candidates:
+        checked = DefiningSet(t, ds.pairs)
+        assert ds == checked and hash(ds) == hash(checked)
+        require_valid(ds)
+    ours = {canon_key(ds) for ds in candidates}
+    assert len(ours) == len(candidates) == KNOWN_COUNTS[t]
+    if t <= 3:
+        oracle = naive_balanced_sets(t)
+        assert ours == {tuple(entry) for entry in oracle}
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -197,6 +207,44 @@ def test_find_optimal_does_not_depend_on_witness_eviction(monkeypatch, cap):
     for t, full in want.items():
         got = find_optimal(t)
         assert got._replace(wall_time=0) == full._replace(wall_time=0)
+
+
+def test_search_builds_no_swap_set_for_a_witness_verdict(monkeypatch):
+    # a tie carries its witness's positions; SwapSets are built only for
+    # exact results: at most one per scan and one per proof
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
+    built, scans, proofs, by_witness = [], [], [], []
+    init = SwapSet.__init__
+    scan = adversary._kernels.scan_chunk
+    exact = adversary.worst_case
+    bounded = adversary.worst_case_bounded
+
+    def counting_init(self, swaps):
+        built.append(swaps)
+        init(self, swaps)
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    def counting_exact(*args, **kwargs):
+        proofs.append(args)
+        return exact(*args, **kwargs)
+
+    def counting_bounded(*args, **kwargs):
+        res, exceeded = bounded(*args, **kwargs)
+        if isinstance(res, adversary.Attained) and res.enumerated == 0:
+            by_witness.append(res)
+        return res, exceeded
+
+    monkeypatch.setattr(SwapSet, "__init__", counting_init)
+    monkeypatch.setattr(adversary._kernels, "scan_chunk", counting_scan)
+    monkeypatch.setattr(adversary, "worst_case", counting_exact)
+    monkeypatch.setattr(adversary, "worst_case_bounded", counting_bounded)
+    res = find_optimal(4)
+    assert (res.d_star, len(res.optima)) == KNOWN_OPTIMA[4]
+    assert len(by_witness) > len(scans)  # the witness verdicts outnumber the scans
+    assert len(built) <= len(scans) + len(proofs)
 
 
 def test_find_optimal_t5_unique_optimum(monkeypatch):
