@@ -1,13 +1,13 @@
 """Independent shares of one computation, run in forked processes.
 
-`fork_map(fn, shares, what)` is [fn(share) for share in shares], with share 0
-run in the calling process and every other share in an os.fork child.  A
-child inherits everything the parent built (caches, tables, the share
-itself), so nothing but its result is pickled: it returns that through a
-pipe and leaves with os._exit, never returning into the caller's code.
-`verify --sample` and `search` use it; neither imports multiprocessing or
-concurrent.futures, whose imports and helper threads cost more than the
-fork itself.
+`split` cuts work into shares, one per usable core, and `fork_map(fn,
+shares, what)` is [fn(share) for share in shares], with share 0 run here
+and every other share in an os.fork child.  A child inherits everything
+the parent built (caches, tables, the share itself), so nothing but its
+result is pickled: it returns that through a pipe and leaves with
+os._exit, never returning into the caller's code.  `verify --sample` and
+`search` use it; neither imports multiprocessing or concurrent.futures,
+whose imports and helper threads cost more than the fork itself.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, Sequence, TypeVar
 
 S = TypeVar("S")
 R = TypeVar("R")
+Q = TypeVar("Q", list, range)
 
 
 def usable_cores() -> int:
@@ -25,6 +26,15 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def split(items: Q, min_share: int) -> list[Q]:
+    """`items` cut into contiguous slices of about equal length, in order:
+    one per usable core, each of at least `min_share` items, and one
+    slice (all of `items`, possibly empty) when there are fewer."""
+    shares = max(1, min(usable_cores(), len(items) // min_share))
+    cuts = [len(items) * s // shares for s in range(shares + 1)]
+    return [items[cuts[s]:cuts[s + 1]] for s in range(shares)]
 
 
 def fork_map(fn: Callable[[S], R], shares: Sequence[S], what: str) -> list[R]:

@@ -414,7 +414,8 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     has a kept verdict, or is already listed in the block and will keep its
     verdict, is counted on that verdict; the verdicts of the first
     SAMPLE_MEMO_MAX distinct sets are kept.  The listed checks then run in
-    one process per usable core (_verdicts)."""
+    one share per usable core (_fork), each of at least SAMPLE_MIN_SHARE."""
+    from . import _fork
     from .optsearch import random_balanced
 
     rng = Random(seed)
@@ -443,27 +444,13 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
                 if len(kept) + len(listed) < SAMPLE_MEMO_MAX:
                     listed[key] = job
             draws[job] += 1
-        verdicts = _verdicts(jobs, holds)
+        verdicts = b"".join(_fork.fork_map(lambda share: bytes(map(holds, share)),
+                                           _fork.split(jobs, SAMPLE_MIN_SHARE),
+                                           "--sample worker"))
         failures += sum(n for n, ok in zip(draws, verdicts) if not ok)
         for key, job in listed.items():
             kept[key] = bool(verdicts[job])
     return failures
-
-
-def _verdicts(jobs: list[DefiningSet], holds: Callable[[DefiningSet], bool]) -> bytes:
-    """bytes(map(holds, jobs)), computed in one process per usable core.
-
-    The jobs are cut into contiguous shares of at least SAMPLE_MIN_SHARE
-    jobs, no more shares than usable cores; share 0 runs here and each
-    other share in a forked child (_fork.fork_map), so the earliest failing
-    check's error is raised as in one process."""
-    from . import _fork
-
-    shares = max(1, min(_fork.usable_cores(), len(jobs) // SAMPLE_MIN_SHARE))
-    cuts = [len(jobs) * s // shares for s in range(shares + 1)]
-    split = [jobs[cuts[s]:cuts[s + 1]] for s in range(shares)]
-    return b"".join(_fork.fork_map(lambda share: bytes(map(holds, share)), split,
-                                   "--sample worker"))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -547,11 +534,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "search", help="exhaustive search for optimal defining sets",
         description="Scan every canonical balanced defining set of t pairs and "
-        "list every one of least worst case.  From t = 5 on, the sets of the "
-        "first top-level branch (one choice of the pair holding rank 1) are "
-        "scanned first, and the other branches are then split into contiguous "
-        "runs among forked processes, one per usable core; the output, apart "
-        "from wall_time, is the same on every core count.")
+        "list every one of least worst case.  The sets of the first top-level "
+        "branch (one choice of the pair holding rank 1) are scanned first, and "
+        "the other branches are then split into contiguous runs among forked "
+        "processes, one per usable core, from t = 5 on more than one; the "
+        "output, apart from wall_time, is the same on every core count.")
     p.add_argument("--t", type=int, required=True,
                    help=f"pair count, 1 to {EXHAUSTIVE_MAX_RANKS // 4}; a larger t "
                    "is refused (exit 4) before any work")

@@ -5,11 +5,10 @@ holds each quadruple's minimum, pairs ordered by minimum element), and
 certifies the minimum worst-case discrepancy over the whole space.  The
 symmetry quotient is role-swap and pair-order only; reflection is NOT
 quotiented out, so reflection-related optima are listed separately.
-The search walks the candidates in this process; from t = 5 on it walks
-the first top-level branch here and splits the others among forked
-processes, one per usable core (find_optimal).  It scans with branch and
-bound, so it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any
-work.
+The search walks the first top-level branch in this process and splits
+the others among forked processes, one per usable core, which from t = 5
+on is more than one (find_optimal).  It scans with branch and bound, so
+it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.
 """
 
 from __future__ import annotations
@@ -39,6 +38,12 @@ SEARCH_WARM_UP = 1
 # where on 2 cores two shares saved 0.4 ms of its 8.1 ms for 50 % more CPU;
 # t = 5 (81 branches) is split in up to 3 shares
 SEARCH_MIN_SHARE = 25
+# most ranks whose quadruple table (_quadruples) is built: it holds O((4t)^3)
+# quadruples, each given a pair (_pairs).  For 4t = 316 (the z = 6
+# construction's t) they are 2,592,227 and took 43 s and 2.0 GiB before
+# verify's first --sample draw; for 4t = 156 (z = 5), 307,307, and the whole
+# first draw 4.1 s and 410 MiB
+QUADRUPLE_MAX_RANKS = 160
 
 
 @lru_cache(maxsize=1)
@@ -47,8 +52,14 @@ def _quadruples(n: int) -> tuple[tuple[int, ...], ...]:
     rank: entry m lists (m, l2, l3, l4) with l2 + l3 = m + l4 and
     m < l2 < l3 < l4 <= n, in ascending (l2, l3) order.
 
-    Built at the first call for an n; only the last n is kept.
+    Built at the first call for an n; only the last n is kept.  Refused
+    (SizeRefused) for n above QUADRUPLE_MAX_RANKS before anything is built.
     """
+    if n > QUADRUPLE_MAX_RANKS:
+        raise SizeRefused(
+            f"balanced sets over 4t = {n} ranks refused: their quadruple table "
+            f"is built only up to 4t = {QUADRUPLE_MAX_RANKS}"
+        )
     table = [()]
     for m in range(1, n + 1):
         table.append(
@@ -261,25 +272,25 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     best worst case seen so far, sharing one witness table: consecutive
     candidates share most pairs, so a swap set that beat one of them
     usually beats the next.  The first candidate is scanned exactly and
-    is the first cutoff.  When the quadruples of rank 1, the top-level
-    branches, number at least SEARCH_MIN_SHARE per share on two or more
-    usable cores, the walk here stops after the first SEARCH_WARM_UP
-    branches.  The branches are then cut into one contiguous run per
-    share, and _fork.fork_map walks the runs at once (the first one, less
-    the warm-up, here, the others in forked children), each from the
-    warm-up's cutoff and witness table; a share that lowers the cutoff
-    proves its ties itself (_prove).  D* is the lowest cutoff a walk ended
-    at.  The sets kept by the walks that ended at D* are merged in
-    enumeration order, and each one still unproven is proven at D*, so
-    `optima` lists every canonical optimum in enumeration order, and the
-    result is the same on every core count.
+    is the first cutoff.  This walk covers the first SEARCH_WARM_UP
+    top-level branches (the quadruples of rank 1), and _fork.split cuts
+    the branches into runs of at least SEARCH_MIN_SHARE, one per usable
+    core.  _fork.fork_map walks the runs (the first, less the warm-up,
+    here, the others in forked children), each from the warm-up's cutoff
+    and witness table; a share that lowers the cutoff proves its ties
+    itself (_prove).  D* is the lowest cutoff a walk ended at.  The sets
+    kept by the walks that ended at D* are merged in enumeration order,
+    and each one still unproven is proven at D*, so `optima` lists every
+    canonical optimum in enumeration order, and the result is the same on
+    every core count.
 
     Every candidate is scanned with branch and bound, so t with 4t above
     EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
     The time budget (seconds, >= 0) is checked before each candidate and
     before each proof.  Once it is blown, no further candidate is examined
-    and no further tie is proven: the result has certified=False, and
-    `optima` leaves out the ties not yet proven.
+    and no further tie is proven (a budget blown in the warm-up ends the
+    search there): the result has certified=False, and `optima` leaves
+    out the ties not yet proven.
     """
     started = time.perf_counter()
     if time_budget is not None and not time_budget >= 0:
@@ -295,24 +306,22 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
             f"above 4t = {EXHAUSTIVE_MAX_RANKS}"
         )
     deadline = None if time_budget is None else started + time_budget
-    rank1 = _quadruples(4 * t)[1]
-    shares = min(_fork.usable_cores(), len(rank1) // SEARCH_MIN_SHARE)
-    stream = enumerate_balanced(t) if shares < 2 else enumerate_balanced(t, range(SEARCH_WARM_UP))
+    stream = enumerate_balanced(t, range(SEARCH_WARM_UP))
     seed = next(stream)
     d_star = adversary.worst_case(seed, strategy="branch_and_bound").worst_case
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
     witnesses = Witnesses(4 * t)
     walk = _walk(stream, d_star, [(seed.pairs, True)], witnesses, deadline)
     walks = [walk._replace(examined=walk.examined + 1)]
-    if shares > 1 and walk.certified:
+    if walk.certified:
         def share(branches: range) -> _Walk:
             found = _walk(enumerate_balanced(t, branches), walk.d_star, [], witnesses, deadline)
             # a share that lowered the cutoff likely holds D*: it proves its
             # ties while the other shares still run
             return _prove(t, found, deadline) if found.d_star < walk.d_star else found
 
-        cuts = [len(rank1) * s // shares for s in range(shares + 1)]
-        runs = [range(max(cuts[s], SEARCH_WARM_UP), cuts[s + 1]) for s in range(shares)]
+        runs = _fork.split(range(len(_quadruples(4 * t)[1])), SEARCH_MIN_SHARE)
+        runs[0] = runs[0][SEARCH_WARM_UP:]
         walks += _fork.fork_map(share, runs, "search worker")
 
     d_star = min(w.d_star for w in walks)

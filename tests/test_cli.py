@@ -738,6 +738,36 @@ def test_frontier_sample_refused_after_one_draw(monkeypatch, capsys):
     assert err.startswith("error: frontier DP refused: more than 1000 live states")
 
 
+def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
+    # z = 6 sets have 4t = 316 ranks, above QUADRUPLE_MAX_RANKS: the first
+    # draw is refused before a single quadruple over them is listed
+    real_range = range
+
+    def small_range(*args):
+        if any(arg > optsearch.QUADRUPLE_MAX_RANKS + 1 for arg in args):
+            raise AssertionError(f"range{args} walked")
+        return real_range(*args)
+
+    optsearch._quadruples(12)
+    monkeypatch.setattr(optsearch, "range", small_range, raising=False)
+    argv = ["verify", "--z", "6", "--checks", "balance", "--sample", "1",
+            "--strategy", "frontier"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_reaped(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_SIZE, "")
+    assert err == ("error: balanced sets over 4t = 316 ranks refused: their "
+                   "quadruple table is built only up to 4t = 160\n")
+    assert peak < 64 << 20
+    # the table of 4t = 12 is still the one cached
+    hits = optsearch._quadruples.cache_info().hits
+    optsearch._quadruples(12)
+    assert optsearch._quadruples.cache_info().hits == hits + 1
+
+
 def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, capsys):
     on_cores(2)
     parent = os.getpid()

@@ -144,6 +144,22 @@ def test_a_process_without_fork_runs_every_share_here(monkeypatch):
     assert fork_map(lambda share: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
 
 
+@pytest.mark.parametrize("make", [list, lambda r: r], ids=["list", "range"])
+@pytest.mark.parametrize("length", [0, 1, 15, 16, 31, 32, 47, 48, 100])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_cuts_contiguous_shares_one_per_core(monkeypatch, make, length, cores):
+    monkeypatch.setattr(_fork, "usable_cores", lambda: cores)
+    items = make(range(10, 10 + length))
+    shares = _fork.split(items, 16)
+    assert len(shares) == max(1, min(cores, length // 16))
+    assert all(type(share) is type(items) for share in shares)
+    # in order and covering the input exactly (an empty input is one empty
+    # share): their concatenation is it
+    assert [x for share in shares for x in share] == list(items)
+    if len(shares) > 1:
+        assert min(len(share) for share in shares) >= 16
+
+
 # ------------------------------------------------------- through the search
 
 def run_reaped(argv, capsys):
@@ -220,6 +236,49 @@ def test_search_runs_in_one_process_up_to_t4(monkeypatch):
     assert forks == []
     assert find_optimal(5).certified
     assert forks == [1]  # the failed fork: every share ran here
+
+
+def recording_fork_map(monkeypatch):
+    """Patch _fork.fork_map to record the shares of each call; returns the
+    list of calls."""
+    real = _fork.fork_map
+    calls = []
+
+    def recording(fn, shares, what):
+        calls.append(list(shares))
+        return real(fn, shares, what)
+
+    monkeypatch.setattr(_fork, "fork_map", recording)
+    return calls
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_search_walks_its_branches_in_one_fork_map_call(monkeypatch, t, cores):
+    # one path on every core count: the warm-up branch here, then every
+    # other branch through fork_map, in one share when the cores or the
+    # branches allow only one
+    monkeypatch.setattr(_fork, "usable_cores", lambda: cores)
+    calls = recording_fork_map(monkeypatch)
+    res = find_optimal(t)
+    assert_no_child()
+    branches = len(optsearch._quadruples(4 * t)[1])
+    assert len(calls) == 1
+    (shares,) = calls
+    assert len(shares) == max(1, min(cores, branches // optsearch.SEARCH_MIN_SHARE))
+    assert [b for share in shares for b in share] == list(
+        range(optsearch.SEARCH_WARM_UP, branches))
+    assert res.certified and res.candidates_examined == optsearch.count_balanced(t)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_search_with_no_budget_ends_after_the_warm_up(monkeypatch, t):
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 3)
+    calls = recording_fork_map(monkeypatch)
+    res = find_optimal(t, time_budget=0)
+    assert calls == []
+    assert not res.certified and res.candidates_examined == 1
+    assert res.optima == (next(optsearch.enumerate_balanced(t)),)
 
 
 def refuse_candidates(monkeypatch, branches, t):

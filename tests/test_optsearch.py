@@ -106,8 +106,8 @@ def test_search_draws_its_candidates_through_enumerate_balanced(monkeypatch):
     drawn = []
     original = optsearch.enumerate_balanced
 
-    def counting(t):
-        for ds in original(t):
+    def counting(t, *args):
+        for ds in original(t, *args):
             drawn.append(ds)
             yield ds
 
@@ -292,8 +292,8 @@ class SteppingClock:
     """Stands in for the time module in optsearch: each perf_counter call
     advances one second, so a budget of b seconds lets b candidates past
     the seed be examined.  The searches at t = 3 and 4 that read it run in
-    one process on every core count: below t = 5 the search does not fork
-    (tests/test_fork.py)."""
+    one process on every core count: below t = 5 the search walks its
+    branches in one share (tests/test_fork.py)."""
 
     def __init__(self):
         self._ticks = itertools.count()
@@ -362,6 +362,14 @@ def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
     monkeypatch.setattr(optsearch, "_quadruples", no_table)
     with pytest.raises(SizeRefused, match="t = "):
         find_optimal(t, time_budget=1)
+
+
+def test_quadruple_table_refused_above_its_cap(monkeypatch):
+    monkeypatch.setattr(optsearch, "QUADRUPLE_MAX_RANKS", 12)
+    assert validate_defining_set(random_balanced(3, Random(1))).ok
+    for refused in (lambda: random_balanced(4, Random(1)), lambda: count_balanced(4)):
+        with pytest.raises(SizeRefused, match="^balanced sets over 4t = 16 ranks refused"):
+            refused()
 
 
 def test_random_balanced_always_valid_and_canonical():
