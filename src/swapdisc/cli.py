@@ -60,8 +60,8 @@ EXIT_SIZE = 4
 
 ALL_CHECKS = ("balance", "eq8", "lemma1", "lemma2", "eq10", "prop1", "prop2", "bounds")
 DEFAULT_CHECKS = ("balance", "eq8", "lemma2", "eq10", "prop1", "prop2", "bounds")
-# distinct --sample sets whose verdict is kept; past it a new set is verified
-# every time it is drawn (t = 4 has only 1,990 canonical balanced sets)
+# distinct --sample sets whose verdict is kept; past it a new set is checked
+# once in each block that draws it (t = 4 has only 1,990 canonical balanced sets)
 SAMPLE_MEMO_MAX = 1 << 14
 # --sample draws per block: the parent holds at most this many sets at once
 SAMPLE_BLOCK = 1 << 11
@@ -409,12 +409,12 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
 
     The sets are drawn in order from one Random(seed) in blocks: one set
     first, so that a check that refuses (the frontier DP's state cap) does
-    so before more sets are drawn, then SAMPLE_BLOCK at a time.  Each block
-    lists exactly the checks a one-by-one loop would run: a draw whose set
-    has a kept verdict, or is already listed in the block and will keep its
-    verdict, is counted on that verdict; the verdicts of the first
-    SAMPLE_MEMO_MAX distinct sets are kept.  The listed checks then run in
-    one share per usable core (_fork), each of at least SAMPLE_MIN_SHARE."""
+    so before more sets are drawn, then SAMPLE_BLOCK at a time.  A draw
+    whose set has a kept verdict counts on it; every other set of the block
+    is checked once, and its verdict counts for each of its draws in the
+    block.  The verdicts of the first SAMPLE_MEMO_MAX distinct sets are
+    kept.  A block's checks run in one share per usable core (_fork), each
+    of at least SAMPLE_MIN_SHARE."""
     from . import _fork
     from .optsearch import random_balanced
 
@@ -426,30 +426,21 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     while drawn < sample:
         block = min(SAMPLE_BLOCK if drawn else 1, sample - drawn)
         drawn += block
-        jobs: list[DefiningSet] = []
-        draws: list[int] = []  # the draws counted on each job's verdict
-        listed: dict[tuple[int, ...], int] = {}  # key -> job, for kept keys
+        jobs: dict[tuple[int, ...], list[Any]] = {}  # unkept key -> [set, its draws]
         for _ in range(block):
             sample_ds = random_balanced(t, rng)
             key = tuple(pair.partition_bits for pair in sample_ds.pairs)
-            verdict = kept.get(key)
-            if verdict is not None:
-                failures += not verdict
-                continue
-            job = listed.get(key)
-            if job is None:
-                job = len(jobs)
-                jobs.append(sample_ds)
-                draws.append(0)
-                if len(kept) + len(listed) < SAMPLE_MEMO_MAX:
-                    listed[key] = job
-            draws[job] += 1
-        verdicts = b"".join(_fork.fork_map(lambda share: bytes(map(holds, share)),
-                                           _fork.split(jobs, SAMPLE_MIN_SHARE),
+            if key in kept:
+                failures += not kept[key]
+            else:
+                jobs.setdefault(key, [sample_ds, 0])[1] += 1
+        verdicts = b"".join(_fork.fork_map(lambda share: bytes(holds(ds) for ds, _ in share),
+                                           _fork.split(list(jobs.values()), SAMPLE_MIN_SHARE),
                                            "--sample worker"))
-        failures += sum(n for n, ok in zip(draws, verdicts) if not ok)
-        for key, job in listed.items():
-            kept[key] = bool(verdicts[job])
+        for (key, (_, draws)), ok in zip(jobs.items(), verdicts):
+            failures += draws * (not ok)
+            if len(kept) < SAMPLE_MEMO_MAX:
+                kept[key] = bool(ok)
     return failures
 
 
@@ -558,11 +549,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
                    "balanced sets of the same t, drawn one set first and then in "
-                   f"blocks of {SAMPLE_BLOCK}; each distinct set is checked once, "
-                   "and a repeated draw reuses its verdict and counts again "
-                   f"(verdicts of the first {SAMPLE_MEMO_MAX} distinct sets are "
-                   "kept; later new sets are checked on every draw); a block's "
-                   "checks are split among forked processes, one per usable core, "
+                   f"blocks of {SAMPLE_BLOCK}; a set is checked once, and a "
+                   "repeated draw reuses its verdict and counts again (the "
+                   f"verdicts of the first {SAMPLE_MEMO_MAX} distinct sets are "
+                   "kept for later blocks, the others for their block only); a "
+                   "block's checks are split among forked processes, one per usable core, "
                    f"each given at least {SAMPLE_MIN_SHARE}; refused (exit 4) "
                    "for --z 4 and above, whose random sets no engine answers: "
                    "before any work on a scan strategy (the default), and only "

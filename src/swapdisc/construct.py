@@ -124,7 +124,11 @@ class Lemma1Report(NamedTuple):
 
 def check_lemma1(z: int) -> Lemma1Report:
     """Exact d_z and d_{z+1} with the default engine; holds iff
-    d_{z+1} <= 2*d_z + 2."""
+    d_{z+1} <= 2*d_z + 2.  Level z + 1 is built first, so that an oversize
+    one is refused before level z is built or scanned."""
+    if z < 2:  # before z + 1, so that the error names z
+        raise InvalidInput(f"construction levels start at z = 2, got {z}")
+    upper = construct_for_z(z + 1)
     d_z = worst_case(construct_for_z(z)).worst_case
-    d_z1 = worst_case(construct_for_z(z + 1)).worst_case
+    d_z1 = worst_case(upper).worst_case
     return Lemma1Report(z=z, d_z=d_z, d_z_plus_1=d_z1, bound=2 * d_z + 2, holds=d_z1 <= 2 * d_z + 2)

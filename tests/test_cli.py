@@ -174,6 +174,38 @@ def test_eval_rejects_a_repeated_swap_entry(tmp_path, capsys):
     assert "swap entry [1, 2] appears more than once" in captured.err
 
 
+# (defining-set document, swap document or None for --worst-case, the error)
+BAD_DOCUMENTS = {
+    "t-not-int": ({**OPT2_DOC, "t": "2"}, None, "'t' must be an integer"),
+    "pairs-not-list": ({**OPT2_DOC, "pairs": {}}, None, "'pairs' must be a list"),
+    "pair-fields": (
+        {**OPT2_DOC, "pairs": [{"odd": [1, 8]}, OPT2_DOC["pairs"][1]]},
+        None,
+        "pair 1 must have exactly the fields 'odd' and 'even'",
+    ),
+    "pair-side": (
+        {**OPT2_DOC, "pairs": [{"odd": [1], "even": [3, 6]}, OPT2_DOC["pairs"][1]]},
+        None,
+        "pair 1 field 'odd' must be a list of two integers",
+    ),
+    "pair-count": ({**OPT2_DOC, "t": 3}, None, "expected 3 pairs, got 2"),
+    "swaps-not-list": (OPT2_DOC, {"swaps": {}}, "'swaps' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DOCUMENTS))
+def test_eval_rejects_a_malformed_document(tmp_path, capsys, case):
+    sets_doc, swaps_doc, message = BAD_DOCUMENTS[case]
+    argv = ["eval", "--sets", write(tmp_path / "s.json", sets_doc)]
+    if swaps_doc is None:
+        argv.append("--worst-case")
+    else:
+        argv += ["--swaps", write(tmp_path / "w.json", swaps_doc)]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_eval_worst_case_certificate(tmp_path, capsys):
     out = tmp_path / "eq5.json"
     main(["construct", "--z", "2", "--out", str(out)])
@@ -530,8 +562,10 @@ def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsy
         assert main(argv) == EXIT_OK
         outputs.append((capsys.readouterr().out, len(calls)))
     assert outputs[0][0] == outputs[1][0]
-    # the construction, then every distinct sample (memo) or every draw (cap 0)
-    assert [n for _, n in outputs] == [1 + len(sample_draws(1, 300)), 1 + 300]
+    # the construction, then every distinct sample (memo) or every set new
+    # to its block (cap 0)
+    want = [checked_in_blocks(1, 300, cap, cli.SAMPLE_BLOCK) for cap in (cli.SAMPLE_MEMO_MAX, 0)]
+    assert [n for _, n in outputs] == [1 + len(checked) for checked in want]
 
 
 def test_verify_negative_sample_exit2(capsys):
@@ -590,16 +624,19 @@ def on_cores(monkeypatch):
     return set_cores
 
 
-def checked_one_by_one(seed, n, cap, t=4):
-    """The sets the one-by-one --sample loop checks, with a memo of `cap` sets."""
+def checked_in_blocks(seed, n, cap, block, t=4):
+    """The sets --sample checks, in order: drawn one first and then `block`
+    at a time, each set without a kept verdict checked once per block, and
+    the verdicts of the first `cap` distinct sets kept."""
     rng = Random(seed)
-    kept, checked = set(), []
-    for _ in range(n):
-        key = set_key(random_balanced(t, rng))
-        if key not in kept:
-            checked.append(key)
-            if len(kept) < cap:
-                kept.add(key)
+    kept, checked, drawn = set(), [], 0
+    while drawn < n:
+        size = min(block if drawn else 1, n - drawn)
+        drawn += size
+        drawn_keys = dict.fromkeys(set_key(random_balanced(t, rng)) for _ in range(size))
+        new = [key for key in drawn_keys if key not in kept]
+        checked += new
+        kept.update(new[:max(0, cap - len(kept))])
     return checked
 
 
@@ -636,7 +673,7 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, cap
         return real(ds, **kwargs)
 
     monkeypatch.setattr(cli, "worst_case", logging)
-    want = Counter(str(key) for key in checked_one_by_one(1, 300, cap, t))
+    want = Counter(str(key) for key in checked_in_blocks(1, 300, cap, block, t))
     sets = ["--z", "2"] if t == 4 else ["--sets", write(tmp_path / "s.json", OPT3_DOC)]
     argv = ["verify", *sets, "--checks", "balance", "--sample", "300", "--seed", "1"]
     outputs = []
@@ -675,7 +712,7 @@ def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, c
                                                         targets):
     # 38 distinct sets: 0 alone, then 3 shares in workers, 1-12, 13-24 and
     # 25-37
-    jobs = checked_one_by_one(5, 40, cli.SAMPLE_MEMO_MAX)
+    jobs = checked_in_blocks(5, 40, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK)
     assert len(jobs) == 38
     refused = [jobs[j] for j in targets]
     real = cli.worst_case

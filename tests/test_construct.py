@@ -1,5 +1,6 @@
 """Recursive construction, bounds, and the recursion inequality."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,20 @@ def test_closing_pair_balanced_generic():
         even = {5 * 2**z - 2, 5 * 2**z - 1}
         assert sum(odd) == sum(even) == 5 * 2 ** (z + 1) - 3
         CompanionPair(frozenset(odd), frozenset(even))
+
+
+def test_lemma1_refuses_an_oversize_next_level_before_any_scan(monkeypatch):
+    def fail(ds):
+        raise AssertionError("scanned before the size refusal")
+
+    monkeypatch.setattr(construct, "worst_case", fail)
+    start = time.perf_counter()
+    with pytest.raises(SizeRefused):
+        check_lemma1(17)  # level 18 has 4t = 1,310,716 ranks, level 17 655,356
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("z", [1, 0, -3])
+def test_lemma1_refuses_a_level_below_2_naming_it(z):
+    with pytest.raises(InvalidInput, match=f"got {z}$"):
+        check_lemma1(z)
