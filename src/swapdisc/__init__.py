@@ -21,7 +21,6 @@ from .core import (
     defining_set,
     discrepancy,
     reflect,
-    swap_groups,
     validate_defining_set,
 )
 from .adversary import AdversaryResult, worst_case
@@ -44,7 +43,6 @@ __all__ = [
     "defining_set",
     "discrepancy",
     "reflect",
-    "swap_groups",
     "validate_defining_set",
     "worst_case",
     "__version__",

@@ -38,6 +38,7 @@ from .construct import (
     check_lemma1,
     construct_for_z,
     lower_bound,
+    require_level,
     upper_bound,
     z_for_t,
 )
@@ -354,14 +355,22 @@ def _adversary_checks(
     return entries
 
 
-def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, dict[str, Any]], AdversaryResult | None]:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if (args.sets is None) == (args.z is None):
+        raise InvalidInput("verify needs exactly one of --sets or --z")
+    if args.sample < 0:
+        raise InvalidInput(f"--sample must be >= 0, got {args.sample}")
     # an empty --checks names the check '' and is refused like --checks ,
     requested = list(DEFAULT_CHECKS) if args.checks is None else args.checks.split(",")
     for name in requested:
         if name not in ALL_CHECKS:
             raise InvalidInput(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
-    if "lemma1" in requested and args.z is None:
-        raise InvalidInput("the lemma1 check needs --z (it compares construction levels)")
+    if "lemma1" in requested:  # refuse an oversize z + 1 before level z is built
+        if args.z is None:
+            raise InvalidInput("the lemma1 check needs --z (it compares construction levels)")
+        require_level(args.z)  # first, so that an error names z
+        require_level(args.z + 1)
+    ds = _load_sets(args.sets) if args.sets else construct_for_z(args.z)
     sample_strategy = args.strategy or "branch_and_bound"
     if args.sample:  # the samples have ds's t: refuse their scan before any work
         _pick_strategy(ds, sample_strategy, args.force_exhaustive)
@@ -399,7 +408,10 @@ def _run_checks(ds: DefiningSet, args: argparse.Namespace) -> tuple[dict[str, di
             "holds": failures == 0,
             "details": {"sampled": args.sample, "seed": args.seed, "failures": failures},
         }
-    return checks, res
+    text = json.dumps(certificate(ds, res, checks), indent=2) + "\n"
+    _emit(text, args.out)
+    all_hold = all(entry["holds"] is True for entry in checks.values())
+    return EXIT_OK if all_hold else EXIT_CHECK_FAILED
 
 
 # ------------------------------------------------------------ --sample shares
@@ -442,19 +454,6 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
             if len(kept) < SAMPLE_MEMO_MAX:
                 kept[key] = bool(ok)
     return failures
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    if (args.sets is None) == (args.z is None):
-        raise InvalidInput("verify needs exactly one of --sets or --z")
-    if args.sample < 0:
-        raise InvalidInput(f"--sample must be >= 0, got {args.sample}")
-    ds = _load_sets(args.sets) if args.sets else construct_for_z(args.z)
-    checks, res = _run_checks(ds, args)
-    text = json.dumps(certificate(ds, res, checks), indent=2) + "\n"
-    _emit(text, args.out)
-    all_hold = all(entry["holds"] is True for entry in checks.values())
-    return EXIT_OK if all_hold else EXIT_CHECK_FAILED
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
@@ -565,13 +564,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("graphs", help="export the swap/potential graphs (DOT or JSON)")
-    p.add_argument("--sets", required=True)
+    p.add_argument("--sets", required=True, help="defining-set JSON document")
     p.add_argument("--swaps", help="swap-set JSON document")
     p.add_argument("--minimal-maximizer", action="store_true",
                    help="use the adversary's minimal worst-case maximizer")
-    p.add_argument("--format", choices=("dot", "json"), required=True)
+    p.add_argument("--format", choices=("dot", "json"), required=True,
+                   help="dot: OUT.swp.dot and OUT.pot.dot; json: OUT.graphs.json")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--membership", choices=("original", "primed"), default="original")
+    p.add_argument("--membership", choices=("original", "primed"), default="original",
+                   help="original (the default, what every checker uses) reads "
+                   "membership from the original sets, primed from the post-swap sets")
     common(p)
     p.set_defaults(func=cmd_graphs)
     return parser

@@ -77,15 +77,20 @@ def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
     return DefiningSet(2 * t2 + 1, pairs)
 
 
-def construct_for_z(z: int) -> DefiningSet:
-    """Iterate the recursion from the base case up to level z; refused
-    (SizeRefused) above DEFAULT_MAX_RANKS ranks."""
+def require_level(z: int) -> None:
+    """Refuse, without building anything, a z below 2 (InvalidInput) and a
+    level of more than DEFAULT_MAX_RANKS ranks (SizeRefused)."""
     if z < 2:
         raise InvalidInput(f"construction levels start at z = 2, got {z}")
     # once z - 2 passes the cap's bit length, 2 ** (z - 2) alone exceeds the
     # cap: refuse without computing that power
     if z - 2 > DEFAULT_MAX_RANKS.bit_length() or 4 * t_for_z(z) > DEFAULT_MAX_RANKS:
         raise SizeRefused(f"level {z} is above the cap of {DEFAULT_MAX_RANKS} ranks")
+
+
+def construct_for_z(z: int) -> DefiningSet:
+    """Iterate the recursion from the base case up to level z (see require_level)."""
+    require_level(z)
     ds = base_case()
     for level in range(2, z):
         ds = recursive_step(ds, level)
@@ -124,11 +129,10 @@ class Lemma1Report(NamedTuple):
 
 def check_lemma1(z: int) -> Lemma1Report:
     """Exact d_z and d_{z+1} with the default engine; holds iff
-    d_{z+1} <= 2*d_z + 2.  Level z + 1 is built first, so that an oversize
-    one is refused before level z is built or scanned."""
-    if z < 2:  # before z + 1, so that the error names z
-        raise InvalidInput(f"construction levels start at z = 2, got {z}")
-    upper = construct_for_z(z + 1)
+    d_{z+1} <= 2*d_z + 2.  An oversize level z + 1 is refused before level z
+    is built or scanned."""
+    require_level(z)  # before z + 1, so that an error names z
+    require_level(z + 1)
     d_z = worst_case(construct_for_z(z)).worst_case
-    d_z1 = worst_case(upper).worst_case
+    d_z1 = worst_case(construct_for_z(z + 1)).worst_case
     return Lemma1Report(z=z, d_z=d_z, d_z_plus_1=d_z1, bound=2 * d_z + 2, holds=d_z1 <= 2 * d_z + 2)

@@ -385,90 +385,6 @@ def classify_pair(cp: CompanionPair) -> PairType:
     return PairType(kind=2, a=l1, b=l2 - l1, c=l3 - l2)
 
 
-class SwapGroups(NamedTuple):
-    """The two candidate-swap families around a kind-1 or kind-2 pair.
-
-    Every swap in group_a pushes the pair's signed imbalance one way, every
-    swap in group_b the other way.  Swaps reaching outside [1, 4t] are kept
-    and listed in boundary_a/boundary_b (they stand for the virtual swaps
-    (0,1) and (4t, 4t+1)); overlap_a/overlap_b list endpoints shared by two
-    swaps of the same group, which happens for small b or c.
-    """
-
-    group_a: tuple[tuple[int, int], ...]
-    group_b: tuple[tuple[int, int], ...]
-    boundary_a: tuple[tuple[int, int], ...]
-    boundary_b: tuple[tuple[int, int], ...]
-    overlap_a: frozenset[int]
-    overlap_b: frozenset[int]
-
-
-def _group_meta(
-    group: tuple[tuple[int, int], ...], n_ranks: int | None
-) -> tuple[tuple[tuple[int, int], ...], frozenset[int]]:
-    boundary = tuple(
-        s for s in group if s[0] < 1 or (n_ranks is not None and s[1] > n_ranks)
-    )
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for s in group:
-        for x in s:
-            (shared if x in seen else seen).add(x)
-    return boundary, frozenset(shared)
-
-
-def swap_groups(cp: CompanionPair, t: int | None = None) -> SwapGroups:
-    """Instantiate the two swap families for a kind-1 or kind-2 pair.
-
-    With t given, high-end boundary swaps are detected against 4t; without
-    it only the low-end swap (0, 1) can be flagged.
-    """
-    pt = classify_pair(cp)
-    if pt.kind == 3:
-        raise InvalidInput("swap groups are defined only for kind-1 and kind-2 pairs")
-    a, b = pt.a, pt.b
-    if pt.kind == 1:
-        group_a = ((a - 1, a), (a + b + 1, a + b + 2), (a + 2 * b, a + 2 * b + 1))
-        group_b = ((a, a + 1), (a + b - 1, a + b), (a + 2 * b + 1, a + 2 * b + 2))
-    else:
-        c = pt.c
-        group_a = (
-            (a - 1, a),
-            (a + b, a + b + 1),
-            (a + b + c, a + b + c + 1),
-            (a + 2 * b + c - 1, a + 2 * b + c),
-        )
-        group_b = (
-            (a, a + 1),
-            (a + b - 1, a + b),
-            (a + b + c - 1, a + b + c),
-            (a + 2 * b + c, a + 2 * b + c + 1),
-        )
-    n_ranks = 4 * t if t is not None else None
-    boundary_a, overlap_a = _group_meta(group_a, n_ranks)
-    boundary_b, overlap_b = _group_meta(group_b, n_ranks)
-    return SwapGroups(group_a, group_b, boundary_a, boundary_b, overlap_a, overlap_b)
-
-
-def pair_swap_effect(cp: CompanionPair, swap: tuple[int, int]) -> int:
-    """Signed change of sum(odd) - sum(even) if the single swap were applied.
-
-    Accepts the virtual boundary swaps: (0, 1) decrements rank 1, and any
-    (m, m+1) with m the pair's largest element increments it.
-    """
-    i, j = swap
-    delta = 0
-    if i in cp.odd:
-        delta += 1
-    elif i in cp.even:
-        delta -= 1
-    if j in cp.odd:
-        delta -= 1
-    elif j in cp.even:
-        delta += 1
-    return delta
-
-
 def canonicalize(ds: DefiningSet) -> DefiningSet:
     """Normalize roles and order: odd set carries each quadruple's minimum,
     pairs sorted by minimum element."""

@@ -1,5 +1,6 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from random import Random
 
 import pytest
 
-from swapdisc import _fork, adversary, cli, graphs, optsearch
+from swapdisc import _fork, adversary, cli, construct, graphs, optsearch
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -406,6 +407,19 @@ def test_search_time_budget_help_states_the_proof_contract(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "before each proof of a kept tie" in text
     assert "left out of optima" in text
+
+
+def test_every_option_of_every_command_has_help():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert commands.choices
+    missing = [
+        f"{name} {'/'.join(action.option_strings)}"
+        for name, sub in [("swapdisc", parser), *commands.choices.items()]
+        for action in sub._actions
+        if action.option_strings and not (action.help or "").strip()
+    ]
+    assert missing == []
 
 
 # ------------------------------------------------------------------- verify
@@ -867,6 +881,24 @@ def test_verify_empty_check_name_refused(capsys, checks):
 def test_verify_lemma1_requires_z(tmp_path, capsys):
     sets = write(tmp_path / "s.json", OPT2_DOC)
     assert main(["verify", "--sets", sets, "--checks", "lemma1"]) == EXIT_INVALID
+
+
+def test_verify_lemma1_refuses_an_oversize_next_level_before_building_level_z(
+    monkeypatch, capsys
+):
+    real_step = construct.recursive_step
+
+    def step(prev, z):
+        assert z != 16, "level 17 built before level 18 was refused"
+        return real_step(prev, z)
+
+    monkeypatch.setattr(construct, "recursive_step", step)
+    start = time.perf_counter()
+    assert main(["verify", "--z", "17", "--checks", "lemma1"]) == EXIT_SIZE
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level 18 is above the cap of 1000000 ranks\n"
 
 
 # ------------------------------------------------------------------- graphs

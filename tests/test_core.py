@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
-from swapdisc import core
+from swapdisc import adversary, construct, core, optsearch
 from swapdisc.adversary import worst_case
 from swapdisc.core import (
     CompanionPair,
@@ -21,12 +21,10 @@ from swapdisc.core import (
     classify_pair,
     defining_set,
     discrepancy,
-    pair_swap_effect,
     rank_table,
     reflect,
     reflect_swaps,
     require_valid,
-    swap_groups,
     validate_defining_set,
 )
 from swapdisc.graphs import build_pot, build_swp, verify_lemma2, verify_prop1, verify_prop2
@@ -268,58 +266,22 @@ def test_balanced_pairing_is_unique_by_exhaustion():
         assert balanced == [((l1, l4), (l2, l3))]
 
 
-# -------------------------------------------------------------- swap groups
-
-def test_swap_groups_type1_example():
-    cp = CompanionPair(frozenset({1, 16}), frozenset({8, 9}))
-    groups = swap_groups(cp, t=4)
-    assert set(groups.group_a) == {(0, 1), (9, 10), (15, 16)}
-    assert set(groups.group_b) == {(1, 2), (7, 8), (16, 17)}
-    assert set(groups.boundary_a) == {(0, 1)}
-    assert set(groups.boundary_b) == {(16, 17)}
-    assert not groups.overlap_a and not groups.overlap_b
-
-
-def test_swap_groups_type2_example():
-    cp = CompanionPair(frozenset({3, 14}), frozenset({6, 11}))
-    groups = swap_groups(cp, t=4)
-    assert set(groups.group_a) == {(2, 3), (6, 7), (11, 12), (13, 14)}
-    assert set(groups.group_b) == {(3, 4), (5, 6), (10, 11), (14, 15)}
-    assert not groups.boundary_a and not groups.boundary_b
-
-
-def test_swap_groups_small_b_overlap_flagged():
-    cp = CompanionPair(frozenset({2, 7}), frozenset({4, 5}))
-    groups = swap_groups(cp)
-    assert set(groups.group_a) == {(1, 2), (5, 6), (6, 7)}
-    assert groups.overlap_a == frozenset({6})
-
-
-def test_swap_groups_reject_type3():
-    with pytest.raises(InvalidInput):
-        swap_groups(CompanionPair(frozenset({1, 4}), frozenset({2, 3})))
-
+# ---------------------------------------------------------------- refusals
 
 @pytest.mark.parametrize(
-    "odd,even",
+    "call,value",
     [
-        ({1, 16}, {8, 9}),
-        ({3, 14}, {6, 11}),
-        ({2, 7}, {4, 5}),
-        ({5, 15}, {8, 12}),
-        ({10, 15}, {12, 13}),
+        (lambda: construct.lower_bound(0), 0),
+        (lambda: construct.upper_bound(1), 1),
+        (lambda: next(optsearch.enumerate_balanced(0)), 0),
+        (lambda: optsearch.random_balanced(0, Random(0)), 0),
+        (lambda: adversary.fibonacci(0), 0),
     ],
+    ids=["lower_bound", "upper_bound", "enumerate_balanced", "random_balanced", "fibonacci"],
 )
-def test_swap_groups_push_in_opposite_constant_directions(odd, even):
-    # oracle: each group's swaps individually move sum(odd)-sum(even) by the
-    # same +-1, and the two groups move it opposite ways
-    cp = CompanionPair(frozenset(odd), frozenset(even))
-    groups = swap_groups(cp)
-    effects_a = {pair_swap_effect(cp, s) for s in groups.group_a}
-    effects_b = {pair_swap_effect(cp, s) for s in groups.group_b}
-    assert len(effects_a) == 1 and len(effects_b) == 1
-    (sig_a,), (sig_b,) = effects_a, effects_b
-    assert {sig_a, sig_b} == {1, -1}
+def test_an_out_of_range_argument_is_invalid_input_naming_it(call, value):
+    with pytest.raises(InvalidInput, match=f"got {value}$"):
+        call()
 
 
 # --------------------------------------------------------------- properties

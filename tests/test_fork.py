@@ -144,6 +144,13 @@ def test_a_process_without_fork_runs_every_share_here(monkeypatch):
     assert fork_map(lambda share: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
 
 
+@pytest.mark.parametrize("count,cores", [(3, 3), (None, 1)])
+def test_usable_cores_without_affinity_is_the_cpu_count(monkeypatch, count, cores):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _fork.usable_cores() == cores
+
+
 @pytest.mark.parametrize("make", [list, lambda r: r], ids=["list", "range"])
 @pytest.mark.parametrize("length", [0, 1, 15, 16, 31, 32, 47, 48, 100])
 @pytest.mark.parametrize("cores", [1, 2, 3])
