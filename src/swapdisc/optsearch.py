@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from random import Random
-from typing import Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 # the search's scans are read from adversary at call time, so a wrapper set
 # there after this import (perfbench/tracer.py) is the one called
@@ -39,11 +39,15 @@ SEARCH_WARM_UP = 1
 # t = 5 (81 branches) is split in up to 3 shares
 SEARCH_MIN_SHARE = 25
 # most ranks whose quadruple table (_quadruples) is built: it holds O((4t)^3)
-# quadruples, each given a pair (_pairs).  For 4t = 316 (the z = 6
-# construction's t) they are 2,592,227 and took 43 s and 2.0 GiB before
-# verify's first --sample draw; for 4t = 156 (z = 5), 307,307, and the whole
-# first draw 4.1 s and 410 MiB
+# quadruples.  For 4t = 316 (the z = 6 construction's t) they are 2,592,227
+# and took 43 s and 2.0 GiB, with a pair each, before verify's first --sample
+# draw; for 4t = 156 (z = 5), 307,307, listed in 0.04 s
 QUADRUPLE_MAX_RANKS = 160
+# most quadruples, plus one per entry, that random_balanced's memo of fitting
+# options (_Draws.fits) holds: about 1 MiB of references into _quadruples'
+# table.  Unbounded it held 11.8 MiB after 2,000 t = 9 draws and 35 MiB after
+# 200 t = 19 draws; 2,000 t = 4 draws fill 930 entries, 0.5 MiB
+DRAW_MEMO_MAX = 1 << 17
 
 
 @lru_cache(maxsize=1)
@@ -82,10 +86,11 @@ def _pair(q: int) -> CompanionPair:
 @lru_cache(maxsize=1)
 def _pairs(n: int) -> dict[int, CompanionPair]:
     """The canonical pair of every balanced quadruple over [1, n], by
-    bitmask: one CompanionPair per quadruple, shared by every set drawn or
+    bitmask: one CompanionPair per quadruple, shared by every set
     enumerated over [1, n], so its cached imbalance and partition_bits are
-    computed once.  Read only: every caller gets the same dict.  Only the
-    last n is kept."""
+    computed once; its keys are _last_two's test of which quadruples are
+    balanced.  Read only: every caller gets the same dict.  Only the last
+    n is kept.  random_balanced builds its pairs one by one (_Draws)."""
     return {q: _pair(q) for options in _quadruples(n) for q in options}
 
 
@@ -170,18 +175,67 @@ def count_balanced(t: int) -> int:
     return sum(1 for _ in enumerate_balanced(t))
 
 
-def _draw(rem: int, table: tuple[tuple[int, ...], ...],
-          pair_of: dict[int, CompanionPair], rng: Random) -> tuple[CompanionPair, ...] | None:
-    """random_balanced's backtracking over the ranks left in `rem`: the pairs
-    of one balanced partition of them, or None when there is none."""
+class _Draws:
+    """What the draws over one 4t share.  `fits` maps a remainder bitmask
+    to the quadruples of its smallest rank that fit in it, in _quadruples'
+    order; `held` counts them plus one per entry, so that the dead ends,
+    with none, count too, and never passes DRAW_MEMO_MAX.  `pair_of` holds
+    the canonical pair of each quadruple a draw took, built at its first
+    take, so its cached imbalance and partition_bits are computed once.
+    `bits[i]` is (i + 1).bit_length(), up to the longest list of options."""
+
+    __slots__ = ("bits", "fits", "held", "pair_of")
+
+    def __init__(self, longest: int) -> None:
+        self.bits = [i.bit_length() for i in range(1, longest + 1)]
+        self.fits: dict[int, tuple[int, ...]] = {}
+        self.held = 0
+        self.pair_of: dict[int, CompanionPair] = {}
+
+
+@lru_cache(maxsize=1)
+def _draws(n: int) -> _Draws:
+    """The draws' shared state over [1, n]; only the last n is kept.  No
+    list of options is longer than that of rank 1 over all ranks."""
+    return _Draws(len(_quadruples(n)[1]))
+
+
+def _draw(rem: int, table: tuple[tuple[int, ...], ...], draws: _Draws,
+          getrandbits: Callable[[int], int]) -> tuple[int, ...] | None:
+    """random_balanced's backtracking over the ranks left in `rem`: the
+    quadruples of one balanced partition of them, or None when there is
+    none.  The quadruples of the smallest rank that fit are read from
+    draws.fits, or listed and kept there: a memo that would pass
+    DRAW_MEMO_MAX is emptied first, and a list that alone would pass it
+    is not kept.  A copy of them is shuffled as Random.shuffle shuffles a
+    list, with the same getrandbits calls (Durstenfeld's Fisher-Yates from
+    the last index i down, swapping it with an index j <= i that is drawn
+    and redrawn as Random._randbelow_with_getrandbits draws it), and tried
+    in that order."""
     if not rem:
         return ()
-    options = [q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q]
-    rng.shuffle(options)
-    for q in options:
-        tail = _draw(rem ^ q, table, pair_of, rng)
+    options = draws.fits.get(rem)
+    if options is None:
+        options = tuple([q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q])
+        cost = len(options) + 1
+        if cost <= DRAW_MEMO_MAX:
+            if draws.held + cost > DRAW_MEMO_MAX:
+                draws.fits.clear()
+                draws.held = 0
+            draws.fits[rem] = options
+            draws.held += cost
+    order = list(options)
+    bits = draws.bits
+    for i in range(len(order) - 1, 0, -1):
+        k = bits[i]
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    for q in order:
+        tail = _draw(rem ^ q, table, draws, getrandbits)
         if tail is not None:
-            return (pair_of[q],) + tail
+            return (q,) + tail
     return None
 
 
@@ -189,12 +243,26 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     """One balanced defining set drawn by randomized backtracking (canonical
     form; not uniform, but seeded and reproducible).  Each step shuffles
     the quadruples of the smallest unassigned rank that fit, taken in
-    enumerate_balanced's order."""
+    enumerate_balanced's order, and tries them in turn (_draw).  The
+    shuffle reads rng.getrandbits as rng.shuffle does on a Random, so the
+    sets drawn and rng's state after them are those of a draw that calls
+    rng.shuffle.  Pairs are built only for the quadruples drawn, each once
+    per 4t and shared by the sets holding it (_draws); the full pair table
+    (_pairs) is left to enumerate_balanced."""
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    pairs = _draw(all_ranks(4 * t), _quadruples(4 * t), _pairs(4 * t), rng)
-    assert pairs is not None  # a balanced partition always exists
-    return _unchecked_set(t, pairs)
+    table = _quadruples(4 * t)
+    draws = _draws(4 * t)
+    quads = _draw(all_ranks(4 * t), table, draws, rng.getrandbits)
+    assert quads is not None  # a balanced partition always exists
+    pair_of = draws.pair_of
+    pairs = []
+    for q in quads:
+        pair = pair_of.get(q)
+        if pair is None:
+            pair = pair_of[q] = _pair(q)
+        pairs.append(pair)
+    return _unchecked_set(t, tuple(pairs))
 
 
 class SearchResult(NamedTuple):

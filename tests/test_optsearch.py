@@ -89,14 +89,85 @@ def test_enumeration_by_top_level_branches(t):
     assert list(enumerate_balanced(t, [])) == []
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7])
-def test_random_balanced_draws_match_ordered_reference(t):
-    ours, reference = Random(100 + t), Random(100 + t)
-    for _ in range(30):
+def assert_draws_match_reference(t, seed, draws):
+    ours, reference = Random(seed), Random(seed)
+    for _ in range(draws):
         ds = random_balanced(t, ours)
         assert [(p.odd, p.even) for p in ds.pairs] == ordered_random_balanced(t, reference)
     # the same draws leave the generator in the same state
     assert ours.random() == reference.random()
+
+
+@pytest.fixture
+def fresh_draws():
+    """random_balanced's shared memo and pairs, emptied before and after."""
+    optsearch._draws.cache_clear()
+    yield
+    optsearch._draws.cache_clear()
+
+
+class CappedFits(dict):
+    """A draw memo that checks, at every entry kept, that the memo holds no
+    more than DRAW_MEMO_MAX options plus one per entry, and counts the
+    times it is emptied."""
+
+    clears = 0
+
+    def __setitem__(self, rem, options):
+        super().__setitem__(rem, options)
+        assert sum(len(kept) + 1 for kept in self.values()) <= optsearch.DRAW_MEMO_MAX
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def capped_draws(n):
+    draws = optsearch._draws(n)
+    draws.fits = CappedFits()
+    return draws
+
+
+# t = 9 and t = 19 are the sizes `verify --z 3` and `verify --z 4` sample
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7, 9, 19])
+def test_random_balanced_draws_match_ordered_reference(fresh_draws, t):
+    assert_draws_match_reference(t, 100 + t, 30)
+
+
+def test_random_balanced_reuses_its_memo_on_the_same_stream(fresh_draws):
+    # verify-sample's 2,000 t = 4 draws under one seed: most steps read
+    # their options from the memo
+    draws = capped_draws(16)
+    assert_draws_match_reference(4, 1, 2000)
+    assert draws.fits.clears == 0
+    assert draws.held == sum(len(options) + 1 for options in draws.fits.values())
+    assert 0 < len(draws.fits) < 2000
+
+
+@pytest.mark.parametrize("t, cap", [(4, 40), (9, 600), (3, 0)])
+def test_random_balanced_evicts_at_its_memo_cap_on_the_same_stream(monkeypatch, fresh_draws,
+                                                                   t, cap):
+    monkeypatch.setattr(optsearch, "DRAW_MEMO_MAX", cap)
+    draws = capped_draws(4 * t)
+    assert_draws_match_reference(t, 7, 300)
+    assert draws.held <= cap
+    # a cap of 0 keeps nothing, so it never empties the memo either
+    assert (draws.fits.clears > 0) == (cap > 0)
+    assert draws.held == sum(len(options) + 1 for options in draws.fits.values())
+
+
+def test_random_balanced_builds_only_the_pairs_it_draws(monkeypatch, fresh_draws):
+    # z = 5's sets (t = 39, 4t = 156): the full pair table has 307,307 pairs
+    def no_pairs(n):
+        raise AssertionError(f"built every pair over {n} ranks")
+
+    monkeypatch.setattr(optsearch, "_pairs", no_pairs)
+    rng = Random(1)
+    first, second = random_balanced(39, rng), random_balanced(39, rng)
+    assert validate_defining_set(first).ok and validate_defining_set(second).ok
+    pair_of = optsearch._draws(156).pair_of
+    assert set(pair_of.values()) == set(first.pairs) | set(second.pairs)
+    assert all(pair_of[pair.partition_bits] is pair for pair in first.pairs + second.pairs)
 
 
 def test_search_draws_its_candidates_through_enumerate_balanced(monkeypatch):
