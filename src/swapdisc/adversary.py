@@ -44,6 +44,8 @@ from .core import (
     all_ranks,
     rank_table,
     reject_invalid,
+    require_inside,
+    require_matching,
     require_valid,
 )
 
@@ -59,21 +61,6 @@ FRONTIER_MAX_STATES = 300_000
 WITNESS_CAP = 128
 
 
-def fibonacci(k: int) -> int:
-    """F(k) with F(1) = F(2) = 1."""
-    if k < 1:
-        raise InvalidInput(f"fibonacci index must be >= 1, got {k}")
-    a, b = 1, 1
-    for _ in range(k - 2):
-        a, b = b, a + b
-    return b
-
-
-def count_swap_sets(t: int) -> int:
-    """Number of matchings of the path on [1, 4t]: F(4t+1)."""
-    return fibonacci(4 * t + 1)
-
-
 class AdversaryResult(NamedTuple):
     worst_case: int
     minimal_maximizer: SwapSet
@@ -85,7 +72,7 @@ class AdversaryResult(NamedTuple):
 
 class Attained(NamedTuple):
     """The "attains" verdict of worst_case_bounded: the swap set at
-    `positions` (left endpoints, ascending: the form Witnesses holds)
+    `positions` (left endpoints, ascending: the form Witnesses and SwapSet hold)
     reaches exactly `value` (the cutoff) and no swap set tried beats it, so
     the worst case is at least `value`; whether it is exactly `value` is not
     proven.  `enumerated` counts the swap sets the scan visited (0 without a
@@ -256,7 +243,7 @@ def worst_case(
         )
     return AdversaryResult(
         worst_case=best_d,
-        minimal_maximizer=SwapSet.from_positions(best),
+        minimal_maximizer=SwapSet(best),
         maximizer_count=count,
         enumerated=nodes,
         engine=strategy,
@@ -325,17 +312,12 @@ class Witnesses:
 
     def push(self, positions: tuple[int, ...]) -> None:
         """Put `positions` in the next free slot; at the cap it overwrites
-        the oldest.  Raises InvalidInput unless they ascend by at least 2
-        from 1 and stay below n."""
+        the oldest.  Raises InvalidInput unless they are a matching in
+        ascending order (require_matching) inside [1, n] (require_inside)."""
         positions = tuple(positions)
-        left, prev = 0, -1
-        for i in positions:
-            if not prev + 2 <= i < self._n:
-                raise InvalidInput(
-                    f"witness {positions} is no matching of the path on [1, {self._n}]"
-                )
-            left |= 1 << i
-            prev = i
+        require_matching(positions)
+        require_inside(positions, self._n)
+        left = sum(1 << i for i in positions)
         s = self._next
         if s == len(self._slots):
             self._slots.append(positions)
@@ -470,7 +452,7 @@ def worst_case_bounded(
     return (
         AdversaryResult(
             worst_case=best_d,
-            minimal_maximizer=SwapSet.from_positions(best),
+            minimal_maximizer=SwapSet(best),
             maximizer_count=count,
             enumerated=nodes,
             engine="branch_and_bound",
@@ -488,7 +470,7 @@ def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:
     if res.worst_case != 2 * len(res.minimal_maximizer):
         return False
     pair_of, side_of, imbalance = rank_table(ds, res.minimal_maximizer)
-    for i in res.minimal_maximizer.positions():
+    for i in res.minimal_maximizer.positions:
         rest = list(imbalance)
         rest[pair_of[i]] += side_of[i]
         rest[pair_of[i + 1]] -= side_of[i + 1]

@@ -111,7 +111,8 @@ def doc_to_defining_set(doc: Any) -> DefiningSet:
 
 
 def swaps_to_doc(swaps: SwapSet) -> dict[str, Any]:
-    return {"swaps": [[i, j] for i, j in swaps]}
+    """The one writer of the swap form [[i, i+1], ...]."""
+    return {"swaps": [[i, i + 1] for i in swaps.positions]}
 
 
 def doc_to_swaps(doc: Any) -> SwapSet:
@@ -120,7 +121,7 @@ def doc_to_swaps(doc: Any) -> SwapSet:
     swaps = doc["swaps"]
     if not isinstance(swaps, list):
         raise InvalidInput("'swaps' must be a list")
-    pairs: set[tuple[int, int]] = set()
+    positions: set[int] = set()
     for entry in swaps:
         if (
             not isinstance(entry, list)
@@ -128,11 +129,12 @@ def doc_to_swaps(doc: Any) -> SwapSet:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
         ):
             raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
-        pair = (entry[0], entry[1])
-        if pair in pairs:
+        if entry[1] != entry[0] + 1:
+            raise InvalidInput(f"swap entry {entry!r} is not an adjacent pair [i, i+1]")
+        if entry[0] in positions:
             raise InvalidInput(f"swap entry {entry!r} appears more than once")
-        pairs.add(pair)
-    return SwapSet(frozenset(pairs))
+        positions.add(entry[0])
+    return SwapSet(positions)
 
 
 def _digest(doc: dict[str, Any]) -> str:
@@ -156,7 +158,7 @@ def certificate(
     return {
         "input_digest": _digest(doc),
         "worst_case": res.worst_case if res else None,
-        "minimal_maximizer": [[i, j] for i, j in res.minimal_maximizer] if res else None,
+        "minimal_maximizer": swaps_to_doc(res.minimal_maximizer)["swaps"] if res else None,
         "bounds": {
             "lower": _fraction_str(lower_bound(ds.t)),
             "upper": upper_bound(z) if z is not None else None,
@@ -289,7 +291,7 @@ def _adversary_checks(
         rep = verify_lemma2(ds, i_star)
         if "lemma2" in wanted:
             entries["lemma2"] = {
-                "holds": all(c.holds for c in rep.components) and rep.slack_holds,
+                "holds": rep.all_hold,
                 "details": {
                     "components": [
                         {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 
 class InvalidInput(ValueError):
@@ -204,42 +204,52 @@ def defining_set(t: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -
 
 
 class SwapSet(Frozen):
-    """A set of adjacent swaps (i, i+1) with pairwise distinct endpoints.
+    """A set of adjacent swaps (i, i+1) with pairwise distinct endpoints (a
+    matching of the path graph on the ranks), held as `positions`: the left
+    endpoints i, sorted once here and checked by require_matching.  The
+    bound i < 4t depends on t and is checked by the operations
+    (require_inside), not here."""
 
-    Equivalently a matching of the path graph on the ranks; the upper range
-    bound 4t-1 depends on t and is checked by the operations, not here.
-    """
+    _fields = ("positions",)
+    positions: tuple[int, ...]
 
-    _fields = ("swaps",)
-    swaps: tuple[tuple[int, int], ...]  # sorted once here, from any iterable
-
-    def __init__(self, swaps: Iterable[Iterable[int]]):
-        swaps = tuple(sorted({tuple(s) for s in swaps}))
-        seen: set[int] = set()
-        for s in swaps:
-            if len(s) != 2 or s[1] != s[0] + 1 or s[0] < 1:
-                raise InvalidInput(f"swap {s} is not an adjacent pair (i, i+1) with i >= 1")
-            if s[0] in seen or s[1] in seen:
-                raise InvalidInput(f"swap {s} shares an endpoint with another swap")
-            seen.update(s)
-        self.__dict__["swaps"] = swaps
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "SwapSet":
-        return cls(frozenset((i, i + 1) for i in positions))
-
-    def positions(self) -> tuple[int, ...]:
-        """Left endpoints in ascending order."""
-        return tuple(i for i, _ in self.swaps)
+    def __init__(self, positions: Iterable[int]):
+        positions = tuple(positions)
+        try:
+            positions = tuple(sorted(positions))
+        except TypeError:
+            pass  # a position that is no number: require_matching refuses it
+        require_matching(positions)
+        self.__dict__["positions"] = positions
 
     def __len__(self) -> int:
-        return len(self.swaps)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.swaps)
+        return len(self.positions)
 
 
-EMPTY_SWAPS = SwapSet(frozenset())
+def require_matching(positions: tuple[int, ...]) -> None:
+    """Raise InvalidInput unless `positions`, in the order given, are the
+    left endpoints of a matching of the path on the ranks: integers >= 1
+    (bools are not), each at least 2 above the one before."""
+    prev = -1
+    for i in positions:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise InvalidInput(f"swap position {i!r} is not an integer >= 1")
+        if i < prev + 2:
+            raise InvalidInput(
+                f"swaps ({prev}, {prev + 1}) and ({i}, {i + 1}) overlap or are out of order"
+            )
+        prev = i
+
+
+def require_inside(positions: tuple[int, ...], n: int) -> None:
+    """Raise InvalidInput, naming the first swap outside, unless every swap
+    at the ascending `positions` lies in [1, n]: the last is below n."""
+    if positions and positions[-1] >= n:
+        i = next(i for i in positions if i >= n)
+        raise InvalidInput(f"swap ({i}, {i + 1}) outside [1, {n}]")
+
+
+EMPTY_SWAPS = SwapSet(())
 
 
 class ValidationReport(NamedTuple):
@@ -316,11 +326,10 @@ def rank_table(
     in [1, 4t]; raises InvalidInput otherwise.  The unswapped tables are
     built once per set and cached; each call returns fresh lists.
     """
-    n = ds.n_ranks
+    require_inside(swaps.positions, ds.n_ranks)
     pair_of, side_of, imbalance = map(list, ds._rank_table)
-    for i, j in swaps:
-        if j > n:
-            raise InvalidInput(f"swap ({i}, {j}) outside [1, {n}]")
+    for i in swaps.positions:
+        j = i + 1
         imbalance[pair_of[i]] += side_of[i]
         imbalance[pair_of[j]] -= side_of[j]
         pair_of[i], pair_of[j] = pair_of[j], pair_of[i]
@@ -411,5 +420,4 @@ def reflect(ds: DefiningSet) -> DefiningSet:
 
 def reflect_swaps(ds_t: int, swaps: SwapSet) -> SwapSet:
     """Image of a swap set under the same reflection: (i, i+1) -> (4t-i, 4t-i+1)."""
-    n = 4 * ds_t
-    return SwapSet.from_positions(n - i for i in swaps.positions())
+    return SwapSet(4 * ds_t - i for i in swaps.positions)

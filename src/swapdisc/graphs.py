@@ -32,6 +32,7 @@ from .core import (
     SizeRefused,
     SwapSet,
     classify_pair,
+    require_inside,
     require_valid,
 )
 
@@ -88,18 +89,16 @@ def _components(t: int, edges: Iterable[SwpEdge]) -> tuple[frozenset[int], ...]:
 def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
     """One edge per swap, joining the pairs holding the swap's two ranks
     (in the original defining set); self-loop when both sit in one pair.
-    Edges come in ascending swap order, the order SwapSet iterates in."""
+    Edges come in ascending swap order, the order of swaps.positions."""
     require_valid(ds)
-    n = ds.n_ranks
+    require_inside(swaps.positions, ds.n_ranks)
     # the unswapped pair_of: a swap exchanges its two ranks' entries, so the
     # pairs it names are the same before and after
     pair_of = ds._rank_table[0]
     edges = []
-    for i, j in swaps:
-        if j > n:
-            raise InvalidInput(f"swap ({i}, {j}) outside [1, {n}]")
-        a, b = pair_of[i] + 1, pair_of[j] + 1
-        edges.append(SwpEdge(min(a, b), max(a, b), (i, j)))
+    for i in swaps.positions:
+        a, b = pair_of[i] + 1, pair_of[i + 1] + 1
+        edges.append(SwpEdge(min(a, b), max(a, b), (i, i + 1)))
     return SwpGraph(ds.t, tuple(edges), _components(ds.t, edges))
 
 
@@ -123,7 +122,7 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
         m_pair, m_side, _ = ds._rank_table  # read, never written
     else:
         m_pair, m_side = p_pair, p_side
-    taken = {i for i, _ in swaps.swaps}
+    taken = set(swaps.positions)
     arcs: list[PotArc] = []
 
     def boundary(rank: int, bump: int, swap: tuple[int, int]) -> None:
@@ -202,9 +201,9 @@ class Lemma2Report(NamedTuple):
 
     @property
     def all_hold(self) -> bool:
-        return (
-            all(c.holds for c in self.components) and self.slack_holds and self.eq10_holds
-        )
+        """Lemma 2 itself: every component bound and the global slack; the
+        edge bound eq10 is its own verdict, eq10_holds."""
+        return all(c.holds for c in self.components) and self.slack_holds
 
 
 def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:

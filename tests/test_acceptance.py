@@ -15,12 +15,8 @@ from random import Random
 
 import pytest
 
-from naive_oracles import naive_discrepancy, random_swap_positions
-from swapdisc.adversary import (
-    count_swap_sets,
-    minimal_maximizer_property,
-    worst_case,
-)
+from naive_oracles import fib, naive_discrepancy, random_swap_positions
+from swapdisc.adversary import minimal_maximizer_property, worst_case
 from swapdisc.construct import (
     base_case,
     construct_for_z,
@@ -123,8 +119,8 @@ def test_criterion_5_exact_d3_brute_force():
     naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
     ok = (
         res.worst_case == 14
-        and res.enumerated == 24_157_817 == count_swap_sets(9)
-        and naive_discrepancy(naive_pairs, witness.positions()) == 14
+        and res.enumerated == 24_157_817 == fib(4 * 9 + 1)
+        and naive_discrepancy(naive_pairs, witness.positions) == 14
         and 14 <= 2 * 6 + 2
         and 14 == upper_bound(3)
         and elapsed < 600.0
@@ -170,7 +166,7 @@ def test_criterion_8_lemma2_eq10_prop1_population(population):
         rep = verify_lemma2(ds, i_star)
         p1c = verify_prop1(ds, i_star, subsets="components")
         p1s = verify_prop1(ds, i_star, subsets="singletons")
-        if not (rep.all_hold and p1c.all_hold and p1s.all_hold):
+        if not (rep.all_hold and rep.eq10_holds and p1c.all_hold and p1s.all_hold):
             violations += 1
     ok = violations == 0
     report(
@@ -221,7 +217,7 @@ def test_criterion_10_structural_invariant_suite():
     for _ in range(4000):
         t = rng.randint(1, 5)
         ds = random_balanced(t, rng)
-        swaps = SwapSet.from_positions(random_swap_positions(t, rng))
+        swaps = SwapSet(random_swap_positions(t, rng))
         ok = ok and apply_swaps(apply_swaps(ds, swaps), swaps) == ds
         cases += 1
 
@@ -229,7 +225,7 @@ def test_criterion_10_structural_invariant_suite():
     for _ in range(3000):
         t = rng.randint(1, 4)
         ds = random_balanced(t, rng)
-        swaps = SwapSet.from_positions(random_swap_positions(t, rng))
+        swaps = SwapSet(random_swap_positions(t, rng))
         ok = ok and discrepancy(ds, swaps) % 2 == 0
         cases += 1
 
@@ -256,7 +252,7 @@ def test_criterion_10_structural_invariant_suite():
         ok = ok and worst_case(ds).worst_case == worst_case(reflect(ds)).worst_case
         cases += 1
         for _ in range(450):
-            swaps = SwapSet.from_positions(random_swap_positions(2, rng))
+            swaps = SwapSet(random_swap_positions(2, rng))
             ok = ok and discrepancy(ds, swaps) == discrepancy(
                 reflect(ds), reflect_swaps(2, swaps)
             )

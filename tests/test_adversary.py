@@ -24,7 +24,6 @@ from swapdisc.adversary import (
     AdversaryResult,
     Attained,
     Witnesses,
-    count_swap_sets,
     minimal_maximizer_property,
     worst_case,
     worst_case_bounded,
@@ -51,11 +50,12 @@ from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_enumeration_count_is_fibonacci(t):
-    assert count_swap_sets(t) == fib(4 * t + 1) == len(naive_swap_sets(4 * t))
+    scan = worst_case(random_balanced(t, Random(t)), strategy="exhaustive")
+    assert scan.enumerated == fib(4 * t + 1) == len(naive_swap_sets(4 * t))
 
 
 def test_t4_count_value():
-    assert count_swap_sets(4) == 1597
+    assert fib(4 * 4 + 1) == 1597
 
 
 # --------------------------------------------------------------- worst case
@@ -63,7 +63,7 @@ def test_t4_count_value():
 def test_worst_case_optimal_t2(opt2):
     res = worst_case(opt2)
     assert res.worst_case == 4
-    assert res.minimal_maximizer.positions() == (1, 5)
+    assert res.minimal_maximizer.positions == (1, 5)
     assert worst_case(opt2, strategy="exhaustive").enumerated == fib(9)
 
 
@@ -81,7 +81,7 @@ def test_worst_case_base_case_is_6():
 def test_worst_case_t1(t1):
     res = worst_case(t1)
     assert res.worst_case == 2
-    assert res.minimal_maximizer.positions() == (1,)
+    assert res.minimal_maximizer.positions == (1,)
     assert res.maximizer_count == 2
 
 
@@ -191,7 +191,7 @@ def test_greedy_floor_keeps_every_maximizer():
         tables = rank_table(ds)
         floor, positions = adversary._greedy(n, *tables)
         assert naive_is_matching(positions, n)
-        assert discrepancy(ds, SwapSet.from_positions(positions)) == floor
+        assert discrepancy(ds, SwapSet(positions)) == floor
         rx = worst_case(ds, strategy="exhaustive")
         rb = worst_case(ds, strategy="branch_and_bound")
         assert (rb.worst_case, rb.minimal_maximizer, rb.maximizer_count) == (
@@ -245,7 +245,7 @@ def test_worst_case_matches_oracle_on_all_t2_and_random_t3_t4():
         naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
         best, best_set, count, total = naive_worst_case(naive_pairs, ds.t)
         assert res.worst_case == best
-        assert res.minimal_maximizer.positions() == best_set
+        assert res.minimal_maximizer.positions == best_set
         assert res.maximizer_count == count
         assert worst_case(ds, strategy="exhaustive").enumerated == total
 
@@ -276,7 +276,7 @@ def test_minimal_maximizer_property_examples(opt2):
 def test_minimal_maximizer_property_rejects_padded_maximizer(t1):
     fake = AdversaryResult(
         worst_case=2,
-        minimal_maximizer=SwapSet.from_positions((1, 3)),
+        minimal_maximizer=SwapSet((1, 3)),
         maximizer_count=2,
         enumerated=5,
         engine="exhaustive",
@@ -289,7 +289,7 @@ def naive_minimal_maximizer_property(ds, res) -> bool:
     """Eq. (8) from the definition: the worst case is 2|I*| and each single
     removal from I* gives the worst case minus 2, by the naive oracle."""
     pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
-    positions = res.minimal_maximizer.positions()
+    positions = res.minimal_maximizer.positions
     return res.worst_case == 2 * len(positions) and all(
         naive_discrepancy(pairs, [p for p in positions if p != i]) == res.worst_case - 2
         for i in positions
@@ -306,12 +306,12 @@ def test_minimal_maximizer_property_matches_the_definition():
             assert naive_minimal_maximizer_property(ds, res)
             # tampered results: another value, and the swap set of I*
             # shifted, cut short or padded by one swap
-            positions = res.minimal_maximizer.positions()
+            positions = res.minimal_maximizer.positions
             tampered = [res._replace(worst_case=res.worst_case + 2)]
             for other in (tuple(p + 1 for p in positions), positions[1:],
                           positions + (4 * t - 1,)):
                 if naive_is_matching(other, 4 * t) and other != positions:
-                    swap_set = SwapSet.from_positions(other)
+                    swap_set = SwapSet(other)
                     tampered.append(res._replace(minimal_maximizer=swap_set))
                     tampered.append(res._replace(minimal_maximizer=swap_set,
                                                  worst_case=2 * len(other)))
@@ -333,7 +333,7 @@ def test_bounded_scan_exceeded_and_exact(sub2):
         res, exceeded = worst_case_bounded(sub2, cutoff=cutoff, witnesses=Witnesses(sub2.n_ranks))
         assert not exceeded
         assert isinstance(res, Attained) and res.value == cutoff
-        assert discrepancy(sub2, SwapSet.from_positions(res.positions)) == cutoff
+        assert discrepancy(sub2, SwapSet(res.positions)) == cutoff
     res, exceeded = worst_case_bounded(sub2, cutoff=7, witnesses=Witnesses(sub2.n_ranks))
     assert not exceeded
     assert res.worst_case == 6
@@ -369,11 +369,11 @@ def assert_bounded_agrees(ds, full, cutoff, witnesses):
         assert res is None
         assert full.worst_case > cutoff
         # the verdict rests on a concrete swap set in the table
-        assert any(discrepancy(ds, SwapSet.from_positions(w)) > cutoff for w in witnesses)
+        assert any(discrepancy(ds, SwapSet(w)) > cutoff for w in witnesses)
     elif isinstance(res, Attained):
         assert full.worst_case >= cutoff
         assert res.value == cutoff
-        assert discrepancy(ds, SwapSet.from_positions(res.positions)) == cutoff
+        assert discrepancy(ds, SwapSet(res.positions)) == cutoff
         assert res.enumerated >= 0
     else:
         assert full.worst_case < cutoff
@@ -397,7 +397,7 @@ def test_bounded_scan_agrees_with_branch_and_bound_for_any_witness_list():
         n = ds.n_ranks
         full = worst_case(ds, strategy="branch_and_bound")
         valued = [
-            (w, discrepancy(ds, SwapSet.from_positions(w))) for w in naive_swap_sets(n)
+            (w, discrepancy(ds, SwapSet(w))) for w in naive_swap_sets(n)
         ] if ds.t <= 4 else []
         for cutoff in range(13):
             assert_bounded_agrees(ds, full, cutoff, Witnesses(n))
@@ -448,7 +448,7 @@ def test_witness_table_is_fixed_slots_overwritten_oldest_first(monkeypatch):
     # a hit keeps every witness in its slot; one swap and the empty set do
     # not beat the cutoff
     ds = random_balanced(3, Random(1))
-    hit = next(w for w in naive_swap_sets(12) if discrepancy(ds, SwapSet.from_positions(w)) > 2)
+    hit = next(w for w in naive_swap_sets(12) if discrepancy(ds, SwapSet(w)) > 2)
     witnesses = witness_table(12, [(3,), hit, ()])
     _res, exceeded = worst_case_bounded(ds, cutoff=2, witnesses=witnesses)
     assert exceeded
@@ -476,7 +476,7 @@ def test_bounded_scan_rejects_negative_cutoff(sub2):
 
 
 def test_witness_that_beats_wins_over_one_that_attains(sub2):
-    valued = [(w, discrepancy(sub2, SwapSet.from_positions(w))) for w in naive_swap_sets(8)]
+    valued = [(w, discrepancy(sub2, SwapSet(w))) for w in naive_swap_sets(8)]
     at = next(w for w, d in valued if d == 4)
     above = next(w for w, d in valued if d > 4)
     witnesses = witness_table(8, [at, above])
@@ -515,7 +515,7 @@ def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
         for cutoff in range(ds.n_ranks + 3):
             order = list(table)
             values = table.values(ds)
-            assert values == [discrepancy(ds, SwapSet.from_positions(w)) for w in order]
+            assert values == [discrepancy(ds, SwapSet(w)) for w in order]
             beats, attained, floor = table.check(ds, cutoff)
             above = [k for k, v in enumerate(values) if v > cutoff]
             at = [k for k, v in enumerate(values) if v == cutoff]
@@ -565,7 +565,7 @@ def test_witness_table_matches_plain_list_loop(monkeypatch):
                 assert res.value == cutoff and res.positions == ref
             else:
                 assert not exceeded and isinstance(res, AdversaryResult)
-                got = (res.worst_case, res.minimal_maximizer.positions(), res.maximizer_count)
+                got = (res.worst_case, res.minimal_maximizer.positions, res.maximizer_count)
                 assert got == ref
             assert list(table) == [w for _, w in plain]
 
@@ -579,7 +579,7 @@ def test_witness_table_takes_only_matchings_and_sets_of_its_4t(opt2):
     table.push(())
     table.push((1, 7))
     assert list(table) == [(), (1, 7)]
-    assert table.values(opt2) == [0, discrepancy(opt2, SwapSet.from_positions((1, 7)))]
+    assert table.values(opt2) == [0, discrepancy(opt2, SwapSet((1, 7)))]
     with pytest.raises(InvalidInput):
         Witnesses(12).check(opt2, 4)
     with pytest.raises(InvalidInput):
@@ -607,15 +607,15 @@ def test_role_swapped_twins_share_the_witness_fields():
                     ))
                     for flipped in (flips, [True] * t)
                 ]
-                want = [discrepancy(ds, SwapSet.from_positions(w)) for w in table]
+                want = [discrepancy(ds, SwapSet(w)) for w in table]
                 for s in (twins + [ds] if twin_first else [ds] + twins):
-                    assert [discrepancy(s, SwapSet.from_positions(w)) for w in table] == want
+                    assert [discrepancy(s, SwapSet(w)) for w in table] == want
                     assert table.values(s) == want
             # a pushed witness updates the shared fields for both roles
             table.push(random_swap_positions(t, rng))
             for ds in pool:
                 twin = DefiningSet(t, tuple(CompanionPair(p.even, p.odd) for p in ds.pairs))
-                want = [discrepancy(ds, SwapSet.from_positions(w)) for w in table]
+                want = [discrepancy(ds, SwapSet(w)) for w in table]
                 assert table.values(ds) == table.values(twin) == want
 
 
@@ -626,7 +626,7 @@ def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
     # with a rank above 4t
     good = defining_set(2, (({1, 4}, {2, 3}), ({5, 8}, {6, 7})))
     table = witness_table(8, [(1, 5), (2,), ()])
-    assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
+    assert table.values(good) == [discrepancy(good, SwapSet(w)) for w in table]
     cached = len(table._packed)
     for bad, fault in (
         (defining_set(2, (({1, 4}, {2, 3}), ({5, 7}, {6, 8}))), "unbalanced"),
@@ -646,7 +646,7 @@ def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
             assert str(err.value) == text
     assert len(table._packed) == cached
     assert list(table) == [(1, 5), (2,), ()]
-    assert table.values(good) == [discrepancy(good, SwapSet.from_positions(w)) for w in table]
+    assert table.values(good) == [discrepancy(good, SwapSet(w)) for w in table]
 
 
 

@@ -58,8 +58,20 @@ def sample_draws(seed, n, t=4):
 
 def test_document_round_trip(opt2):
     assert doc_to_defining_set(defining_set_to_doc(opt2)) == opt2
-    swaps = SwapSet.from_positions((1, 5))
+    swaps = SwapSet((1, 5))
+    assert swaps_to_doc(swaps) == {"swaps": [[1, 2], [5, 6]]}
     assert doc_to_swaps(swaps_to_doc(swaps)) == swaps
+
+
+def test_a_swap_document_reads_as_the_scan_maximizer(opt2):
+    # a swap set read from JSON, in any entry order, is the value the
+    # scan's positions give: equal, hashed alike, printed alike
+    res = adversary.worst_case(opt2)
+    read = doc_to_swaps({"swaps": [[5, 6], [1, 2]]})
+    assert read == res.minimal_maximizer == SwapSet(res.minimal_maximizer.positions)
+    assert hash(read) == hash(res.minimal_maximizer)
+    assert repr(read) == repr(res.minimal_maximizer) == "SwapSet(positions=(1, 5))"
+    assert {res.minimal_maximizer: "scan"}[read] == "scan"
 
 
 def test_strict_import_rejects_unknown_fields():
@@ -191,6 +203,19 @@ BAD_DOCUMENTS = {
     ),
     "pair-count": ({**OPT2_DOC, "t": 3}, None, "expected 3 pairs, got 2"),
     "swaps-not-list": (OPT2_DOC, {"swaps": {}}, "'swaps' must be a list"),
+    "swap-not-adjacent": (
+        OPT2_DOC, {"swaps": [[1, 3]]}, "swap entry [1, 3] is not an adjacent pair [i, i+1]"
+    ),
+    "swap-bool": (
+        OPT2_DOC, {"swaps": [[True, 2]]}, "swap entry [True, 2] must be a list of two integers"
+    ),
+    "swap-overlap": (
+        OPT2_DOC,
+        {"swaps": [[2, 3], [1, 2]]},
+        "swaps (1, 2) and (2, 3) overlap or are out of order",
+    ),
+    "swap-below-1": (OPT2_DOC, {"swaps": [[0, 1]]}, "swap position 0 is not an integer >= 1"),
+    "swap-outside": (OPT2_DOC, {"swaps": [[1, 2], [8, 9]]}, "swap (8, 9) outside [1, 8]"),
 }
 
 

@@ -40,7 +40,7 @@ def assert_matches_oracles(ds, naive=True):
     assert fr.engine == "frontier"
     assert fields(fr) == fields(worst_case(ds, strategy="exhaustive"))
     if naive:
-        assert (fr.worst_case, fr.minimal_maximizer.positions(), fr.maximizer_count) == (
+        assert (fr.worst_case, fr.minimal_maximizer.positions, fr.maximizer_count) == (
             naive_fields(ds)
         )
 
@@ -135,7 +135,7 @@ def test_level3_pins():
     res = worst_case(construct_for_z(3))
     assert res.engine == "frontier"
     assert res.worst_case == 14
-    assert res.minimal_maximizer.positions() == (1, 3, 10, 14, 20, 24, 29)
+    assert res.minimal_maximizer.positions == (1, 3, 10, 14, 20, 24, 29)
     assert res.maximizer_count == 196_340
 
 

@@ -44,7 +44,7 @@ from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 
 def swaps_of(*positions):
-    return SwapSet.from_positions(positions)
+    return SwapSet(positions)
 
 
 # ---------------------------------------------------------------- build_swp
@@ -174,7 +174,7 @@ def test_pot_arcs_match_literal_oracle():
         positions = random_swap_positions(t, rng)
         naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
         for membership in ("original", "primed"):
-            pot = build_pot(ds, SwapSet.from_positions(positions), membership=membership)
+            pot = build_pot(ds, SwapSet(positions), membership=membership)
             got = sorted(
                 ((a.tail, a.head, a.swap, a.cond) for a in pot.arcs),
                 key=lambda a: (a[2], str(a[3])),
@@ -236,9 +236,9 @@ def reference_swp(ds, swaps):
     flooding from each node not yet reached, in ascending order."""
     holder = {r: k + 1 for k, pair in enumerate(ds.pairs) for r in pair.elements}
     edges = []
-    for i, j in sorted(swaps.swaps):
-        a, b = holder[i], holder[j]
-        edges.append((min(a, b), max(a, b), (i, j)))
+    for i in sorted(swaps.positions):
+        a, b = holder[i], holder[i + 1]
+        edges.append((min(a, b), max(a, b), (i, i + 1)))
     components, reached = [], set()
     for v in range(1, ds.t + 1):
         if v in reached:
@@ -270,7 +270,7 @@ def test_builds_match_references_in_order():
     # included, with references that sort by those keys, on every swap set
     # of every balanced set with t <= 2 and on maximizers at t = 3 and 4
     cases = [
-        (ds, SwapSet.from_positions(positions))
+        (ds, SwapSet(positions))
         for t in (1, 2)
         for canon in enumerate_balanced(t)
         for ds in role_variants(canon)
@@ -281,7 +281,7 @@ def test_builds_match_references_in_order():
         ds = random_balanced(t, rng)
         cases += [(image, worst_case(image).minimal_maximizer) for image in role_variants(ds)]
     for ds, swaps in cases:
-        positions = swaps.positions()
+        positions = swaps.positions
         naive_pairs = [(set(p.odd), set(p.even)) for p in ds.pairs]
         swp = build_swp(ds, swaps)
         assert ([(e.u, e.v, e.swap) for e in swp.edges], swp.components) == reference_swp(
@@ -317,7 +317,7 @@ def test_lemma2_eq10_t2_optimal(opt2):
     rep = verify_lemma2(opt2, res.minimal_maximizer)
     assert rep.eq10_lhs == 4
     assert rep.eq10_rhs == Fraction(2)
-    assert rep.all_hold
+    assert rep.all_hold and rep.eq10_holds
 
 
 def test_lemma2_eq10_base_case():
@@ -326,7 +326,7 @@ def test_lemma2_eq10_base_case():
     rep = verify_lemma2(base_case(), res.minimal_maximizer)
     assert rep.eq10_lhs == 6
     assert rep.eq10_rhs == Fraction(5)
-    assert rep.all_hold
+    assert rep.all_hold and rep.eq10_holds
 
 
 # ------------------------------------------------------------ verify_prop1
@@ -372,7 +372,7 @@ ISOLATED_TYPE2 = defining_set(
 
 def test_prop2_isolated_type1_witness():
     res = worst_case(ISOLATED_TYPE1)
-    assert res.minimal_maximizer.positions() == (1, 4, 10)
+    assert res.minimal_maximizer.positions == (1, 4, 10)
     rep = verify_prop2(ISOLATED_TYPE1, res.minimal_maximizer)
     entry = next(e for e in rep.entries if e.node == 3)
     assert (entry.kind, entry.d_swp, entry.d_out, entry.total) == (1, 0, 3, 3)
@@ -381,7 +381,7 @@ def test_prop2_isolated_type1_witness():
 
 def test_prop2_isolated_type2_witness():
     res = worst_case(ISOLATED_TYPE2)
-    assert res.minimal_maximizer.positions() == (1, 3, 6, 9, 13)
+    assert res.minimal_maximizer.positions == (1, 3, 6, 9, 13)
     rep = verify_prop2(ISOLATED_TYPE2, res.minimal_maximizer)
     entry = next(e for e in rep.entries if e.node == 4)
     assert (entry.kind, entry.d_swp, entry.d_out, entry.total) == (2, 0, 4, 4)
@@ -419,11 +419,12 @@ def test_inequalities_hold_for_every_min_size_maximizer_small_t():
             res = worst_case(ds)
             min_size = len(res.minimal_maximizer)
             for positions in naive_swap_sets(ds.n_ranks):
-                i_star = SwapSet.from_positions(positions)
+                i_star = SwapSet(positions)
                 if len(i_star) != min_size or discrepancy(ds, i_star) != res.worst_case:
                     continue
                 maximizers += 1
-                assert verify_lemma2(ds, i_star).all_hold
+                lemma2 = verify_lemma2(ds, i_star)
+                assert lemma2.all_hold and lemma2.eq10_holds
                 assert verify_prop1(ds, i_star, subsets="all_small").all_hold
                 rep = verify_prop2(ds, i_star)
                 prop2_entries += len(rep.entries)

@@ -1,0 +1,28 @@
+"""The README's library quick start runs and gives the results its
+comments state, so that an API change cannot leave it stale."""
+
+import ast
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start() -> list[str]:
+    """The lines of the python block under "## Library quick start"."""
+    section = README.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_library_quick_start_gives_its_commented_results():
+    namespace: dict = {}
+    checked = 0
+    for line in quick_start():
+        code, _, comment = line.partition("#")
+        (statement,) = ast.parse(code).body or (None,)
+        if isinstance(statement, ast.Expr):
+            # an expression line states its value as a literal in its comment
+            assert eval(code, namespace) == ast.literal_eval(comment.strip()), line
+            checked += 1
+        elif statement is not None:
+            exec(code, namespace)
+    assert checked == 2
