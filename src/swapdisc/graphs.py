@@ -389,19 +389,39 @@ def export_graphs(swp: SwpGraph, pot: PotGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _int_in(value: object, what: str, low: int, high: float) -> int:
+    """`value` if it is an integer (not a bool) in [low, high]."""
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _swap_of(value: object) -> tuple[int, int]:
+    """`value` as a swap (i, i+1) if it is a list [i, i+1] of two integers."""
+    if (type(value) is not list or [type(x) for x in value] != [int, int]
+            or value[1] != value[0] + 1):
+        raise ValueError(f"swap must be a list of two integers [i, i+1], got {value!r}")
+    return value[0], value[1]
+
+
 def import_graphs(text: str) -> tuple[SwpGraph, PotGraph]:
-    """Inverse of the JSON export; components are recomputed."""
+    """Inverse of the JSON export; components are recomputed.  The shape of
+    the document is checked (InvalidInput otherwise): t an integer >= 1,
+    each node an integer in [1, t] (0, v0, only as an arc's head), each
+    swap [i, i+1] and each cond 1-6, "b1" or "b2"."""
     try:
         doc = json.loads(text)
-        t = doc["t"]
+        t = _int_in(doc["t"], "t", 1, float("inf"))
         edges = tuple(
-            SwpEdge(e["u"], e["v"], (e["swap"][0], e["swap"][1]))
+            SwpEdge(_int_in(e["u"], "u", 1, t), _int_in(e["v"], "v", 1, t), _swap_of(e["swap"]))
             for e in doc["swp"]["edges"]
         )
         arcs = tuple(
-            PotArc(a["tail"], a["head"], (a["swap"][0], a["swap"][1]), a["cond"])
+            PotArc(_int_in(a["tail"], "tail", 1, t), _int_in(a["head"], "head", 0, t),
+                   _swap_of(a["swap"]),
+                   a["cond"] if a["cond"] in ("b1", "b2") else _int_in(a["cond"], "cond", 1, 6))
             for a in doc["pot"]["arcs"]
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed graph document: {exc}") from exc
     return SwpGraph(t, edges, _components(t, edges)), PotGraph(t, arcs)

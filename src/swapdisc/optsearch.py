@@ -8,7 +8,8 @@ quotiented out, so reflection-related optima are listed separately.
 The search walks the first top-level branch in this process and splits
 the others among forked processes, one per usable core, which from t = 5
 on is more than one (find_optimal).  It scans with branch and bound, so
-it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.
+it is refused for 4t above EXHAUSTIVE_MAX_RANKS before any work.  Its
+enumeration and the random draws share one table per 4t (_Table).
 """
 
 from __future__ import annotations
@@ -38,69 +39,75 @@ SEARCH_WARM_UP = 1
 # where on 2 cores two shares saved 0.4 ms of its 8.1 ms for 50 % more CPU;
 # t = 5 (81 branches) is split in up to 3 shares
 SEARCH_MIN_SHARE = 25
-# most ranks whose quadruple table (_quadruples) is built: it holds O((4t)^3)
-# quadruples.  For 4t = 316 (the z = 6 construction's t) they are 2,592,227
-# and took 43 s and 2.0 GiB, with a pair each, before verify's first --sample
-# draw; for 4t = 156 (z = 5), 307,307, listed in 0.04 s
+# most ranks whose table (_Table) is built: it holds O((4t)^3) quadruples.
+# For 4t = 316 (the z = 6 construction's t) they are 2,592,227 and took 43 s
+# and 2.0 GiB, with a pair each, before verify's first --sample draw; for
+# 4t = 156 (z = 5), 307,307, listed in 0.04 s
 QUADRUPLE_MAX_RANKS = 160
-# most quadruples, plus one per entry, that random_balanced's memo of fitting
-# options (_Draws.fits) holds: about 1 MiB of references into _quadruples'
-# table.  Unbounded it held 11.8 MiB after 2,000 t = 9 draws and 35 MiB after
-# 200 t = 19 draws; 2,000 t = 4 draws fill 930 entries, 0.5 MiB
+# most quadruples, plus one per entry, that the draws' memo of fitting options
+# (_Table.fits) holds: about 1 MiB of references into the table's quadruples.
+# Unbounded it held 11.8 MiB after 2,000 t = 9 draws and 35 MiB after 200
+# t = 19 draws; 2,000 t = 4 draws fill 930 entries, 0.5 MiB
 DRAW_MEMO_MAX = 1 << 17
 
 
-@lru_cache(maxsize=1)
-def _quadruples(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every balanced quadruple over [1, n] as a rank bitmask, by smallest
-    rank: entry m lists (m, l2, l3, l4) with l2 + l3 = m + l4 and
-    m < l2 < l3 < l4 <= n, in ascending (l2, l3) order.
+class _Table:
+    """What enumeration and draws over [1, n] share.  `quadruples[m]` lists
+    each balanced quadruple (m, l2, l3, l4), l2 + l3 = m + l4 and
+    m < l2 < l3 < l4 <= n, as a rank bitmask in ascending (l2, l3) order.
+    `pair_of` maps a quadruple to its canonical pair once built (pair).
+    The draws' memo `fits` maps a remainder to the quadruples of its
+    smallest rank that fit in it; `held` counts them plus one per entry,
+    and never passes DRAW_MEMO_MAX.  `bits[i]` is (i + 1).bit_length(), up
+    to the longest list of options, that of rank 1.  Refused (SizeRefused)
+    for n above QUADRUPLE_MAX_RANKS before anything is built."""
 
-    Built at the first call for an n; only the last n is kept.  Refused
-    (SizeRefused) for n above QUADRUPLE_MAX_RANKS before anything is built.
-    """
-    if n > QUADRUPLE_MAX_RANKS:
-        raise SizeRefused(
-            f"balanced sets over 4t = {n} ranks refused: their quadruple table "
-            f"is built only up to 4t = {QUADRUPLE_MAX_RANKS}"
-        )
-    table = [()]
-    for m in range(1, n + 1):
-        table.append(
+    __slots__ = ("bits", "fits", "held", "pair_of", "quadruples")
+
+    def __init__(self, n: int) -> None:
+        if n > QUADRUPLE_MAX_RANKS:
+            raise SizeRefused(
+                f"balanced sets over 4t = {n} ranks refused: their quadruple table "
+                f"is built only up to 4t = {QUADRUPLE_MAX_RANKS}"
+            )
+        self.quadruples: tuple[tuple[int, ...], ...] = ((),) + tuple(
             tuple(
                 (1 << m) | (1 << l2) | (1 << l3) | (1 << (l2 + l3 - m))
                 for l2 in range(m + 1, n + 1)
                 for l3 in range(l2 + 1, n + m - l2 + 1)
             )
+            for m in range(1, n + 1)
         )
-    return tuple(table)
+        self.pair_of: dict[int, CompanionPair] = {}
+        self.fits: dict[int, tuple[int, ...]] = {}
+        self.held = 0
+        self.bits = [i.bit_length() for i in range(1, len(self.quadruples[1]) + 1)]
 
-
-def _pair(q: int) -> CompanionPair:
-    """The canonical pair of the balanced quadruple with bitmask q: the odd
-    set holds its smallest and largest ranks."""
-    m, l2, l3, l4 = (r for r in range(q.bit_length()) if q >> r & 1)
-    return CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
+    def pair(self, q: int) -> CompanionPair:
+        """The canonical pair of quadruple q, kept in pair_of: the odd set
+        holds its smallest and largest ranks."""
+        pair = self.pair_of.get(q)
+        if pair is None:
+            m, l2, l3, l4 = (r for r in range(q.bit_length()) if q >> r & 1)
+            pair = self.pair_of[q] = CompanionPair(frozenset({m, l4}), frozenset({l2, l3}))
+        return pair
 
 
 @lru_cache(maxsize=1)
-def _pairs(n: int) -> dict[int, CompanionPair]:
-    """The canonical pair of every balanced quadruple over [1, n], by
-    bitmask: one CompanionPair per quadruple, shared by every set
-    enumerated over [1, n], so its cached imbalance and partition_bits are
-    computed once; its keys are _last_two's test of which quadruples are
-    balanced.  Read only: every caller gets the same dict.  Only the last
-    n is kept.  random_balanced builds its pairs one by one (_Draws)."""
-    return {q: _pair(q) for options in _quadruples(n) for q in options}
+def _table(n: int) -> _Table:
+    """The table over [1, n]; only the last n is kept, and a refused n
+    leaves it in place."""
+    return _Table(n)
 
 
-def _last_two(rem: int, table: tuple[tuple[int, ...], ...],
-              pair_of: dict[int, CompanionPair]) -> tuple[CompanionPair, ...]:
+def _last_two(rem: int, table: _Table) -> tuple[CompanionPair, ...]:
     """Every split of the eight ranks in `rem` into two balanced quadruples,
     flat: (first, second, first, second, ...), the first holding the
-    smallest rank, in enumerate_balanced's ascending (l2, l3) order."""
+    smallest rank, in enumerate_balanced's ascending (l2, l3) order.  The
+    table's pair_of is complete, so its keys are the balance test."""
+    pair_of = table.pair_of
     splits: list[CompanionPair] = []
-    for q in table[(rem & -rem).bit_length() - 1]:
+    for q in table.quadruples[(rem & -rem).bit_length() - 1]:
         if q & rem == q:
             tail = pair_of.get(rem ^ q)
             if tail is not None:
@@ -114,22 +121,27 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     Deterministic order: the walk always pairs the smallest unassigned rank
     and tries its partners in ascending (l2, l3) order.  `branches`, if
     given, names the top-level branches to walk, as ascending indices into
-    _quadruples(4t)[1], the quadruples holding rank 1: the sets whose pair
-    of rank 1 is one of them, in the same order.  The unassigned ranks are
-    one bitmask.  The last eight ranks are answered by a memo, local to
-    this call, that maps their bitmask to its splits into two balanced
-    quadruples (at t = 5 the walk reaches 52,199 eight-rank remainders,
-    7,903 of them distinct); it is dropped when the generator ends.  Each
-    distinct companion pair is built once per 4t (see _pairs) and shared
-    by the sets holding it, and each set is built without DefiningSet's
-    checks (core._unchecked_set): it is a t-tuple of pairs by construction.
+    the quadruples holding rank 1 (_Table.quadruples[1]): the sets whose
+    pair of rank 1 is one of them, in the same order.  The unassigned
+    ranks are one bitmask.  The last eight ranks are answered by a memo,
+    local to this call, that maps their bitmask to its splits into two
+    balanced quadruples (at t = 5 the walk reaches 52,199 eight-rank
+    remainders, 7,903 of them distinct); it is dropped when the generator
+    ends.  Each call first builds the pairs the table lacks, so each
+    companion pair is built once per 4t and shared with the draws and by
+    the sets holding it.  Each set is built without DefiningSet's checks
+    (core._unchecked_set): it is a t-tuple of pairs by construction.
     """
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    table = _quadruples(4 * t)
-    pair_of = _pairs(4 * t)
+    table = _table(4 * t)
+    quadruples = table.quadruples
+    for options in quadruples:
+        for q in options:
+            table.pair(q)
+    pair_of = table.pair_of
     full = all_ranks(4 * t)
-    first = table[1] if branches is None else [table[1][b] for b in branches]
+    first = quadruples[1] if branches is None else [quadruples[1][b] for b in branches]
     if t == 1:
         if full in first:
             yield _unchecked_set(t, (pair_of[full],))
@@ -157,7 +169,7 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             if depth + 1 == top:
                 splits = memo.get(child)
                 if splits is None:
-                    splits = memo[child] = _last_two(child, table, pair_of)
+                    splits = memo[child] = _last_two(child, table)
                 for k in range(0, len(splits), 2):
                     chosen[top] = splits[k]
                     chosen[top + 1] = splits[k + 1]
@@ -165,7 +177,7 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
                 continue
             depth += 1
             rems[depth] = child
-            options[depth] = iter(table[(child & -child).bit_length() - 1])
+            options[depth] = iter(quadruples[(child & -child).bit_length() - 1])
             break
         else:
             depth -= 1
@@ -175,37 +187,11 @@ def count_balanced(t: int) -> int:
     return sum(1 for _ in enumerate_balanced(t))
 
 
-class _Draws:
-    """What the draws over one 4t share.  `fits` maps a remainder bitmask
-    to the quadruples of its smallest rank that fit in it, in _quadruples'
-    order; `held` counts them plus one per entry, so that the dead ends,
-    with none, count too, and never passes DRAW_MEMO_MAX.  `pair_of` holds
-    the canonical pair of each quadruple a draw took, built at its first
-    take, so its cached imbalance and partition_bits are computed once.
-    `bits[i]` is (i + 1).bit_length(), up to the longest list of options."""
-
-    __slots__ = ("bits", "fits", "held", "pair_of")
-
-    def __init__(self, longest: int) -> None:
-        self.bits = [i.bit_length() for i in range(1, longest + 1)]
-        self.fits: dict[int, tuple[int, ...]] = {}
-        self.held = 0
-        self.pair_of: dict[int, CompanionPair] = {}
-
-
-@lru_cache(maxsize=1)
-def _draws(n: int) -> _Draws:
-    """The draws' shared state over [1, n]; only the last n is kept.  No
-    list of options is longer than that of rank 1 over all ranks."""
-    return _Draws(len(_quadruples(n)[1]))
-
-
-def _draw(rem: int, table: tuple[tuple[int, ...], ...], draws: _Draws,
-          getrandbits: Callable[[int], int]) -> tuple[int, ...] | None:
+def _draw(rem: int, table: _Table, getrandbits: Callable[[int], int]) -> tuple[int, ...] | None:
     """random_balanced's backtracking over the ranks left in `rem`: the
     quadruples of one balanced partition of them, or None when there is
     none.  The quadruples of the smallest rank that fit are read from
-    draws.fits, or listed and kept there: a memo that would pass
+    table.fits, or listed and kept there: a memo that would pass
     DRAW_MEMO_MAX is emptied first, and a list that alone would pass it
     is not kept.  A copy of them is shuffled as Random.shuffle shuffles a
     list, with the same getrandbits calls (Durstenfeld's Fisher-Yates from
@@ -214,18 +200,19 @@ def _draw(rem: int, table: tuple[tuple[int, ...], ...], draws: _Draws,
     in that order."""
     if not rem:
         return ()
-    options = draws.fits.get(rem)
+    options = table.fits.get(rem)
     if options is None:
-        options = tuple([q for q in table[(rem & -rem).bit_length() - 1] if q & rem == q])
+        options = tuple([q for q in table.quadruples[(rem & -rem).bit_length() - 1]
+                         if q & rem == q])
         cost = len(options) + 1
         if cost <= DRAW_MEMO_MAX:
-            if draws.held + cost > DRAW_MEMO_MAX:
-                draws.fits.clear()
-                draws.held = 0
-            draws.fits[rem] = options
-            draws.held += cost
+            if table.held + cost > DRAW_MEMO_MAX:
+                table.fits.clear()
+                table.held = 0
+            table.fits[rem] = options
+            table.held += cost
     order = list(options)
-    bits = draws.bits
+    bits = table.bits
     for i in range(len(order) - 1, 0, -1):
         k = bits[i]
         j = getrandbits(k)
@@ -233,7 +220,7 @@ def _draw(rem: int, table: tuple[tuple[int, ...], ...], draws: _Draws,
             j = getrandbits(k)
         order[i], order[j] = order[j], order[i]
     for q in order:
-        tail = _draw(rem ^ q, table, draws, getrandbits)
+        tail = _draw(rem ^ q, table, getrandbits)
         if tail is not None:
             return (q,) + tail
     return None
@@ -247,22 +234,13 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     shuffle reads rng.getrandbits as rng.shuffle does on a Random, so the
     sets drawn and rng's state after them are those of a draw that calls
     rng.shuffle.  Pairs are built only for the quadruples drawn, each once
-    per 4t and shared by the sets holding it (_draws); the full pair table
-    (_pairs) is left to enumerate_balanced."""
+    per 4t in the table that enumerate_balanced shares (_Table.pair)."""
     if t < 1:
         raise InvalidInput(f"t must be >= 1, got {t}")
-    table = _quadruples(4 * t)
-    draws = _draws(4 * t)
-    quads = _draw(all_ranks(4 * t), table, draws, rng.getrandbits)
+    table = _table(4 * t)
+    quads = _draw(all_ranks(4 * t), table, rng.getrandbits)
     assert quads is not None  # a balanced partition always exists
-    pair_of = draws.pair_of
-    pairs = []
-    for q in quads:
-        pair = pair_of.get(q)
-        if pair is None:
-            pair = pair_of[q] = _pair(q)
-        pairs.append(pair)
-    return _unchecked_set(t, tuple(pairs))
+    return _unchecked_set(t, tuple([table.pair(q) for q in quads]))
 
 
 class SearchResult(NamedTuple):
@@ -388,7 +366,7 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
             # ties while the other shares still run
             return _prove(t, found, deadline) if found.d_star < walk.d_star else found
 
-        runs = _fork.split(range(len(_quadruples(4 * t)[1])), SEARCH_MIN_SHARE)
+        runs = _fork.split(range(len(_table(4 * t).quadruples[1])), SEARCH_MIN_SHARE)
         runs[0] = runs[0][SEARCH_WARM_UP:]
         walks += _fork.fork_map(share, runs, "search worker")
 

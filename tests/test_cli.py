@@ -824,7 +824,7 @@ def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
             raise AssertionError(f"range{args} walked")
         return real_range(*args)
 
-    optsearch._quadruples(12)
+    table = optsearch._table(12)
     monkeypatch.setattr(optsearch, "range", small_range, raising=False)
     argv = ["verify", "--z", "6", "--checks", "balance", "--sample", "1",
             "--strategy", "frontier"]
@@ -839,9 +839,9 @@ def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
                    "quadruple table is built only up to 4t = 160\n")
     assert peak < 64 << 20
     # the table of 4t = 12 is still the one cached
-    hits = optsearch._quadruples.cache_info().hits
-    optsearch._quadruples(12)
-    assert optsearch._quadruples.cache_info().hits == hits + 1
+    hits = optsearch._table.cache_info().hits
+    assert optsearch._table(12) is table
+    assert optsearch._table.cache_info().hits == hits + 1
 
 
 def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, capsys):

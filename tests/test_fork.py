@@ -269,7 +269,7 @@ def test_search_walks_its_branches_in_one_fork_map_call(monkeypatch, t, cores):
     calls = recording_fork_map(monkeypatch)
     res = find_optimal(t)
     assert_no_child()
-    branches = len(optsearch._quadruples(4 * t)[1])
+    branches = len(optsearch._table(4 * t).quadruples[1])
     assert len(calls) == 1
     (shares,) = calls
     assert len(shares) == max(1, min(cores, branches // optsearch.SEARCH_MIN_SHARE))

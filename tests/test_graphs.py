@@ -28,6 +28,7 @@ from swapdisc.core import (
     validate_defining_set,
 )
 from swapdisc.graphs import (
+    PotArc,
     build_pot,
     build_swp,
     d_of,
@@ -465,6 +466,30 @@ def test_unknown_format_rejected():
         import_graphs("{not json")
     with pytest.raises(InvalidInput):
         import_graphs('{"t": 1}')
+    # a document's shape comes from outside: each of these used to escape
+    # as a bare IndexError or TypeError, or, the string swap, be accepted
+    edge = '{"u": 1, "v": 2, "swap": [1, 2]}'
+    arc = '{"tail": 1, "head": 0, "swap": [0, 1], "cond": "b1"}'
+    for t, edges, arcs in [
+        (1, '{"u": 1, "v": 1, "swap": [1]}', ""),
+        (2, '{"u": 5, "v": 2, "swap": [1, 2]}', ""),
+        ('"x"', "", ""),
+        (2, '{"u": 1, "v": 2, "swap": "ab"}', ""),
+        (2, '{"u": 0, "v": 2, "swap": [1, 2]}', ""),
+        (2, '{"u": true, "v": 2, "swap": [1, 2]}', ""),
+        (2, '{"u": 1, "v": 2, "swap": [1, 3]}', ""),
+        (0, "", ""),
+        (2, edge, '{"tail": 0, "head": 1, "swap": [0, 1], "cond": "b1"}'),
+        (2, edge, '{"tail": 1, "head": 3, "swap": [0, 1], "cond": "b1"}'),
+        (2, edge, '{"tail": 1, "head": 2, "swap": [2, 3], "cond": 7}'),
+        (2, edge, '{"tail": 1, "head": 0, "swap": [0, 1], "cond": "b3"}'),
+    ]:
+        doc = f'{{"t": {t}, "swp": {{"edges": [{edges}]}}, "pot": {{"arcs": [{arcs}]}}}}'
+        with pytest.raises(InvalidInput, match="^malformed graph document: "):
+            import_graphs(doc)
+    doc = f'{{"t": 2, "swp": {{"edges": [{edge}]}}, "pot": {{"arcs": [{arc}]}}}}'
+    swp, pot = import_graphs(doc)
+    assert swp.components == (frozenset({1, 2}),) and pot.arcs == (PotArc(1, 0, (0, 1), "b1"),)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])

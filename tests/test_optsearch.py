@@ -82,7 +82,7 @@ def test_enumeration_order_matches_ordered_reference(t):
 def test_enumeration_by_top_level_branches(t):
     # the search's shares walk runs of these branches, the quadruples that
     # hold rank 1, and merge what they keep in this order
-    branches = range(len(optsearch._quadruples(4 * t)[1]))
+    branches = range(len(optsearch._table(4 * t).quadruples[1]))
     whole = list(enumerate_balanced(t))
     assert [ds for b in branches for ds in enumerate_balanced(t, [b])] == whole
     assert list(enumerate_balanced(t, branches)) == whole
@@ -99,11 +99,12 @@ def assert_draws_match_reference(t, seed, draws):
 
 
 @pytest.fixture
-def fresh_draws():
-    """random_balanced's shared memo and pairs, emptied before and after."""
-    optsearch._draws.cache_clear()
+def fresh_table():
+    """The table that enumeration and draws share, emptied before and
+    after."""
+    optsearch._table.cache_clear()
     yield
-    optsearch._draws.cache_clear()
+    optsearch._table.cache_clear()
 
 
 class CappedFits(dict):
@@ -122,52 +123,74 @@ class CappedFits(dict):
         super().clear()
 
 
-def capped_draws(n):
-    draws = optsearch._draws(n)
-    draws.fits = CappedFits()
-    return draws
+def capped_table(n):
+    table = optsearch._table(n)
+    table.fits = CappedFits()
+    return table
 
 
 # t = 9 and t = 19 are the sizes `verify --z 3` and `verify --z 4` sample
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 7, 9, 19])
-def test_random_balanced_draws_match_ordered_reference(fresh_draws, t):
+def test_random_balanced_draws_match_ordered_reference(fresh_table, t):
     assert_draws_match_reference(t, 100 + t, 30)
 
 
-def test_random_balanced_reuses_its_memo_on_the_same_stream(fresh_draws):
+def test_random_balanced_reuses_its_memo_on_the_same_stream(fresh_table):
     # verify-sample's 2,000 t = 4 draws under one seed: most steps read
     # their options from the memo
-    draws = capped_draws(16)
+    table = capped_table(16)
     assert_draws_match_reference(4, 1, 2000)
-    assert draws.fits.clears == 0
-    assert draws.held == sum(len(options) + 1 for options in draws.fits.values())
-    assert 0 < len(draws.fits) < 2000
+    assert table.fits.clears == 0
+    assert table.held == sum(len(options) + 1 for options in table.fits.values())
+    assert 0 < len(table.fits) < 2000
 
 
 @pytest.mark.parametrize("t, cap", [(4, 40), (9, 600), (3, 0)])
-def test_random_balanced_evicts_at_its_memo_cap_on_the_same_stream(monkeypatch, fresh_draws,
+def test_random_balanced_evicts_at_its_memo_cap_on_the_same_stream(monkeypatch, fresh_table,
                                                                    t, cap):
     monkeypatch.setattr(optsearch, "DRAW_MEMO_MAX", cap)
-    draws = capped_draws(4 * t)
+    table = capped_table(4 * t)
     assert_draws_match_reference(t, 7, 300)
-    assert draws.held <= cap
+    assert table.held <= cap
     # a cap of 0 keeps nothing, so it never empties the memo either
-    assert (draws.fits.clears > 0) == (cap > 0)
-    assert draws.held == sum(len(options) + 1 for options in draws.fits.values())
+    assert (table.fits.clears > 0) == (cap > 0)
+    assert table.held == sum(len(options) + 1 for options in table.fits.values())
 
 
-def test_random_balanced_builds_only_the_pairs_it_draws(monkeypatch, fresh_draws):
-    # z = 5's sets (t = 39, 4t = 156): the full pair table has 307,307 pairs
-    def no_pairs(n):
-        raise AssertionError(f"built every pair over {n} ranks")
-
-    monkeypatch.setattr(optsearch, "_pairs", no_pairs)
+def test_random_balanced_builds_only_the_pairs_it_draws(fresh_table):
+    # z = 5's sets (t = 39, 4t = 156): the table lists 307,307 quadruples,
+    # and only the pairs of the two sets drawn are built
     rng = Random(1)
     first, second = random_balanced(39, rng), random_balanced(39, rng)
     assert validate_defining_set(first).ok and validate_defining_set(second).ok
-    pair_of = optsearch._draws(156).pair_of
-    assert set(pair_of.values()) == set(first.pairs) | set(second.pairs)
-    assert all(pair_of[pair.partition_bits] is pair for pair in first.pairs + second.pairs)
+    table = optsearch._table(156)
+    assert sum(map(len, table.quadruples)) == 307_307
+    assert set(table.pair_of.values()) == set(first.pairs) | set(second.pairs)
+    assert all(table.pair_of[pair.partition_bits] is pair
+               for pair in first.pairs + second.pairs)
+
+
+def test_enumeration_and_draws_share_one_table(fresh_table):
+    # t = 4: draws build the pairs of the quadruples they take, so the
+    # enumeration between them starts from a pair_of filled only partly
+    fresh = list(enumerate_balanced(4))
+    optsearch._table.cache_clear()
+    ours, reference = Random(3), Random(3)
+
+    def draw(k):
+        for _ in range(k):
+            ds = random_balanced(4, ours)
+            assert [(p.odd, p.even) for p in ds.pairs] == ordered_random_balanced(4, reference)
+            assert all(table.pair_of[p.partition_bits] is p for p in ds.pairs)
+
+    table = optsearch._table(16)
+    draw(300)
+    assert 0 < len(table.pair_of) < sum(map(len, table.quadruples))
+    assert list(enumerate_balanced(4)) == fresh
+    assert len(table.pair_of) == sum(map(len, table.quadruples))
+    draw(300)
+    assert optsearch._table(16) is table
+    assert ours.random() == reference.random()
 
 
 def test_search_draws_its_candidates_through_enumerate_balanced(monkeypatch):
@@ -430,7 +453,7 @@ def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
     def no_table(n):
         raise AssertionError(f"built the quadruple table for n = {n}")
 
-    monkeypatch.setattr(optsearch, "_quadruples", no_table)
+    monkeypatch.setattr(optsearch, "_table", no_table)
     with pytest.raises(SizeRefused, match="t = "):
         find_optimal(t, time_budget=1)
 
