@@ -45,6 +45,7 @@ from .core import (
     rank_table,
     reject_invalid,
     require_inside,
+    require_int,
     require_matching,
     require_valid,
 )
@@ -273,7 +274,7 @@ class Witnesses:
     """
 
     def __init__(self, n: int):
-        self._n = n
+        self._n = require_int(n, "n", 1)
         self._cap = WITNESS_CAP
         width = (n + 1).bit_length() + 1
         self._width = width
@@ -288,7 +289,7 @@ class Witnesses:
         self._sides: dict[int, tuple[int, int]] = {}
         self._packed: dict[int, int] = {}
         # check's two comparison constants, for the last valid cutoff seen
-        self._cutoff: int | None = None
+        self._cutoff: object = object()  # none yet: a value no caller holds
         self._above = self._reach = 0
 
     def _field(self, sides: tuple[int, int], s: int) -> int:
@@ -378,10 +379,10 @@ class Witnesses:
         without one).  Nothing moves between slots.
         """
         total = self._scores(ds)
-        # only a valid int cutoff reuses the constants (True == 1, 1.0 == 1)
-        if type(cutoff) is not int or cutoff != self._cutoff:
-            if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 0:
-                raise InvalidInput(f"cutoff must be an integer >= 0, got {cutoff!r}")
+        # only the last valid cutoff itself reuses the constants: True == 1
+        # and 1.0 == 1, but neither is 1
+        if cutoff is not self._cutoff:
+            require_int(cutoff, "cutoff", 0)
             # a field f gets its high bit from f + half - 1 - c exactly when
             # f > c, and from f + half - c when f >= c; no total exceeds n
             c = min(cutoff, self._n + 1)

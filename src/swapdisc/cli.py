@@ -49,7 +49,12 @@ from .core import (
     SwapSet,
     defining_set,
     discrepancy,
+    is_int,
+    require_fields,
+    require_int,
     require_valid,
+    swap_of,
+    unique_keys,
     validate_defining_set,
 )
 
@@ -87,26 +92,18 @@ def defining_set_to_doc(ds: DefiningSet) -> dict[str, Any]:
 def doc_to_defining_set(doc: Any) -> DefiningSet:
     """Strict parse: exact fields, integer ranks; shape errors raise
     InvalidInput but partition/balance are left to the validator."""
-    if not isinstance(doc, dict) or set(doc) != {"t", "pairs"}:
-        raise InvalidInput("defining-set document must have exactly the fields 't' and 'pairs'")
-    t, pairs = doc["t"], doc["pairs"]
-    if not isinstance(t, int) or isinstance(t, bool):
+    t, pairs = require_fields(doc, "defining-set document", "t", "pairs")
+    if not is_int(t):
         raise InvalidInput("'t' must be an integer")
     if not isinstance(pairs, list):
         raise InvalidInput("'pairs' must be a list")
     parsed = []
     for k, entry in enumerate(pairs, start=1):
-        if not isinstance(entry, dict) or set(entry) != {"odd", "even"}:
-            raise InvalidInput(f"pair {k} must have exactly the fields 'odd' and 'even'")
-        for side in ("odd", "even"):
-            vals = entry[side]
-            if (
-                not isinstance(vals, list)
-                or len(vals) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in vals)
-            ):
+        sides = require_fields(entry, f"pair {k}", "odd", "even")
+        for side, vals in zip(("odd", "even"), sides):
+            if not isinstance(vals, list) or len(vals) != 2 or not all(map(is_int, vals)):
                 raise InvalidInput(f"pair {k} field '{side}' must be a list of two integers")
-        parsed.append((entry["odd"], entry["even"]))
+        parsed.append(sides)
     return defining_set(t, parsed)
 
 
@@ -116,24 +113,15 @@ def swaps_to_doc(swaps: SwapSet) -> dict[str, Any]:
 
 
 def doc_to_swaps(doc: Any) -> SwapSet:
-    if not isinstance(doc, dict) or set(doc) != {"swaps"}:
-        raise InvalidInput("swap document must have exactly the field 'swaps'")
-    swaps = doc["swaps"]
+    (swaps,) = require_fields(doc, "swap document", "swaps")
     if not isinstance(swaps, list):
         raise InvalidInput("'swaps' must be a list")
     positions: set[int] = set()
     for entry in swaps:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
-        if entry[1] != entry[0] + 1:
-            raise InvalidInput(f"swap entry {entry!r} is not an adjacent pair [i, i+1]")
-        if entry[0] in positions:
+        i = swap_of(entry)[0]
+        if i in positions:
             raise InvalidInput(f"swap entry {entry!r} appears more than once")
-        positions.add(entry[0])
+        positions.add(i)
     return SwapSet(positions)
 
 
@@ -177,19 +165,10 @@ def certificate(
 
 # ------------------------------------------------------------------- helpers
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    doc: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -360,8 +339,7 @@ def _adversary_checks(
 def cmd_verify(args: argparse.Namespace) -> int:
     if (args.sets is None) == (args.z is None):
         raise InvalidInput("verify needs exactly one of --sets or --z")
-    if args.sample < 0:
-        raise InvalidInput(f"--sample must be >= 0, got {args.sample}")
+    require_int(args.sample, "--sample", 0)
     # an empty --checks names the check '' and is refused like --checks ,
     requested = list(DEFAULT_CHECKS) if args.checks is None else args.checks.split(",")
     for name in requested:
@@ -588,15 +566,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise InvalidInput(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except InvalidInput as exc:
+    except (InvalidInput, SizeRefused, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SizeRefused as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, OSError):
+            return EXIT_IO
+        return EXIT_INVALID if isinstance(exc, InvalidInput) else EXIT_SIZE
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from .core import (
     InvalidInput,
     SizeRefused,
     defining_set,
+    is_int,
+    require_int,
     require_valid,
 )
 
@@ -25,14 +27,15 @@ DEFAULT_MAX_RANKS = 1_000_000
 
 
 def t_for_z(z: int) -> int:
-    """Pair count of construction level z: 5*2^(z-2) - 1."""
-    if z < 2:
-        raise InvalidInput(f"construction levels start at z = 2, got {z}")
+    """Pair count of construction level z, an integer >= 2: 5*2^(z-2) - 1."""
+    if not is_int(z, 2):
+        raise InvalidInput(f"construction levels start at z = 2, got {z!r}")
     return 5 * 2 ** (z - 2) - 1
 
 
 def z_for_t(t: int) -> int | None:
     """Inverse of t_for_z, or None if t is not in the family."""
+    require_int(t, "t", 1)
     z = 2
     while t_for_z(z) <= t:
         if t_for_z(z) == t:
@@ -78,13 +81,11 @@ def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
 
 
 def require_level(z: int) -> None:
-    """Refuse, without building anything, a z below 2 (InvalidInput) and a
-    level of more than DEFAULT_MAX_RANKS ranks (SizeRefused)."""
-    if z < 2:
-        raise InvalidInput(f"construction levels start at z = 2, got {z}")
-    # once z - 2 passes the cap's bit length, 2 ** (z - 2) alone exceeds the
-    # cap: refuse without computing that power
-    if z - 2 > DEFAULT_MAX_RANKS.bit_length() or 4 * t_for_z(z) > DEFAULT_MAX_RANKS:
+    """Refuse, without building anything, a z that is no level (InvalidInput,
+    from t_for_z) and a level of more than DEFAULT_MAX_RANKS ranks
+    (SizeRefused).  Once z - 2 passes the cap's bit length, 2 ** (z - 2)
+    alone exceeds the cap: such a z is refused without computing it."""
+    if is_int(z, DEFAULT_MAX_RANKS.bit_length() + 3) or 4 * t_for_z(z) > DEFAULT_MAX_RANKS:
         raise SizeRefused(f"level {z} is above the cap of {DEFAULT_MAX_RANKS} ranks")
 
 
@@ -99,16 +100,13 @@ def construct_for_z(z: int) -> DefiningSet:
 
 def lower_bound(t: int) -> Fraction:
     """(3t - 2) / 2, valid for every balanced defining set."""
-    if t < 1:
-        raise InvalidInput(f"t must be >= 1, got {t}")
-    return Fraction(3 * t - 2, 2)
+    return Fraction(3 * require_int(t, "t", 1) - 2, 2)
 
 
 def upper_bound(z: int) -> int:
-    """2^(z+1) - 2, the worst case guaranteed by the level-z construction."""
-    if z < 2:
-        raise InvalidInput(f"construction levels start at z = 2, got {z}")
-    return 2 ** (z + 1) - 2
+    """2^(z+1) - 2, the worst case guaranteed by the level-z construction:
+    (8t - 2) / 5 for its t."""
+    return (8 * t_for_z(z) - 2) // 5
 
 
 def upper_bound_for_t(t: int) -> int:

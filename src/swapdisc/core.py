@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Any, Iterable, NamedTuple, NoReturn
 
 
 class InvalidInput(ValueError):
@@ -26,6 +26,42 @@ class SizeRefused(RuntimeError):
 
 ODD = 1
 EVEN = -1
+
+
+def is_int(value: object, low: int | None = None, high: int | None = None) -> bool:
+    """Whether `value` is an int (a bool or a float such as 3.0 is not) in
+    [low, high], an end None being open: the one test of an outside integer,
+    behind require_int and the readers that word their own refusal."""
+    return type(value) is int and (low is None or low <= value) and (high is None or value <= high)
+
+
+def require_int(value: object, what: str, low: int, high: int | None = None) -> int:
+    """`value` if is_int(value, low, high); else InvalidInput, worded
+    "<what> must be an integer >= low (or in [low, high]), got <value>"."""
+    if not is_int(value, low, high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInput(f"{what} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json's object_pairs_hook for outside documents: a repeated key is a ValueError."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def require_fields(doc: object, what: str, *names: str) -> list[Any]:
+    """The values of `names` in doc if it is a JSON object with exactly those
+    fields; else InvalidInput: "<what> must have exactly the fields 'a' and 'b'"."""
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        *rest, last = map(repr, names)
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise InvalidInput(f"{what} must have exactly the field{'s' * bool(rest)} {listed}")
+    return [doc[name] for name in names]
 
 
 class Frozen:
@@ -86,7 +122,7 @@ class CompanionPair(Frozen):
             if len(side) != 2:
                 raise InvalidInput(f"companion set needs exactly 2 ranks, got {sorted(side)}")
             for r in side:
-                if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+                if not is_int(r, 1):
                     raise InvalidInput(f"ranks must be integers >= 1, got {r!r}")
         self.__dict__.update(odd=odd, even=even)
 
@@ -128,6 +164,8 @@ class CompanionPair(Frozen):
         return tuple(sorted(self.elements))
 
     def translate(self, offset: int) -> "CompanionPair":
+        if not is_int(offset):  # a rank below 1 is refused by the new pair
+            raise InvalidInput(f"offset must be an integer, got {offset!r}")
         return CompanionPair(
             frozenset(x + offset for x in self.odd),
             frozenset(x + offset for x in self.even),
@@ -147,8 +185,7 @@ class DefiningSet(Frozen):
 
     def __init__(self, t: int, pairs: Iterable[CompanionPair]):
         pairs = tuple(pairs)
-        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-            raise InvalidInput(f"t must be a positive integer, got {t!r}")
+        require_int(t, "t", 1)
         if len(pairs) != t:
             raise InvalidInput(f"expected {t} pairs, got {len(pairs)}")
         self.__dict__.update(t=t, pairs=pairs)
@@ -232,7 +269,7 @@ def require_matching(positions: tuple[int, ...]) -> None:
     (bools are not), each at least 2 above the one before."""
     prev = -1
     for i in positions:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        if not is_int(i, 1):
             raise InvalidInput(f"swap position {i!r} is not an integer >= 1")
         if i < prev + 2:
             raise InvalidInput(
@@ -247,6 +284,16 @@ def require_inside(positions: tuple[int, ...], n: int) -> None:
     if positions and positions[-1] >= n:
         i = next(i for i in positions if i >= n)
         raise InvalidInput(f"swap ({i}, {i + 1}) outside [1, {n}]")
+
+
+def swap_of(entry: object) -> tuple[int, int]:
+    """The swap (i, i+1), any integer i, that a document writes as the list
+    [i, i+1] (cli.doc_to_swaps, graphs.import_graphs); InvalidInput otherwise."""
+    if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):
+        raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
+    if entry[1] != entry[0] + 1:
+        raise InvalidInput(f"swap entry {entry!r} is not an adjacent pair [i, i+1]")
+    return entry[0], entry[1]
 
 
 EMPTY_SWAPS = SwapSet(())
@@ -420,4 +467,5 @@ def reflect(ds: DefiningSet) -> DefiningSet:
 
 def reflect_swaps(ds_t: int, swaps: SwapSet) -> SwapSet:
     """Image of a swap set under the same reflection: (i, i+1) -> (4t-i, 4t-i+1)."""
-    return SwapSet(4 * ds_t - i for i in swaps.positions)
+    n = 4 * require_int(ds_t, "t", 1)
+    return SwapSet(n - i for i in swaps.positions)

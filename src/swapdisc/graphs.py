@@ -32,9 +32,14 @@ from .core import (
     SizeRefused,
     SwapSet,
     classify_pair,
+    require_fields,
     require_inside,
+    require_int,
     require_valid,
+    swap_of,
+    unique_keys,
 )
+from .construct import DEFAULT_MAX_RANKS
 
 PROP1_ALL_SUBSETS_MAX_T = 6
 
@@ -366,62 +371,37 @@ def dot_texts(swp: SwpGraph, pot: PotGraph) -> tuple[str, str]:
 
 def export_graphs(swp: SwpGraph, pot: PotGraph) -> str:
     """Both graphs as one JSON document that import_graphs restores
-    losslessly."""
+    losslessly: each edge and arc an object of its record's fields."""
     doc = {
         "t": swp.t,
-        "swp": {
-            "edges": [
-                {"u": e.u, "v": e.v, "swap": list(e.swap)} for e in swp.edges
-            ]
-        },
-        "pot": {
-            "arcs": [
-                {
-                    "tail": a.tail,
-                    "head": a.head,
-                    "swap": list(a.swap),
-                    "cond": a.cond,
-                }
-                for a in pot.arcs
-            ]
-        },
+        "swp": {"edges": [e._asdict() for e in swp.edges]},
+        "pot": {"arcs": [a._asdict() for a in pot.arcs]},
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _int_in(value: object, what: str, low: int, high: float) -> int:
-    """`value` if it is an integer (not a bool) in [low, high]."""
-    if type(value) is not int or not low <= value <= high:
-        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
-    return value
-
-
-def _swap_of(value: object) -> tuple[int, int]:
-    """`value` as a swap (i, i+1) if it is a list [i, i+1] of two integers."""
-    if (type(value) is not list or [type(x) for x in value] != [int, int]
-            or value[1] != value[0] + 1):
-        raise ValueError(f"swap must be a list of two integers [i, i+1], got {value!r}")
-    return value[0], value[1]
-
-
 def import_graphs(text: str) -> tuple[SwpGraph, PotGraph]:
-    """Inverse of the JSON export; components are recomputed.  The shape of
-    the document is checked (InvalidInput otherwise): t an integer >= 1,
-    each node an integer in [1, t] (0, v0, only as an arc's head), each
-    swap [i, i+1] and each cond 1-6, "b1" or "b2"."""
+    """Inverse of the JSON export; components are recomputed.  The document
+    is read as strictly as the CLI's (InvalidInput otherwise): the fields
+    export_graphs writes, each once and no other; t an integer >= 1, each
+    node one in [1, t] (0, v0, only as an arc's head), each swap [i, i+1],
+    each cond 1-6, "b1" or "b2".  A t whose 4t is above DEFAULT_MAX_RANKS is
+    refused (SizeRefused) before anything is built for its nodes."""
     try:
-        doc = json.loads(text)
-        t = _int_in(doc["t"], "t", 1, float("inf"))
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+        t, swp, pot = require_fields(doc, "the document", "t", "swp", "pot")
+        if 4 * require_int(t, "t", 1) > DEFAULT_MAX_RANKS:
+            raise SizeRefused(f"t = {t} refused: 4t is above the cap of {DEFAULT_MAX_RANKS} ranks")
+        (edges,), (arcs,) = require_fields(swp, "swp", "edges"), require_fields(pot, "pot", "arcs")
         edges = tuple(
-            SwpEdge(_int_in(e["u"], "u", 1, t), _int_in(e["v"], "v", 1, t), _swap_of(e["swap"]))
-            for e in doc["swp"]["edges"]
+            SwpEdge(require_int(u, "u", 1, t), require_int(v, "v", 1, t), swap_of(swap))
+            for u, v, swap in (require_fields(e, "edge", *SwpEdge._fields) for e in edges)
         )
         arcs = tuple(
-            PotArc(_int_in(a["tail"], "tail", 1, t), _int_in(a["head"], "head", 0, t),
-                   _swap_of(a["swap"]),
-                   a["cond"] if a["cond"] in ("b1", "b2") else _int_in(a["cond"], "cond", 1, 6))
-            for a in doc["pot"]["arcs"]
+            PotArc(require_int(tail, "tail", 1, t), require_int(head, "head", 0, t), swap_of(swap),
+                   cond if cond in ("b1", "b2") else require_int(cond, "cond", 1, 6))
+            for tail, head, swap, cond in (require_fields(a, "arc", *PotArc._fields) for a in arcs)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise InvalidInput(f"malformed graph document: {exc}") from exc
     return SwpGraph(t, edges, _components(t, edges)), PotGraph(t, arcs)

@@ -30,6 +30,7 @@ from .core import (
     SizeRefused,
     _unchecked_set,
     all_ranks,
+    require_int,
 )
 
 # rank-1 branches walked in this process before the rest are split among
@@ -132,8 +133,7 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     the sets holding it.  Each set is built without DefiningSet's checks
     (core._unchecked_set): it is a t-tuple of pairs by construction.
     """
-    if t < 1:
-        raise InvalidInput(f"t must be >= 1, got {t}")
+    require_int(t, "t", 1)
     table = _table(4 * t)
     quadruples = table.quadruples
     for options in quadruples:
@@ -235,8 +235,7 @@ def random_balanced(t: int, rng: Random) -> DefiningSet:
     sets drawn and rng's state after them are those of a draw that calls
     rng.shuffle.  Pairs are built only for the quadruples drawn, each once
     per 4t in the table that enumerate_balanced shares (_Table.pair)."""
-    if t < 1:
-        raise InvalidInput(f"t must be >= 1, got {t}")
+    require_int(t, "t", 1)
     table = _table(4 * t)
     quads = _draw(all_ranks(4 * t), table, rng.getrandbits)
     assert quads is not None  # a balanced partition always exists
@@ -344,8 +343,7 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
         raise InvalidInput(
             f"time_budget (--time-budget) must be a number of seconds >= 0, got {time_budget!r}"
         )
-    if t < 1:
-        raise InvalidInput(f"t must be >= 1, got {t}")
+    require_int(t, "t", 1)
     if 4 * t > EXHAUSTIVE_MAX_RANKS:
         raise SizeRefused(
             f"search refused for t = {t}: its branch-and-bound scans are refused "

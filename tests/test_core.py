@@ -1,5 +1,6 @@
 """Core types: validation, swap application, discrepancy, classification."""
 
+import json
 import re
 from functools import cached_property
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
-from swapdisc import construct, core, optsearch
+from swapdisc import cli, construct, core, graphs, optsearch
 from swapdisc.adversary import Witnesses, worst_case
 from swapdisc.core import (
     CompanionPair,
@@ -295,6 +296,55 @@ def test_balanced_pairing_is_unique_by_exhaustion():
 def test_an_out_of_range_argument_is_invalid_input_naming_it(call, value):
     with pytest.raises(InvalidInput, match=f"got {value}$"):
         call()
+
+
+OPT2 = defining_set(2, (({1, 8}, {3, 6}), ({2, 7}, {4, 5})))
+
+
+def _graph_doc(t=2, u=1, swap=(1, 2)):
+    edge = {"u": u, "v": 2, "swap": list(swap)}
+    return json.dumps({"t": t, "swp": {"edges": [edge]}, "pot": {"arcs": []}})
+
+
+# every entry point that takes an outside integer, as a call on the value
+INTEGER_READERS = {
+    "CompanionPair": lambda x: CompanionPair({x, 2}, {3, 4}),
+    "CompanionPair.translate": lambda x: OPT2.pairs[0].translate(x),
+    "DefiningSet": lambda x: DefiningSet(x, OPT2.pairs),
+    "SwapSet": lambda x: SwapSet((x,)),
+    "Witnesses.push": lambda x: Witnesses(8).push((x,)),
+    "Witnesses": Witnesses,
+    "Witnesses.check": lambda x: Witnesses(8).check(OPT2, x),
+    "doc_to_defining_set.t": lambda x: cli.doc_to_defining_set({"t": x, "pairs": []}),
+    "doc_to_defining_set.pair": lambda x: cli.doc_to_defining_set(
+        {"t": 1, "pairs": [{"odd": [x, 4], "even": [2, 3]}]}
+    ),
+    "doc_to_swaps": lambda x: cli.doc_to_swaps({"swaps": [[x, 2]]}),
+    "import_graphs.t": lambda x: graphs.import_graphs(_graph_doc(t=x)),
+    "import_graphs.node": lambda x: graphs.import_graphs(_graph_doc(u=x)),
+    "import_graphs.swap": lambda x: graphs.import_graphs(_graph_doc(swap=(x, 2))),
+    "reflect_swaps": lambda x: core.reflect_swaps(x, SwapSet((1,))),
+    "t_for_z": construct.t_for_z,
+    "z_for_t": construct.z_for_t,
+    "upper_bound_for_t": construct.upper_bound_for_t,
+    "require_level": construct.require_level,
+    "construct_for_z": construct.construct_for_z,
+    "lower_bound": construct.lower_bound,
+    "upper_bound": construct.upper_bound,
+    "enumerate_balanced": lambda x: next(optsearch.enumerate_balanced(x)),
+    "random_balanced": lambda x: optsearch.random_balanced(x, Random(0)),
+    "find_optimal": optsearch.find_optimal,
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3", None], ids=repr)
+@pytest.mark.parametrize("reader", list(INTEGER_READERS))
+def test_every_integer_reader_refuses_a_non_integer(reader, bad):
+    # one rule (core.is_int) decides: a bool, a float equal to an integer, a
+    # string or None is InvalidInput, never a result, a TypeError or an
+    # AttributeError
+    with pytest.raises(InvalidInput):
+        INTEGER_READERS[reader](bad)
 
 
 # --------------------------------------------------------------- properties

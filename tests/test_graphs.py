@@ -8,13 +8,14 @@ adversary result, so the frozen values double as determinism checks.
 from fractions import Fraction
 from itertools import product
 from random import Random
+import tracemalloc
 
 import pytest
 
 from naive_oracles import naive_pot_arcs, naive_swap_sets, random_swap_positions
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
-from swapdisc.construct import base_case
+from swapdisc.construct import DEFAULT_MAX_RANKS, base_case
 from swapdisc.core import (
     EMPTY_SWAPS,
     CompanionPair,
@@ -487,9 +488,37 @@ def test_unknown_format_rejected():
         doc = f'{{"t": {t}, "swp": {{"edges": [{edges}]}}, "pot": {{"arcs": [{arcs}]}}}}'
         with pytest.raises(InvalidInput, match="^malformed graph document: "):
             import_graphs(doc)
+    # as strict as the CLI's documents: a key given twice used to win with its
+    # last value, and an unknown field was ignored, at the top or in an edge
+    for doc in [
+        '{"t": 1, "t": 2, "swp": {"edges": []}, "pot": {"arcs": []}}',
+        '{"t": 2, "x": 0, "swp": {"edges": []}, "pot": {"arcs": []}}',
+        '{"t": 2, "swp": {"edges": [], "x": 0}, "pot": {"arcs": []}}',
+        f'{{"t": 2, "swp": {{"edges": [{edge[:-1]}, "x": 0}}]}}, "pot": {{"arcs": []}}}}',
+        '{"t": 2, "swp": {"edges": []}}',
+        "[]",
+    ]:
+        with pytest.raises(InvalidInput, match="^malformed graph document: "):
+            import_graphs(doc)
     doc = f'{{"t": 2, "swp": {{"edges": [{edge}]}}, "pot": {{"arcs": [{arc}]}}}}'
     swp, pot = import_graphs(doc)
     assert swp.components == (frozenset({1, 2}),) and pot.arcs == (PotArc(1, 0, (0, 1), "b1"),)
+
+
+def test_import_refuses_a_huge_t_before_building_its_nodes():
+    # the components of a t = 10^7 document would take gigabytes; a t whose
+    # 4t is above construct.DEFAULT_MAX_RANKS, the largest construction
+    # level's cap, is refused first
+    for t in (10**7, DEFAULT_MAX_RANKS // 4 + 1):
+        doc = f'{{"t": {t}, "swp": {{"edges": []}}, "pot": {{"arcs": []}}}}'
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeRefused, match=f"^t = {t} refused"):
+                import_graphs(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
