@@ -35,9 +35,9 @@ from .adversary import (
     worst_case,
 )
 from .construct import (
-    check_lemma1,
     construct_for_z,
     lower_bound,
+    recursive_step,
     require_level,
     upper_bound,
     z_for_t,
@@ -368,11 +368,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             res = worst_case(ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive)
             checks.update(_adversary_checks(ds, res, requested, args.z))
-    if "lemma1" in requested:
-        rep1 = check_lemma1(args.z)
+    if "lemma1" in requested:  # d_{z+1} <= 2 d_z + 2; every engine gives the same d_z
+        d_z = (res or worst_case(ds)).worst_case
+        d_z1 = worst_case(recursive_step(ds, args.z)).worst_case
         checks["lemma1"] = {
-            "holds": rep1.holds,
-            "details": {"d_z": rep1.d_z, "d_z_plus_1": rep1.d_z_plus_1, "bound": rep1.bound},
+            "holds": d_z1 <= 2 * d_z + 2,
+            "details": {"d_z": d_z, "d_z_plus_1": d_z1, "bound": 2 * d_z + 2},
         }
     if args.sample:
         def holds(sample_ds: DefiningSet) -> bool:

@@ -3,15 +3,14 @@
 Level z = 2 is the unique optimal t = 4 set; each recursive step embeds two
 shifted copies of the previous level between a closing pair {1, 5*2^(z+1)-4}
 and {5*2^z-2, 5*2^z-1}.  The worst case d_z of level z obeys
-d_{z+1} <= 2*d_z + 2, giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.
+d_{z+1} <= 2*d_z + 2 (Lemma 1, which `verify --checks lemma1` computes),
+giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .adversary import worst_case
 from .core import (
     CompanionPair,
     DefiningSet,
@@ -107,30 +106,3 @@ def upper_bound(z: int) -> int:
     """2^(z+1) - 2, the worst case guaranteed by the level-z construction:
     (8t - 2) / 5 for its t."""
     return (8 * t_for_z(z) - 2) // 5
-
-
-def upper_bound_for_t(t: int) -> int:
-    """upper_bound(z_for_t(t)), which is (8t - 2) / 5, for t in the family."""
-    z = z_for_t(t)
-    if z is None:
-        raise InvalidInput(f"t = {t} is not of the form 5*2^(z-2) - 1")
-    return upper_bound(z)
-
-
-class Lemma1Report(NamedTuple):
-    z: int
-    d_z: int
-    d_z_plus_1: int
-    bound: int
-    holds: bool
-
-
-def check_lemma1(z: int) -> Lemma1Report:
-    """Exact d_z and d_{z+1} with the default engine; holds iff
-    d_{z+1} <= 2*d_z + 2.  An oversize level z + 1 is refused before level z
-    is built or scanned."""
-    require_level(z)  # before z + 1, so that an error names z
-    require_level(z + 1)
-    d_z = worst_case(construct_for_z(z)).worst_case
-    d_z1 = worst_case(construct_for_z(z + 1)).worst_case
-    return Lemma1Report(z=z, d_z=d_z, d_z_plus_1=d_z1, bound=2 * d_z + 2, holds=d_z1 <= 2 * d_z + 2)

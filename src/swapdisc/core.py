@@ -197,8 +197,8 @@ class DefiningSet(Frozen):
     @cached_property
     def _rank_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """rank_table's unswapped (pair_of, side_of, imbalance), built once
-        per set; a partition error raises on every access, since nothing is
-        cached on failure."""
+        per set; a partition error raises reject_invalid's InvalidInput on
+        every access, since nothing is cached on failure."""
         n = self.n_ranks
         pair_of = [-1] * (n + 1)
         side_of = [0] * (n + 1)
@@ -206,23 +206,19 @@ class DefiningSet(Frozen):
             for ranks, side in ((pair.odd, ODD), (pair.even, EVEN)):
                 for r in ranks:
                     if r > n or pair_of[r] != -1:
-                        raise InvalidInput(f"ranks do not partition [1, {n}] (rank {r})")
+                        reject_invalid(self)
                     pair_of[r] = p
                     side_of[r] = side
         if -1 in pair_of[1:]:
-            missing = pair_of.index(-1, 1)
-            raise InvalidInput(f"ranks do not partition [1, {n}] (rank {missing} missing)")
+            reject_invalid(self)
         return tuple(pair_of), tuple(side_of), tuple(pair.imbalance for pair in self.pairs)
 
     @cached_property
     def _valid(self) -> bool:
         """require_valid's check, on _rank_table's walk; cached only on success."""
-        try:
-            if not any(self._rank_table[2]):
-                return True
-        except InvalidInput:
-            pass
-        reject_invalid(self)
+        if any(self._rank_table[2]):
+            reject_invalid(self)
+        return True
 
 
 def _unchecked_set(t: int, pairs: tuple[CompanionPair, ...]) -> DefiningSet:
@@ -370,7 +366,8 @@ def rank_table(
     -side_of[i+1], then exchanges the two ranks' table entries.
 
     Requires ds to partition [1, 4t], balanced or not, and every swap to lie
-    in [1, 4t]; raises InvalidInput otherwise.  The unswapped tables are
+    in [1, 4t]; raises InvalidInput otherwise, a partition fault worded as
+    require_valid words it.  The unswapped tables are
     built once per set and cached; each call returns fresh lists.
     """
     require_inside(swaps.positions, ds.n_ranks)

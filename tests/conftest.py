@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from swapdisc import _fork, cli, optsearch
 from swapdisc.core import defining_set
 
 
@@ -19,3 +22,31 @@ def sub2():
 def t1():
     """The unique balanced t=1 defining set."""
     return defining_set(1, (({1, 4}, {2, 3}),))
+
+
+@pytest.fixture
+def run_reaped(capsys):
+    """run_reaped(argv): (exit code, stdout, stderr) of cli.main(argv), after
+    checking that it left no child process behind, reaped or not."""
+
+    def run(argv):
+        code = cli.main(argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    return run
+
+
+@pytest.fixture
+def on_cores(monkeypatch):
+    """on_cores(n) sets the usable cores that search and verify --sample
+    see, with a forked share for every top-level branch or sampled check."""
+    monkeypatch.setattr(optsearch, "SEARCH_MIN_SHARE", 1)
+    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
+
+    def set_cores(n):
+        monkeypatch.setattr(_fork, "usable_cores", lambda: n)
+
+    return set_cores

@@ -641,28 +641,6 @@ def test_verify_sampled_certificate_identical_across_workers(capsys):
 
 # ------------------------------------------------- forked --sample workers
 
-def run_reaped(argv, capsys):
-    """(exit code, stdout, stderr) of main(argv), after checking that it left
-    no child process behind, reaped or not."""
-    code = main(argv)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-@pytest.fixture
-def on_cores(monkeypatch):
-    """Sets the usable cores that --sample sees, with a forked worker for
-    every share of at least one check."""
-    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
-
-    def set_cores(n):
-        monkeypatch.setattr(_fork, "usable_cores", lambda: n)
-
-    return set_cores
-
-
 def checked_in_blocks(seed, n, cap, block, t=4):
     """The sets --sample checks, in order: drawn one first and then `block`
     at a time, each set without a kept verdict checked once per block, and
@@ -695,7 +673,7 @@ OPT3_DOC = {
     [(4, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK), (3, 40, 64), (4, 0, 64)],
     ids=["memo", "t3-memo-40-blocks-64", "no-memo-blocks-64"],
 )
-def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, capsys,
+def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, run_reaped,
                                             t, cap, block):
     monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
     monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
@@ -719,7 +697,7 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, cap
     for cores in (1, 2, 3):
         on_cores(cores)
         log.write_text("")
-        outputs.append(run_reaped(argv, capsys))
+        outputs.append(run_reaped(argv))
         lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert Counter(key for _, key in lines) == want
         # the parent checks the first draw, and at most `cores` workers
@@ -733,21 +711,21 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, cap
 
 
 @pytest.mark.parametrize("check", list(SAMPLE_FAULTS))
-def test_forked_workers_count_every_failing_instance(on_cores, monkeypatch, capsys, check):
+def test_forked_workers_count_every_failing_instance(on_cores, monkeypatch, run_reaped, check):
     module, name, fault = SAMPLE_FAULTS[check]
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     outputs = []
     for cores in (1, 2):
         on_cores(cores)
         argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5"]
-        outputs.append(run_reaped(argv, capsys))
+        outputs.append(run_reaped(argv))
     assert outputs[0] == outputs[1]
     details = json.loads(outputs[0][1])["checks"]["sampled_population"]["details"]
     assert details["failures"] == (0 if check == "prop2" else 40)
 
 
 @pytest.mark.parametrize("targets", [(20, 30), (5, 30), (30, 20)])
-def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, capsys,
+def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, run_reaped,
                                                         targets):
     # 38 distinct sets: 0 alone, then 3 shares in workers, 1-12, 13-24 and
     # 25-37
@@ -766,11 +744,11 @@ def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, c
     for cores in (1, 3):
         on_cores(cores)
         argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5"]
-        outputs.append(run_reaped(argv, capsys))
+        outputs.append(run_reaped(argv))
     assert outputs[0] == outputs[1] == (EXIT_SIZE, "", f"error: refused {jobs[min(targets)]}\n")
 
 
-def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypatch, capsys):
+def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypatch, run_reaped):
     # with this cap the frontier DP refuses 2 of the 38 distinct sets, the
     # first of them in the second worker's share on 2 cores (sets 19-37)
     monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 180)
@@ -787,7 +765,7 @@ def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypat
     outputs = []
     for cores in (1, 2):
         on_cores(cores)
-        outputs.append(run_reaped(argv, capsys))
+        outputs.append(run_reaped(argv))
         if cores == 1:
             # the construction, then the sampled sets up to the refused one
             assert len(calls) - 2 >= 19
@@ -797,7 +775,7 @@ def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypat
     assert err.startswith("error: frontier DP refused: more than 180 live states")
 
 
-def test_frontier_sample_refused_after_one_draw(monkeypatch, capsys):
+def test_frontier_sample_refused_after_one_draw(monkeypatch, run_reaped):
     monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 1000)
     real = optsearch.random_balanced
     draws = []
@@ -809,12 +787,12 @@ def test_frontier_sample_refused_after_one_draw(monkeypatch, capsys):
     monkeypatch.setattr(optsearch, "random_balanced", counting)
     argv = ["verify", "--z", "4", "--checks", "balance", "--sample", "5000",
             "--strategy", "frontier"]
-    code, out, err = run_reaped(argv, capsys)
+    code, out, err = run_reaped(argv)
     assert (code, out, draws) == (EXIT_SIZE, "", [19])
     assert err.startswith("error: frontier DP refused: more than 1000 live states")
 
 
-def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
+def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, run_reaped):
     # z = 6 sets have 4t = 316 ranks, above QUADRUPLE_MAX_RANKS: the first
     # draw is refused before a single quadruple over them is listed
     real_range = range
@@ -830,7 +808,7 @@ def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
             "--strategy", "frontier"]
     tracemalloc.start()
     try:
-        code, out, err = run_reaped(argv, capsys)
+        code, out, err = run_reaped(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -844,7 +822,7 @@ def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, capsys):
     assert optsearch._table.cache_info().hits == hits + 1
 
 
-def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, capsys):
+def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, run_reaped):
     on_cores(2)
     parent = os.getpid()
     real = cli.worst_case
@@ -857,13 +835,13 @@ def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_
     monkeypatch.setattr(cli, "worst_case", dying)
     out = tmp_path / "cert.json"
     argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--out", str(out)]
-    code, stdout, stderr = run_reaped(argv, capsys)
+    code, stdout, stderr = run_reaped(argv)
     assert code == EXIT_IO and stdout == "" and not out.exists()
     assert stderr.count("\n") == 1 and stderr.startswith("error: a --sample worker died: ")
 
 
 @pytest.mark.parametrize("forks_before_failing", [0, 1])
-def test_failed_fork_checks_every_set_here(on_cores, monkeypatch, capsys,
+def test_failed_fork_checks_every_set_here(on_cores, monkeypatch, run_reaped,
                                            forks_before_failing):
     real_fork = os.fork
     forks = []
@@ -881,7 +859,7 @@ def test_failed_fork_checks_every_set_here(on_cores, monkeypatch, capsys,
     for cores, workers in ((3, "1000000"), (1, "1")):
         on_cores(cores)
         argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--workers", workers]
-        outputs.append(run_reaped(argv, capsys))
+        outputs.append(run_reaped(argv))
     assert len(forks) == forks_before_failing + 1
     assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 

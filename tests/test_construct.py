@@ -1,21 +1,23 @@
 """Recursive construction, bounds, and the recursion inequality."""
 
+import ast
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from swapdisc import construct
+from swapdisc import adversary, cli, construct
 from swapdisc.adversary import worst_case
+from swapdisc.cli import EXIT_INVALID, EXIT_OK, EXIT_SIZE, main
 from swapdisc.construct import (
     base_case,
-    check_lemma1,
     construct_for_z,
     lower_bound,
     recursive_step,
     t_for_z,
     upper_bound,
-    upper_bound_for_t,
     z_for_t,
 )
 from swapdisc.core import (
@@ -126,17 +128,25 @@ def test_upper_bound_values():
     assert upper_bound(2) == 6
     assert upper_bound(3) == 14
     assert upper_bound(4) == 30
-    assert upper_bound_for_t(19) == 30
-    with pytest.raises(InvalidInput):
-        upper_bound_for_t(10)
+    assert upper_bound(z_for_t(19)) == 30
+    assert z_for_t(10) is None
+
+
+def verify_lemma1(z, capsys):
+    """(exit code, lemma1 entry or None, stderr) of `verify --z z --checks lemma1`."""
+    code = main(["verify", "--z", str(z), "--checks", "lemma1"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["checks"]["lemma1"] if out else None, err
 
 
 @pytest.mark.parametrize("z", [3, 4])
-def test_lemma1_beyond_the_scan_envelope(z):
-    rep = check_lemma1(z)
-    assert rep.d_z == 2 ** (z + 1) - 2
-    assert rep.d_z_plus_1 == 2 ** (z + 2) - 2 == rep.bound
-    assert rep.holds
+def test_lemma1_beyond_the_scan_envelope(z, capsys):
+    code, entry, _ = verify_lemma1(z, capsys)
+    assert code == EXIT_OK
+    details = entry["details"]
+    assert details["d_z"] == 2 ** (z + 1) - 2
+    assert details["d_z_plus_1"] == 2 ** (z + 2) - 2 == details["bound"]
+    assert entry["holds"] is True
 
 
 def test_worst_case_within_upper_bound_at_base_level():
@@ -152,18 +162,72 @@ def test_closing_pair_balanced_generic():
         CompanionPair(frozenset(odd), frozenset(even))
 
 
-def test_lemma1_refuses_an_oversize_next_level_before_any_scan(monkeypatch):
-    def fail(ds):
+def test_lemma1_refuses_an_oversize_next_level_before_any_scan(monkeypatch, capsys):
+    def fail(*args, **kwargs):
         raise AssertionError("scanned before the size refusal")
 
-    monkeypatch.setattr(construct, "worst_case", fail)
+    monkeypatch.setattr(cli, "worst_case", fail)
     start = time.perf_counter()
-    with pytest.raises(SizeRefused):
-        check_lemma1(17)  # level 18 has 4t = 1,310,716 ranks, level 17 655,356
+    # level 18 has 4t = 1,310,716 ranks, level 17 655,356
+    assert verify_lemma1(17, capsys) == (
+        EXIT_SIZE, None, "error: level 18 is above the cap of 1000000 ranks\n"
+    )
     assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("z", [1, 0, -3])
-def test_lemma1_refuses_a_level_below_2_naming_it(z):
-    with pytest.raises(InvalidInput, match=f"got {z}$"):
-        check_lemma1(z)
+def test_lemma1_refuses_a_level_below_2_naming_it(z, capsys):
+    code, entry, err = verify_lemma1(z, capsys)
+    assert (code, entry) == (EXIT_INVALID, None)
+    assert err.endswith(f"got {z}\n")
+
+
+def test_lemma1_builds_and_scans_each_level_once(monkeypatch, capsys):
+    # eq8 already scans level 3: lemma1 reads its worst case, and level 4 is
+    # one recursive step from the level-3 set, not a second walk from z = 2
+    scanned, built = [], []
+    real_pick, real_base = adversary._pick_strategy, construct.base_case
+
+    def pick(ds, *args):
+        scanned.append(ds.t)
+        return real_pick(ds, *args)
+
+    def base():
+        built.append(2)
+        return real_base()
+
+    monkeypatch.setattr(adversary, "_pick_strategy", pick)
+    monkeypatch.setattr(construct, "base_case", base)
+    assert main(["verify", "--z", "3", "--checks", "eq8,lemma1"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["lemma1"] == {
+        "holds": True, "details": {"d_z": 14, "d_z_plus_1": 30, "bound": 30}
+    }
+    assert scanned == [9, 19]
+    assert built == [2]
+
+
+@pytest.mark.parametrize("strategy", ["frontier", "exhaustive", "branch_and_bound"])
+def test_lemma1_entry_is_the_same_whichever_engine_scanned_level_z(strategy, capsys):
+    # beside eq8, lemma1 reads d_z from eq8's scan of level z, whatever its
+    # engine; alone, it scans level z itself and the certificate's worst
+    # case stays null
+    assert main(["verify", "--z", "2", "--checks", "lemma1"]) == EXIT_OK
+    alone = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--z", "2", "--checks", "eq8,lemma1", "--strategy", strategy]) == EXIT_OK
+    beside = json.loads(capsys.readouterr().out)
+    assert (alone["worst_case"], alone["adversary"]) == (None, None)
+    assert (beside["worst_case"], beside["adversary"]["engine"]) == (6, strategy)
+    assert beside["checks"]["lemma1"] == alone["checks"]["lemma1"] == {
+        "holds": True, "details": {"d_z": 6, "d_z_plus_1": 14, "bound": 14}
+    }
+
+
+def test_construct_imports_nothing_of_the_package_but_core():
+    # the construction and its bounds do not depend on the engines
+    tree = ast.parse(Path(construct.__file__).read_text(encoding="utf-8"))
+    modules = {
+        (node.level, node.module) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
+    assert {module for level, module in modules if level} == {"core"}
+    assert not any(module.startswith("swapdisc") for level, module in modules if not level)

@@ -326,7 +326,6 @@ INTEGER_READERS = {
     "reflect_swaps": lambda x: core.reflect_swaps(x, SwapSet((1,))),
     "t_for_z": construct.t_for_z,
     "z_for_t": construct.z_for_t,
-    "upper_bound_for_t": construct.upper_bound_for_t,
     "require_level": construct.require_level,
     "construct_for_z": construct.construct_for_z,
     "lower_bound": construct.lower_bound,
@@ -424,9 +423,25 @@ def test_rank_table_returns_fresh_lists(opt2):
 )
 def test_rank_table_refuses_a_broken_partition_on_every_call(pairs):
     ds = defining_set(len(pairs), pairs)
+    text = "invalid defining set: " + "; ".join(validate_defining_set(ds).violations)
     for _ in range(3):
-        with pytest.raises(InvalidInput, match="do not partition"):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(text)}$"):
             rank_table(ds)
+
+
+def test_every_entry_point_words_a_broken_partition_as_the_validator():
+    # rank 9 outside [1, 8], pair 2 unbalanced and rank 5 missing
+    ds = defining_set(2, (({1, 8}, {3, 6}), ({2, 7}, {4, 9})))
+    texts = []
+    for call in (rank_table, lambda ds: discrepancy(ds, swaps_of()),
+                 lambda ds: apply_swaps(ds, swaps_of()), worst_case):
+        with pytest.raises(InvalidInput) as info:
+            call(ds)
+        texts.append(str(info.value))
+    assert texts == [
+        "invalid defining set: pair 2: rank 9 outside [1, 8]; "
+        "pair 2: unbalanced (odd sum 9 != even sum 13); rank 5: missing"
+    ] * 4
 
 
 @settings(max_examples=80, deadline=None)

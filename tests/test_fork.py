@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from swapdisc import _fork, adversary, cli, optsearch
-from swapdisc.cli import EXIT_IO, EXIT_OK, EXIT_SIZE, main
+from swapdisc import _fork, adversary, optsearch
+from swapdisc.cli import EXIT_IO, EXIT_OK, EXIT_SIZE
 from swapdisc.core import SizeRefused
 from swapdisc.optsearch import find_optimal
 
@@ -169,28 +169,6 @@ def test_split_cuts_contiguous_shares_one_per_core(monkeypatch, make, length, co
 
 # ------------------------------------------------------- through the search
 
-def run_reaped(argv, capsys):
-    """(exit code, stdout, stderr) of main(argv), after checking that it left
-    no child process behind."""
-    code = main(argv)
-    assert_no_child()
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-@pytest.fixture
-def on_cores(monkeypatch):
-    """Sets the usable cores that search and verify --sample see, with a
-    forked share for every top-level branch or sampled check."""
-    monkeypatch.setattr(optsearch, "SEARCH_MIN_SHARE", 1)
-    monkeypatch.setattr(cli, "SAMPLE_MIN_SHARE", 1)
-
-    def set_cores(n):
-        monkeypatch.setattr(_fork, "usable_cores", lambda: n)
-
-    return set_cores
-
-
 def counting_fork(monkeypatch):
     real_fork = os.fork
     forks = []
@@ -216,7 +194,7 @@ def without_wall_time_line(text):
 
 
 @pytest.mark.parametrize("t", [3, 4, 5])
-def test_search_is_the_same_on_every_core_count(on_cores, monkeypatch, tmp_path, capsys, t):
+def test_search_is_the_same_on_every_core_count(on_cores, monkeypatch, tmp_path, run_reaped, t):
     forks = counting_fork(monkeypatch)
     results, outputs = [], []
     for cores in (1, 2, 3):
@@ -226,7 +204,7 @@ def test_search_is_the_same_on_every_core_count(on_cores, monkeypatch, tmp_path,
         assert_no_child()
         assert len(forks) == cores - 1
         out = tmp_path / "search.json"
-        assert run_reaped(["search", "--t", str(t), "--out", str(out)], capsys)[0] == EXIT_OK
+        assert run_reaped(["search", "--t", str(t), "--out", str(out)])[0] == EXIT_OK
         outputs.append(without_wall_time_line(out.read_text()))
     assert results[0] == results[1] == results[2]
     assert outputs[0] == outputs[1] == outputs[2]
@@ -305,17 +283,17 @@ def refuse_candidates(monkeypatch, branches, t):
 
 
 @pytest.mark.parametrize("branches", [(20, 40), (40, 20), (5, 40)])
-def test_search_raises_the_earliest_shares_error(on_cores, monkeypatch, capsys, branches):
+def test_search_raises_the_earliest_shares_error(on_cores, monkeypatch, run_reaped, branches):
     # on 3 cores the 49 branches of t = 4 are cut at 16 and 32
     earliest = refuse_candidates(monkeypatch, branches, 4)
     outputs = []
     for cores in (1, 3):
         on_cores(cores)
-        outputs.append(run_reaped(["search", "--t", "4"], capsys))
+        outputs.append(run_reaped(["search", "--t", "4"]))
     assert outputs[0] == outputs[1] == (EXIT_SIZE, "", f"error: refused {earliest}\n")
 
 
-def test_search_with_a_dead_worker_writes_nothing(on_cores, monkeypatch, tmp_path, capsys):
+def test_search_with_a_dead_worker_writes_nothing(on_cores, monkeypatch, tmp_path, run_reaped):
     on_cores(2)
     parent = os.getpid()
     real = adversary.worst_case_bounded
@@ -327,19 +305,19 @@ def test_search_with_a_dead_worker_writes_nothing(on_cores, monkeypatch, tmp_pat
 
     monkeypatch.setattr(adversary, "worst_case_bounded", dying)
     out = tmp_path / "search.json"
-    code, stdout, stderr = run_reaped(["search", "--t", "4", "--out", str(out)], capsys)
+    code, stdout, stderr = run_reaped(["search", "--t", "4", "--out", str(out)])
     assert code == EXIT_IO and stdout == "" and not out.exists()
     assert stderr.count("\n") == 1 and stderr.startswith("error: a search worker died: ")
 
 
 @pytest.mark.parametrize("forks_before_failing", [0, 1])
-def test_search_after_a_failed_fork_finishes_here(on_cores, monkeypatch, capsys,
+def test_search_after_a_failed_fork_finishes_here(on_cores, monkeypatch, run_reaped,
                                                   forks_before_failing):
     on_cores(1)
-    want = without_wall_time(run_reaped(["search", "--t", "4"], capsys)[1])
+    want = without_wall_time(run_reaped(["search", "--t", "4"])[1])
     forks = failing_fork(monkeypatch, forks_before_failing)
     on_cores(3)
-    code, out, _ = run_reaped(["search", "--t", "4"], capsys)
+    code, out, _ = run_reaped(["search", "--t", "4"])
     assert (code, without_wall_time(out)) == (EXIT_OK, want)
     assert len(forks) == forks_before_failing + 1
 
@@ -350,9 +328,9 @@ def test_search_after_a_failed_fork_finishes_here(on_cores, monkeypatch, capsys,
 ], ids=["search", "verify-sample"])
 @pytest.mark.parametrize("how", ["thread", "no-fork"])
 def test_a_command_runs_in_one_process_with_threads_or_without_fork(
-        on_cores, monkeypatch, capsys, argv, how):
+        on_cores, monkeypatch, run_reaped, argv, how):
     on_cores(1)
-    want = run_reaped(argv, capsys)
+    want = run_reaped(argv)
     on_cores(3)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
@@ -363,7 +341,7 @@ def test_a_command_runs_in_one_process_with_threads_or_without_fork(
         forks = []
         monkeypatch.delattr(os, "fork")
     try:
-        got = run_reaped(argv, capsys)
+        got = run_reaped(argv)
     finally:
         done.set()
         if thread.is_alive():

@@ -1,8 +1,12 @@
 """The README's library quick start runs and gives the results its
-comments state, so that an API change cannot leave it stale."""
+comments state, so that an API change cannot leave it stale; and the suite
+tests the checkout it is run from, as the README's "Tests" section says."""
 
 import ast
+import os
 from pathlib import Path
+
+import swapdisc
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +30,17 @@ def test_library_quick_start_gives_its_commented_results():
         elif statement is not None:
             exec(code, namespace)
     assert checked == 2
+
+
+def test_no_pythonpath_entry_holds_another_swapdisc():
+    # pyproject.toml's pythonpath = ["src"] puts this checkout's src ahead of
+    # PYTHONPATH, so PYTHONPATH=<other tree>/src would silently test this
+    # checkout instead of the other tree
+    imported = Path(swapdisc.__file__).resolve().parent
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = (Path(entry) / "swapdisc").resolve()  # a relative entry from the cwd
+        if (package / "__init__.py").is_file():
+            assert package == imported, (
+                f"PYTHONPATH holds the package {package}, but the suite imported "
+                f"{imported}: run the suite from the checkout under test"
+            )
