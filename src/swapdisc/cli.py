@@ -18,7 +18,6 @@ import json
 import os
 import stat
 import sys
-from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Collection
 
@@ -37,6 +36,7 @@ from .adversary import (
 from .construct import (
     construct_for_z,
     lower_bound,
+    lower_bound_str,
     recursive_step,
     require_level,
     upper_bound,
@@ -132,10 +132,6 @@ def _digest(doc: dict[str, Any]) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def certificate(
     ds: DefiningSet,
     res: AdversaryResult | None,
@@ -148,7 +144,7 @@ def certificate(
         "worst_case": res.worst_case if res else None,
         "minimal_maximizer": swaps_to_doc(res.minimal_maximizer)["swaps"] if res else None,
         "bounds": {
-            "lower": _fraction_str(lower_bound(ds.t)),
+            "lower": lower_bound_str(ds.t),
             "upper": upper_bound(z) if z is not None else None,
         },
         "checks": checks,
@@ -257,7 +253,7 @@ def _adversary_checks(
 ) -> dict[str, dict[str, Any]]:
     """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2 and
     bounds for a valid ds and its worst case res (upper bound only with z)."""
-    from .graphs import verify_lemma2, verify_prop1, verify_prop2
+    from .graphs import prop1_entry, verify_lemma2, verify_prop2
 
     entries: dict[str, dict[str, Any]] = {}
     i_star = res.minimal_maximizer
@@ -267,71 +263,17 @@ def _adversary_checks(
             "details": {"worst_case": res.worst_case, "maximizer_size": len(i_star)},
         }
     if "lemma2" in wanted or "eq10" in wanted:
-        rep = verify_lemma2(ds, i_star)
-        if "lemma2" in wanted:
-            entries["lemma2"] = {
-                "holds": rep.all_hold,
-                "details": {
-                    "components": [
-                        {
-                            "nodes": sorted(c.nodes),
-                            "in": c.in_arcs,
-                            "out": c.out_arcs,
-                            "bound": c.bound,
-                            "holds": c.holds,
-                        }
-                        for c in rep.components
-                    ],
-                    "global_slack": rep.global_slack,
-                },
-            }
-        if "eq10" in wanted:
-            entries["eq10"] = {
-                "holds": rep.eq10_holds,
-                "details": {"lhs": rep.eq10_lhs, "rhs": _fraction_str(rep.eq10_rhs)},
-            }
+        entries.update((name, entry) for name, entry in verify_lemma2(ds, i_star).items()
+                       if name in wanted)
     if "prop1" in wanted:
-        comp = verify_prop1(ds, i_star, subsets="components")
-        single = verify_prop1(ds, i_star, subsets="singletons")
-        entries["prop1"] = {
-            "holds": comp.all_hold and single.all_hold,
-            "details": {
-                "components": [
-                    {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
-                    for e in comp.entries
-                ],
-                "singletons": [
-                    {"nodes": sorted(e.nodes), "in": e.in_arcs, "d": e.d_edges}
-                    for e in single.entries
-                ],
-            },
-        }
+        entries["prop1"] = prop1_entry(ds, i_star)
     if "prop2" in wanted:
-        rep2 = verify_prop2(ds, i_star)
-        entries["prop2"] = {
-            "holds": rep2.all_hold,
-            "details": {
-                "entries": [
-                    {
-                        "node": e.node,
-                        "kind": e.kind,
-                        "d": e.d_swp,
-                        "d_out": e.d_out,
-                        "expected": e.expected,
-                        "holds": e.holds,
-                    }
-                    for e in rep2.entries
-                ],
-                "out_of_regime": list(rep2.out_of_regime),
-            },
-        }
+        entries["prop2"] = verify_prop2(ds, i_star)
     if "bounds" in wanted:
-        lb = lower_bound(ds.t)
         ub = upper_bound(z) if z is not None else None
-        ok = res.worst_case >= lb and (ub is None or res.worst_case <= ub)
         entries["bounds"] = {
-            "holds": bool(ok),
-            "details": {"worst_case": res.worst_case, "lower": _fraction_str(lb), "upper": ub},
+            "holds": res.worst_case >= lower_bound(ds.t) and (ub is None or res.worst_case <= ub),
+            "details": {"worst_case": res.worst_case, "lower": lower_bound_str(ds.t), "upper": ub},
         }
     return entries
 
@@ -484,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
             return
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
                        help="worst-case engine (default: frontier, or exhaustive "
-                       f"for 4t <= {SCAN_DEFAULT_MAX_RANKS})")
+                       f"for 4t <= {SCAN_DEFAULT_MAX_RANKS}; the sets of verify "
+                       "--sample default to branch_and_bound)")
         p.add_argument("--force-exhaustive", action="store_true",
                        help="override the scan strategies' size refusal")
 

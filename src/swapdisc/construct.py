@@ -102,6 +102,12 @@ def lower_bound(t: int) -> Fraction:
     return Fraction(3 * require_int(t, "t", 1) - 2, 2)
 
 
+def lower_bound_str(t: int) -> str:
+    """lower_bound(t) as the certificates write it: "p/q", also when q = 1."""
+    bound = lower_bound(t)
+    return f"{bound.numerator}/{bound.denominator}"
+
+
 def upper_bound(z: int) -> int:
     """2^(z+1) - 2, the worst case guaranteed by the level-z construction:
     (8t - 2) / 5 for its t."""

@@ -10,17 +10,19 @@ further up.
 
 The checkers build the potential graph with the literal reading of the
 defining conditions: membership on the original sets, sums on the primed
-ones (see build_pot).  They report, they never assert: a falsified
-inequality comes back as data for the caller (and fails the acceptance
-suite).
+ones (see build_pot).  Each returns the entries `verify` prints in its
+certificate, {"holds": ..., "details": ...}: verify_lemma2 the "lemma2"
+and "eq10" entries, prop1_entry the "prop1" entry (verify_prop1 once per
+subset family), verify_prop2 the "prop2" entry.  They report, they never
+assert: a falsified inequality comes back as data for the caller (and
+fails the acceptance suite).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 # rank_table is read from core at call time, so a wrapper set there after
 # this import (perfbench/tracer.py) is the one called
@@ -39,7 +41,7 @@ from .core import (
     swap_of,
     unique_keys,
 )
-from .construct import DEFAULT_MAX_RANKS
+from .construct import DEFAULT_MAX_RANKS, lower_bound, lower_bound_str
 
 PROP1_ALL_SUBSETS_MAX_T = 6
 
@@ -186,88 +188,43 @@ def d_of(swp: SwpGraph, nodes: Iterable[int]) -> int:
     return sum(1 for e in swp.edges if e.u in s or e.v in s)
 
 
-class ComponentCheck(NamedTuple):
-    nodes: frozenset[int]
-    n_vertices: int
-    n_edges: int
-    in_arcs: int
-    out_arcs: int
-    bound: int
-    holds: bool
-
-
-class Lemma2Report(NamedTuple):
-    components: tuple[ComponentCheck, ...]
-    global_slack: int
-    slack_holds: bool
-    eq10_lhs: int
-    eq10_rhs: Fraction
-    eq10_holds: bool
-
-    @property
-    def all_hold(self) -> bool:
-        """Lemma 2 itself: every component bound and the global slack; the
-        edge bound eq10 is its own verdict, eq10_holds."""
-        return all(c.holds for c in self.components) and self.slack_holds
-
-
-def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> Lemma2Report:
-    """Per-component inequality in - out <= |V| + 4(|E| - |V|), the global
-    slack d_in(V) - d_out(V) >= -2, and 2|E| >= 3|V|/2 - 1 overall.
+def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> dict[str, dict[str, Any]]:
+    """The "lemma2" and "eq10" certificate entries, from one build of each
+    graph.  lemma2: in - out <= |V| + 4(|E| - |V|) on every component, and
+    the global slack d_in(V) - d_out(V) >= -2; eq10: 2|E| >= 3t/2 - 1.
 
     i_star should be a minimal worst-case maximizer; the inequalities are
     only claimed there.
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    comps = []
+    components = []
     for comp in swp.components:
-        n_e = d_of(swp, comp)
         in_a, out_a = in_of(pot, comp), out_of(pot, comp)
-        bound = len(comp) + 4 * (n_e - len(comp))
-        comps.append(
-            ComponentCheck(
-                nodes=comp,
-                n_vertices=len(comp),
-                n_edges=n_e,
-                in_arcs=in_a,
-                out_arcs=out_a,
-                bound=bound,
-                holds=in_a - out_a <= bound,
-            )
-        )
+        bound = len(comp) + 4 * (d_of(swp, comp) - len(comp))
+        components.append({"nodes": sorted(comp), "in": in_a, "out": out_a, "bound": bound,
+                           "holds": in_a - out_a <= bound})
     # d_in - d_out summed over v1..vt: every arc has its tail there (none
     # leaves v0), so all that is left is minus the arcs into v0
     slack = -in_of(pot, (0,))
-    eq10_lhs = 2 * swp.n_edges
-    eq10_rhs = Fraction(3 * ds.t, 2) - 1
-    return Lemma2Report(
-        components=tuple(comps),
-        global_slack=slack,
-        slack_holds=slack >= -2,
-        eq10_lhs=eq10_lhs,
-        eq10_rhs=eq10_rhs,
-        eq10_holds=eq10_lhs >= eq10_rhs,
-    )
+    lhs = 2 * swp.n_edges
+    return {
+        "lemma2": {
+            "holds": all(c["holds"] for c in components) and slack >= -2,
+            "details": {"components": components, "global_slack": slack},
+        },
+        "eq10": {
+            "holds": lhs >= lower_bound(ds.t),
+            "details": {"lhs": lhs, "rhs": lower_bound_str(ds.t)},
+        },
+    }
 
 
-class SubsetCheck(NamedTuple):
-    nodes: frozenset[int]
-    in_arcs: int
-    d_edges: int
-    holds: bool
-
-
-class Prop1Report(NamedTuple):
-    entries: tuple[SubsetCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
-
-
-def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") -> Prop1Report:
-    """in(V) <= d(V) for the requested subset family.
+def verify_prop1(
+    ds: DefiningSet, i_star: SwapSet, subsets: str = "components"
+) -> dict[str, Any]:
+    """in(V) <= d(V) over one subset family: {"holds", "details": [{"nodes",
+    "in", "d"}, ...]}.
 
     subsets: "components", "singletons", or "all_small" (every subset of the
     t nodes including the empty one; refused for t > 6).
@@ -275,75 +232,57 @@ def verify_prop1(ds: DefiningSet, i_star: SwapSet, subsets: str = "components") 
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
     if subsets == "components":
-        families: list[frozenset[int]] = list(swp.components)
+        families: list[list[int]] = [sorted(c) for c in swp.components]
     elif subsets == "singletons":
-        families = [frozenset({v}) for v in range(1, ds.t + 1)]
+        families = [[v] for v in range(1, ds.t + 1)]
     elif subsets == "all_small":
         if ds.t > PROP1_ALL_SUBSETS_MAX_T:
             raise SizeRefused(
                 f"all-subset check refused for t = {ds.t} > {PROP1_ALL_SUBSETS_MAX_T}"
             )
-        families = [
-            frozenset(c)
-            for k in range(ds.t + 1)
-            for c in combinations(range(1, ds.t + 1), k)
-        ]
+        families = [list(c) for k in range(ds.t + 1) for c in combinations(range(1, ds.t + 1), k)]
     else:
         raise InvalidInput(f"unknown subset family {subsets!r}")
-    entries = []
-    for fam in families:
-        in_a, d_e = in_of(pot, fam), d_of(swp, fam)
-        entries.append(SubsetCheck(nodes=fam, in_arcs=in_a, d_edges=d_e, holds=in_a <= d_e))
-    return Prop1Report(entries=tuple(entries))
+    details = [{"nodes": fam, "in": in_of(pot, fam), "d": d_of(swp, fam)} for fam in families]
+    return {"holds": all(e["in"] <= e["d"] for e in details), "details": details}
 
 
-class NodeTypeCheck(NamedTuple):
-    node: int
-    kind: int
-    d_swp: int
-    d_out: int
-    total: int
-    expected: int | None
-    holds: bool
+def prop1_entry(ds: DefiningSet, i_star: SwapSet) -> dict[str, Any]:
+    """The "prop1" certificate entry: verify_prop1 on the components and on
+    the singletons."""
+    families = {f: verify_prop1(ds, i_star, subsets=f) for f in ("components", "singletons")}
+    return {
+        "holds": all(e["holds"] for e in families.values()),
+        "details": {f: e["details"] for f, e in families.items()},
+    }
 
 
-class Prop2Report(NamedTuple):
-    entries: tuple[NodeTypeCheck, ...]
-    out_of_regime: tuple[int, ...]  # nodes in cyclic components, not claimed
+def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> dict[str, Any]:
+    """The "prop2" certificate entry: d(v) + d_out(v) = kind + 2 for the
+    kind-1/2 nodes of acyclic components.
 
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
-
-
-def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> Prop2Report:
-    """d(v) + d_out(v) = kind + 2 for kind-1/2 nodes in acyclic components.
-
-    Kind-3 nodes inside an acyclic component contradict the exclusion
-    argument and are reported as violations; nodes in cyclic components are
-    outside the claimed regime and listed separately.
+    A kind-3 node inside an acyclic component contradicts the exclusion
+    argument and is an entry that fails (expected null); the nodes of cyclic
+    components are outside the claimed regime and listed in out_of_regime.
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
     entries = []
     skipped: list[int] = []
     for comp in swp.components:
-        n_e = d_of(swp, comp)
-        acyclic = n_e + 1 == len(comp)
+        if d_of(swp, comp) + 1 != len(comp):  # cyclic
+            skipped.extend(sorted(comp))
+            continue
         for v in sorted(comp):
-            if not acyclic:
-                skipped.append(v)
-                continue
             kind = classify_pair(ds.pairs[v - 1]).kind
             d_v, d_out = d_of(swp, (v,)), out_of(pot, (v,))
             expected = None if kind == 3 else kind + 2  # no total equals None
-            entries.append(
-                NodeTypeCheck(
-                    node=v, kind=kind, d_swp=d_v, d_out=d_out, total=d_v + d_out,
-                    expected=expected, holds=d_v + d_out == expected,
-                )
-            )
-    return Prop2Report(entries=tuple(entries), out_of_regime=tuple(skipped))
+            entries.append({"node": v, "kind": kind, "d": d_v, "d_out": d_out,
+                            "expected": expected, "holds": d_v + d_out == expected})
+    return {
+        "holds": all(e["holds"] for e in entries),
+        "details": {"entries": entries, "out_of_regime": skipped},
+    }
 
 
 def dot_texts(swp: SwpGraph, pot: PotGraph) -> tuple[str, str]:

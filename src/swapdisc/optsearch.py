@@ -121,14 +121,14 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
 
     Deterministic order: the walk always pairs the smallest unassigned rank
     and tries its partners in ascending (l2, l3) order.  `branches`, if
-    given, names the top-level branches to walk, as ascending indices into
-    the quadruples holding rank 1 (_Table.quadruples[1]): the sets whose
-    pair of rank 1 is one of them, in the same order.  The unassigned
-    ranks are one bitmask.  The last eight ranks are answered by a memo,
-    local to this call, that maps their bitmask to its splits into two
-    balanced quadruples (at t = 5 the walk reaches 52,199 eight-rank
-    remainders, 7,903 of them distinct); it is dropped when the generator
-    ends.  Each call first builds the pairs the table lacks, so each
+    given, names the top-level branches to walk, as strictly ascending int
+    indices into the quadruples holding rank 1 (_Table.quadruples[1]),
+    InvalidInput otherwise: the sets whose pair of rank 1 is one of them,
+    in the same order.  The unassigned ranks are one bitmask.  The last
+    eight ranks are answered by a memo, local to this call, that maps their
+    bitmask to its splits into two balanced quadruples (at t = 5 the walk
+    reaches 52,199 eight-rank remainders, 7,903 of them distinct); it is
+    dropped when the generator ends.  Each call first builds the pairs the table lacks, so each
     companion pair is built once per 4t and shared with the draws and by
     the sets holding it.  Each set is built without DefiningSet's checks
     (core._unchecked_set): it is a t-tuple of pairs by construction.
@@ -136,12 +136,19 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     require_int(t, "t", 1)
     table = _table(4 * t)
     quadruples = table.quadruples
+    first = quadruples[1]
+    if branches is not None:
+        picked, last = [], -1
+        for b in branches:
+            what = "branch index" if last < 0 else f"branch index after {last}"
+            last = require_int(b, what, last + 1, len(first) - 1)
+            picked.append(first[b])
+        first = picked
     for options in quadruples:
         for q in options:
             table.pair(q)
     pair_of = table.pair_of
     full = all_ranks(4 * t)
-    first = quadruples[1] if branches is None else [quadruples[1][b] for b in branches]
     if t == 1:
         if full in first:
             yield _unchecked_set(t, (pair_of[full],))

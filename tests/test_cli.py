@@ -1,6 +1,7 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -462,6 +463,25 @@ def test_verify_construction_all_checks_pass(capsys):
     }
 
 
+# SHA-256 of the whole stdout of each run: a change that moves one byte of
+# a certificate fails here (tool_version is part of the bytes, so a version
+# bump re-pins them)
+GOLDEN_CERTIFICATES = {
+    "verify --z 2": "7dbb8bee3c63c9f84a87347e2269b52d79154b0b6aca5e6428176100331ff0e5",
+    "verify --z 3 --checks balance,eq8,lemma1,lemma2,eq10,prop1,prop2,bounds":
+        "e3741b2b6c902177639ffd1bd93a2c95e64f2ca8b7b7119e6e48eeb75154c308",
+    "verify --z 2 --sample 300 --seed 4":
+        "95672e1a442ec8d52f16b2d9f0bf63d82ae2e3ba389eca105b3c0dcf085f7f23",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_CERTIFICATES))
+def test_verify_certificate_bytes_are_pinned(capsys, command):
+    assert main(command.split()) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_CERTIFICATES[command]
+
+
 def test_verify_unbalanced_document_fails_balance(tmp_path, capsys):
     bad = write(
         tmp_path / "bad.json",
@@ -514,10 +534,11 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
     assert seen == [strategy] + [strategy or "branch_and_bound"] * distinct
 
 
-def _failing_first(report, field):
-    """report with the first entry of its tuple `field` failing."""
-    first, *rest = getattr(report, field)
-    return report._replace(**{field: (first._replace(holds=False), *rest)})
+def _failing(entry, name=None):
+    """entry, or its entry `name`, with the verdict turned to a failure."""
+    if name is None:
+        return {**entry, "holds": False}
+    return {**entry, name: _failing(entry[name])}
 
 
 # one check of the sampled population made to fail by patching its checker,
@@ -527,18 +548,18 @@ SAMPLE_FAULTS = {
     "lemma2": (
         graphs,
         "verify_lemma2",
-        lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "components"),
+        lambda real: lambda ds, i_star: _failing(real(ds, i_star), "lemma2"),
     ),
     "eq10": (
         graphs,
         "verify_lemma2",
-        lambda real: lambda ds, i_star: real(ds, i_star)._replace(eq10_holds=False),
+        lambda real: lambda ds, i_star: _failing(real(ds, i_star), "eq10"),
     ),
     "prop1": (
         graphs,
         "verify_prop1",
         lambda real: lambda ds, i_star, subsets: (
-            _failing_first(real(ds, i_star, subsets), "entries")
+            _failing(real(ds, i_star, subsets))
             if subsets == "singletons" else real(ds, i_star, subsets)
         ),
     ),
@@ -546,7 +567,7 @@ SAMPLE_FAULTS = {
     "prop2": (
         graphs,
         "verify_prop2",
-        lambda real: lambda ds, i_star: _failing_first(real(ds, i_star), "entries"),
+        lambda real: lambda ds, i_star: _failing(real(ds, i_star)),
     ),
 }
 

@@ -331,6 +331,7 @@ INTEGER_READERS = {
     "lower_bound": construct.lower_bound,
     "upper_bound": construct.upper_bound,
     "enumerate_balanced": lambda x: next(optsearch.enumerate_balanced(x)),
+    "enumerate_balanced.branch": lambda x: next(optsearch.enumerate_balanced(2, [x])),
     "random_balanced": lambda x: optsearch.random_balanced(x, Random(0)),
     "find_optimal": optsearch.find_optimal,
 }

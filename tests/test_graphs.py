@@ -5,7 +5,6 @@ minimum-size maximizers of small populations; each test recomputes the
 adversary result, so the frozen values double as determinism checks.
 """
 
-from fractions import Fraction
 from itertools import product
 from random import Random
 import tracemalloc
@@ -147,7 +146,8 @@ def test_pot_global_flow_balance():
         # no arc leaves v0, so the slack over v1..vt is minus the arcs into v0
         slack = sum(in_of(pot, (v,)) - out_of(pot, (v,)) for v in nodes if v)
         into_v0 = sum(1 for a in pot.arcs if a.head == 0)
-        assert verify_lemma2(ds, res.minimal_maximizer).global_slack == slack == -into_v0
+        lemma2 = verify_lemma2(ds, res.minimal_maximizer)["lemma2"]
+        assert lemma2["details"]["global_slack"] == slack == -into_v0
 
 
 def test_pot_conditions_5_and_6_only_at_equality():
@@ -304,49 +304,52 @@ def test_builds_match_references_in_order():
 # ----------------------------------------------------------- verify_lemma2
 
 def test_lemma2_t1_component_bound(t1):
-    rep = verify_lemma2(t1, swaps_of(1))
-    (comp,) = rep.components
-    assert (comp.n_vertices, comp.n_edges) == (1, 1)
-    assert comp.bound == 1
-    assert comp.in_arcs - comp.out_arcs == -2
-    assert comp.holds
-    assert rep.global_slack == -2 and rep.slack_holds
-    assert rep.all_hold
+    lemma2 = verify_lemma2(t1, swaps_of(1))["lemma2"]
+    (comp,) = lemma2["details"]["components"]
+    # one node and its self-loop: |V| + 4(|E| - |V|) = 1
+    assert (comp["nodes"], comp["bound"]) == ([1], 1)
+    assert comp["in"] - comp["out"] == -2
+    assert comp["holds"]
+    assert lemma2 == {"holds": True, "details": {"components": [comp], "global_slack": -2}}
 
 
 def test_lemma2_eq10_t2_optimal(opt2):
     res = worst_case(opt2)
-    rep = verify_lemma2(opt2, res.minimal_maximizer)
-    assert rep.eq10_lhs == 4
-    assert rep.eq10_rhs == Fraction(2)
-    assert rep.all_hold and rep.eq10_holds
+    entries = verify_lemma2(opt2, res.minimal_maximizer)
+    assert entries["eq10"] == {"holds": True, "details": {"lhs": 4, "rhs": "2/1"}}
+    assert entries["lemma2"]["holds"]
 
 
 def test_lemma2_eq10_base_case():
     res = worst_case(base_case())
     assert len(res.minimal_maximizer) == 3
-    rep = verify_lemma2(base_case(), res.minimal_maximizer)
-    assert rep.eq10_lhs == 6
-    assert rep.eq10_rhs == Fraction(5)
-    assert rep.all_hold and rep.eq10_holds
+    entries = verify_lemma2(base_case(), res.minimal_maximizer)
+    assert entries["eq10"] == {"holds": True, "details": {"lhs": 6, "rhs": "5/1"}}
+    assert entries["lemma2"]["holds"]
+
+
+def test_eq10_rhs_is_the_lower_bound_written_p_over_q(t1):
+    # 3t/2 - 1 at t = 1 is 1/2: the one fraction the t = 1 graphs can fail
+    assert verify_lemma2(t1, EMPTY_SWAPS)["eq10"] == {
+        "holds": False, "details": {"lhs": 0, "rhs": "1/2"}
+    }
 
 
 # ------------------------------------------------------------ verify_prop1
 
 def test_prop1_singleton_t1(t1):
-    rep = verify_prop1(t1, swaps_of(1), subsets="singletons")
-    (entry,) = rep.entries
-    assert (entry.in_arcs, entry.d_edges) == (0, 1)
-    assert rep.all_hold
+    assert verify_prop1(t1, swaps_of(1), subsets="singletons") == {
+        "holds": True, "details": [{"nodes": [1], "in": 0, "d": 1}]
+    }
 
 
 def test_prop1_all_subsets_t2_including_empty(opt2):
     res = worst_case(opt2)
     rep = verify_prop1(opt2, res.minimal_maximizer, subsets="all_small")
-    assert len(rep.entries) == 4  # 2^2 subsets of {v1, v2}
-    empty = next(e for e in rep.entries if not e.nodes)
-    assert (empty.in_arcs, empty.d_edges) == (0, 0)
-    assert rep.all_hold
+    # the 2^2 subsets of {v1, v2}, by size
+    assert [e["nodes"] for e in rep["details"]] == [[], [1], [2], [1, 2]]
+    assert rep["details"][0] == {"nodes": [], "in": 0, "d": 0}
+    assert rep["holds"]
 
 
 def test_prop1_all_small_refused_above_t6():
@@ -376,27 +379,33 @@ def test_prop2_isolated_type1_witness():
     res = worst_case(ISOLATED_TYPE1)
     assert res.minimal_maximizer.positions == (1, 4, 10)
     rep = verify_prop2(ISOLATED_TYPE1, res.minimal_maximizer)
-    entry = next(e for e in rep.entries if e.node == 3)
-    assert (entry.kind, entry.d_swp, entry.d_out, entry.total) == (1, 0, 3, 3)
-    assert entry.holds and rep.all_hold
+    entry = next(e for e in rep["details"]["entries"] if e["node"] == 3)
+    assert entry == {"node": 3, "kind": 1, "d": 0, "d_out": 3, "expected": 3, "holds": True}
+    assert rep["holds"]
 
 
 def test_prop2_isolated_type2_witness():
     res = worst_case(ISOLATED_TYPE2)
     assert res.minimal_maximizer.positions == (1, 3, 6, 9, 13)
     rep = verify_prop2(ISOLATED_TYPE2, res.minimal_maximizer)
-    entry = next(e for e in rep.entries if e.node == 4)
-    assert (entry.kind, entry.d_swp, entry.d_out, entry.total) == (2, 0, 4, 4)
-    assert entry.holds and rep.all_hold
+    entry = next(e for e in rep["details"]["entries"] if e["node"] == 4)
+    assert entry == {"node": 4, "kind": 2, "d": 0, "d_out": 4, "expected": 4, "holds": True}
+    assert rep["holds"]
 
 
 def test_prop2_reports_a_kind3_node_in_an_acyclic_component(t1):
     # {1, 4} / {2, 3} is kind 3; without swaps it is its own acyclic component
     rep = verify_prop2(t1, EMPTY_SWAPS)
-    (entry,) = rep.entries
-    assert (entry.node, entry.kind, entry.expected, entry.holds) == (1, 3, None, False)
-    assert entry.total == entry.d_swp + entry.d_out
-    assert rep.out_of_regime == () and not rep.all_hold
+    (entry,) = rep["details"]["entries"]
+    assert (entry["node"], entry["kind"], entry["expected"], entry["holds"]) == (1, 3, None, False)
+    assert rep == {"holds": False, "details": {"entries": [entry], "out_of_regime": []}}
+
+
+def test_prop2_lists_the_nodes_of_a_cyclic_component_out_of_regime(t1):
+    # one swap inside the only pair is a self-loop: a cycle, so no entry
+    assert verify_prop2(t1, swaps_of(1)) == {
+        "holds": True, "details": {"entries": [], "out_of_regime": [1]}
+    }
 
 
 def test_prop2_type1_with_one_swap_in_istar():
@@ -406,9 +415,8 @@ def test_prop2_type1_with_one_swap_in_istar():
     i_star = swaps_of(1, 5, 10)
     assert discrepancy(ds, i_star) == worst_case(ds).worst_case == 6 == 2 * len(i_star)
     rep = verify_prop2(ds, i_star)
-    entry = next(e for e in rep.entries if e.node == 1)
-    assert (entry.kind, entry.d_swp, entry.d_out, entry.total) == (1, 1, 2, 3)
-    assert entry.holds
+    entry = next(e for e in rep["details"]["entries"] if e["node"] == 1)
+    assert entry == {"node": 1, "kind": 1, "d": 1, "d_out": 2, "expected": 3, "holds": True}
 
 
 def test_inequalities_hold_for_every_min_size_maximizer_small_t():
@@ -425,12 +433,12 @@ def test_inequalities_hold_for_every_min_size_maximizer_small_t():
                 if len(i_star) != min_size or discrepancy(ds, i_star) != res.worst_case:
                     continue
                 maximizers += 1
-                lemma2 = verify_lemma2(ds, i_star)
-                assert lemma2.all_hold and lemma2.eq10_holds
-                assert verify_prop1(ds, i_star, subsets="all_small").all_hold
+                entries = verify_lemma2(ds, i_star)
+                assert entries["lemma2"]["holds"] and entries["eq10"]["holds"]
+                assert verify_prop1(ds, i_star, subsets="all_small")["holds"]
                 rep = verify_prop2(ds, i_star)
-                prop2_entries += len(rep.entries)
-                assert rep.all_hold
+                prop2_entries += len(rep["details"]["entries"])
+                assert rep["holds"]
     assert maximizers > 100 and prop2_entries >= 1
 
 

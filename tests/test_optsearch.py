@@ -89,6 +89,23 @@ def test_enumeration_by_top_level_branches(t):
     assert list(enumerate_balanced(t, [])) == []
 
 
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ([-1], r"branch index must be an integer in \[0, 8\], got -1"),
+        ([99], r"branch index must be an integer in \[0, 8\], got 99"),
+        ([1, 0], r"branch index after 1 must be an integer in \[2, 8\], got 0"),
+        ([1, 1], r"branch index after 1 must be an integer in \[2, 8\], got 1"),
+    ],
+    ids=["negative", "past the end", "descending", "repeated"],
+)
+def test_enumeration_refuses_a_branch_out_of_range_or_order(branches, message):
+    # t = 2 has nine branches; each index is refused before any set is built
+    assert len(optsearch._table(8).quadruples[1]) == 9
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        next(enumerate_balanced(2, branches))
+
+
 def assert_draws_match_reference(t, seed, draws):
     ours, reference = Random(seed), Random(seed)
     for _ in range(draws):
