@@ -6,9 +6,10 @@ died), 4 size refusal.
 
 Documents are strict JSON.  A defining set is {"t": T, "pairs": [{"odd":
 [a, b], "even": [c, d]}, ...]}; a swap set is {"swaps": [[i, i+1], ...]};
-unknown fields are rejected.  Certificates carry the input digest, the
-worst case, the minimal maximizer, the bound comparisons and the requested
-checks.
+unknown fields are rejected.  This module alone reads outside documents
+(_load_json, doc_to_defining_set, doc_to_swaps).  Certificates carry the
+input digest, the worst case, the minimal maximizer, the bound comparisons
+and the requested checks.
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ from .core import (
     defining_set,
     discrepancy,
     is_int,
-    require_fields,
     require_int,
     require_valid,
-    swap_of,
-    unique_keys,
     validate_defining_set,
 )
 
@@ -118,7 +116,11 @@ def doc_to_swaps(doc: Any) -> SwapSet:
         raise InvalidInput("'swaps' must be a list")
     positions: set[int] = set()
     for entry in swaps:
-        i = swap_of(entry)[0]
+        if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):
+            raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
+        i = entry[0]
+        if entry[1] != i + 1:
+            raise InvalidInput(f"swap entry {entry!r} is not an adjacent pair [i, i+1]")
         if i in positions:
             raise InvalidInput(f"swap entry {entry!r} appears more than once")
         positions.add(i)
@@ -160,6 +162,26 @@ def certificate(
 
 
 # ------------------------------------------------------------------- helpers
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json's object_pairs_hook for _load_json: a repeated key is a ValueError."""
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def require_fields(doc: object, what: str, *names: str) -> list[Any]:
+    """The values of `names` in doc if it is a JSON object with exactly those
+    fields; else InvalidInput: "<what> must have exactly the fields 'a' and 'b'"."""
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        *rest, last = map(repr, names)
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise InvalidInput(f"{what} must have exactly the field{'s' * bool(rest)} {listed}")
+    return [doc[name] for name in names]
+
 
 def _load_json(path: str) -> Any:
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 
 class InvalidInput(ValueError):
@@ -42,26 +42,6 @@ def require_int(value: object, what: str, low: int, high: int | None = None) -> 
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidInput(f"{what} must be an integer {bound}, got {value!r}")
     return value
-
-
-def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """json's object_pairs_hook for outside documents: a repeated key is a ValueError."""
-    doc: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
-def require_fields(doc: object, what: str, *names: str) -> list[Any]:
-    """The values of `names` in doc if it is a JSON object with exactly those
-    fields; else InvalidInput: "<what> must have exactly the fields 'a' and 'b'"."""
-    if not isinstance(doc, dict) or doc.keys() != set(names):
-        *rest, last = map(repr, names)
-        listed = f"{', '.join(rest)} and {last}" if rest else last
-        raise InvalidInput(f"{what} must have exactly the field{'s' * bool(rest)} {listed}")
-    return [doc[name] for name in names]
 
 
 class Frozen:
@@ -280,16 +260,6 @@ def require_inside(positions: tuple[int, ...], n: int) -> None:
     if positions and positions[-1] >= n:
         i = next(i for i in positions if i >= n)
         raise InvalidInput(f"swap ({i}, {i + 1}) outside [1, {n}]")
-
-
-def swap_of(entry: object) -> tuple[int, int]:
-    """The swap (i, i+1), any integer i, that a document writes as the list
-    [i, i+1] (cli.doc_to_swaps, graphs.import_graphs); InvalidInput otherwise."""
-    if not isinstance(entry, list) or len(entry) != 2 or not all(map(is_int, entry)):
-        raise InvalidInput(f"swap entry {entry!r} must be a list of two integers")
-    if entry[1] != entry[0] + 1:
-        raise InvalidInput(f"swap entry {entry!r} is not an adjacent pair [i, i+1]")
-    return entry[0], entry[1]
 
 
 EMPTY_SWAPS = SwapSet(())

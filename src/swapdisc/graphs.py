@@ -16,12 +16,14 @@ and "eq10" entries, prop1_entry the "prop1" entry (verify_prop1 once per
 subset family), verify_prop2 the "prop2" entry.  They report, they never
 assert: a falsified inequality comes back as data for the caller (and
 fails the acceptance suite).
+
+dot_texts and export_graphs write the graphs out for `graphs --format dot`
+and `--format json`; the package reads neither format back.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Any, Iterable, NamedTuple
 
 # rank_table is read from core at call time, so a wrapper set there after
@@ -31,19 +33,12 @@ from .core import (
     DefiningSet,
     InvalidInput,
     ODD,
-    SizeRefused,
     SwapSet,
     classify_pair,
-    require_fields,
     require_inside,
-    require_int,
     require_valid,
-    swap_of,
-    unique_keys,
 )
-from .construct import DEFAULT_MAX_RANKS, lower_bound, lower_bound_str
-
-PROP1_ALL_SUBSETS_MAX_T = 6
+from .construct import lower_bound, lower_bound_str
 
 
 class SwpEdge(NamedTuple):
@@ -74,39 +69,33 @@ class PotGraph(NamedTuple):
     arcs: tuple[PotArc, ...]
 
 
-def _components(t: int, edges: Iterable[SwpEdge]) -> tuple[frozenset[int], ...]:
-    parent = list(range(t + 1))
+def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
+    """One edge per swap, joining the pairs holding the swap's two ranks
+    (in the original defining set); self-loop when both sit in one pair.
+    Edges come in ascending swap order, the order of swaps.positions, and
+    components in order of least node."""
+    require_valid(ds)
+    require_inside(swaps.positions, ds.n_ranks)
+    # the unswapped pair_of: a swap exchanges its two ranks' entries, so the
+    # pairs it names are the same before and after
+    pair_of = ds._rank_table[0]
+    parent = list(range(ds.t + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for e in edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-    # the groups come in order of least node, as each is met first there
-    groups: dict[int, list[int]] = {}
-    for v in range(1, t + 1):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(map(frozenset, groups.values()))
-
-
-def build_swp(ds: DefiningSet, swaps: SwapSet) -> SwpGraph:
-    """One edge per swap, joining the pairs holding the swap's two ranks
-    (in the original defining set); self-loop when both sit in one pair.
-    Edges come in ascending swap order, the order of swaps.positions."""
-    require_valid(ds)
-    require_inside(swaps.positions, ds.n_ranks)
-    # the unswapped pair_of: a swap exchanges its two ranks' entries, so the
-    # pairs it names are the same before and after
-    pair_of = ds._rank_table[0]
     edges = []
     for i in swaps.positions:
         a, b = pair_of[i] + 1, pair_of[i + 1] + 1
         edges.append(SwpEdge(min(a, b), max(a, b), (i, i + 1)))
-    return SwpGraph(ds.t, tuple(edges), _components(ds.t, edges))
+        parent[find(a)] = find(b)  # a no-op when a and b are already joined
+    # the groups come in order of least node, as each is met first there
+    groups: dict[int, list[int]] = {}
+    for v in range(1, ds.t + 1):
+        groups.setdefault(find(v), []).append(v)
+    return SwpGraph(ds.t, tuple(edges), tuple(map(frozenset, groups.values())))
 
 
 def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> PotGraph:
@@ -223,27 +212,16 @@ def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> dict[str, dict[str, Any]]
 def verify_prop1(
     ds: DefiningSet, i_star: SwapSet, subsets: str = "components"
 ) -> dict[str, Any]:
-    """in(V) <= d(V) over one subset family: {"holds", "details": [{"nodes",
-    "in", "d"}, ...]}.
-
-    subsets: "components", "singletons", or "all_small" (every subset of the
-    t nodes including the empty one; refused for t > 6).
-    """
+    """in(V) <= d(V) over one subset family, "components" or "singletons":
+    {"holds", "details": [{"nodes", "in", "d"}, ...]}.  An invalid set or an
+    unknown family is refused before either graph is built."""
+    require_valid(ds)
+    if subsets not in ("components", "singletons"):
+        raise InvalidInput(f"unknown subset family {subsets!r}")
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    if subsets == "components":
-        families: list[list[int]] = [sorted(c) for c in swp.components]
-    elif subsets == "singletons":
-        families = [[v] for v in range(1, ds.t + 1)]
-    elif subsets == "all_small":
-        if ds.t > PROP1_ALL_SUBSETS_MAX_T:
-            raise SizeRefused(
-                f"all-subset check refused for t = {ds.t} > {PROP1_ALL_SUBSETS_MAX_T}"
-            )
-        families = [list(c) for k in range(ds.t + 1) for c in combinations(range(1, ds.t + 1), k)]
-    else:
-        raise InvalidInput(f"unknown subset family {subsets!r}")
-    details = [{"nodes": fam, "in": in_of(pot, fam), "d": d_of(swp, fam)} for fam in families]
+    families = swp.components if subsets == "components" else [{v} for v in range(1, ds.t + 1)]
+    details = [{"nodes": sorted(s), "in": in_of(pot, s), "d": d_of(swp, s)} for s in families]
     return {"holds": all(e["in"] <= e["d"] for e in details), "details": details}
 
 
@@ -309,38 +287,11 @@ def dot_texts(swp: SwpGraph, pot: PotGraph) -> tuple[str, str]:
 
 
 def export_graphs(swp: SwpGraph, pot: PotGraph) -> str:
-    """Both graphs as one JSON document that import_graphs restores
-    losslessly: each edge and arc an object of its record's fields."""
+    """Both graphs as one JSON document: t, then each edge and arc an
+    object of its record's fields, in the order the builders emit them."""
     doc = {
         "t": swp.t,
         "swp": {"edges": [e._asdict() for e in swp.edges]},
         "pot": {"arcs": [a._asdict() for a in pot.arcs]},
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def import_graphs(text: str) -> tuple[SwpGraph, PotGraph]:
-    """Inverse of the JSON export; components are recomputed.  The document
-    is read as strictly as the CLI's (InvalidInput otherwise): the fields
-    export_graphs writes, each once and no other; t an integer >= 1, each
-    node one in [1, t] (0, v0, only as an arc's head), each swap [i, i+1],
-    each cond 1-6, "b1" or "b2".  A t whose 4t is above DEFAULT_MAX_RANKS is
-    refused (SizeRefused) before anything is built for its nodes."""
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-        t, swp, pot = require_fields(doc, "the document", "t", "swp", "pot")
-        if 4 * require_int(t, "t", 1) > DEFAULT_MAX_RANKS:
-            raise SizeRefused(f"t = {t} refused: 4t is above the cap of {DEFAULT_MAX_RANKS} ranks")
-        (edges,), (arcs,) = require_fields(swp, "swp", "edges"), require_fields(pot, "pot", "arcs")
-        edges = tuple(
-            SwpEdge(require_int(u, "u", 1, t), require_int(v, "v", 1, t), swap_of(swap))
-            for u, v, swap in (require_fields(e, "edge", *SwpEdge._fields) for e in edges)
-        )
-        arcs = tuple(
-            PotArc(require_int(tail, "tail", 1, t), require_int(head, "head", 0, t), swap_of(swap),
-                   cond if cond in ("b1", "b2") else require_int(cond, "cond", 1, 6))
-            for tail, head, swap, cond in (require_fields(a, "arc", *PotArc._fields) for a in arcs)
-        )
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise InvalidInput(f"malformed graph document: {exc}") from exc
-    return SwpGraph(t, edges, _components(t, edges)), PotGraph(t, arcs)

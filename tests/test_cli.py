@@ -28,7 +28,7 @@ from swapdisc.cli import (
     swaps_to_doc,
 )
 from swapdisc.core import SizeRefused, SwapSet
-from swapdisc.graphs import import_graphs
+from swapdisc.graphs import build_pot, build_swp
 from swapdisc.optsearch import random_balanced
 
 OPT2_DOC = {
@@ -973,8 +973,15 @@ def test_graphs_json_round_trip(tmp_path, capsys):
         ["graphs", "--sets", sets, "--swaps", swaps, "--format", "json", "--out", str(out)]
     )
     assert code == EXIT_OK
-    swp, pot = import_graphs((tmp_path / "g.graphs.json").read_text())
-    assert swp.t == 2 and [(e.u, e.v) for e in swp.edges] == [(1, 2), (1, 2)]
+    # the document holds both graphs, every record with exactly its fields
+    doc = json.loads((tmp_path / "g.graphs.json").read_text())
+    ds, swaps = doc_to_defining_set(OPT2_DOC), SwapSet((1, 5))
+    assert doc == {
+        "t": 2,
+        "swp": {"edges": [e._asdict() | {"swap": list(e.swap)} for e in build_swp(ds, swaps).edges]},
+        "pot": {"arcs": [a._asdict() | {"swap": list(a.swap)} for a in build_pot(ds, swaps).arcs]},
+    }
+    assert [(e["u"], e["v"]) for e in doc["swp"]["edges"]] == [(1, 2), (1, 2)]
 
 
 def test_graphs_needs_swaps_xor_flag(tmp_path, capsys):

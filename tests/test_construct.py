@@ -231,3 +231,17 @@ def test_construct_imports_nothing_of_the_package_but_core():
     }
     assert {module for level, module in modules if level} == {"core"}
     assert not any(module.startswith("swapdisc") for level, module in modules if not level)
+
+
+def test_only_the_cli_reads_json():
+    # outside documents have one reader: no other module parses JSON, or
+    # passes the strict object_pairs_hook that such a reader would need
+    readers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (
+                ast.unparse(node.func) in ("json.load", "json.loads")
+                or any(kw.arg == "object_pairs_hook" for kw in node.keywords)
+            ):
+                readers.add(path.name)
+    assert readers == {"cli.py"}

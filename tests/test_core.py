@@ -1,6 +1,5 @@
 """Core types: validation, swap application, discrepancy, classification."""
 
-import json
 import re
 from functools import cached_property
 from itertools import combinations
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_apply, naive_discrepancy, random_swap_positions
-from swapdisc import cli, construct, core, graphs, optsearch
+from swapdisc import cli, construct, core, optsearch
 from swapdisc.adversary import Witnesses, worst_case
 from swapdisc.core import (
     CompanionPair,
@@ -301,11 +300,6 @@ def test_an_out_of_range_argument_is_invalid_input_naming_it(call, value):
 OPT2 = defining_set(2, (({1, 8}, {3, 6}), ({2, 7}, {4, 5})))
 
 
-def _graph_doc(t=2, u=1, swap=(1, 2)):
-    edge = {"u": u, "v": 2, "swap": list(swap)}
-    return json.dumps({"t": t, "swp": {"edges": [edge]}, "pot": {"arcs": []}})
-
-
 # every entry point that takes an outside integer, as a call on the value
 INTEGER_READERS = {
     "CompanionPair": lambda x: CompanionPair({x, 2}, {3, 4}),
@@ -320,9 +314,6 @@ INTEGER_READERS = {
         {"t": 1, "pairs": [{"odd": [x, 4], "even": [2, 3]}]}
     ),
     "doc_to_swaps": lambda x: cli.doc_to_swaps({"swaps": [[x, 2]]}),
-    "import_graphs.t": lambda x: graphs.import_graphs(_graph_doc(t=x)),
-    "import_graphs.node": lambda x: graphs.import_graphs(_graph_doc(u=x)),
-    "import_graphs.swap": lambda x: graphs.import_graphs(_graph_doc(swap=(x, 2))),
     "reflect_swaps": lambda x: core.reflect_swaps(x, SwapSet((1,))),
     "t_for_z": construct.t_for_z,
     "z_for_t": construct.z_for_t,

@@ -5,36 +5,36 @@ minimum-size maximizers of small populations; each test recomputes the
 adversary result, so the frozen values double as determinism checks.
 """
 
-from itertools import product
+from itertools import combinations, product
+import json
 from random import Random
-import tracemalloc
 
 import pytest
 
 from naive_oracles import naive_pot_arcs, naive_swap_sets, random_swap_positions
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
-from swapdisc.construct import DEFAULT_MAX_RANKS, base_case
+from swapdisc.construct import base_case
 from swapdisc.core import (
     EMPTY_SWAPS,
     CompanionPair,
     DefiningSet,
     InvalidInput,
-    SizeRefused,
     SwapSet,
     defining_set,
     discrepancy,
     reflect,
     validate_defining_set,
 )
+from swapdisc import graphs
 from swapdisc.graphs import (
     PotArc,
+    SwpEdge,
     build_pot,
     build_swp,
     d_of,
     dot_texts,
     export_graphs,
-    import_graphs,
     in_of,
     out_of,
     verify_lemma2,
@@ -46,6 +46,26 @@ from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 def swaps_of(*positions):
     return SwapSet(positions)
+
+
+def exported(swp, pot):
+    """(t, edges, arcs) rebuilt from export_graphs' document, each record
+    from exactly its fields."""
+    doc = json.loads(export_graphs(swp, pot))
+    return (
+        doc["t"],
+        tuple(SwpEdge(**e | {"swap": tuple(e["swap"])}) for e in doc["swp"]["edges"]),
+        tuple(PotArc(**a | {"swap": tuple(a["swap"])}) for a in doc["pot"]["arcs"]),
+    )
+
+
+def prop1_on_every_subset(ds, i_star):
+    """in(V) <= d(V) on every subset V of the t nodes, the empty one first,
+    by size: [(V, in, d), ...]."""
+    swp, pot = build_swp(ds, i_star), build_pot(ds, i_star)
+    nodes = range(1, ds.t + 1)
+    return [(list(v), in_of(pot, v), d_of(swp, v))
+            for k in range(ds.t + 1) for v in combinations(nodes, k)]
 
 
 # ---------------------------------------------------------------- build_swp
@@ -294,7 +314,7 @@ def test_builds_match_references_in_order():
             got = [(a.tail, a.head, a.swap, a.cond) for a in pot.arcs]
             # naive_pot_arcs returns its arcs sorted by (swap, str(cond))
             assert got == naive_pot_arcs(naive_pairs, positions, ds.t, membership)
-            assert import_graphs(export_graphs(swp, pot)) == (swp, pot)
+            assert exported(swp, pot) == (ds.t, swp.edges, pot.arcs)
     for ds, swaps in ((cases[0][0], swaps_of(4)), (cases[-1][0], swaps_of(3, 40))):
         for build in (build_swp, build_pot):
             with pytest.raises(InvalidInput, match="outside"):
@@ -344,24 +364,42 @@ def test_prop1_singleton_t1(t1):
 
 
 def test_prop1_all_subsets_t2_including_empty(opt2):
-    res = worst_case(opt2)
-    rep = verify_prop1(opt2, res.minimal_maximizer, subsets="all_small")
+    entries = prop1_on_every_subset(opt2, worst_case(opt2).minimal_maximizer)
     # the 2^2 subsets of {v1, v2}, by size
-    assert [e["nodes"] for e in rep["details"]] == [[], [1], [2], [1, 2]]
-    assert rep["details"][0] == {"nodes": [], "in": 0, "d": 0}
-    assert rep["holds"]
-
-
-def test_prop1_all_small_refused_above_t6():
-    ds = random_balanced(7, Random(55))
-    res = worst_case(ds, strategy="branch_and_bound")
-    with pytest.raises(SizeRefused):
-        verify_prop1(ds, res.minimal_maximizer, subsets="all_small")
+    assert [nodes for nodes, _, _ in entries] == [[], [1], [2], [1, 2]]
+    assert entries[0] == ([], 0, 0)
+    assert all(in_v <= d_v for _, in_v, d_v in entries)
 
 
 def test_prop1_unknown_family_rejected(t1):
     with pytest.raises(InvalidInput):
         verify_prop1(t1, swaps_of(1), subsets="everything")
+
+
+def test_prop1_refuses_before_building(t1, monkeypatch):
+    # an unknown family is refused before either graph is built; an invalid
+    # set still gets the validator's text first, whatever the family
+    calls = []
+
+    def counted(build):
+        def call(*args, **kwargs):
+            calls.append(build.__name__)
+            return build(*args, **kwargs)
+        return call
+
+    for build in (build_swp, build_pot):
+        monkeypatch.setattr(graphs, build.__name__, counted(build))
+    with pytest.raises(InvalidInput, match="^unknown subset family 'everything'$"):
+        verify_prop1(t1, swaps_of(1), subsets="everything")
+    unbalanced = defining_set(1, (({1, 2}, {3, 4}),))
+    text = "invalid defining set: " + "; ".join(validate_defining_set(unbalanced).violations)
+    for family in ("everything", "components"):
+        with pytest.raises(InvalidInput) as err:
+            verify_prop1(unbalanced, EMPTY_SWAPS, subsets=family)
+        assert str(err.value) == text
+    assert calls == []
+    verify_prop1(t1, swaps_of(1))
+    assert calls == ["build_swp", "build_pot"]
 
 
 # ------------------------------------------------------------ verify_prop2
@@ -435,7 +473,7 @@ def test_inequalities_hold_for_every_min_size_maximizer_small_t():
                 maximizers += 1
                 entries = verify_lemma2(ds, i_star)
                 assert entries["lemma2"]["holds"] and entries["eq10"]["holds"]
-                assert verify_prop1(ds, i_star, subsets="all_small")["holds"]
+                assert all(in_v <= d_v for _, in_v, d_v in prop1_on_every_subset(ds, i_star))
                 rep = verify_prop2(ds, i_star)
                 prop2_entries += len(rep["details"]["entries"])
                 assert rep["holds"]
@@ -463,70 +501,11 @@ def test_dot_export_empty_graphs_valid(opt2):
 
 
 def test_json_round_trip(opt2):
+    # the export holds every field of every edge and arc, in build order
     swp = build_swp(opt2, swaps_of(1, 5))
     pot = build_pot(opt2, swaps_of(1, 5))
-    text = export_graphs(swp, pot)
-    swp2, pot2 = import_graphs(text)
-    assert swp2 == swp and pot2 == pot
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(InvalidInput):
-        import_graphs("{not json")
-    with pytest.raises(InvalidInput):
-        import_graphs('{"t": 1}')
-    # a document's shape comes from outside: each of these used to escape
-    # as a bare IndexError or TypeError, or, the string swap, be accepted
-    edge = '{"u": 1, "v": 2, "swap": [1, 2]}'
-    arc = '{"tail": 1, "head": 0, "swap": [0, 1], "cond": "b1"}'
-    for t, edges, arcs in [
-        (1, '{"u": 1, "v": 1, "swap": [1]}', ""),
-        (2, '{"u": 5, "v": 2, "swap": [1, 2]}', ""),
-        ('"x"', "", ""),
-        (2, '{"u": 1, "v": 2, "swap": "ab"}', ""),
-        (2, '{"u": 0, "v": 2, "swap": [1, 2]}', ""),
-        (2, '{"u": true, "v": 2, "swap": [1, 2]}', ""),
-        (2, '{"u": 1, "v": 2, "swap": [1, 3]}', ""),
-        (0, "", ""),
-        (2, edge, '{"tail": 0, "head": 1, "swap": [0, 1], "cond": "b1"}'),
-        (2, edge, '{"tail": 1, "head": 3, "swap": [0, 1], "cond": "b1"}'),
-        (2, edge, '{"tail": 1, "head": 2, "swap": [2, 3], "cond": 7}'),
-        (2, edge, '{"tail": 1, "head": 0, "swap": [0, 1], "cond": "b3"}'),
-    ]:
-        doc = f'{{"t": {t}, "swp": {{"edges": [{edges}]}}, "pot": {{"arcs": [{arcs}]}}}}'
-        with pytest.raises(InvalidInput, match="^malformed graph document: "):
-            import_graphs(doc)
-    # as strict as the CLI's documents: a key given twice used to win with its
-    # last value, and an unknown field was ignored, at the top or in an edge
-    for doc in [
-        '{"t": 1, "t": 2, "swp": {"edges": []}, "pot": {"arcs": []}}',
-        '{"t": 2, "x": 0, "swp": {"edges": []}, "pot": {"arcs": []}}',
-        '{"t": 2, "swp": {"edges": [], "x": 0}, "pot": {"arcs": []}}',
-        f'{{"t": 2, "swp": {{"edges": [{edge[:-1]}, "x": 0}}]}}, "pot": {{"arcs": []}}}}',
-        '{"t": 2, "swp": {"edges": []}}',
-        "[]",
-    ]:
-        with pytest.raises(InvalidInput, match="^malformed graph document: "):
-            import_graphs(doc)
-    doc = f'{{"t": 2, "swp": {{"edges": [{edge}]}}, "pot": {{"arcs": [{arc}]}}}}'
-    swp, pot = import_graphs(doc)
-    assert swp.components == (frozenset({1, 2}),) and pot.arcs == (PotArc(1, 0, (0, 1), "b1"),)
-
-
-def test_import_refuses_a_huge_t_before_building_its_nodes():
-    # the components of a t = 10^7 document would take gigabytes; a t whose
-    # 4t is above construct.DEFAULT_MAX_RANKS, the largest construction
-    # level's cap, is refused first
-    for t in (10**7, DEFAULT_MAX_RANKS // 4 + 1):
-        doc = f'{{"t": {t}, "swp": {{"edges": []}}, "pot": {{"arcs": []}}}}'
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeRefused, match=f"^t = {t} refused"):
-                import_graphs(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    assert exported(swp, pot) == (2, swp.edges, pot.arcs)
+    assert pot.arcs and swp.edges == (SwpEdge(1, 2, (1, 2)), SwpEdge(1, 2, (5, 6)))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
