@@ -205,35 +205,30 @@ def _greedy(n: int, pair_of, side_of, diff) -> tuple[int, tuple[int, ...]]:
     return sum(map(abs, diff)), tuple(taken)
 
 
-def _pick_strategy(ds: DefiningSet, strategy: str | None, force_exhaustive: bool) -> str:
+def _pick_strategy(ds: DefiningSet, strategy: str | None) -> str:
     if strategy is None:
         return "exhaustive" if ds.n_ranks <= SCAN_DEFAULT_MAX_RANKS else "frontier"
     if strategy not in STRATEGIES:
         raise InvalidInput(f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}")
-    if strategy != "frontier" and ds.n_ranks > EXHAUSTIVE_MAX_RANKS and not force_exhaustive:
+    if strategy != "frontier" and ds.n_ranks > EXHAUSTIVE_MAX_RANKS:
         raise SizeRefused(
             f"{strategy} scan refused for 4t = {ds.n_ranks} > {EXHAUSTIVE_MAX_RANKS} "
-            f"(F({4 * ds.t + 1}) matchings); use the frontier strategy, or pass "
-            f"--force-exhaustive (force_exhaustive=True) to override"
+            f"(F({4 * ds.t + 1}) matchings); use the frontier strategy"
         )
     return strategy
 
 
-def worst_case(
-    ds: DefiningSet,
-    strategy: str | None = None,
-    force_exhaustive: bool = False,
-) -> AdversaryResult:
+def worst_case(ds: DefiningSet, strategy: str | None = None) -> AdversaryResult:
     """Exact max of discrepancy(ds, I) over all allowed swap sets I.
 
     The minimal maximizer is the first minimum-size maximizer in enumeration
     order; every strategy returns identical results except for the
     engine-specific `enumerated` counter.  The scan strategies are refused
-    above EXHAUSTIVE_MAX_RANKS ranks unless forced.
+    above EXHAUSTIVE_MAX_RANKS ranks.
     """
     require_valid(ds)
     tables = rank_table(ds)
-    strategy = _pick_strategy(ds, strategy, force_exhaustive)
+    strategy = _pick_strategy(ds, strategy)
     if strategy == "frontier":
         best_d, _m, best, count, nodes = _frontier(ds.n_ranks, *tables)
     else:

@@ -30,7 +30,6 @@ from .adversary import (
     SCAN_DEFAULT_MAX_RANKS,
     STRATEGIES,
     AdversaryResult,
-    _pick_strategy,
     minimal_maximizer_property,
     worst_case,
 )
@@ -248,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         swaps = doc_to_swaps(_load_json(args.swaps))
         _emit(f"{discrepancy(ds, swaps)}\n", args.out)
         return EXIT_OK
-    res = worst_case(ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive)
+    res = worst_case(ds, strategy=args.strategy)
     text = json.dumps(certificate(ds, res, checks={}), indent=2) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -315,9 +314,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         require_level(args.z)  # first, so that an error names z
         require_level(args.z + 1)
     ds = _load_sets(args.sets) if args.sets else construct_for_z(args.z)
-    sample_strategy = args.strategy or "branch_and_bound"
-    if args.sample:  # the samples have ds's t: refuse their scan before any work
-        _pick_strategy(ds, sample_strategy, args.force_exhaustive)
+    if args.sample and ds.n_ranks > EXHAUSTIVE_MAX_RANKS:  # samples have ds's t: refuse now
+        raise SizeRefused(f"branch_and_bound scan refused for 4t = {ds.n_ranks} > "
+                          f"{EXHAUSTIVE_MAX_RANKS}: --sample scans every set with branch_and_bound")
 
     checks: dict[str, dict[str, Any]] = {}
     report = validate_defining_set(ds)
@@ -330,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for name in needs_adversary:
                 checks[name] = {"holds": None, "details": "skipped: defining set invalid"}
         else:
-            res = worst_case(ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive)
+            res = worst_case(ds, strategy=args.strategy)
             checks.update(_adversary_checks(ds, res, requested, args.z))
     if "lemma1" in requested:  # d_{z+1} <= 2 d_z + 2; every engine gives the same d_z
         d_z = (res or worst_case(ds)).worst_case
@@ -341,8 +340,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
     if args.sample:
         def holds(sample_ds: DefiningSet) -> bool:
-            sample_res = worst_case(sample_ds, strategy=sample_strategy,
-                                    force_exhaustive=args.force_exhaustive)
+            sample_res = worst_case(sample_ds, strategy="branch_and_bound")
             entries = _adversary_checks(
                 sample_ds, sample_res, ("eq8", "lemma2", "eq10", "prop1"), None
             )
@@ -364,14 +362,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSet], bool]) -> int:
     """Failing draws among `sample` random balanced sets of t pairs.
 
-    The sets are drawn in order from one Random(seed) in blocks: one set
-    first, so that a check that refuses (the frontier DP's state cap) does
-    so before more sets are drawn, then SAMPLE_BLOCK at a time.  A draw
-    whose set has a kept verdict counts on it; every other set of the block
-    is checked once, and its verdict counts for each of its draws in the
-    block.  The verdicts of the first SAMPLE_MEMO_MAX distinct sets are
-    kept.  A block's checks run in one share per usable core (_fork), each
-    of at least SAMPLE_MIN_SHARE."""
+    The sets are drawn in order from one Random(seed), SAMPLE_BLOCK at a
+    time.  A draw whose set has a kept verdict counts on it; every other set
+    of the block is checked once, and its verdict counts for each of its
+    draws in the block.  The verdicts of the first SAMPLE_MEMO_MAX distinct
+    sets are kept.  A block's checks run in one share per usable core
+    (_fork), each of at least SAMPLE_MIN_SHARE."""
     from . import _fork
     from .optsearch import random_balanced
 
@@ -381,7 +377,7 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     kept: dict[tuple[int, ...], bool] = {}
     failures = drawn = 0
     while drawn < sample:
-        block = min(SAMPLE_BLOCK if drawn else 1, sample - drawn)
+        block = min(SAMPLE_BLOCK, sample - drawn)
         drawn += block
         jobs: dict[tuple[int, ...], list[Any]] = {}  # unkept key -> [set, its draws]
         for _ in range(block):
@@ -409,9 +405,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
     if args.swaps is not None:
         swaps = doc_to_swaps(_load_json(args.swaps))
     else:
-        swaps = worst_case(
-            ds, strategy=args.strategy, force_exhaustive=args.force_exhaustive
-        ).minimal_maximizer
+        swaps = worst_case(ds, strategy=args.strategy).minimal_maximizer
     from .graphs import build_pot, build_swp, dot_texts, export_graphs
 
     swp = build_swp(ds, swaps)
@@ -447,11 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if not engine:
             return
         p.add_argument("--strategy", choices=STRATEGIES, default=None,
-                       help="worst-case engine (default: frontier, or exhaustive "
-                       f"for 4t <= {SCAN_DEFAULT_MAX_RANKS}; the sets of verify "
-                       "--sample default to branch_and_bound)")
-        p.add_argument("--force-exhaustive", action="store_true",
-                       help="override the scan strategies' size refusal")
+                       help="worst-case engine of the given or constructed set "
+                       "(default: frontier, or exhaustive for 4t <= "
+                       f"{SCAN_DEFAULT_MAX_RANKS}); exhaustive and branch_and_bound "
+                       f"are refused (exit 4) above 4t = {EXHAUSTIVE_MAX_RANKS}, and "
+                       "the sets of verify --sample are always scanned with "
+                       "branch_and_bound")
 
     p = sub.add_parser("construct", help="emit the level-z recursive defining set")
     p.add_argument("--z", type=int, required=True, help="construction level, z >= 2")
@@ -493,17 +488,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", help=f"comma list from: {','.join(ALL_CHECKS)}")
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
-                   "balanced sets of the same t, drawn one set first and then in "
-                   f"blocks of {SAMPLE_BLOCK}; a set is checked once, and a "
-                   "repeated draw reuses its verdict and counts again (the "
-                   f"verdicts of the first {SAMPLE_MEMO_MAX} distinct sets are "
-                   "kept for later blocks, the others for their block only); a "
-                   "block's checks are split among forked processes, one per usable core, "
-                   f"each given at least {SAMPLE_MIN_SHARE}; refused (exit 4) "
-                   "for --z 4 and above, whose random sets no engine answers: "
-                   "before any work on a scan strategy (the default), and only "
-                   "after the first draw with --strategy frontier, whose refusal "
-                   "is a state cap")
+                   "balanced sets of the same t, each scanned with branch_and_bound "
+                   f"whatever --strategy says, drawn in blocks of {SAMPLE_BLOCK}; "
+                   "a set is checked once, and a repeated draw reuses its verdict "
+                   f"and counts again (the verdicts of the first {SAMPLE_MEMO_MAX} "
+                   "distinct sets are kept for later blocks, the others for their "
+                   "block only); a block's checks are split among forked processes, "
+                   f"one per usable core, each given at least {SAMPLE_MIN_SHARE}; "
+                   f"refused (exit 4) before any work when 4t > {EXHAUSTIVE_MAX_RANKS} "
+                   "(--z 4 and above)")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample only")
     p.add_argument("--out", help="certificate path (default: stdout)")
     common(p)

@@ -345,8 +345,10 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     out the ties not yet proven.
     """
     started = time.perf_counter()
-    if time_budget is not None and not time_budget >= 0:
-        # NaN compares false with every elapsed time and would switch the budget off
+    if time_budget is not None and (type(time_budget) not in (int, float)
+                                    or not time_budget >= 0):
+        # a bool or a string is no number of seconds; NaN compares false with
+        # every elapsed time and would switch the budget off
         raise InvalidInput(
             f"time_budget (--time-budget) must be a number of seconds >= 0, got {time_budget!r}"
         )

@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from swapdisc import _fork, adversary, cli, construct, graphs, optsearch
+from swapdisc.adversary import STRATEGIES
 from swapdisc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
@@ -314,7 +315,23 @@ def test_eval_branch_and_bound_refused_above_envelope_exit4(tmp_path, capsys):
     capsys.readouterr()
     code = main(["eval", "--sets", str(big), "--worst-case", "--strategy", "branch_and_bound"])
     assert code == EXIT_SIZE
-    assert "--force-exhaustive" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: branch_and_bound scan refused for 4t = 76 > 40 (F(77) matchings); "
+        "use the frontier strategy\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--sets", "s.json", "--worst-case"],
+    ["verify", "--z", "2"],
+    ["graphs", "--sets", "s.json", "--minimal-maximizer", "--format", "json", "--out", "g"],
+])
+def test_no_command_lifts_the_scan_refusal(capsys, command):
+    # every scan strategy is refused above 4t = 40 whatever the flags say
+    with pytest.raises(SystemExit) as done:
+        main([*command, "--force-exhaustive"])
+    assert done.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --force-exhaustive" in capsys.readouterr().err
 
 
 def test_eval_worst_case_level4_default_engine(tmp_path, capsys):
@@ -513,8 +530,10 @@ def test_verify_sampled_population(tmp_path, capsys):
     assert cert["checks"]["sampled_population"]["details"]["sampled"] == 5
 
 
-@pytest.mark.parametrize("strategy", [None, "frontier", "exhaustive", "branch_and_bound"])
+@pytest.mark.parametrize("strategy", [None, *STRATEGIES])
 def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy):
+    # --strategy picks the engine of the constructed set only: every sampled
+    # set is scanned with branch and bound
     real = cli.worst_case
     seen = []
 
@@ -528,10 +547,10 @@ def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy
     argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_OK
     capsys.readouterr()
-    # the construction, then each distinct sample once (branch-and-bound by default)
+    # the construction, then each distinct sample once
     distinct = len(sample_draws(1, 300))
     assert distinct == 275
-    assert seen == [strategy] + [strategy or "branch_and_bound"] * distinct
+    assert seen == [strategy] + ["branch_and_bound"] * distinct
 
 
 def _failing(entry, name=None):
@@ -636,16 +655,22 @@ def test_verify_negative_sample_exit2(capsys):
     assert "--sample" in captured.err
 
 
-def test_verify_sample_refused_before_drawing(monkeypatch, capsys):
+@pytest.mark.parametrize("strategy", [None, *STRATEGIES])
+@pytest.mark.parametrize("z, n", [(4, 76), (6, 316)])
+def test_verify_sample_refused_before_drawing(monkeypatch, capsys, z, n, strategy):
+    # the sampled sets are scanned with branch and bound whatever --strategy
+    # says, so its refusal comes before any draw or scan
     def fail(*args, **kwargs):
         raise AssertionError("called before the size refusal")
 
     monkeypatch.setattr(optsearch, "random_balanced", fail)
     monkeypatch.setattr(cli, "worst_case", fail)
-    assert main(["verify", "--z", "4", "--checks", "balance", "--sample", "1"]) == EXIT_SIZE
+    argv = ["verify", "--z", str(z), "--checks", "balance", "--sample", "1"]
+    assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_SIZE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: branch_and_bound scan refused for 4t = 76")
+    assert captured.err == (f"error: branch_and_bound scan refused for 4t = {n} > 40: "
+                            "--sample scans every set with branch_and_bound\n")
 
 
 def test_verify_sampled_certificate_identical_across_workers(capsys):
@@ -663,13 +688,13 @@ def test_verify_sampled_certificate_identical_across_workers(capsys):
 # ------------------------------------------------- forked --sample workers
 
 def checked_in_blocks(seed, n, cap, block, t=4):
-    """The sets --sample checks, in order: drawn one first and then `block`
-    at a time, each set without a kept verdict checked once per block, and
-    the verdicts of the first `cap` distinct sets kept."""
+    """The sets --sample checks, in order: drawn `block` at a time, each set
+    without a kept verdict checked once per block, and the verdicts of the
+    first `cap` distinct sets kept."""
     rng = Random(seed)
     kept, checked, drawn = set(), [], 0
     while drawn < n:
-        size = min(block if drawn else 1, n - drawn)
+        size = min(block, n - drawn)
         drawn += size
         drawn_keys = dict.fromkeys(set_key(random_balanced(t, rng)) for _ in range(size))
         new = [key for key in drawn_keys if key not in kept]
@@ -721,12 +746,12 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, run
         outputs.append(run_reaped(argv))
         lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert Counter(key for _, key in lines) == want
-        # the parent checks the first draw, and at most `cores` workers
-        # each block after it
+        # the parent checks the first share of each block, and at most
+        # `cores` - 1 workers the others
         pids = {int(pid) for pid, _ in lines}
         assert os.getpid() in pids
         assert (len(pids) == 1) == (cores == 1)
-        assert len(pids) <= 1 + cores * -(-299 // block)
+        assert len(pids) <= 1 + (cores - 1) * -(-300 // block)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][0] == EXIT_OK
 
@@ -748,8 +773,8 @@ def test_forked_workers_count_every_failing_instance(on_cores, monkeypatch, run_
 @pytest.mark.parametrize("targets", [(20, 30), (5, 30), (30, 20)])
 def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, run_reaped,
                                                         targets):
-    # 38 distinct sets: 0 alone, then 3 shares in workers, 1-12, 13-24 and
-    # 25-37
+    # 38 distinct sets in one block, on 3 cores in 3 shares: 0-11 here, 12-24
+    # and 25-37 in workers
     jobs = checked_in_blocks(5, 40, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK)
     assert len(jobs) == 38
     refused = [jobs[j] for j in targets]
@@ -767,80 +792,6 @@ def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, r
         argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5"]
         outputs.append(run_reaped(argv))
     assert outputs[0] == outputs[1] == (EXIT_SIZE, "", f"error: refused {jobs[min(targets)]}\n")
-
-
-def test_forked_frontier_refusal_exits_4_with_the_same_error(on_cores, monkeypatch, run_reaped):
-    # with this cap the frontier DP refuses 2 of the 38 distinct sets, the
-    # first of them in the second worker's share on 2 cores (sets 19-37)
-    monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 180)
-    real = cli.worst_case
-    calls = []
-
-    def counting(ds, **kwargs):
-        calls.append(ds)
-        return real(ds, **kwargs)
-
-    monkeypatch.setattr(cli, "worst_case", counting)
-    argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "40", "--seed", "5",
-            "--strategy", "frontier"]
-    outputs = []
-    for cores in (1, 2):
-        on_cores(cores)
-        outputs.append(run_reaped(argv))
-        if cores == 1:
-            # the construction, then the sampled sets up to the refused one
-            assert len(calls) - 2 >= 19
-    assert outputs[0] == outputs[1]
-    code, out, err = outputs[0]
-    assert (code, out) == (EXIT_SIZE, "")
-    assert err.startswith("error: frontier DP refused: more than 180 live states")
-
-
-def test_frontier_sample_refused_after_one_draw(monkeypatch, run_reaped):
-    monkeypatch.setattr(adversary, "FRONTIER_MAX_STATES", 1000)
-    real = optsearch.random_balanced
-    draws = []
-
-    def counting(t, rng):
-        draws.append(t)
-        return real(t, rng)
-
-    monkeypatch.setattr(optsearch, "random_balanced", counting)
-    argv = ["verify", "--z", "4", "--checks", "balance", "--sample", "5000",
-            "--strategy", "frontier"]
-    code, out, err = run_reaped(argv)
-    assert (code, out, draws) == (EXIT_SIZE, "", [19])
-    assert err.startswith("error: frontier DP refused: more than 1000 live states")
-
-
-def test_frontier_sample_refused_at_z6_before_any_table(monkeypatch, run_reaped):
-    # z = 6 sets have 4t = 316 ranks, above QUADRUPLE_MAX_RANKS: the first
-    # draw is refused before a single quadruple over them is listed
-    real_range = range
-
-    def small_range(*args):
-        if any(arg > optsearch.QUADRUPLE_MAX_RANKS + 1 for arg in args):
-            raise AssertionError(f"range{args} walked")
-        return real_range(*args)
-
-    table = optsearch._table(12)
-    monkeypatch.setattr(optsearch, "range", small_range, raising=False)
-    argv = ["verify", "--z", "6", "--checks", "balance", "--sample", "1",
-            "--strategy", "frontier"]
-    tracemalloc.start()
-    try:
-        code, out, err = run_reaped(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, out) == (EXIT_SIZE, "")
-    assert err == ("error: balanced sets over 4t = 316 ranks refused: their "
-                   "quadruple table is built only up to 4t = 160\n")
-    assert peak < 64 << 20
-    # the table of 4t = 12 is still the one cached
-    hits = optsearch._table.cache_info().hits
-    assert optsearch._table(12) is table
-    assert optsearch._table.cache_info().hits == hits + 1
 
 
 def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, run_reaped):

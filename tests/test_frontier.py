@@ -157,8 +157,11 @@ def test_default_engine_by_size():
 def test_scan_strategies_refused_above_envelope():
     ds = construct_for_z(4)
     for strategy in ("exhaustive", "branch_and_bound"):
-        with pytest.raises(SizeRefused):
+        with pytest.raises(SizeRefused, match="; use the frontier strategy$"):
             worst_case(ds, strategy=strategy)
+        # nothing lifts the refusal
+        with pytest.raises(TypeError, match="force_exhaustive"):
+            worst_case(ds, strategy=strategy, force_exhaustive=True)
 
 
 def test_unknown_strategy_rejected():

@@ -456,7 +456,7 @@ def test_budget_blown_while_proving_stops_the_proofs(monkeypatch, budget):
     assert res.optima == full.optima[: len(res.optima)]
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, "5", True, False])
 def test_time_budget_must_be_nonnegative(budget):
     with pytest.raises(InvalidInput):
         find_optimal(2, time_budget=budget)
@@ -478,9 +478,14 @@ def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
 def test_quadruple_table_refused_above_its_cap(monkeypatch):
     monkeypatch.setattr(optsearch, "QUADRUPLE_MAX_RANKS", 12)
     assert validate_defining_set(random_balanced(3, Random(1))).ok
+    table = optsearch._table(12)
     for refused in (lambda: random_balanced(4, Random(1)), lambda: count_balanced(4)):
         with pytest.raises(SizeRefused, match="^balanced sets over 4t = 16 ranks refused"):
             refused()
+    # a refused n leaves the cached table in place
+    hits = optsearch._table.cache_info().hits
+    assert optsearch._table(12) is table
+    assert optsearch._table.cache_info().hits == hits + 1
 
 
 def test_random_balanced_always_valid_and_canonical():

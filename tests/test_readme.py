@@ -1,12 +1,16 @@
 """The README's library quick start runs and gives the results its
-comments state, so that an API change cannot leave it stale; and the suite
-tests the checkout it is run from, as the README's "Tests" section says."""
+comments state, and its CLI section names exactly the commands' options, so
+that an API change cannot leave it stale; and the suite tests the checkout
+it is run from, as the README's "Tests" section says."""
 
+import argparse
 import ast
 import os
+import re
 from pathlib import Path
 
 import swapdisc
+from swapdisc import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,6 +34,22 @@ def test_library_quick_start_gives_its_commented_results():
         elif statement is not None:
             exec(code, namespace)
     assert checked == 2
+
+
+def test_cli_section_names_exactly_the_commands_options():
+    section = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.split("## Benchmark\n", 1)[0]))
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert named - options == set(), "the README names options no command has"
+    assert options - named == set(), "the README leaves out options of a command"
 
 
 def test_no_pythonpath_entry_holds_another_swapdisc():
