@@ -41,7 +41,12 @@ def scan_chunk(
         pair's imbalance is written, so a child failing the test costs one
         write to undo, and leaving a child restores the values saved when
         it was entered.
-    best_floor: an already-attained discrepancy (e.g. a known swap set's), or -1.
+    best_floor: the pruning floor, or -1 for none.  It need not be attained:
+        no subtree holding a matching at or above it fails the test, so when
+        the worst case reaches best_floor the scan still finds it.  The
+        result is an exact worst case only when best_floor is attained (e.g.
+        a known swap set's total) or -1; below an unattained floor, best_d
+        is only the best of the matchings visited.
     abandon_above: if >= 0, stop as soon as any matching exceeds it.
 
     Returns (best_d, best_size, best_positions, count, nodes): the maximum

@@ -27,7 +27,9 @@ branch-and-bound scan that stops at the first swap set reaching the cutoff.
 It gives one of three verdicts: the cutoff is beaten, attained (a swap set
 reaches it exactly; the worst case is not proven), or the exact worst case
 lies below it.  The search proves an attained value afterwards with one
-branch-and-bound `worst_case` scan.
+kernel scan from floor D* + 1 that stops at the first swap set above D*
+(optsearch._prove), so the kernel answers two questions in the search: an
+exact worst case, and whether any swap set passes a value.
 """
 
 from __future__ import annotations
@@ -359,19 +361,16 @@ class Witnesses:
 
     def values(self, ds: DefiningSet) -> list[int]:
         """Each witness's total discrepancy on ds, in slot order."""
-        return self._unpack(self._scores(ds))
-
-    def _unpack(self, total: int) -> list[int]:
+        total = self._scores(ds)
         width, mask = self._width, self._half * 2 - 1
         return [(total >> s * width) & mask for s in range(len(self._slots))]
 
-    def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None, int]:
+    def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None]:
         """Score every witness on ds against `cutoff`, validating ds first.
 
-        Returns (beats, attained, floor).  beats: some witness is above the
-        cutoff.  Otherwise attained is the witness in the lowest slot exactly
-        at the cutoff, or None, and then floor is the best witness value (-1
-        without one).  Nothing moves between slots.
+        Returns (beats, attained).  beats: some witness is above the cutoff.
+        Otherwise attained is the witness in the lowest slot exactly at the
+        cutoff, or None.  Nothing moves between slots.
         """
         total = self._scores(ds)
         # only the last valid cutoff itself reuses the constants: True == 1
@@ -385,12 +384,12 @@ class Witnesses:
             self._reach = (self._half - c) * self._ones
             self._cutoff = cutoff
         if (total + self._above) & self._filled:
-            return True, None, -1
+            return True, None
         reach = (total + self._reach) & self._filled
         if reach:
             # the lowest set high bit is bit width - 1 of its slot
-            return False, self._slots[(reach & -reach).bit_length() // self._width - 1], -1
-        return False, None, max(self._unpack(total), default=-1)
+            return False, self._slots[(reach & -reach).bit_length() // self._width - 1]
+        return False, None
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._slots)
@@ -408,8 +407,8 @@ def worst_case_bounded(
     - beats: some swap set is above the cutoff; returns (None, True).
     - attains: a swap set reaches exactly the cutoff and none tried beats
       it; returns (Attained, False).  The worst case is >= cutoff, but it
-      may be above: the search proves it later with one branch-and-bound
-      `worst_case` scan.
+      may be above: the search proves it later with one scan that stops
+      at the first swap set above the cutoff.
     - below: the exact worst case is below the cutoff; returns the
       branch-and-bound scan's AdversaryResult and False.
 
@@ -419,25 +418,24 @@ def worst_case_bounded(
     additions on cached per-pair fields (see Witnesses); one beating the
     cutoff wins over one only attaining it, which otherwise gives the
     verdict.  Only when neither exists are the scan tables built, and one
-    branch-and-bound scan runs with the best witness value as its pruning
-    floor; it stops at the first swap set reaching the cutoff, which is
-    pushed into the table (one swap moves the total by at most 2, so that
-    set mostly just attains the cutoff; on the next candidates, which share
-    most pairs, it often beats it), overwriting the oldest witness at the
-    cap.  A witness only ever decides a verdict as a real swap set reaching
-    or beating the cutoff, so "below" and its exact result never depend on
-    the table; which of "beats" and "attains" a candidate above the cutoff
-    gets, and `enumerated`, the number of swap sets the scan visited, do.
+    branch-and-bound scan runs without a floor (-1); it stops at the first
+    swap set reaching the cutoff, which is pushed into the table (one swap
+    moves the total by at most 2, so that set mostly just attains the
+    cutoff; on the next candidates, which share most pairs, it often beats
+    it), overwriting the oldest witness at the cap.  A witness only ever
+    decides a verdict as a real swap set reaching or beating the cutoff, so
+    "below" and its exact result never depend on the table; which of
+    "beats" and "attains" a candidate above the cutoff gets, and
+    `enumerated`, the number of swap sets the scan visited, do.
     """
-    beats, attained, floor = witnesses.check(ds, cutoff)
+    beats, attained = witnesses.check(ds, cutoff)
     if beats:
         return None, True
     if attained is not None:
         return Attained(cutoff, attained, 0), False
-    # the floor is attained and below the cutoff, so it prunes soundly; the
-    # scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
+    # the scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
     best_d, _m, best, count, nodes = _kernels.scan_chunk(
-        ds.n_ranks, *rank_table(ds), True, floor, cutoff - 1
+        ds.n_ranks, *rank_table(ds), True, -1, cutoff - 1
     )
     if best_d >= cutoff:
         witnesses.push(best)

@@ -19,9 +19,10 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
-# the search's scans are read from adversary at call time, so a wrapper set
-# there after this import (perfbench/tracer.py) is the one called
-from . import _fork, adversary
+# the search's scans and rank tables are read from adversary, _kernels and
+# core at call time, so a wrapper set there after this import
+# (perfbench/tracer.py) is the one called
+from . import _fork, _kernels, adversary, core
 from .adversary import EXHAUSTIVE_MAX_RANKS, Attained, Witnesses
 from .core import (
     CompanionPair,
@@ -299,19 +300,24 @@ def _walk(candidates: Generator[DefiningSet, None, None], d_star: int,
 
 
 def _prove(t: int, walk: _Walk, deadline: float | None) -> _Walk:
-    """`walk` with each set it kept unproven proven at its cutoff: scanned
-    exactly, and kept only if its worst case is the cutoff.  The deadline
-    is checked before each proof; once it is blown, the sets not yet
-    proven are dropped and the walk is no longer certified."""
+    """`walk` with each set it kept unproven proven at its cutoff D*: a
+    swap set reaches D* on it, so it is kept only if none passes D*.  The
+    proof is one kernel scan from the pruning floor D* + 1, which need not
+    be attained: it skips every subtree that cannot pass D*, and the scan
+    stops at the first swap set that does.  The deadline is checked before each proof; once it is blown,
+    the sets not yet proven are dropped and the walk is no longer
+    certified."""
     kept = []
     certified = walk.certified
+    d_star = walk.d_star
     for pairs, proven in walk.kept:
         if not proven:
             if deadline is not None and time.perf_counter() > deadline:
                 certified = False
                 continue
-            ds = DefiningSet(t, pairs)
-            if adversary.worst_case(ds, strategy="branch_and_bound").worst_case != walk.d_star:
+            # the pairs come from the enumeration: a valid set by construction
+            tables = core.rank_table(_unchecked_set(t, pairs))
+            if _kernels.scan_chunk(4 * t, *tables, True, d_star + 1, d_star)[0] > d_star:
                 continue
         kept.append((pairs, True))
     return walk._replace(kept=kept, certified=certified)

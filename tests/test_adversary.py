@@ -516,16 +516,16 @@ def test_witness_table_totals_match_total_after_at_every_cutoff(monkeypatch):
             order = list(table)
             values = table.values(ds)
             assert values == [discrepancy(ds, SwapSet(w)) for w in order]
-            beats, attained, floor = table.check(ds, cutoff)
+            beats, attained = table.check(ds, cutoff)
             above = [k for k, v in enumerate(values) if v > cutoff]
             at = [k for k, v in enumerate(values) if v == cutoff]
             assert list(table) == order
             if above:
-                assert (beats, attained, floor) == (True, None, -1)
+                assert (beats, attained) == (True, None)
             elif at:
-                assert (beats, attained, floor) == (False, order[at[0]], -1)
+                assert (beats, attained) == (False, order[at[0]])
             else:
-                assert (beats, attained, floor) == (False, None, max(values, default=-1))
+                assert (beats, attained) == (False, None)
         # a new entry updates every cached pair's field and, at the cap,
         # overwrites the oldest one
         size = len(table)

@@ -8,6 +8,8 @@ unbalanced starts.  A scan abandons exactly when the threshold is set and
 its best total passes it: otherwise the threshold changes nothing.  It is also checked through the engines that call it:
 against the naive oracle and the frontier DP (tests/test_frontier.py) and
 in abandon mode by the worst_case_bounded tests (tests/test_adversary.py).
+A floor that no swap set attains, as the search's tie proofs pass, must
+still let through every swap set above it.
 """
 
 from random import Random
@@ -16,8 +18,9 @@ import pytest
 
 from naive_oracles import reference_scan
 from swapdisc import _kernels
+from swapdisc.adversary import worst_case
 from swapdisc.core import rank_table
-from swapdisc.optsearch import random_balanced
+from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 # (best_floor, abandon_above): no floor, floors below, at and above the
 # abandon threshold, and a zero threshold that abandons at the first swap
@@ -56,3 +59,18 @@ def test_scan_leaves_its_tables_unchanged():
     tables = (list(pair_of), list(side_of), list(diff))
     _kernels.scan_chunk(12, pair_of, side_of, diff, True, -1, 3)
     assert (pair_of, side_of, diff) == tables
+
+
+def test_unattained_floor_prunes_soundly():
+    # floor c + 1 is attained by no swap set when the worst case is c or
+    # less; the scan must still find a swap set above c whenever one exists
+    rng = Random(36)
+    sets = list(enumerate_balanced(3))
+    sets += [random_balanced(4, rng) for _ in range(40)]
+    sets += [random_balanced(5, rng) for _ in range(10)]
+    for ds in sets:
+        exact = worst_case(ds).worst_case
+        tables = rank_table(ds)
+        for c in range(exact + 3):
+            passed = _kernels.scan_chunk(ds.n_ranks, *tables, True, c + 1, c)[0] > c
+            assert passed == (exact > c), (ds, c)

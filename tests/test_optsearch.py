@@ -9,6 +9,7 @@ import inspect
 import itertools
 import json
 import math
+import time
 from random import Random
 
 import pytest
@@ -454,6 +455,32 @@ def test_budget_blown_while_proving_stops_the_proofs(monkeypatch, budget):
     assert res.d_star == full.d_star
     assert 1 <= len(res.optima) < len(full.optima)
     assert res.optima == full.optima[: len(res.optima)]
+
+
+def test_prove_keeps_the_proven_set_and_the_ties_at_d_star(monkeypatch):
+    # a walk at t = 4 that ended at cutoff 10: its first candidate at 10 is
+    # the proven set, and the later ones at 10 or above are its ties (a
+    # swap set brought each to 10; none can be below)
+    d_star = 10
+    values = [(ds.pairs, worst_case(ds).worst_case)
+              for ds in itertools.islice(enumerate_balanced(4), 60)]
+    first = next(k for k, (_, v) in enumerate(values) if v == d_star)
+    proven = values[first][0]
+    ties = [(pairs, v) for pairs, v in values[first + 1:] if v >= d_star]
+    assert sum(v == d_star for _, v in ties) > 1 and sum(v > d_star for _, v in ties) > 1
+    walk = optsearch._Walk(d_star, [(proven, True)] + [(pairs, False) for pairs, _ in ties],
+                           60, True)
+
+    def no_exact_scan(*args, **kwargs):
+        raise AssertionError("a proof only asks whether some swap set passes D*")
+
+    monkeypatch.setattr(adversary, "worst_case", no_exact_scan)
+    monkeypatch.setattr(adversary, "worst_case_bounded", no_exact_scan)
+    at_d_star = [(pairs, True) for pairs, v in ties if v == d_star]
+    assert optsearch._prove(4, walk, None) == walk._replace(kept=[(proven, True)] + at_d_star)
+    # a deadline already past: no tie is proven, and the proven set stays
+    late = optsearch._prove(4, walk, time.perf_counter() - 1)
+    assert late == walk._replace(kept=[(proven, True)], certified=False)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, "5", True, False])
