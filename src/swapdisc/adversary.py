@@ -34,11 +34,10 @@ exact worst case, and whether any swap set passes a value.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
 from .core import (
-    CompanionPair,
     DefiningSet,
     InvalidInput,
     SizeRefused,
@@ -258,13 +257,14 @@ class Witnesses:
     search's candidates share few distinct pairs (525 among the 74,323 at
     t = 5).  So for every balanced pair it has met the table caches one
     packed integer whose field s holds |the pair's imbalance change| under
-    the witness in slot s, keyed by the pair's partition_bits: four ranks
-    a < b < c < d balance only as {a, d} against {b, c}, and swapping the
-    roles negates the change, so the rank bitmask fixes every field.  The
-    sum of a candidate's t packed integers holds every witness's total, one
-    per field; adding one constant and masking the high bits of the filled
-    slots compares them all with the cutoff.  Fields are wide enough for
-    totals up to n, so no sum carries into the next one.
+    the witness in slot s, keyed by the pair's partition_bits alone: four
+    ranks a < b < c < d balance only as {a, d} against {b, c}, and
+    swapping the roles negates the change, so the rank bitmask fixes every
+    field (_fields).  The sum of a candidate's t packed integers holds
+    every witness's total, one per field; adding one constant and masking
+    the high bits of the filled slots compares them all with the cutoff.
+    Fields are wide enough for totals up to n, so no sum carries into the
+    next one.
 
     `push` rejects a tuple that is no matching of the path on [1, n], and
     scoring rejects a set whose 4t is not n (InvalidInput).
@@ -272,6 +272,7 @@ class Witnesses:
 
     def __init__(self, n: int):
         self._n = require_int(n, "n", 1)
+        self._full = all_ranks(n)
         self._cap = WITNESS_CAP
         width = (n + 1).bit_length() + 1
         self._width = width
@@ -281,31 +282,25 @@ class Witnesses:
         self._left: list[int] = []  # per slot: bit i for each swap (i, i+1)
         self._next = 0  # the slot the next push fills: the oldest at the cap
         self._filled = 0  # high bits of the filled slots
-        # per balanced pair met, by partition_bits: (odd, even) rank masks
-        # and the packed fields
-        self._sides: dict[int, tuple[int, int]] = {}
+        # the packed fields of each balanced pair met, by partition_bits
         self._packed: dict[int, int] = {}
         # check's two comparison constants, for the last valid cutoff seen
         self._cutoff: object = object()  # none yet: a value no caller holds
         self._above = self._reach = 0
 
-    def _field(self, sides: tuple[int, int], s: int) -> int:
-        odd, even = sides
-        left = self._left[s]
-        right = left << 1
-        return abs(
-            (odd & left).bit_count() - (odd & right).bit_count()
-            - (even & left).bit_count() + (even & right).bit_count()
-        )
-
-    def _add(self, pair: CompanionPair) -> int:
-        sides = self._sides[pair.partition_bits] = (
-            sum(1 << r for r in pair.odd), sum(1 << r for r in pair.even)
-        )
+    def _fields(self, bits: int, slots: Iterable[int]) -> int:
+        """The fields in `slots` of the balanced pair with rank bitmask
+        `bits`, packed: its odd side holds its lowest and highest rank."""
+        odd = (bits & -bits) | (1 << bits.bit_length() - 1)
+        even = bits ^ odd
         packed = 0
-        for s in range(len(self._slots)):
-            packed |= self._field(sides, s) << s * self._width
-        self._packed[pair.partition_bits] = packed
+        for s in slots:
+            left = self._left[s]
+            right = left << 1
+            packed |= abs(
+                (odd & left).bit_count() - (odd & right).bit_count()
+                - (even & left).bit_count() + (even & right).bit_count()
+            ) << s * self._width
         return packed
 
     def push(self, positions: tuple[int, ...]) -> None:
@@ -325,19 +320,17 @@ class Witnesses:
             self._slots[s] = positions
             self._left[s] = left
         self._next = (s + 1) % self._cap
-        shift = s * self._width
-        keep = ~(((1 << self._width) - 1) << shift)
-        for bits, sides in self._sides.items():
-            self._packed[bits] = (self._packed[bits] & keep) | (self._field(sides, s) << shift)
+        keep = ~(((1 << self._width) - 1) << s * self._width)
+        for bits, packed in self._packed.items():
+            self._packed[bits] = (packed & keep) | self._fields(bits, (s,))
 
     def _scores(self, ds: DefiningSet) -> int:
         """The packed totals on ds, in one pass over ds's pairs that also
         validates ds (InvalidInput, worded by validate_defining_set)."""
-        n = ds.n_ranks
-        if n != self._n:
-            raise InvalidInput(f"a witness table for 4t = {self._n} cannot score 4t = {n}")
+        n, full = self._n, self._full
+        if 4 * ds.t != n:
+            raise InvalidInput(f"a witness table for 4t = {n} cannot score 4t = {4 * ds.t}")
         packed = self._packed
-        full = all_ranks(n)
         covered = total = 0
         for pair in ds.pairs:
             bits = pair._bits
@@ -352,7 +345,7 @@ class Witnesses:
                     reject_invalid(ds)  # an unbalanced pair, or a rank above n
                 fields = packed.get(bits)  # a twin with the same ranks may be cached
                 if fields is None:
-                    fields = self._add(pair)
+                    fields = packed[bits] = self._fields(bits, range(len(self._slots)))
             covered |= bits
             total += fields
         if covered != full:

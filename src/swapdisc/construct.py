@@ -4,7 +4,12 @@ Level z = 2 is the unique optimal t = 4 set; each recursive step embeds two
 shifted copies of the previous level between a closing pair {1, 5*2^(z+1)-4}
 and {5*2^z-2, 5*2^z-1}.  The worst case d_z of level z obeys
 d_{z+1} <= 2*d_z + 2 (Lemma 1, which `verify --checks lemma1` computes),
-giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.
+giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.  The frontier engine finds the
+bound attained at z = 2..6 (d_z = 6, 14, 30, 62, 126: the base case's 6 in
+tests/test_adversary.py::test_worst_case_base_case_is_6, z = 3 in
+tests/test_frontier.py::test_level3_pins, z = 4..6 in
+tests/test_frontier.py::test_construction_levels_beyond_the_scan); that it
+is attained at every z is not proven here.
 """
 
 from __future__ import annotations

@@ -102,19 +102,17 @@ def _table(n: int) -> _Table:
     return _Table(n)
 
 
-def _last_two(rem: int, table: _Table) -> tuple[CompanionPair, ...]:
+def _last_two(rem: int, table: _Table) -> tuple[tuple[CompanionPair, CompanionPair], ...]:
     """Every split of the eight ranks in `rem` into two balanced quadruples,
-    flat: (first, second, first, second, ...), the first holding the
-    smallest rank, in enumerate_balanced's ascending (l2, l3) order.  The
-    table's pair_of is complete, so its keys are the balance test."""
+    as (first, second) pairs, the first holding the smallest rank, in
+    enumerate_balanced's ascending (l2, l3) order.  The table's pair_of is
+    complete, so its keys are the balance test."""
     pair_of = table.pair_of
-    splits: list[CompanionPair] = []
-    for q in table.quadruples[(rem & -rem).bit_length() - 1]:
-        if q & rem == q:
-            tail = pair_of.get(rem ^ q)
-            if tail is not None:
-                splits += (pair_of[q], tail)
-    return tuple(splits)
+    return tuple([
+        (pair_of[q], pair_of[rem ^ q])
+        for q in table.quadruples[(rem & -rem).bit_length() - 1]
+        if q & rem == q and (rem ^ q) in pair_of
+    ])
 
 
 def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterator[DefiningSet]:
@@ -127,9 +125,12 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     InvalidInput otherwise: the sets whose pair of rank 1 is one of them,
     in the same order.  The unassigned ranks are one bitmask.  The last
     eight ranks are answered by a memo, local to this call, that maps their
-    bitmask to its splits into two balanced quadruples (at t = 5 the walk
-    reaches 52,199 eight-rank remainders, 7,903 of them distinct); it is
-    dropped when the generator ends.  Each call first builds the pairs the table lacks, so each
+    bitmask to its splits into two balanced quadruples, each a (first,
+    second) tuple of pairs (at t = 5 the walk reaches 52,199 eight-rank
+    remainders, 7,903 of them distinct); it is dropped when the generator
+    ends.  The pairs chosen above the last eight ranks are one prefix
+    tuple, built once per remainder, and each set is that prefix plus one
+    split.  Each call first builds the pairs the table lacks, so each
     companion pair is built once per 4t and shared with the draws and by
     the sets holding it.  Each set is built without DefiningSet's checks
     (core._unchecked_set): it is a t-tuple of pairs by construction.
@@ -161,8 +162,8 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             if tail is not None:
                 yield _unchecked_set(t, (pair_of[q], tail))
         return
-    chosen: list[CompanionPair | None] = [None] * t
-    memo: dict[int, tuple[CompanionPair, ...]] = {}
+    chosen: list[CompanionPair | None] = [None] * top
+    memo: dict[int, tuple[tuple[CompanionPair, CompanionPair], ...]] = {}
     rems = [full] * top
     # options[d] iterates the quadruples of the smallest rank left at depth d
     options = [iter(first)] + [iter(())] * (top - 1)
@@ -175,13 +176,12 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             chosen[depth] = pair_of[q]
             child = rem ^ q
             if depth + 1 == top:
-                splits = memo.get(child)
-                if splits is None:
-                    splits = memo[child] = _last_two(child, table)
-                for k in range(0, len(splits), 2):
-                    chosen[top] = splits[k]
-                    chosen[top + 1] = splits[k + 1]
-                    yield _unchecked_set(t, tuple(chosen))
+                tails = memo.get(child)
+                if tails is None:
+                    tails = memo[child] = _last_two(child, table)
+                prefix = tuple(chosen)
+                for tail in tails:
+                    yield _unchecked_set(t, prefix + tail)
                 continue
             depth += 1
             rems[depth] = child
@@ -287,7 +287,7 @@ def _walk(candidates: Generator[DefiningSet, None, None], d_star: int,
             certified = False
             break
         examined += 1
-        res, exceeded = worst_case_bounded(ds, cutoff=d_star, witnesses=witnesses)
+        res, exceeded = worst_case_bounded(ds, d_star, witnesses)
         if exceeded:
             continue
         if isinstance(res, Attained):

@@ -272,10 +272,10 @@ def refuse_candidates(monkeypatch, branches, t):
     first = [next(optsearch.enumerate_balanced(t, [b])).pairs for b in branches]
     real = adversary.worst_case_bounded
 
-    def refusing(ds, **kwargs):
+    def refusing(ds, *args, **kwargs):
         if ds.pairs in first:
             raise SizeRefused(f"refused {ds.pairs}")
-        return real(ds, **kwargs)
+        return real(ds, *args, **kwargs)
 
     monkeypatch.setattr(adversary, "worst_case_bounded", refusing)
     # the branches are walked in ascending order
@@ -298,10 +298,10 @@ def test_search_with_a_dead_worker_writes_nothing(on_cores, monkeypatch, tmp_pat
     parent = os.getpid()
     real = adversary.worst_case_bounded
 
-    def dying(ds, **kwargs):
+    def dying(ds, *args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return real(ds, **kwargs)
+        return real(ds, *args, **kwargs)
 
     monkeypatch.setattr(adversary, "worst_case_bounded", dying)
     out = tmp_path / "search.json"

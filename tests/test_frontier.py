@@ -139,7 +139,7 @@ def test_level3_pins():
     assert res.maximizer_count == 196_340
 
 
-@pytest.mark.parametrize("z, d_z", [(4, 30), (5, 62)])
+@pytest.mark.parametrize("z, d_z", [(4, 30), (5, 62), (6, 126)])
 def test_construction_levels_beyond_the_scan(z, d_z):
     ds = construct_for_z(z)
     res = worst_case(ds)
