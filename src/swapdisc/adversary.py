@@ -38,6 +38,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import _kernels
 from .core import (
+    EXHAUSTIVE_MAX_RANKS,
+    SCAN_DEFAULT_MAX_RANKS,
+    STRATEGIES,
     DefiningSet,
     InvalidInput,
     SizeRefused,
@@ -51,12 +54,6 @@ from .core import (
     require_valid,
 )
 
-STRATEGIES = ("frontier", "exhaustive", "branch_and_bound")
-EXHAUSTIVE_MAX_RANKS = 40
-# up to this many ranks (t <= 4, at most F(17) = 1,597 swap sets) the default
-# engine stays the exhaustive scan: it costs about a millisecond there, and
-# perfbench's per-layer test expects the z = 2 base case to be scanned
-SCAN_DEFAULT_MAX_RANKS = 16
 # cap on the states of one position; past it the frontier DP is refused
 FRONTIER_MAX_STATES = 300_000
 # most swap sets a Witnesses table keeps for worst_case_bounded
@@ -334,15 +331,17 @@ class Witnesses:
         covered = total = 0
         for pair in ds.pairs:
             bits = pair._bits
-            # every cached key is a balanced pair's bitmask within [1, n]:
-            # only a pair missing from the cache has its range checked
+            # every cached key is a balanced pair's bitmask of four ranks
+            # within [1, n]: only a pair missing from the cache is checked
             fields = packed.get(bits)
             if fields is None:
                 # -1: not built yet, and not built for a rank above n
                 if bits < 0 and max(pair.elements) <= n:
                     bits = pair.partition_bits
-                if not 0 < bits <= full:
-                    reject_invalid(ds)  # an unbalanced pair, or a rank above n
+                # an unbalanced pair, a rank above n, or a rank on both sides
+                # (odd {a, b} against even {a, b} balances on two ranks)
+                if not 0 < bits <= full or bits.bit_count() != 4:
+                    reject_invalid(ds)
                 fields = packed.get(bits)  # a twin with the same ranks may be cached
                 if fields is None:
                     fields = packed[bits] = self._fields(bits, range(len(self._slots)))

@@ -20,19 +20,12 @@ import os
 import stat
 import sys
 from random import Random
-from typing import Any, Callable, Collection
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from . import __version__
-# graphs and optsearch are imported by the commands that run them: each
-# process compiles what it imports, and construct and eval need neither
-from .adversary import (
-    EXHAUSTIVE_MAX_RANKS,
-    SCAN_DEFAULT_MAX_RANKS,
-    STRATEGIES,
-    AdversaryResult,
-    minimal_maximizer_property,
-    worst_case,
-)
+# adversary, graphs and optsearch are imported by the commands that run
+# them: each process compiles what it imports, construct and --version need
+# none of them, and eval needs the engine only for --worst-case
 from .construct import (
     construct_for_z,
     lower_bound,
@@ -43,6 +36,9 @@ from .construct import (
     z_for_t,
 )
 from .core import (
+    EXHAUSTIVE_MAX_RANKS,
+    SCAN_DEFAULT_MAX_RANKS,
+    STRATEGIES,
     DefiningSet,
     InvalidInput,
     SizeRefused,
@@ -54,6 +50,9 @@ from .core import (
     require_valid,
     validate_defining_set,
 )
+
+if TYPE_CHECKING:
+    from .adversary import AdversaryResult
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -247,6 +246,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         swaps = doc_to_swaps(_load_json(args.swaps))
         _emit(f"{discrepancy(ds, swaps)}\n", args.out)
         return EXIT_OK
+    from .adversary import worst_case
+
     res = worst_case(ds, strategy=args.strategy)
     text = json.dumps(certificate(ds, res, checks={}), indent=2) + "\n"
     _emit(text, args.out)
@@ -274,6 +275,7 @@ def _adversary_checks(
 ) -> dict[str, dict[str, Any]]:
     """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2 and
     bounds for a valid ds and its worst case res (upper bound only with z)."""
+    from .adversary import minimal_maximizer_property
     from .graphs import prop1_entry, verify_lemma2, verify_prop2
 
     entries: dict[str, dict[str, Any]] = {}
@@ -300,6 +302,8 @@ def _adversary_checks(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .adversary import worst_case
+
     if (args.sets is None) == (args.z is None):
         raise InvalidInput("verify needs exactly one of --sets or --z")
     require_int(args.sample, "--sample", 0)
@@ -405,6 +409,8 @@ def cmd_graphs(args: argparse.Namespace) -> int:
     if args.swaps is not None:
         swaps = doc_to_swaps(_load_json(args.swaps))
     else:
+        from .adversary import worst_case
+
         swaps = worst_case(ds, strategy=args.strategy).minimal_maximizer
     from .graphs import build_pot, build_swp, dot_texts, export_graphs
 
@@ -530,7 +536,3 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, OSError):
             return EXIT_IO
         return EXIT_INVALID if isinstance(exc, InvalidInput) else EXIT_SIZE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ is attained at every z is not proven here.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (
     CompanionPair,
@@ -26,6 +26,9 @@ from .core import (
     require_int,
     require_valid,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_RANKS = 1_000_000
 
@@ -104,13 +107,17 @@ def construct_for_z(z: int) -> DefiningSet:
 
 def lower_bound(t: int) -> Fraction:
     """(3t - 2) / 2, valid for every balanced defining set."""
+    # imported on call: only the checks that compare with the bound need it
+    from fractions import Fraction
+
     return Fraction(3 * require_int(t, "t", 1) - 2, 2)
 
 
 def lower_bound_str(t: int) -> str:
-    """lower_bound(t) as the certificates write it: "p/q", also when q = 1."""
-    bound = lower_bound(t)
-    return f"{bound.numerator}/{bound.denominator}"
+    """lower_bound(t) as the certificates write it: "p/q" in lowest terms,
+    also when q = 1."""
+    twice = 3 * require_int(t, "t", 1) - 2
+    return f"{twice // 2}/1" if twice % 2 == 0 else f"{twice}/2"
 
 
 def upper_bound(z: int) -> int:

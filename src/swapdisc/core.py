@@ -27,6 +27,15 @@ class SizeRefused(RuntimeError):
 ODD = 1
 EVEN = -1
 
+# the worst-case engines (see adversary) and their size limits, here so that
+# the CLI's parser names them without loading an engine
+STRATEGIES = ("frontier", "exhaustive", "branch_and_bound")
+EXHAUSTIVE_MAX_RANKS = 40
+# up to this many ranks (t <= 4, at most F(17) = 1,597 swap sets) the default
+# engine stays the exhaustive scan: it costs about a millisecond there, and
+# perfbench's per-layer test expects the z = 2 base case to be scanned
+SCAN_DEFAULT_MAX_RANKS = 16
+
 
 def is_int(value: object, low: int | None = None, high: int | None = None) -> bool:
     """Whether `value` is an int (a bool or a float such as 3.0 is not) in

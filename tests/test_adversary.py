@@ -649,6 +649,25 @@ def test_witness_table_rejects_an_unbalanced_pair_with_the_validator_text():
     assert table.values(good) == [discrepancy(good, SwapSet(w)) for w in table]
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first-pair", "second-pair"])
+def test_witness_table_caches_no_pair_of_fewer_than_four_ranks(first):
+    # odd {a, b} against even {a, b} balances on two ranks, so its
+    # partition_bits has two bits set: the set is refused and that key is
+    # never cached, before or after a balanced pair of four ranks
+    twin, good = ({1, 4}, {1, 4}), ({5, 8}, {6, 7})
+    bad = defining_set(2, (twin, good) if first else (good, twin))
+    assert min(p.partition_bits.bit_count() for p in bad.pairs) == 2
+    text = "invalid defining set: " + "; ".join(validate_defining_set(bad).violations)
+    table = witness_table(8, [(1, 5)])
+    for call in (table.values, lambda ds: table.check(ds, 4),
+                 lambda ds: worst_case_bounded(ds, 4, table)):
+        with pytest.raises(InvalidInput) as err:
+            call(bad)
+        assert str(err.value) == text
+        assert all(bits.bit_count() == 4 for bits in table._packed)
+    assert len(table._packed) == (0 if first else 1)
+
+
 
 def test_witness_table_still_refuses_sets_of_cached_pairs():
     # a pair found in the cache skips its range check: the final coverage

@@ -1,6 +1,7 @@
 """CLI: document schemas, command behaviour, exit codes, determinism."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -534,14 +535,14 @@ def test_verify_sampled_population(tmp_path, capsys):
 def test_verify_sample_uses_the_requested_strategy(monkeypatch, capsys, strategy):
     # --strategy picks the engine of the constructed set only: every sampled
     # set is scanned with branch and bound
-    real = cli.worst_case
+    real = adversary.worst_case
     seen = []
 
     def counting(ds, strategy=None, **kwargs):
         seen.append(strategy)
         return real(ds, strategy=strategy, **kwargs)
 
-    monkeypatch.setattr(cli, "worst_case", counting)
+    monkeypatch.setattr(adversary, "worst_case", counting)
     # one process, so that every call lands in `seen`
     monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--checks", "eq8", "--sample", "300", "--seed", "1"]
@@ -563,7 +564,7 @@ def _failing(entry, name=None):
 # one check of the sampled population made to fail by patching its checker,
 # named with the module that the CLI reads it from at call time
 SAMPLE_FAULTS = {
-    "eq8": (cli, "minimal_maximizer_property", lambda real: lambda ds, res: False),
+    "eq8": (adversary, "minimal_maximizer_property", lambda real: lambda ds, res: False),
     "lemma2": (
         graphs,
         "verify_lemma2",
@@ -607,14 +608,14 @@ def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, 
     draws = sample_draws(1, 300)
     target, times = draws.most_common(1)[0]
     assert times == 3
-    real = cli.minimal_maximizer_property
+    real = adversary.minimal_maximizer_property
     checked = []
 
     def fail_target(ds, res):
         checked.append(set_key(ds))
         return set_key(ds) != target and real(ds, res)
 
-    monkeypatch.setattr(cli, "minimal_maximizer_property", fail_target)
+    monkeypatch.setattr(adversary, "minimal_maximizer_property", fail_target)
     monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--checks", "balance", "--sample", "300", "--seed", "1"]
     assert main(argv) == EXIT_CHECK_FAILED
@@ -624,14 +625,14 @@ def test_verify_sample_counts_a_repeated_failing_set_on_every_draw(monkeypatch, 
 
 
 def test_verify_sample_certificate_unchanged_without_the_memo(monkeypatch, capsys):
-    real = cli.worst_case
+    real = adversary.worst_case
     calls = []
 
     def counting(ds, **kwargs):
         calls.append(ds)
         return real(ds, **kwargs)
 
-    monkeypatch.setattr(cli, "worst_case", counting)
+    monkeypatch.setattr(adversary, "worst_case", counting)
     monkeypatch.setattr(_fork, "usable_cores", lambda: 1)
     argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1"]
     outputs = []
@@ -664,7 +665,7 @@ def test_verify_sample_refused_before_drawing(monkeypatch, capsys, z, n, strateg
         raise AssertionError("called before the size refusal")
 
     monkeypatch.setattr(optsearch, "random_balanced", fail)
-    monkeypatch.setattr(cli, "worst_case", fail)
+    monkeypatch.setattr(adversary, "worst_case", fail)
     argv = ["verify", "--z", str(z), "--checks", "balance", "--sample", "1"]
     assert main(argv + (["--strategy", strategy] if strategy else [])) == EXIT_SIZE
     captured = capsys.readouterr()
@@ -723,7 +724,7 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, run
                                             t, cap, block):
     monkeypatch.setattr(cli, "SAMPLE_MEMO_MAX", cap)
     monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
-    real = cli.worst_case
+    real = adversary.worst_case
     log = tmp_path / "checked.txt"
 
     def logging(ds, **kwargs):
@@ -735,7 +736,7 @@ def test_forked_workers_check_the_same_sets(on_cores, monkeypatch, tmp_path, run
             os.close(fd)
         return real(ds, **kwargs)
 
-    monkeypatch.setattr(cli, "worst_case", logging)
+    monkeypatch.setattr(adversary, "worst_case", logging)
     want = Counter(str(key) for key in checked_in_blocks(1, 300, cap, block, t))
     sets = ["--z", "2"] if t == 4 else ["--sets", write(tmp_path / "s.json", OPT3_DOC)]
     argv = ["verify", *sets, "--checks", "balance", "--sample", "300", "--seed", "1"]
@@ -778,14 +779,14 @@ def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, r
     jobs = checked_in_blocks(5, 40, cli.SAMPLE_MEMO_MAX, cli.SAMPLE_BLOCK)
     assert len(jobs) == 38
     refused = [jobs[j] for j in targets]
-    real = cli.worst_case
+    real = adversary.worst_case
 
     def refusing(ds, **kwargs):
         if set_key(ds) in refused:
             raise SizeRefused(f"refused {set_key(ds)}")
         return real(ds, **kwargs)
 
-    monkeypatch.setattr(cli, "worst_case", refusing)
+    monkeypatch.setattr(adversary, "worst_case", refusing)
     outputs = []
     for cores in (1, 3):
         on_cores(cores)
@@ -797,14 +798,14 @@ def test_forked_workers_raise_the_earliest_checks_error(on_cores, monkeypatch, r
 def test_dead_worker_is_an_error_without_certificate(on_cores, monkeypatch, tmp_path, run_reaped):
     on_cores(2)
     parent = os.getpid()
-    real = cli.worst_case
+    real = adversary.worst_case
 
     def dying(ds, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
         return real(ds, **kwargs)
 
-    monkeypatch.setattr(cli, "worst_case", dying)
+    monkeypatch.setattr(adversary, "worst_case", dying)
     out = tmp_path / "cert.json"
     argv = ["verify", "--z", "2", "--sample", "300", "--seed", "1", "--out", str(out)]
     code, stdout, stderr = run_reaped(argv)
@@ -969,16 +970,73 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "4"
 
 
-# runs one command in a fresh interpreter, then prints its exit code, the
-# swapdisc modules it loaded, whether dataclasses was loaded before swapdisc
+# runs swapdisc.__main__.run on these command-line arguments in a fresh
+# interpreter, then prints its exit code (that of a SystemExit too) and
+# whether it moved objects into the collector's permanent generation
+FREEZE_RUN = """\
+import gc, json, sys
+from swapdisc.__main__ import run
+before = gc.get_freeze_count()
+try:
+    code = run()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.get_freeze_count() > before]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["--version"], EXIT_OK, "swapdisc 0.1.0\n"),
+        (["construct"], EXIT_INVALID, ""),
+        (["verify", "--z", "4", "--checks", "balance", "--sample", "1"], EXIT_SIZE, ""),
+    ],
+    ids=["version", "argparse-error", "size-refusal"],
+)
+def test_process_entry_passes_every_exit_code_through_its_freeze(argv, code, stdout):
+    # `python -m swapdisc` and the console script both run __main__.run,
+    # which freezes the collector in a finally: on a return, on argparse's
+    # SystemExit for --version and for an argument error alike
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapdisc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    assert fresh_run(FREEZE_RUN, *argv) == [code, True]
+
+
+def test_console_script_is_the_process_entry():
+    # matched as text: Python 3.10 has no tomllib
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'swapdisc = "swapdisc.__main__:run"' in pyproject
+
+
+@pytest.mark.parametrize("argv", [["construct", "--z", "2"], ["construct", "--z", "1"]])
+def test_main_in_process_leaves_the_collector_alone(capsys, argv):
+    before = gc.get_freeze_count()
+    main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+# runs one command in a fresh interpreter, then prints its exit code (that
+# of argparse's SystemExit for --version), the swapdisc modules it loaded,
+# and for dataclasses and fractions whether each was loaded before swapdisc
 # was imported and whether it was loaded after the command
 FRESH_RUN = """\
 import json, sys
-preloaded = "dataclasses" in sys.modules
+unwanted = ("dataclasses", "fractions")
+preloaded = [name in sys.modules for name in unwanted]
 from swapdisc.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("swapdisc.")),
-                  preloaded, "dataclasses" in sys.modules]))
+                  preloaded, [name in sys.modules for name in unwanted]]))
 """
 
 
@@ -995,30 +1053,43 @@ def fresh_run(script, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _loads(graphs=False, optsearch=False, engine=False):
+    """The modules a command loads: the engine is adversary with _kernels."""
+    return {"graphs": graphs, "optsearch": optsearch, "adversary": engine, "_kernels": engine}
+
+
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv, loads, may_load_fractions",
     [
-        (["construct", "--z", "2"], {"graphs": False, "optsearch": False}),
-        (["eval", "--sets", "{sets}", "--worst-case"], {"graphs": False, "optsearch": False}),
-        (["eval", "--sets", "{sets}", "--swaps", "{swaps}"], {"graphs": False, "optsearch": False}),
-        (["search", "--t", "2"], {"graphs": False, "optsearch": True}),
-        (["verify", "--z", "2", "--sample", "1"], {"graphs": True, "optsearch": True}),
-        (["graphs", "--sets", "{sets}", "--minimal-maximizer", "--format", "json"],
-         {"graphs": True, "optsearch": False}),
+        (["construct", "--z", "2", "--out", "{out}"], _loads(), False),
+        (["eval", "--sets", "{sets}", "--worst-case", "--out", "{out}"], _loads(engine=True),
+         False),
+        (["eval", "--sets", "{sets}", "--swaps", "{swaps}", "--out", "{out}"], _loads(), False),
+        (["search", "--t", "2", "--out", "{out}"], _loads(optsearch=True, engine=True), False),
+        (["verify", "--z", "2", "--sample", "1", "--out", "{out}"],
+         _loads(graphs=True, optsearch=True, engine=True), True),
+        (["graphs", "--sets", "{sets}", "--minimal-maximizer", "--format", "json",
+          "--out", "{out}"], _loads(graphs=True, engine=True), False),
+        (["--version"], _loads(), False),
     ],
-    ids=["construct", "eval-worst-case", "eval-swaps", "search", "verify-sample", "graphs"],
+    ids=["construct", "eval-worst-case", "eval-swaps", "search", "verify-sample", "graphs",
+         "version"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads,
+                                                     may_load_fractions):
     paths = {
         "sets": write(tmp_path / "s.json", OPT2_DOC),
         "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
+        "out": str(tmp_path / "out"),
     }
-    args = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
-    code, modules, preloaded, dataclasses = fresh_run(FRESH_RUN, *args)
+    args = [arg.format(**paths) for arg in argv]
+    code, modules, preloaded, loaded = fresh_run(FRESH_RUN, *args)
     assert code == EXIT_OK
     assert {name: f"swapdisc.{name}" in modules for name in loads} == loads
     # no module of the package imports dataclasses (see README, Benchmark)
-    assert preloaded or not dataclasses
+    assert preloaded[0] or not loaded[0]
+    # nor fractions, but where a check compares with construct.lower_bound
+    assert preloaded[1] or may_load_fractions or not loaded[1]
 
 
 # imports every module of the package in a fresh interpreter, then prints

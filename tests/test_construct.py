@@ -166,7 +166,7 @@ def test_lemma1_refuses_an_oversize_next_level_before_any_scan(monkeypatch, caps
     def fail(*args, **kwargs):
         raise AssertionError("scanned before the size refusal")
 
-    monkeypatch.setattr(cli, "worst_case", fail)
+    monkeypatch.setattr(adversary, "worst_case", fail)
     start = time.perf_counter()
     # level 18 has 4t = 1,310,716 ranks, level 17 655,356
     assert verify_lemma1(17, capsys) == (
