@@ -70,15 +70,12 @@ class AdversaryResult(NamedTuple):
 
 
 class Attained(NamedTuple):
-    """The "attains" verdict of worst_case_bounded: the swap set at
-    `positions` (left endpoints, ascending: the form Witnesses and SwapSet hold)
-    reaches exactly `value` (the cutoff) and no swap set tried beats it, so
-    the worst case is at least `value`; whether it is exactly `value` is not
-    proven.  `enumerated` counts the swap sets the scan visited (0 without a
-    scan)."""
+    """The "attains" verdict of worst_case_bounded: a swap set reaches
+    exactly the cutoff and no swap set tried beats it, so the worst case
+    is at least the cutoff; whether it is exactly the cutoff is not
+    proven.  `enumerated` counts the swap sets the scan visited (0 without
+    a scan)."""
 
-    value: int
-    positions: tuple[int, ...]
     enumerated: int
 
 
@@ -275,7 +272,6 @@ class Witnesses:
         self._width = width
         self._half = 1 << (width - 1)  # a field's high bit
         self._ones = ((1 << width * self._cap) - 1) // ((1 << width) - 1)
-        self._slots: list[tuple[int, ...]] = []
         self._left: list[int] = []  # per slot: bit i for each swap (i, i+1)
         self._next = 0  # the slot the next push fills: the oldest at the cap
         self._filled = 0  # high bits of the filled slots
@@ -309,12 +305,10 @@ class Witnesses:
         require_inside(positions, self._n)
         left = sum(1 << i for i in positions)
         s = self._next
-        if s == len(self._slots):
-            self._slots.append(positions)
+        if s == len(self._left):
             self._left.append(left)
             self._filled |= self._half << s * self._width
         else:
-            self._slots[s] = positions
             self._left[s] = left
         self._next = (s + 1) % self._cap
         keep = ~(((1 << self._width) - 1) << s * self._width)
@@ -344,7 +338,7 @@ class Witnesses:
                     reject_invalid(ds)
                 fields = packed.get(bits)  # a twin with the same ranks may be cached
                 if fields is None:
-                    fields = packed[bits] = self._fields(bits, range(len(self._slots)))
+                    fields = packed[bits] = self._fields(bits, range(len(self._left)))
             covered |= bits
             total += fields
         if covered != full:
@@ -355,14 +349,13 @@ class Witnesses:
         """Each witness's total discrepancy on ds, in slot order."""
         total = self._scores(ds)
         width, mask = self._width, self._half * 2 - 1
-        return [(total >> s * width) & mask for s in range(len(self._slots))]
+        return [(total >> s * width) & mask for s in range(len(self._left))]
 
-    def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, tuple[int, ...] | None]:
+    def check(self, ds: DefiningSet, cutoff: int) -> tuple[bool, bool]:
         """Score every witness on ds against `cutoff`, validating ds first.
 
-        Returns (beats, attained).  beats: some witness is above the cutoff.
-        Otherwise attained is the witness in the lowest slot exactly at the
-        cutoff, or None.  Nothing moves between slots.
+        Returns (beats, attains): whether some witness is above the cutoff,
+        and, when none is, whether some witness is exactly at it.
         """
         total = self._scores(ds)
         # only the last valid cutoff itself reuses the constants: True == 1
@@ -376,18 +369,15 @@ class Witnesses:
             self._reach = (self._half - c) * self._ones
             self._cutoff = cutoff
         if (total + self._above) & self._filled:
-            return True, None
-        reach = (total + self._reach) & self._filled
-        if reach:
-            # the lowest set high bit is bit width - 1 of its slot
-            return False, self._slots[(reach & -reach).bit_length() // self._width - 1]
-        return False, None
+            return True, False
+        return False, bool((total + self._reach) & self._filled)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._slots)
+        """The witnesses' positions, in slot order."""
+        return (tuple(i for i in range(1, self._n) if left >> i & 1) for left in self._left)
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._left)
 
 
 def worst_case_bounded(
@@ -420,11 +410,11 @@ def worst_case_bounded(
     "beats" and "attains" a candidate above the cutoff gets, and
     `enumerated`, the number of swap sets the scan visited, do.
     """
-    beats, attained = witnesses.check(ds, cutoff)
+    beats, attains = witnesses.check(ds, cutoff)
     if beats:
         return None, True
-    if attained is not None:
-        return Attained(cutoff, attained, 0), False
+    if attains:
+        return Attained(0), False
     # the scan stops at the first value >= cutoff (at cutoff 0 it runs to the end)
     best_d, _m, best, count, nodes = _kernels.scan_chunk(
         ds.n_ranks, *rank_table(ds), True, -1, cutoff - 1
@@ -434,7 +424,7 @@ def worst_case_bounded(
     if best_d > cutoff:
         return None, True
     if best_d == cutoff:
-        return Attained(cutoff, best, nodes), False
+        return Attained(nodes), False
     return (
         AdversaryResult(
             worst_case=best_d,

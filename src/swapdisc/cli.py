@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import sys
-from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from . import __version__
@@ -372,6 +371,8 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
     draws in the block.  The verdicts of the first SAMPLE_MEMO_MAX distinct
     sets are kept.  A block's checks run in one share per usable core
     (_fork), each of at least SAMPLE_MIN_SHARE."""
+    from random import Random
+
     from . import _fork
     from .optsearch import random_balanced
 

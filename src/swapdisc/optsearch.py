@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from random import Random
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, NamedTuple
 
 # the search's scans and rank tables are read from adversary, _kernels and
 # core at call time, so a wrapper set there after this import
@@ -33,6 +32,9 @@ from .core import (
     all_ranks,
     require_int,
 )
+
+if TYPE_CHECKING:
+    from random import Random
 
 # rank-1 branches walked in this process before the rest are split among
 # forked shares (see find_optimal)
@@ -261,24 +263,28 @@ class SearchResult(NamedTuple):
 
 class _Walk(NamedTuple):
     """What one walk over candidates found: its last cutoff d_star, the
-    sets kept at it, as (pairs, proven) in enumeration order, the
-    candidates examined, and whether the walk ended before the deadline."""
+    pairs of the set whose exact scan set it (None if no scan in the walk
+    did), the pairs of the sets that tied it afterwards, in enumeration
+    order, the candidates examined, and whether the walk ended before the
+    deadline."""
 
     d_star: int
-    kept: list[tuple[tuple[CompanionPair, ...], bool]]
+    best: tuple[CompanionPair, ...] | None
+    ties: list[tuple[CompanionPair, ...]]
     examined: int
     certified: bool
 
 
 def _walk(candidates: Generator[DefiningSet, None, None], d_star: int,
-          kept: list[tuple[tuple[CompanionPair, ...], bool]], witnesses: Witnesses,
+          best: tuple[CompanionPair, ...] | None, witnesses: Witnesses,
           deadline: float | None) -> _Walk:
-    """The search's loop over `candidates`, from cutoff d_star and the sets
-    `kept` at it: a candidate is abandoned as soon as some swap set pushes
-    it above the cutoff, kept unproven when one only ties it, and kept
-    proven, as the new cutoff, when a scan proves it below.  A new cutoff
-    drops every set kept at the old one.  The deadline is checked before
-    each candidate."""
+    """The search's loop over `candidates`, from cutoff d_star set by the
+    pairs `best`: a candidate is abandoned as soon as some swap set pushes
+    it above the cutoff, kept as a tie, not yet proven, when one only ties
+    it, and kept as the new best, with its worst case the new cutoff, when
+    a scan proves it below.  A new cutoff drops every tie of the old one.
+    The deadline is checked before each candidate."""
+    ties: list[tuple[CompanionPair, ...]] = []
     examined = 0
     certified = True
     worst_case_bounded = adversary.worst_case_bounded
@@ -291,36 +297,37 @@ def _walk(candidates: Generator[DefiningSet, None, None], d_star: int,
         if exceeded:
             continue
         if isinstance(res, Attained):
-            kept.append((ds.pairs, False))
+            ties.append(ds.pairs)
         else:
             d_star = res.worst_case
-            kept = [(ds.pairs, True)]
+            best = ds.pairs
+            ties = []
     candidates.close()  # a blown budget leaves it open; this drops its memo
-    return _Walk(d_star, kept, examined, certified)
+    return _Walk(d_star, best, ties, examined, certified)
 
 
 def _prove(t: int, walk: _Walk, deadline: float | None) -> _Walk:
-    """`walk` with each set it kept unproven proven at its cutoff D*: a
-    swap set reaches D* on it, so it is kept only if none passes D*.  The
-    proof is one kernel scan from the pruning floor D* + 1, which need not
-    be attained: it skips every subtree that cannot pass D*, and the scan
-    stops at the first swap set that does.  The deadline is checked before each proof; once it is blown,
-    the sets not yet proven are dropped and the walk is no longer
-    certified."""
-    kept = []
+    """`walk` with each of its ties proven at its cutoff D*: a swap set
+    reaches D* on it, so it is kept only if none passes D*.  The proof is
+    one kernel scan from the pruning floor D* + 1, which need not be
+    attained: it skips every subtree that cannot pass D*, and the scan
+    stops at the first swap set that does.  The deadline is checked before
+    each proof; once it is blown, the ties not yet proven are dropped and
+    the walk is no longer certified.  Its best is kept as it is."""
+    ties = []
     certified = walk.certified
     d_star = walk.d_star
-    for pairs, proven in walk.kept:
-        if not proven:
-            if deadline is not None and time.perf_counter() > deadline:
-                certified = False
-                continue
-            # the pairs come from the enumeration: a valid set by construction
-            tables = core.rank_table(_unchecked_set(t, pairs))
-            if _kernels.scan_chunk(4 * t, *tables, True, d_star + 1, d_star)[0] > d_star:
-                continue
-        kept.append((pairs, True))
-    return walk._replace(kept=kept, certified=certified)
+    for pairs in walk.ties:
+        if deadline is not None and time.perf_counter() > deadline:
+            certified = False
+            continue
+        # the pairs come from the enumeration: a valid set by construction
+        tables = core.rank_table(_unchecked_set(t, pairs))
+        # below an unattained floor the scan returns only the best value it
+        # visited, so a set without a swap set past D* may read below D*
+        if _kernels.scan_chunk(4 * t, *tables, True, d_star + 1, d_star)[0] <= d_star:
+            ties.append(pairs)
+    return walk._replace(ties=ties, certified=certified)
 
 
 def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
@@ -336,11 +343,12 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     core.  _fork.fork_map walks the runs (the first, less the warm-up,
     here, the others in forked children), each from the warm-up's cutoff
     and witness table; a share that lowers the cutoff proves its ties
-    itself (_prove).  D* is the lowest cutoff a walk ended at.  The sets
-    kept by the walks that ended at D* are merged in enumeration order,
-    and each one still unproven is proven at D*, so `optima` lists every
-    canonical optimum in enumeration order, and the result is the same on
-    every core count.
+    itself (_prove).  D* is the lowest cutoff a walk ended at.  So the
+    ties of the walks that ended at D* are all proven when D* is below
+    the warm-up's cutoff, and none of them is when it is not: then they
+    are proven here.  `optima` is each such walk's best, if it has one,
+    then its proven ties, walk by walk: every canonical optimum in
+    enumeration order, the same on every core count.
 
     Every candidate is scanned with branch and bound, so t with 4t above
     EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
@@ -370,11 +378,11 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     d_star = adversary.worst_case(seed, strategy="branch_and_bound").worst_case
     # swap sets that reached recent cutoffs; they only ever speed up the verdicts
     witnesses = Witnesses(4 * t)
-    walk = _walk(stream, d_star, [(seed.pairs, True)], witnesses, deadline)
+    walk = _walk(stream, d_star, seed.pairs, witnesses, deadline)
     walks = [walk._replace(examined=walk.examined + 1)]
     if walk.certified:
         def share(branches: range) -> _Walk:
-            found = _walk(enumerate_balanced(t, branches), walk.d_star, [], witnesses, deadline)
+            found = _walk(enumerate_balanced(t, branches), walk.d_star, None, witnesses, deadline)
             # a share that lowered the cutoff likely holds D*: it proves its
             # ties while the other shares still run
             return _prove(t, found, deadline) if found.d_star < walk.d_star else found
@@ -384,17 +392,18 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
         walks += _fork.fork_map(share, runs, "search worker")
 
     d_star = min(w.d_star for w in walks)
-    # a walk that ended above D* kept sets above it.  Each walk keeps its
-    # sets in enumeration order and walks the branches after the previous
-    # walk's, so the list is in enumeration order, led by a proven set
-    kept = [item for w in walks if w.d_star == d_star for item in w.kept]
-    merged = _prove(t, _Walk(d_star, kept, sum(w.examined for w in walks),
-                             all(w.certified for w in walks)), deadline)
+    # a walk that ended above D* kept sets above it.  Each walk walks the
+    # branches after the previous walk's, so the sets are in enumeration
+    # order, led by the warm-up's best or a lowering share's
+    optimal = [w for w in walks if w.d_star == d_star]
+    if d_star == walk.d_star:
+        optimal = [_prove(t, w, deadline) for w in optimal]
     return SearchResult(
         t=t,
         d_star=d_star,
-        optima=tuple(DefiningSet(t, pairs) for pairs, _ in merged.kept),
-        candidates_examined=merged.examined,
+        optima=tuple(DefiningSet(t, pairs) for w in optimal
+                     for pairs in (w.best, *w.ties) if pairs is not None),
+        candidates_examined=sum(w.examined for w in walks),
         wall_time=time.perf_counter() - started,
-        certified=merged.certified,
+        certified=all(w.certified for w in walks + optimal),
     )

@@ -1024,11 +1024,11 @@ def test_main_in_process_leaves_the_collector_alone(capsys, argv):
 
 # runs one command in a fresh interpreter, then prints its exit code (that
 # of argparse's SystemExit for --version), the swapdisc modules it loaded,
-# and for dataclasses and fractions whether each was loaded before swapdisc
-# was imported and whether it was loaded after the command
+# and for dataclasses, fractions and random whether each was loaded before
+# swapdisc was imported and whether it was loaded after the command
 FRESH_RUN = """\
 import json, sys
-unwanted = ("dataclasses", "fractions")
+unwanted = ("dataclasses", "fractions", "random")
 preloaded = [name in sys.modules for name in unwanted]
 from swapdisc.cli import main
 try:
@@ -1059,7 +1059,7 @@ def _loads(graphs=False, optsearch=False, engine=False):
 
 
 @pytest.mark.parametrize(
-    "argv, loads, may_load_fractions",
+    "argv, loads, samples",
     [
         (["construct", "--z", "2", "--out", "{out}"], _loads(), False),
         (["eval", "--sets", "{sets}", "--worst-case", "--out", "{out}"], _loads(engine=True),
@@ -1075,8 +1075,7 @@ def _loads(graphs=False, optsearch=False, engine=False):
     ids=["construct", "eval-worst-case", "eval-swaps", "search", "verify-sample", "graphs",
          "version"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads,
-                                                     may_load_fractions):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, samples):
     paths = {
         "sets": write(tmp_path / "s.json", OPT2_DOC),
         "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
@@ -1088,8 +1087,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads,
     assert {name: f"swapdisc.{name}" in modules for name in loads} == loads
     # no module of the package imports dataclasses (see README, Benchmark)
     assert preloaded[0] or not loaded[0]
-    # nor fractions, but where a check compares with construct.lower_bound
-    assert preloaded[1] or may_load_fractions or not loaded[1]
+    # nor fractions, but where a check compares with construct.lower_bound,
+    # nor random, but where sets are drawn: both only in verify --sample
+    assert preloaded[1] or samples or not loaded[1]
+    assert preloaded[2] or samples or not loaded[2]
 
 
 # imports every module of the package in a fresh interpreter, then prints

@@ -19,7 +19,7 @@ from naive_oracles import (
     ordered_balanced_sets,
     ordered_random_balanced,
 )
-from swapdisc import _fork, adversary, optsearch
+from swapdisc import _fork, adversary, core, optsearch
 from swapdisc.adversary import worst_case
 from swapdisc.cli import EXIT_OK, defining_set_to_doc, main
 from swapdisc.construct import base_case, lower_bound
@@ -465,22 +465,57 @@ def test_prove_keeps_the_proven_set_and_the_ties_at_d_star(monkeypatch):
     values = [(ds.pairs, worst_case(ds).worst_case)
               for ds in itertools.islice(enumerate_balanced(4), 60)]
     first = next(k for k, (_, v) in enumerate(values) if v == d_star)
-    proven = values[first][0]
+    best = values[first][0]
     ties = [(pairs, v) for pairs, v in values[first + 1:] if v >= d_star]
     assert sum(v == d_star for _, v in ties) > 1 and sum(v > d_star for _, v in ties) > 1
-    walk = optsearch._Walk(d_star, [(proven, True)] + [(pairs, False) for pairs, _ in ties],
-                           60, True)
+    walk = optsearch._Walk(d_star, best, [pairs for pairs, _ in ties], 60, True)
 
     def no_exact_scan(*args, **kwargs):
         raise AssertionError("a proof only asks whether some swap set passes D*")
 
     monkeypatch.setattr(adversary, "worst_case", no_exact_scan)
     monkeypatch.setattr(adversary, "worst_case_bounded", no_exact_scan)
-    at_d_star = [(pairs, True) for pairs, v in ties if v == d_star]
-    assert optsearch._prove(4, walk, None) == walk._replace(kept=[(proven, True)] + at_d_star)
-    # a deadline already past: no tie is proven, and the proven set stays
+    at_d_star = [pairs for pairs, v in ties if v == d_star]
+    assert optsearch._prove(4, walk, None) == walk._replace(ties=at_d_star)
+    # a deadline already past: no tie is proven, and the best stays
     late = optsearch._prove(4, walk, time.perf_counter() - 1)
-    assert late == walk._replace(kept=[(proven, True)], certified=False)
+    assert late == walk._replace(ties=[], certified=False)
+
+
+def test_each_tie_is_proven_once_and_no_best_is_proven(monkeypatch):
+    # three shares walked in this process: t = 5 has 81 top-level branches,
+    # so each share walks at least 25 of them
+    monkeypatch.setattr(_fork, "usable_cores", lambda: 3)
+    monkeypatch.setattr(_fork, "fork_map", lambda fn, shares, what: [fn(s) for s in shares])
+    walks = []
+    walk = optsearch._walk
+
+    def recording_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    scans = []
+    scan = adversary._kernels.scan_chunk
+
+    def recording_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(optsearch, "_walk", recording_walk)
+    monkeypatch.setattr(adversary._kernels, "scan_chunk", recording_scan)
+    res = find_optimal(5)
+    assert (res.d_star, res.certified) == (8, True)
+    assert len(walks) == 1 + 3  # the warm-up and the shares
+    # a proof scan abandons above D* from the floor D* + 1; a bounded scan
+    # at cutoff D* + 1 abandons above D* too, but has no floor
+    d_star = res.d_star
+    proofs = [tuple(map(tuple, args[1:4])) for args in scans
+              if args[-2:] == (d_star + 1, d_star)]
+    assert proofs
+    assert len(set(proofs)) == len(proofs)
+    bests = {tuple(map(tuple, core.rank_table(DefiningSet(5, w.best))))
+             for w in walks if w.best is not None}
+    assert bests and bests.isdisjoint(proofs)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, "5", True, False])

@@ -1,12 +1,15 @@
 """The README's library quick start runs and gives the results its
 comments state, and its CLI section names exactly the commands' options, so
 that an API change cannot leave it stale; and the suite tests the checkout
-it is run from, as the README's "Tests" section says."""
+it is run from, as the README's "Tests" section says, and reports every test
+after a failing one."""
 
 import argparse
 import ast
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import swapdisc
@@ -64,3 +67,36 @@ def test_no_pythonpath_entry_holds_another_swapdisc():
                 f"PYTHONPATH holds the package {package}, but the suite imported "
                 f"{imported}: run the suite from the checkout under test"
             )
+
+
+# a hypothesis test that fails, then one that passes
+FAILING_THEN_PASSING = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_leaves_the_later_tests_running(tmp_path):
+    # run with this checkout's pytest settings: its warning filters turn
+    # every warning into an error, also one raised while a failure is
+    # reported, which would end the session before the second test
+    (tmp_path / "test_probe.py").write_text(FAILING_THEN_PASSING, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(README.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
