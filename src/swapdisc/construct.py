@@ -9,12 +9,14 @@ bound attained at z = 2..6 (d_z = 6, 14, 30, 62, 126: the base case's 6 in
 tests/test_adversary.py::test_worst_case_base_case_is_6, z = 3 in
 tests/test_frontier.py::test_level3_pins, z = 4..6 in
 tests/test_frontier.py::test_construction_levels_beyond_the_scan); that it
-is attained at every z is not proven here.
+is attained at every z is not proven here.  The frontier takes seconds at
+z = 7 (d_7 = 254, 3,607,802 states) and refuses z = 8 (exit 4) only after
+about 40 s, so `verify --z 7 --checks lemma1` ends in that refusal too;
+composing each level from its two copies (ROADMAP item 1) would reach
+every level.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from .core import (
     CompanionPair,
@@ -26,9 +28,6 @@ from .core import (
     require_int,
     require_valid,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 DEFAULT_MAX_RANKS = 1_000_000
 
@@ -105,12 +104,12 @@ def construct_for_z(z: int) -> DefiningSet:
     return ds
 
 
-def lower_bound(t: int) -> Fraction:
-    """(3t - 2) / 2, valid for every balanced defining set."""
-    # imported on call: only the checks that compare with the bound need it
-    from fractions import Fraction
-
-    return Fraction(3 * require_int(t, "t", 1) - 2, 2)
+def lower_bound(t: int) -> int:
+    """The least integer meeting the bound (3t - 2) / 2 that holds for every
+    balanced defining set: its ceiling, (3t - 1) // 2.  An integer is >= a
+    number exactly when it is >= the number's ceiling, so comparing a worst
+    case or an edge count with it gives the exact bound's verdict."""
+    return (3 * require_int(t, "t", 1) - 1) // 2
 
 
 def lower_bound_str(t: int) -> str:

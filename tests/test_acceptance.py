@@ -9,7 +9,6 @@ each of t = 3 and t = 4, evaluated with the literal (original-set)
 membership convention.
 """
 
-import math
 import time
 from random import Random
 
@@ -139,8 +138,7 @@ def test_criterion_6_bound_sandwich():
     ok = True
     for t in (1, 2, 3, 4):
         d_star = find_optimal(t).d_star
-        lb = lower_bound(t)
-        ceil_even = math.ceil(lb)
+        ceil_even = lower_bound(t)
         if ceil_even % 2:
             ceil_even += 1
         ok = ok and ceil_even <= d_star

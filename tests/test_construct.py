@@ -15,6 +15,7 @@ from swapdisc.construct import (
     base_case,
     construct_for_z,
     lower_bound,
+    lower_bound_str,
     recursive_step,
     t_for_z,
     upper_bound,
@@ -119,9 +120,22 @@ def test_closing_pair_sums():
 
 
 def test_lower_bound_values():
-    assert lower_bound(2) == Fraction(2)
-    assert lower_bound(1) == Fraction(1, 2)
-    assert lower_bound(9) == Fraction(25, 2)
+    assert lower_bound(1) == 1
+    assert lower_bound(2) == 2
+    assert lower_bound(9) == 13
+
+
+def test_lower_bound_gives_the_exact_bound_verdict_on_integers():
+    # every integer a check compares with the bound: a worst case or 2|E|
+    for t in range(1, 41):
+        for x in range(4 * t + 2):
+            assert (x >= lower_bound(t)) == (2 * x >= 3 * t - 2), (t, x)
+
+
+def test_lower_bound_str_writes_the_exact_bound_in_lowest_terms():
+    for t in range(1, 41):
+        exact = Fraction(3 * t - 2, 2)
+        assert lower_bound_str(t) == f"{exact.numerator}/{exact.denominator}"
 
 
 def test_upper_bound_values():
