@@ -16,12 +16,9 @@ from .core import (
     PairType,
     SizeRefused,
     SwapSet,
-    apply_swaps,
-    canonicalize,
     classify_pair,
     defining_set,
     discrepancy,
-    reflect,
     validate_defining_set,
 )
 
@@ -50,13 +47,10 @@ __all__ = [
     "PairType",
     "SizeRefused",
     "SwapSet",
-    "apply_swaps",
     "backend_name",
-    "canonicalize",
     "classify_pair",
     "defining_set",
     "discrepancy",
-    "reflect",
     "validate_defining_set",
     "worst_case",
     "__version__",

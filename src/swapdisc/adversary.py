@@ -34,7 +34,7 @@ exact worst case, and whether any swap set passes a value.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _kernels
 from .core import (
@@ -371,13 +371,6 @@ class Witnesses:
         if (total + self._above) & self._filled:
             return True, False
         return False, bool((total + self._reach) & self._filled)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        """The witnesses' positions, in slot order."""
-        return (tuple(i for i in range(1, self._n) if left >> i & 1) for left in self._left)
-
-    def __len__(self) -> int:
-        return len(self._left)
 
 
 def worst_case_bounded(

@@ -158,6 +158,27 @@ def certificate(
     }
 
 
+def _certificate_text(
+    ds: DefiningSet,
+    res: AdversaryResult | None,
+    checks: dict[str, dict[str, Any]],
+) -> str:
+    """certificate(ds, res, checks) as the commands write it: indented JSON
+    and a newline.  A maximizer count with more decimal digits than this
+    interpreter writes out (sys.get_int_max_str_digits, 4,300 by default;
+    0 is no limit) is refused with SizeRefused, naming its bit length."""
+    # Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if res and limit and res.maximizer_count >= 10**limit:
+        raise SizeRefused(
+            f"certificate refused: its maximizer count has "
+            f"{res.maximizer_count.bit_length():,} bits, more than the {limit:,} "
+            "decimal digits this Python writes out; PYTHONINTMAXSTRDIGITS=0 "
+            "lifts the limit"
+        )
+    return json.dumps(certificate(ds, res, checks), indent=2) + "\n"
+
+
 # ------------------------------------------------------------------- helpers
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -248,8 +269,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .adversary import worst_case
 
     res = worst_case(ds, strategy=args.strategy)
-    text = json.dumps(certificate(ds, res, checks={}), indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(_certificate_text(ds, res, checks={}), args.out)
     return EXIT_OK
 
 
@@ -354,8 +374,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "holds": failures == 0,
             "details": {"sampled": args.sample, "seed": args.seed, "failures": failures},
         }
-    text = json.dumps(certificate(ds, res, checks), indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(_certificate_text(ds, res, checks), args.out)
     all_hold = all(entry["holds"] is True for entry in checks.values())
     return EXIT_OK if all_hold else EXIT_CHECK_FAILED
 
@@ -478,8 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "processes, one per usable core, from t = 5 on more than one; the "
         "output, apart from wall_time, is the same on every core count.")
     p.add_argument("--t", type=int, required=True,
-                   help=f"pair count, 1 to {EXHAUSTIVE_MAX_RANKS // 4}; a larger t "
-                   "is refused (exit 4) before any work")
+                   help=f"pair count, 1 to {EXHAUSTIVE_MAX_RANKS // 4}; a larger t, "
+                   "and t >= 8 without --time-budget, is refused (exit 4) before "
+                   "any work")
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds before returning a partial, uncertified result; "
                    "checked before each candidate and before each proof of a "

@@ -13,7 +13,11 @@ is attained at every z is not proven here.  The frontier takes seconds at
 z = 7 (d_7 = 254, 3,607,802 states) and refuses z = 8 (exit 4) only after
 about 40 s, so `verify --z 7 --checks lemma1` ends in that refusal too;
 composing each level from its two copies (ROADMAP item 1) would reach
-every level.
+every level.  Maximizer counts grow fast with 4t (2,229 bits for 340
+copies of the base case side by side): `eval --worst-case` and `verify`
+refuse (exit 4) a certificate whose count has more decimal digits than
+Python writes out (4,300 by default), and PYTHONINTMAXSTRDIGITS=0 lifts
+that limit.
 """
 
 from __future__ import annotations

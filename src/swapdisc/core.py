@@ -396,10 +396,6 @@ class PairType(NamedTuple):
     b: int
     c: int | None = None
 
-    @property
-    def params(self) -> tuple[int, ...]:
-        return (self.a, self.b) if self.c is None else (self.a, self.b, self.c)
-
 
 def classify_pair(cp: CompanionPair) -> PairType:
     """Classify a balanced pair; exactly one of the three kinds applies.
@@ -415,33 +411,3 @@ def classify_pair(cp: CompanionPair) -> PairType:
     if l3 - l2 == 1:
         return PairType(kind=1, a=l1, b=l2 - l1)
     return PairType(kind=2, a=l1, b=l2 - l1, c=l3 - l2)
-
-
-def canonicalize(ds: DefiningSet) -> DefiningSet:
-    """Normalize roles and order: odd set carries each quadruple's minimum,
-    pairs sorted by minimum element."""
-    fixed = [
-        p if min(p.elements) in p.odd else CompanionPair(p.even, p.odd) for p in ds.pairs
-    ]
-    fixed.sort(key=lambda p: min(p.elements))
-    return DefiningSet(ds.t, tuple(fixed))
-
-
-def reflect(ds: DefiningSet) -> DefiningSet:
-    """Mirror every rank through x -> 4t+1-x, preserving roles and order."""
-    m = ds.n_ranks + 1
-    return DefiningSet(
-        ds.t,
-        tuple(
-            CompanionPair(
-                frozenset(m - x for x in p.odd), frozenset(m - x for x in p.even)
-            )
-            for p in ds.pairs
-        ),
-    )
-
-
-def reflect_swaps(ds_t: int, swaps: SwapSet) -> SwapSet:
-    """Image of a swap set under the same reflection: (i, i+1) -> (4t-i, 4t-i+1)."""
-    n = 4 * require_int(ds_t, "t", 1)
-    return SwapSet(n - i for i in swaps.positions)

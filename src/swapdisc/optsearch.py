@@ -43,6 +43,10 @@ SEARCH_WARM_UP = 1
 # where on 2 cores two shares saved 0.4 ms of its 8.1 ms for 50 % more CPU;
 # t = 5 (81 branches) is split in up to 3 shares
 SEARCH_MIN_SHARE = 25
+# largest t searched without a time budget: t = 7 took 939 s on 2 cores over
+# 332,352,318 candidates, and t = 8 has 35,368,663,013 canonical balanced
+# sets, 106 times as many (about 48 CPU-hours at t = 7's rate)
+UNBUDGETED_MAX_T = 7
 # most ranks whose table (_Table) is built: it holds O((4t)^3) quadruples.
 # For 4t = 316 (the z = 6 construction's t) they are 2,592,227 and took 43 s
 # and 2.0 GiB, with a pair each, before verify's first --sample draw; for
@@ -191,10 +195,6 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             break
         else:
             depth -= 1
-
-
-def count_balanced(t: int) -> int:
-    return sum(1 for _ in enumerate_balanced(t))
 
 
 def _draw(rem: int, table: _Table, getrandbits: Callable[[int], int]) -> tuple[int, ...] | None:
@@ -351,7 +351,8 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     enumeration order, the same on every core count.
 
     Every candidate is scanned with branch and bound, so t with 4t above
-    EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration.
+    EXHAUSTIVE_MAX_RANKS is refused (SizeRefused) before any enumeration,
+    and so is t above UNBUDGETED_MAX_T without a time budget.
     The time budget (seconds, >= 0) is checked before each candidate and
     before each proof.  Once it is blown, no further candidate is examined
     and no further tie is proven (a budget blown in the warm-up ends the
@@ -371,6 +372,12 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
         raise SizeRefused(
             f"search refused for t = {t}: its branch-and-bound scans are refused "
             f"above 4t = {EXHAUSTIVE_MAX_RANKS}"
+        )
+    if time_budget is None and t > UNBUDGETED_MAX_T:
+        raise SizeRefused(
+            f"search refused for t = {t} without a time budget (--time-budget): "
+            "t = 8 alone has 35,368,663,013 canonical balanced sets, about 48 "
+            "CPU-hours of scans"
         )
     deadline = None if time_budget is None else started + time_budget
     stream = enumerate_balanced(t, range(SEARCH_WARM_UP))

@@ -3,14 +3,17 @@
 Everything here is deliberately written from the definitions with itertools
 and literal set manipulation, sharing no code with the package internals.
 The one exception is `reference_scan`, the scan kernel in its plain
-recursive form, kept as the reference for the optimized kernel.  Only
-usable at small t.
+recursive form, kept as the reference for the optimized kernel; and
+`mirror` builds its image with the package's public `defining_set`, so
+that the tests can hand it to the engines.  Only usable at small t.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from random import Random
+
+from swapdisc.core import defining_set
 
 
 def fib(k: int) -> int:
@@ -101,6 +104,16 @@ def naive_balanced_sets(t: int) -> set[tuple]:
 
     rec(tuple(range(1, 4 * t + 1)), [])
     return out
+
+
+def mirror(ds):
+    """ds under the reflection x -> 4t + 1 - x of its ranks, each pair's
+    roles and the pairs' order kept.  The image of a swap (i, i + 1) is
+    (4t - i, 4t + 1 - i)."""
+    m = 4 * ds.t + 1
+    return defining_set(
+        ds.t, [({m - x for x in p.odd}, {m - x for x in p.even}) for p in ds.pairs]
+    )
 
 
 def naive_pot_arcs(pairs, swaps, t: int, membership: str = "original"):

@@ -3,6 +3,7 @@
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -310,6 +311,39 @@ def test_eval_size_refusal_exit4(tmp_path, capsys):
     assert code == EXIT_SIZE
 
 
+def test_a_count_with_too_many_digits_is_refused_by_its_bit_length(tmp_path, capsys):
+    # 340 copies of the base case side by side (4t = 5,440): a maximizer
+    # count of 2,229 bits, 671 digits, past the least limit Python allows
+    base = [{"odd": sorted(p.odd), "even": sorted(p.even)} for p in construct.base_case().pairs]
+    pairs = [{side: [r + 16 * k for r in ranks] for side, ranks in pair.items()}
+             for k in range(340) for pair in base]
+    sets = write(tmp_path / "s.json", {"t": 4 * 340, "pairs": pairs})
+    commands = (["eval", "--sets", sets, "--worst-case"],
+                ["verify", "--sets", sets, "--checks", "eq8"])
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for argv in commands:
+            assert main(argv) == EXIT_SIZE
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == (
+                "error: certificate refused: its maximizer count has 2,229 bits, more "
+                "than the 640 decimal digits this Python writes out; "
+                "PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+            )
+        # with the limit lifted, the exact count is written
+        sys.set_int_max_str_digits(0)
+        res = adversary.worst_case(doc_to_defining_set(json.loads(Path(sets).read_text())))
+        assert res.maximizer_count.bit_length() == 2229
+        for argv in commands:
+            assert main(argv) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["adversary"]["maximizer_count"] == res.maximizer_count
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_eval_branch_and_bound_refused_above_envelope_exit4(tmp_path, capsys):
     big = tmp_path / "big.json"
     main(["construct", "--z", "4", "--out", str(big)])
@@ -412,9 +446,11 @@ def test_search_invalid_t(capsys):
 
 
 def test_search_time_budget_uncertified(capsys):
-    assert main(["search", "--t", "4", "--time-budget", "0"]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["certified"] is False
+    # t = 8 is searched only with a budget
+    for t in ("4", "8"):
+        assert main(["search", "--t", t, "--time-budget", "0"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is False
 
 
 def test_search_time_budget_nan_or_negative_exit2(capsys):
@@ -432,6 +468,20 @@ def test_search_above_the_scan_limit_exit4_at_once(capsys, t):
     assert main(["search", "--t", t, "--time-budget", "1"]) == EXIT_SIZE
     assert time.perf_counter() - started < 1.0
     assert f"search refused for t = {t}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["8", "10"])
+def test_search_from_t8_without_a_budget_exit4_at_once(capsys, t):
+    started = time.perf_counter()
+    assert main(["search", "--t", t]) == EXIT_SIZE
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: search refused for t = {t} without a time budget (--time-budget): "
+        "t = 8 alone has 35,368,663,013 canonical balanced sets, about 48 CPU-hours "
+        "of scans\n"
+    )
 
 
 @pytest.mark.parametrize("flag", [["--strategy", "frontier"], ["--force-exhaustive"]])
@@ -1108,3 +1158,89 @@ def test_no_module_of_the_package_imports_dataclasses():
     if preloaded:
         pytest.skip("this interpreter loads dataclasses at start-up")
     assert not loaded
+
+
+# the functions and properties of the package that no command runs, each
+# with the reason it stays
+NO_COMMAND_RUNS = {
+    "core.Frozen.__init_subclass__": "runs as each value type is defined, at import",
+    "core.Frozen.__eq__": "equality of values, for library callers and the tests",
+    "core.Frozen.__hash__": "hashing of values, for library callers and the tests",
+    "core.Frozen.__repr__": "printing of values, for library callers and the tests",
+    "core.Frozen.__setattr__": "refuses assigning a field of a value",
+    "core.Frozen.__delattr__": "refuses deleting a field of a value",
+    "core.apply_swaps": "perfbench/tracer.py traces it by name",
+    "_kernels.backend_name": "perfbench/run.py names the kernel with it",
+    "__init__.__getattr__": "resolves swapdisc.backend_name and the engine's names",
+    "adversary.Witnesses.values": "the tests' view of a witness table's packed totals",
+    "__main__.run": "the process entry: it freezes the collector, so "
+                    "test_process_entry_passes_every_exit_code_through_its_freeze "
+                    "runs it in a fresh interpreter",
+}
+
+
+def package_functions():
+    """{(real path, first line): "module.qualified.name"} for every function,
+    method and property getter defined in the package, nested ones too;
+    lambdas, comprehensions and class bodies are left out."""
+    found = {}
+
+    def walk(code, name):
+        for const in code.co_consts:
+            if inspect.iscode(const) and not const.co_name.startswith("<"):
+                inner = f"{name}.{const.co_name}"
+                if const.co_flags & inspect.CO_NEWLOCALS:  # no class body
+                    found[(os.path.realpath(const.co_filename), const.co_firstlineno)] = inner
+                walk(const, inner)
+
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem)
+    return found
+
+
+def test_every_function_of_the_package_is_run_by_a_command(monkeypatch, tmp_path, capsys):
+    # every command once, in this process, under a profiler that records the
+    # code each call runs; two usable cores, so that search --t 5 forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    paths = {
+        "z2": str(tmp_path / "z2.json"),
+        "bad": write(tmp_path / "bad.json", {"t": 1, "pairs": [{"odd": [1, 3], "even": [2, 4]}]}),
+        "swaps": write(tmp_path / "w.json", {"swaps": [[1, 2], [5, 6]]}),
+        "out": str(tmp_path / "out"),
+    }
+    runs = [
+        ("construct --z 3 --out {out}", EXIT_OK),
+        ("construct --z 2 --out {z2}", EXIT_OK),
+        ("eval --sets {z2} --swaps {swaps} --out {out}", EXIT_OK),
+        *((f"eval --sets {{z2}} --worst-case --strategy {s} --out {{out}}", EXIT_OK)
+          for s in STRATEGIES),
+        ("eval --sets {bad} --worst-case", EXIT_INVALID),
+        ("search --t 5 --out {out}", EXIT_OK),
+        # a search without forked shares proves its ties in this process
+        ("search --t 3 --out {out}", EXIT_OK),
+        (f"verify --z 2 --sample 20 --checks {','.join(cli.ALL_CHECKS)} --out {{out}}", EXIT_OK),
+        ("verify --sets {bad} --out {out}", EXIT_CHECK_FAILED),
+        ("graphs --sets {z2} --minimal-maximizer --format dot --out {out}", EXIT_OK),
+        ("graphs --sets {z2} --minimal-maximizer --format json --membership primed "
+         "--out {out}", EXIT_OK),
+    ]
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    codes = []
+    sys.setprofile(record)
+    try:
+        for argv, _ in runs:
+            codes.append(main(argv.format(**paths).split()))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [code for _, code in runs]
+    ran = {(os.path.realpath(path), line) for path, line in ran}
+    defined = package_functions()
+    assert set(NO_COMMAND_RUNS) <= set(defined.values())
+    unreached = {name for key, name in defined.items() if key not in ran}
+    assert unreached - set(NO_COMMAND_RUNS) == set()

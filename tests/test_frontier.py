@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import naive_worst_case
+from naive_oracles import mirror, naive_worst_case
 from swapdisc import _kernels, adversary
 from swapdisc.adversary import _frontier, worst_case
 from swapdisc.construct import base_case, construct_for_z
@@ -17,10 +17,9 @@ from swapdisc.core import (
     DefiningSet,
     InvalidInput,
     SizeRefused,
+    SwapSet,
     discrepancy,
     rank_table,
-    reflect,
-    reflect_swaps,
 )
 from swapdisc.optsearch import enumerate_balanced, random_balanced
 
@@ -117,12 +116,12 @@ def test_frontier_invariant_under_reflection(t, seed, strategy):
     # boundary rule b2 is not reflection-symmetric
     ds = random_balanced(t, Random(seed))
     res = worst_case(ds, strategy=strategy)
-    mirrored = worst_case(reflect(ds), strategy=strategy)
+    mirrored = worst_case(mirror(ds), strategy=strategy)
     assert mirrored.worst_case == res.worst_case
     assert mirrored.maximizer_count == res.maximizer_count
     assert len(mirrored.minimal_maximizer) == len(res.minimal_maximizer)
-    image = reflect_swaps(t, res.minimal_maximizer)
-    assert discrepancy(reflect(ds), image) == res.worst_case
+    image = SwapSet(4 * t - i for i in res.minimal_maximizer.positions)
+    assert discrepancy(mirror(ds), image) == res.worst_case
 
 
 def test_state_cap_refuses(monkeypatch):

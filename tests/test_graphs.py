@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from naive_oracles import naive_pot_arcs, naive_swap_sets, random_swap_positions
+from naive_oracles import mirror, naive_pot_arcs, naive_swap_sets, random_swap_positions
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
 from swapdisc.construct import base_case
@@ -23,7 +23,6 @@ from swapdisc.core import (
     SwapSet,
     defining_set,
     discrepancy,
-    reflect,
     validate_defining_set,
 )
 from swapdisc import graphs
@@ -517,7 +516,7 @@ def test_sampled_check_verdicts_survive_reflection(t):
     for _ in range(25):
         ds = random_balanced(t, rng)
         verdicts = []
-        for image in (ds, reflect(ds)):
+        for image in (ds, mirror(ds)):
             entries = _adversary_checks(image, worst_case(image), wanted, None)
             verdicts.append({name: entry["holds"] for name, entry in entries.items()})
         assert verdicts[0] == verdicts[1] == dict.fromkeys(wanted, True)

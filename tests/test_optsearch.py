@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from naive_oracles import (
+    mirror,
     naive_balanced_sets,
     ordered_balanced_sets,
     ordered_random_balanced,
@@ -27,14 +28,11 @@ from swapdisc.core import (
     InvalidInput,
     SizeRefused,
     SwapSet,
-    canonicalize,
     defining_set,
-    reflect,
     require_valid,
     validate_defining_set,
 )
 from swapdisc.optsearch import (
-    count_balanced,
     enumerate_balanced,
     find_optimal,
     random_balanced,
@@ -46,10 +44,21 @@ from swapdisc.optsearch import (
 KNOWN_COUNTS = {1: 1, 2: 6, 3: 86, 4: 1990, 5: 74_323}
 # full-search regression values: d_star and number of canonical optima
 KNOWN_OPTIMA = {1: (2, 1), 2: (4, 1), 3: (6, 10), 4: (6, 1)}
+# base_case() in canonical form
+BASE_CASE_CANONICAL = defining_set(
+    4, (({1, 16}, {8, 9}), ({2, 7}, {4, 5}), ({3, 14}, {6, 11}), ({10, 15}, {12, 13}))
+)
 
 
 def canon_key(ds):
     return tuple((p.odd, p.even) for p in ds.pairs)
+
+
+def is_canonical(ds):
+    """Whether each pair's odd set holds its smallest rank and the pairs
+    ascend by it."""
+    lows = [min(p.elements) for p in ds.pairs]
+    return lows == sorted(lows) and all(low in p.odd for low, p in zip(lows, ds.pairs))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -228,7 +237,8 @@ def test_search_draws_its_candidates_through_enumerate_balanced(monkeypatch):
 
 
 def test_t4_count_frozen():
-    assert count_balanced(4) == KNOWN_COUNTS[4]
+    count = sum(1 for _ in enumerate_balanced(4))
+    assert count == len(naive_balanced_sets(4)) == KNOWN_COUNTS[4]
 
 
 def test_t1_unique_set():
@@ -238,8 +248,9 @@ def test_t1_unique_set():
 
 def test_t2_contains_both_known_examples(opt2, sub2):
     everything = {canon_key(ds) for ds in enumerate_balanced(2)}
-    assert canon_key(canonicalize(opt2)) in everything
-    assert canon_key(canonicalize(sub2)) in everything
+    assert is_canonical(opt2) and is_canonical(sub2)
+    assert canon_key(opt2) in everything
+    assert canon_key(sub2) in everything
 
 
 def test_enumeration_is_canonical_and_duplicate_free():
@@ -247,7 +258,7 @@ def test_enumeration_is_canonical_and_duplicate_free():
         seen = set()
         for ds in enumerate_balanced(t):
             assert validate_defining_set(ds).ok
-            assert canonicalize(ds) == ds
+            assert is_canonical(ds)
             key = canon_key(ds)
             assert key not in seen
             seen.add(key)
@@ -257,7 +268,10 @@ def test_reflection_closure():
     for t in (2, 3):
         everything = {canon_key(ds) for ds in enumerate_balanced(t)}
         for ds in enumerate_balanced(t):
-            assert canon_key(canonicalize(reflect(ds))) in everything
+            # a canonical pair's mirror keeps its smallest rank on the odd
+            # side: only the pairs' order changes
+            image = sorted(canon_key(mirror(ds)), key=lambda pair: min(pair[0]))
+            assert tuple(image) in everything
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -276,7 +290,8 @@ def test_find_optimal_values(t):
 
 def test_find_optimal_t2_optimum_is_known_example(opt2):
     res = find_optimal(2)
-    assert res.optima[0] == canonicalize(opt2)
+    assert is_canonical(opt2)
+    assert res.optima[0] == opt2
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -299,7 +314,10 @@ def test_find_optimal_t4_unique_base_case():
     # the incumbent falls 12 -> 10 -> 8 -> 6 during the search
     res = find_optimal(4)
     assert res.d_star == 6
-    assert res.optima == (canonicalize(base_case()),)
+    assert res.optima == (BASE_CASE_CANONICAL,)
+    # the literal is the base case, pair order aside
+    assert is_canonical(BASE_CASE_CANONICAL)
+    assert set(BASE_CASE_CANONICAL.pairs) == set(base_case().pairs)
 
 
 def test_find_optimal_deterministic():
@@ -536,11 +554,26 @@ def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
         find_optimal(t, time_budget=1)
 
 
+def test_search_from_t8_refused_without_a_budget_before_any_work(monkeypatch):
+    # t = 8 has 35,368,663,013 canonical balanced sets, about 48 CPU-hours of
+    # scans: without a time budget it is refused before the quadruple table
+    # is built, and t = 7 is not
+    def no_table(n):
+        raise AssertionError(f"built the quadruple table for n = {n}")
+
+    monkeypatch.setattr(optsearch, "_table", no_table)
+    for t in (8, 9, 10):
+        with pytest.raises(SizeRefused, match=f"^search refused for t = {t} .*35,368,663,013"):
+            find_optimal(t)
+    with pytest.raises(AssertionError, match="n = 28$"):
+        find_optimal(7)
+
+
 def test_quadruple_table_refused_above_its_cap(monkeypatch):
     monkeypatch.setattr(optsearch, "QUADRUPLE_MAX_RANKS", 12)
     assert validate_defining_set(random_balanced(3, Random(1))).ok
     table = optsearch._table(12)
-    for refused in (lambda: random_balanced(4, Random(1)), lambda: count_balanced(4)):
+    for refused in (lambda: random_balanced(4, Random(1)), lambda: next(enumerate_balanced(4))):
         with pytest.raises(SizeRefused, match="^balanced sets over 4t = 16 ranks refused"):
             refused()
     # a refused n leaves the cached table in place
@@ -555,7 +588,7 @@ def test_random_balanced_always_valid_and_canonical():
         for _ in range(20):
             ds = random_balanced(t, rng)
             assert validate_defining_set(ds).ok
-            assert canonicalize(ds) == ds
+            assert is_canonical(ds)
 
 
 def test_lower_bound_holds_instancewise_small_t():

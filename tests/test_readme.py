@@ -39,6 +39,13 @@ def test_library_quick_start_gives_its_commented_results():
     assert checked == 2
 
 
+def test_library_section_lists_exactly_what_swapdisc_exports():
+    section = README.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    listed = section.split("`swapdisc` exports ", 1)[1].split("\n\n", 1)[0]
+    # dotted module names are no exports
+    assert set(re.findall(r"`(\w+)`", listed)) == set(swapdisc.__all__)
+
+
 def test_cli_section_names_exactly_the_commands_options():
     section = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.split("## Benchmark\n", 1)[0]))
