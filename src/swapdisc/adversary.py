@@ -435,14 +435,20 @@ def minimal_maximizer_property(ds: DefiningSet, res: AdversaryResult) -> bool:
     from I* lowers the discrepancy by exactly 2.
 
     One rank table after I*; removing the swap (i, i+1) from I* is applying
-    it once more, since the swaps of I* share no rank."""
+    it once more, since the swaps of I* share no rank.  That moves only the
+    pairs of ranks i and i+1 (one pair when it holds both), so each removal
+    costs O(1) against the total after I*."""
     if res.worst_case != 2 * len(res.minimal_maximizer):
         return False
     pair_of, side_of, imbalance = rank_table(ds, res.minimal_maximizer)
+    total = sum(map(abs, imbalance))
     for i in res.minimal_maximizer.positions:
-        rest = list(imbalance)
-        rest[pair_of[i]] += side_of[i]
-        rest[pair_of[i + 1]] -= side_of[i + 1]
-        if sum(map(abs, rest)) != res.worst_case - 2:
+        p, q = pair_of[i], pair_of[i + 1]
+        if p == q:  # the one pair holds both ranks and moves by both at once
+            moved = abs(imbalance[p] + side_of[i] - side_of[i + 1]) - abs(imbalance[p])
+        else:
+            moved = (abs(imbalance[p] + side_of[i]) + abs(imbalance[q] - side_of[i + 1])
+                     - abs(imbalance[p]) - abs(imbalance[q]))
+        if total + moved != res.worst_case - 2:
             return False
     return True

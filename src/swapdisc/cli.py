@@ -501,10 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    "and t >= 8 without --time-budget, is refused (exit 4) before "
                    "any work")
     p.add_argument("--time-budget", type=float, default=None,
-                   help="seconds before returning a partial, uncertified result; "
-                   "checked before each candidate and before each proof of a "
-                   "kept tie, and the ties not yet proven when it runs out are "
-                   "left out of optima")
+                   help="seconds (finite, >= 0; else exit 2) before returning a partial, "
+                   "uncertified result; checked before each candidate and before each "
+                   "proof of a kept tie, and the ties not yet proven when it runs out "
+                   "are left out of optima")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p, engine=False)
     p.set_defaults(func=cmd_search)

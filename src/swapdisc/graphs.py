@@ -10,12 +10,16 @@ further up.
 
 The checkers build the potential graph with the literal reading of the
 defining conditions: membership on the original sets, sums on the primed
-ones (see build_pot).  Each returns the entries `verify` prints in its
-certificate, {"holds": ..., "details": ...}: verify_lemma2 the "lemma2"
-and "eq10" entries, prop1_entry the "prop1" entry (verify_prop1 once per
-subset family), verify_prop2 the "prop2" entry.  They report, they never
-assert: a falsified inequality comes back as data for the caller (and
-fails the acceptance suite).
+ones (see build_pot).  They read every count from tally: it labels each
+node with the index of its subset in a family of disjoint node sets, then
+passes once over the arcs and once over the edges, and gives in, out and d
+of every subset at once, so each check is linear in the graphs' size.
+Each returns the entries `verify` prints in its certificate,
+{"holds": ..., "details": ...}: verify_lemma2 the "lemma2" and "eq10"
+entries, prop1_entry the "prop1" entry (verify_prop1 once per subset
+family), verify_prop2 the "prop2" entry.  They report, they never assert:
+a falsified inequality comes back as data for the caller (and fails the
+acceptance suite).
 
 dot_texts and export_graphs write the graphs out for `graphs --format dot`
 and `--format json`; the package reads neither format back.
@@ -24,7 +28,7 @@ and `--format json`; the package reads neither format back.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 # rank_table is read from core at call time, so a wrapper set there after
 # this import (perfbench/tracer.py) is the one called
@@ -159,22 +163,29 @@ def build_pot(ds: DefiningSet, swaps: SwapSet, membership: str = "original") -> 
     return PotGraph(ds.t, tuple(arcs))
 
 
-def in_of(pot: PotGraph, nodes: Iterable[int]) -> int:
-    """Arcs entering the node set from outside it (v0 is node 0)."""
-    s = set(nodes)
-    return sum(1 for a in pot.arcs if a.head in s and a.tail not in s)
-
-
-def out_of(pot: PotGraph, nodes: Iterable[int]) -> int:
-    """Arcs leaving the node set."""
-    s = set(nodes)
-    return sum(1 for a in pot.arcs if a.tail in s and a.head not in s)
-
-
-def d_of(swp: SwpGraph, nodes: Iterable[int]) -> int:
-    """Swap edges with an endpoint in the node set; a self-loop counts once."""
-    s = set(nodes)
-    return sum(1 for e in swp.edges if e.u in s or e.v in s)
+def tally(swp: SwpGraph, pot: PotGraph, families: Sequence) -> list[tuple[int, int, int]]:
+    """(in, out, d) of each node set of `families`, which are disjoint (v0
+    is node 0), from one pass over the arcs and one over the edges: in
+    counts the arcs entering the set from outside it, out those leaving it,
+    and d the swap edges with an end in it (an edge inside it, a self-loop
+    too, once)."""
+    outside = len(families)  # the one index of every node in no set
+    index = [outside] * (swp.t + 1)
+    for f, nodes in enumerate(families):
+        for v in nodes:
+            index[v] = f
+    ins, outs, degs = ([0] * (outside + 1) for _ in range(3))
+    for a in pot.arcs:
+        head, tail = index[a.head], index[a.tail]
+        if head != tail:
+            ins[head] += 1
+            outs[tail] += 1
+    for e in swp.edges:
+        u, v = index[e.u], index[e.v]
+        degs[u] += 1
+        if v != u:
+            degs[v] += 1
+    return list(zip(ins, outs, degs))[:outside]
 
 
 def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> dict[str, dict[str, Any]]:
@@ -187,15 +198,15 @@ def verify_lemma2(ds: DefiningSet, i_star: SwapSet) -> dict[str, dict[str, Any]]
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
+    *counts, (into_v0, _, _) = tally(swp, pot, swp.components + ((0,),))
     components = []
-    for comp in swp.components:
-        in_a, out_a = in_of(pot, comp), out_of(pot, comp)
-        bound = len(comp) + 4 * (d_of(swp, comp) - len(comp))
+    for comp, (in_a, out_a, d) in zip(swp.components, counts):
+        bound = len(comp) + 4 * (d - len(comp))
         components.append({"nodes": sorted(comp), "in": in_a, "out": out_a, "bound": bound,
                            "holds": in_a - out_a <= bound})
     # d_in - d_out summed over v1..vt: every arc has its tail there (none
     # leaves v0), so all that is left is minus the arcs into v0
-    slack = -in_of(pot, (0,))
+    slack = -into_v0
     lhs = 2 * swp.n_edges
     return {
         "lemma2": {
@@ -220,8 +231,9 @@ def verify_prop1(
         raise InvalidInput(f"unknown subset family {subsets!r}")
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    families = swp.components if subsets == "components" else [{v} for v in range(1, ds.t + 1)]
-    details = [{"nodes": sorted(s), "in": in_of(pot, s), "d": d_of(swp, s)} for s in families]
+    families = swp.components if subsets == "components" else [(v,) for v in range(1, ds.t + 1)]
+    details = [{"nodes": sorted(s), "in": in_a, "d": d}
+               for s, (in_a, _, d) in zip(families, tally(swp, pot, families))]
     return {"holds": all(e["in"] <= e["d"] for e in details), "details": details}
 
 
@@ -245,18 +257,17 @@ def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> dict[str, Any]:
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
-    entries = []
+    acyclic: list[int] = []
     skipped: list[int] = []
-    for comp in swp.components:
-        if d_of(swp, comp) + 1 != len(comp):  # cyclic
-            skipped.extend(sorted(comp))
-            continue
-        for v in sorted(comp):
-            kind = classify_pair(ds.pairs[v - 1]).kind
-            d_v, d_out = d_of(swp, (v,)), out_of(pot, (v,))
-            expected = None if kind == 3 else kind + 2  # no total equals None
-            entries.append({"node": v, "kind": kind, "d": d_v, "d_out": d_out,
-                            "expected": expected, "holds": d_v + d_out == expected})
+    for comp, (_, _, d) in zip(swp.components, tally(swp, pot, swp.components)):
+        # a tree has one edge fewer than nodes; a cyclic component is out of regime
+        (acyclic if d + 1 == len(comp) else skipped).extend(sorted(comp))
+    entries = []
+    for v, (_, d_out, d_v) in zip(acyclic, tally(swp, pot, [(v,) for v in acyclic])):
+        kind = classify_pair(ds.pairs[v - 1]).kind
+        expected = None if kind == 3 else kind + 2  # no total equals None
+        entries.append({"node": v, "kind": kind, "d": d_v, "d_out": d_out,
+                        "expected": expected, "holds": d_v + d_out == expected})
     return {
         "holds": all(e["holds"] for e in entries),
         "details": {"entries": entries, "out_of_regime": skipped},

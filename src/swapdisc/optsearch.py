@@ -361,11 +361,13 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     """
     started = time.perf_counter()
     if time_budget is not None and (type(time_budget) not in (int, float)
-                                    or not time_budget >= 0):
+                                    or not 0 <= time_budget < float("inf")):
         # a bool or a string is no number of seconds; NaN compares false with
-        # every elapsed time and would switch the budget off
+        # every elapsed time and would switch the budget off, and infinity
+        # would let t >= 8 past its refusal for about 48 CPU-hours
         raise InvalidInput(
-            f"time_budget (--time-budget) must be a number of seconds >= 0, got {time_budget!r}"
+            "time_budget (--time-budget) must be a finite number of seconds >= 0, "
+            f"got {time_budget!r}"
         )
     require_int(t, "t", 1)
     if 4 * t > EXHAUSTIVE_MAX_RANKS:

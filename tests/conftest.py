@@ -1,9 +1,12 @@
 import os
+from random import Random
 
 import pytest
 
 from swapdisc import _fork, cli, optsearch
+from swapdisc.adversary import worst_case
 from swapdisc.core import defining_set
+from swapdisc.optsearch import enumerate_balanced, random_balanced
 
 
 @pytest.fixture
@@ -22,6 +25,20 @@ def sub2():
 def t1():
     """The unique balanced t=1 defining set."""
     return defining_set(1, (({1, 4}, {2, 3}),))
+
+
+@pytest.fixture(scope="session")
+def population():
+    """(ds, adversary result) of the acceptance population: every canonical
+    balanced set at t <= 2 plus 1000 seeded random balanced sets at each of
+    t = 3 and t = 4, each scanned with branch and bound."""
+    instances = []
+    for t in (1, 2):
+        instances.extend(enumerate_balanced(t))
+    rng3, rng4 = Random(20250810), Random(20250811)
+    instances.extend(random_balanced(3, rng3) for _ in range(1000))
+    instances.extend(random_balanced(4, rng4) for _ in range(1000))
+    return [(ds, worst_case(ds, strategy="branch_and_bound")) for ds in instances]
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ and literal set manipulation, sharing no code with the package internals.
 The one exception is `reference_scan`, the scan kernel in its plain
 recursive form, kept as the reference for the optimized kernel; and
 `mirror` builds its image with the package's public `defining_set`, so
-that the tests can hand it to the engines.  Only usable at small t.
+that the tests can hand it to the engines.  `in_of`, `out_of` and `d_of`
+count straight from the arcs and edges of the package's graph records, one
+node set at a time: the reference for `graphs.tally`.  Only usable at
+small t.
 """
 
 from __future__ import annotations
@@ -116,6 +119,16 @@ def mirror(ds):
     )
 
 
+def side_by_side(ds, k: int):
+    """k copies of ds on consecutive blocks of 4t ranks, copy j shifted by
+    4t * j."""
+    n = 4 * ds.t
+    return defining_set(k * ds.t, [
+        ({x + n * j for x in p.odd}, {x + n * j for x in p.even})
+        for j in range(k) for p in ds.pairs
+    ])
+
+
 def naive_pot_arcs(pairs, swaps, t: int, membership: str = "original"):
     """Potential-graph arcs by literally scanning every ordered node pair
     for each potential swap: membership on the original sets (or on the
@@ -179,6 +192,24 @@ def naive_pot_arcs(pairs, swaps, t: int, membership: str = "original"):
             elif n in odd1:
                 arcs.append((i1 + 1, 0, (n, n + 1), "b2"))
     return sorted(arcs, key=lambda a: (a[2], str(a[3])))
+
+
+def in_of(pot, nodes) -> int:
+    """Arcs entering the node set from outside it (v0 is node 0)."""
+    s = set(nodes)
+    return sum(1 for a in pot.arcs if a.head in s and a.tail not in s)
+
+
+def out_of(pot, nodes) -> int:
+    """Arcs leaving the node set."""
+    s = set(nodes)
+    return sum(1 for a in pot.arcs if a.tail in s and a.head not in s)
+
+
+def d_of(swp, nodes) -> int:
+    """Swap edges with an endpoint in the node set; a self-loop counts once."""
+    s = set(nodes)
+    return sum(1 for e in swp.edges if e.u in s or e.v in s)
 
 
 def random_swap_positions(t: int, rng: Random, density: float = 0.45) -> tuple[int, ...]:

@@ -3,10 +3,10 @@
 Each test prints a single `[criterion N] PASS/FAIL` line (run with -s to see
 them); timings are wall-clock and asserted against the stated budgets.
 
-Populations: criterion 7 and 8 share the same instances, namely every
-canonical balanced set at t <= 2 plus 1000 seeded random balanced sets at
-each of t = 3 and t = 4, evaluated with the literal (original-set)
-membership convention.
+Populations: criterion 7 and 8 share the same instances (conftest's
+`population`), namely every canonical balanced set at t <= 2 plus 1000
+seeded random balanced sets at each of t = 3 and t = 4, evaluated with the
+literal (original-set) membership convention.
 """
 
 import time
@@ -46,18 +46,6 @@ BASE_CASE_CANONICAL = defining_set(
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def population():
-    """(ds, adversary result) for criteria 7 and 8."""
-    instances = []
-    for t in (1, 2):
-        instances.extend(enumerate_balanced(t))
-    rng3, rng4 = Random(20250810), Random(20250811)
-    instances.extend(random_balanced(3, rng3) for _ in range(1000))
-    instances.extend(random_balanced(4, rng4) for _ in range(1000))
-    return [(ds, worst_case(ds, strategy="branch_and_bound")) for ds in instances]
 
 
 def test_criterion_1_full_search_t2():

@@ -296,6 +296,27 @@ def naive_minimal_maximizer_property(ds, res) -> bool:
     )
 
 
+def test_minimal_maximizer_property_on_a_swap_inside_one_pair(t1, sub2):
+    # t1's swap (1, 2) exchanges the odd 1 and the even 2 of its one pair:
+    # removing it moves that pair by both ranks at once, back to 0
+    res = AdversaryResult(worst_case=2, minimal_maximizer=SwapSet((1,)),
+                          maximizer_count=2, enumerated=5, engine="exhaustive")
+    assert worst_case(t1).worst_case == 2
+    assert minimal_maximizer_property(t1, res)
+    assert naive_minimal_maximizer_property(t1, res)
+    # every swap set of sub2 with a swap inside one pair, (2, 3) and (6, 7)
+    # on one side included, claimed as I* with worst case 2|I*|
+    verdicts = set()
+    for positions in naive_swap_sets(8):
+        if any(p in (1, 2, 3, 5, 6, 7) for p in positions):
+            fake = res._replace(worst_case=2 * len(positions),
+                                minimal_maximizer=SwapSet(positions))
+            verdict = minimal_maximizer_property(sub2, fake)
+            assert verdict == naive_minimal_maximizer_property(sub2, fake)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_minimal_maximizer_property_matches_the_definition():
     rng = Random(8)
     for t in (1, 2, 3, 4, 5):

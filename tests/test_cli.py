@@ -462,6 +462,21 @@ def test_search_time_budget_nan_or_negative_exit2(capsys):
     assert main(["search", "--t", "1", "--time-budget", "0"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("budget", ["inf", "1e999", "Infinity"])
+def test_search_infinite_time_budget_exit2_at_once(capsys, budget):
+    # an infinite budget used to get t = 8 past its refusal, into about 48
+    # CPU-hours of scans with nothing printed
+    started = time.perf_counter()
+    assert main(["search", "--t", "8", "--time-budget", budget]) == EXIT_INVALID
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: time_budget (--time-budget) must be a finite number of seconds >= 0, "
+        f"got {float(budget)!r}\n"
+    )
+
+
 @pytest.mark.parametrize("t", ["11", "1000000"])
 def test_search_above_the_scan_limit_exit4_at_once(capsys, t):
     started = time.perf_counter()

@@ -11,16 +11,32 @@ from random import Random
 
 import pytest
 
-from naive_oracles import mirror, naive_pot_arcs, naive_swap_sets, random_swap_positions
+from naive_oracles import (
+    d_of,
+    in_of,
+    mirror,
+    naive_pot_arcs,
+    naive_swap_sets,
+    out_of,
+    random_swap_positions,
+    side_by_side,
+)
 from swapdisc.adversary import worst_case
 from swapdisc.cli import _adversary_checks
-from swapdisc.construct import base_case
+from swapdisc.construct import (
+    base_case,
+    construct_for_z,
+    lower_bound,
+    lower_bound_str,
+    recursive_step,
+)
 from swapdisc.core import (
     EMPTY_SWAPS,
     CompanionPair,
     DefiningSet,
     InvalidInput,
     SwapSet,
+    classify_pair,
     defining_set,
     discrepancy,
     validate_defining_set,
@@ -31,11 +47,10 @@ from swapdisc.graphs import (
     SwpEdge,
     build_pot,
     build_swp,
-    d_of,
     dot_texts,
     export_graphs,
-    in_of,
-    out_of,
+    prop1_entry,
+    tally,
     verify_lemma2,
     verify_prop1,
     verify_prop2,
@@ -108,6 +123,8 @@ def test_pot_t1_worked_example(t1):
     assert in_of(pot, (1,)) == 0
     assert in_of(pot, (0,)) == 2
     assert out_of(pot, (0,)) == 0
+    # (in, out, d) of v1, then of v0; the self-loop is v1's one swap edge
+    assert tally(build_swp(t1, swaps_of(1)), pot, [(1,), (0,)]) == [(0, 2, 1), (2, 0, 0)]
 
 
 def test_node_set_counts_match_single_node_degrees():
@@ -318,6 +335,125 @@ def test_builds_match_references_in_order():
         for build in (build_swp, build_pot):
             with pytest.raises(InvalidInput, match="outside"):
                 build(ds, swaps)
+
+
+# ------------------------------------------------------------------- tally
+
+def reference_checks(ds, i_star):
+    """The lemma2, eq10, prop1 and prop2 entries, each count read by one
+    scan of the arcs or edges per node set (naive_oracles' in_of, out_of
+    and d_of)."""
+    swp, pot = build_swp(ds, i_star), build_pot(ds, i_star)
+    components = []
+    for comp in swp.components:
+        in_a, out_a = in_of(pot, comp), out_of(pot, comp)
+        bound = len(comp) + 4 * (d_of(swp, comp) - len(comp))
+        components.append({"nodes": sorted(comp), "in": in_a, "out": out_a, "bound": bound,
+                           "holds": in_a - out_a <= bound})
+    slack = -in_of(pot, (0,))
+    prop1 = {
+        name: [{"nodes": sorted(s), "in": in_of(pot, s), "d": d_of(swp, s)} for s in family]
+        for name, family in (("components", swp.components),
+                             ("singletons", [{v} for v in range(1, ds.t + 1)]))
+    }
+    entries, skipped = [], []
+    for comp in swp.components:
+        if d_of(swp, comp) + 1 != len(comp):
+            skipped.extend(sorted(comp))
+            continue
+        for v in sorted(comp):
+            kind = classify_pair(ds.pairs[v - 1]).kind
+            d_v, d_out = d_of(swp, (v,)), out_of(pot, (v,))
+            expected = None if kind == 3 else kind + 2
+            entries.append({"node": v, "kind": kind, "d": d_v, "d_out": d_out,
+                            "expected": expected, "holds": d_v + d_out == expected})
+    lhs = 2 * len(swp.edges)
+    return {
+        "lemma2": {"holds": all(c["holds"] for c in components) and slack >= -2,
+                   "details": {"components": components, "global_slack": slack}},
+        "eq10": {"holds": lhs >= lower_bound(ds.t),
+                 "details": {"lhs": lhs, "rhs": lower_bound_str(ds.t)}},
+        "prop1": {"holds": all(e["in"] <= e["d"] for f in prop1.values() for e in f),
+                  "details": prop1},
+        "prop2": {"holds": all(e["holds"] for e in entries),
+                  "details": {"entries": entries, "out_of_regime": skipped}},
+    }
+
+
+def oracle_cases(population):
+    """(ds, swap set): the acceptance population on its minimal maximizers,
+    construction levels 2..6 and block-built sets on theirs, and random swap
+    sets, whose graphs hold self-loop arcs, on random and block-built sets."""
+    yield from ((ds, res.minimal_maximizer) for ds, res in population)
+    rng = Random(42)
+    blocks = [construct_for_z(z) for z in range(2, 7)]
+    blocks += [side_by_side(base_case(), k) for k in (2, 3, 7)]
+    blocks += [recursive_step(random_balanced(4, rng), 2) for _ in range(10)]
+    for ds in blocks:
+        yield ds, worst_case(ds).minimal_maximizer
+        yield ds, SwapSet(random_swap_positions(ds.t, rng))
+    for t in (1, 2, 3, 4, 5, 6):
+        for _ in range(20):
+            yield random_balanced(t, rng), SwapSet(random_swap_positions(t, rng))
+
+
+def test_tally_and_checks_match_the_per_subset_scans(population):
+    # every tally entry on the checkers' families, on one with v0, and on a
+    # random family of disjoint node sets that leaves some nodes out; then
+    # each checker's entries, all as Python objects
+    rng = Random(5)
+    cases = 0
+    for ds, swaps in oracle_cases(population):
+        swp, pot = build_swp(ds, swaps), build_pot(ds, swaps)
+        nodes = list(range(ds.t + 1))
+        rng.shuffle(nodes)
+        cuts = sorted(rng.sample(range(ds.t + 2), min(4, ds.t + 2)))
+        for family in (swp.components, swp.components + ((0,),),
+                       [(v,) for v in range(ds.t + 1)],
+                       [nodes[a:b] for a, b in zip(cuts, cuts[1:])]):
+            assert tally(swp, pot, family) == [
+                (in_of(pot, s), out_of(pot, s), d_of(swp, s)) for s in family
+            ]
+        got = verify_lemma2(ds, swaps) | {"prop1": prop1_entry(ds, swaps),
+                                          "prop2": verify_prop2(ds, swaps)}
+        assert got == reference_checks(ds, swaps)
+        cases += 1
+    assert cases == len(population) + 2 * 18 + 6 * 20
+
+
+class Passes(tuple):
+    """A tuple that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def test_each_check_passes_over_each_graph_a_fixed_number_of_times(monkeypatch):
+    # the arcs and edges each check reads are looped over at most twice,
+    # whether the set has one block or fifty: no pass per node set
+    built = []
+
+    def counted(build, field):
+        def call(*args, **kwargs):
+            graph = build(*args, **kwargs)
+            built.append(Passes(getattr(graph, field)))
+            return graph._replace(**{field: built[-1]})
+        return call
+
+    monkeypatch.setattr(graphs, "build_swp", counted(build_swp, "edges"))
+    monkeypatch.setattr(graphs, "build_pot", counted(build_pot, "arcs"))
+    loops = {}
+    for ds in (base_case(), side_by_side(base_case(), 50)):
+        i_star = worst_case(ds).minimal_maximizer
+        for check in (verify_lemma2, prop1_entry, verify_prop2):
+            built.clear()
+            check(ds, i_star)
+            loops.setdefault(check.__name__, []).append([seq.loops for seq in built])
+    assert loops == {"verify_lemma2": [[1, 1]] * 2, "prop1_entry": [[1, 1, 1, 1]] * 2,
+                     "verify_prop2": [[2, 2]] * 2}
 
 
 # ----------------------------------------------------------- verify_lemma2

@@ -541,6 +541,19 @@ def test_time_budget_must_be_nonnegative(budget):
         find_optimal(2, time_budget=budget)
 
 
+@pytest.mark.parametrize("t", [2, 8])
+def test_an_infinite_time_budget_is_refused_before_any_work(monkeypatch, t):
+    # an infinite budget is no budget: at t = 8 it would get past the refusal
+    # and scan for about 48 CPU-hours
+    def no_table(n):
+        raise AssertionError(f"built the quadruple table for n = {n}")
+
+    monkeypatch.setattr(optsearch, "_table", no_table)
+    for budget in (float("inf"), -float("inf")):
+        with pytest.raises(InvalidInput, match="^time_budget .* finite .*, got -?inf$"):
+            find_optimal(t, time_budget=budget)
+
+
 @pytest.mark.parametrize("t", [11, 1_000_000])
 def test_search_refused_above_the_scan_limit_before_any_work(monkeypatch, t):
     # every candidate is scanned with branch and bound, which is refused
