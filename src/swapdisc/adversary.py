@@ -123,19 +123,14 @@ def _frontier(
     the number of DP states created.  Raises SizeRefused as soon as one
     position has more than FRONTIER_MAX_STATES states.
     """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for r in range(1, n + 1):
-        first.setdefault(pair_of[r], r)
-        last[pair_of[r]] = r
-
+    last = {pair_of[r]: r for r in range(1, n + 1)}
     open_pairs = [pair_of[1]]
     free: dict = {(diff[pair_of[1]],): [0, 0, 1, 0]}  # rank i+1 unmatched
     taken: dict = {}  # rank i+1 matched by the swap at i
     states = 1
     for i in range(1, n):
         p = pair_of[i + 1]
-        if first[p] == i + 1:
+        if p not in open_pairs:  # a closed pair holds no later rank: p opens here
             slot = sum(1 for q in open_pairs if last[q] < last[p])
             open_pairs.insert(slot, p)
             fresh = (diff[p],)

@@ -277,14 +277,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     from .optsearch import find_optimal  # it validates --t and --time-budget
 
     result = find_optimal(args.t, time_budget=args.time_budget)
-    doc = {
-        "t": result.t,
-        "d_star": result.d_star,
-        "optima": [defining_set_to_doc(ds) for ds in result.optima],
-        "candidates_examined": result.candidates_examined,
-        "wall_time": result.wall_time,
-        "certified": result.certified,
-    }
+    doc = result._asdict()  # the fields' order is the document's key order
+    doc["optima"] = [defining_set_to_doc(ds) for ds in result.optima]
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 

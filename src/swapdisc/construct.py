@@ -44,14 +44,11 @@ def t_for_z(z: int) -> int:
 
 
 def z_for_t(t: int) -> int | None:
-    """Inverse of t_for_z, or None if t is not in the family."""
-    require_int(t, "t", 1)
-    z = 2
-    while t_for_z(z) <= t:
-        if t_for_z(z) == t:
-            return z
-        z += 1
-    return None
+    """Inverse of t_for_z, or None if t is not in the family, in closed
+    form: t + 1 = 5q with q = 2^(z-2) a power of two, whose bit length is
+    z - 1."""
+    q, r = divmod(require_int(t, "t", 1) + 1, 5)
+    return q.bit_length() + 1 if r == 0 and q & (q - 1) == 0 else None
 
 
 def base_case() -> DefiningSet:

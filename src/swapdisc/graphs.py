@@ -14,6 +14,9 @@ ones (see build_pot).  They read every count from tally: it labels each
 node with the index of its subset in a family of disjoint node sets, then
 passes once over the arcs and once over the edges, and gives in, out and d
 of every subset at once, so each check is linear in the graphs' size.
+Each check makes one tally call: verify_lemma2 over the components and
+v0, verify_prop1 over its family, and verify_prop2 over the singletons,
+whose degrees also give its tree test.
 Each returns the entries `verify` prints in its certificate,
 {"holds": ..., "details": ...}: verify_lemma2 the "lemma2" and "eq10"
 entries, prop1_entry the "prop1" entry (verify_prop1 once per subset
@@ -257,13 +260,18 @@ def verify_prop2(ds: DefiningSet, i_star: SwapSet) -> dict[str, Any]:
     """
     swp = build_swp(ds, i_star)
     pot = build_pot(ds, i_star)
+    counts = tally(swp, pot, [(v,) for v in range(1, ds.t + 1)])
     acyclic: list[int] = []
     skipped: list[int] = []
-    for comp, (_, _, d) in zip(swp.components, tally(swp, pot, swp.components)):
-        # a tree has one edge fewer than nodes; a cyclic component is out of regime
-        (acyclic if d + 1 == len(comp) else skipped).extend(sorted(comp))
+    for comp in swp.components:
+        # a non-loop edge adds 2 to the degree sum and a self-loop 1, and a
+        # connected component has at least |comp| - 1 non-loop edges: so the
+        # sum is 2(|comp| - 1) exactly on a tree.  A cyclic one is out of regime
+        tree = sum(counts[v - 1][2] for v in comp) == 2 * (len(comp) - 1)
+        (acyclic if tree else skipped).extend(sorted(comp))
     entries = []
-    for v, (_, d_out, d_v) in zip(acyclic, tally(swp, pot, [(v,) for v in acyclic])):
+    for v in acyclic:
+        _, d_out, d_v = counts[v - 1]
         kind = classify_pair(ds.pairs[v - 1]).kind
         expected = None if kind == 3 else kind + 2  # no total equals None
         entries.append({"node": v, "kind": kind, "d": d_v, "d_out": d_out,

@@ -14,6 +14,7 @@ enumeration and the random draws share one table per 4t (_Table).
 
 from __future__ import annotations
 
+import sys
 import time
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, NamedTuple
@@ -108,12 +109,18 @@ def _table(n: int) -> _Table:
     return _Table(n)
 
 
-def _last_two(rem: int, table: _Table) -> tuple[tuple[CompanionPair, CompanionPair], ...]:
-    """Every split of the eight ranks in `rem` into two balanced quadruples,
-    as (first, second) pairs, the first holding the smallest rank, in
-    enumerate_balanced's ascending (l2, l3) order.  The table's pair_of is
+def _tails(rem: int, table: _Table) -> tuple[tuple[CompanionPair, ...], ...]:
+    """Every split of the ranks in `rem` into balanced quadruples, each a
+    tuple of pairs: eight ranks give (first, second) tuples, the first
+    holding the smallest rank, in enumerate_balanced's ascending (l2, l3)
+    order; when t <= 2 fewer are left, and no rank gives ((),), four that
+    balance ((pair,),) and four that do not ().  The table's pair_of is
     complete, so its keys are the balance test."""
     pair_of = table.pair_of
+    if not rem:
+        return ((),)
+    if rem.bit_count() == 4:
+        return ((pair_of[rem],),) if rem in pair_of else ()
     return tuple([
         (pair_of[q], pair_of[rem ^ q])
         for q in table.quadruples[(rem & -rem).bit_length() - 1]
@@ -129,16 +136,17 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
     given, names the top-level branches to walk, as strictly ascending int
     indices into the quadruples holding rank 1 (_Table.quadruples[1]),
     InvalidInput otherwise: the sets whose pair of rank 1 is one of them,
-    in the same order.  The unassigned ranks are one bitmask.  The last
-    eight ranks are answered by a memo, local to this call, that maps their
-    bitmask to its splits into two balanced quadruples, each a (first,
-    second) tuple of pairs (at t = 5 the walk reaches 52,199 eight-rank
+    in the same order.  The unassigned ranks are one bitmask.  One walk
+    serves every t.  The last eight ranks, or fewer when t <= 2 (four at
+    t = 2, none at t = 1), are answered by a memo, local to this call, that
+    maps their bitmask to its splits into balanced quadruples, each a tuple
+    of pairs (_tails; at t = 5 the walk reaches 52,199 eight-rank
     remainders, 7,903 of them distinct); it is dropped when the generator
-    ends.  The pairs chosen above the last eight ranks are one prefix
-    tuple, built once per remainder, and each set is that prefix plus one
-    split.  Each call first builds the pairs the table lacks, so each
-    companion pair is built once per 4t and shared with the draws and by
-    the sets holding it.  Each set is built without DefiningSet's checks
+    ends.  The pairs chosen above those last ranks are one prefix tuple,
+    built once per remainder, and each set is that prefix plus one split.
+    Each call first builds the pairs the table lacks, so each companion
+    pair is built once per 4t and shared with the draws and by the sets
+    holding it.  Each set is built without DefiningSet's checks
     (core._unchecked_set): it is a t-tuple of pairs by construction.
     """
     require_int(t, "t", 1)
@@ -157,19 +165,10 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             table.pair(q)
     pair_of = table.pair_of
     full = all_ranks(4 * t)
-    if t == 1:
-        if full in first:
-            yield _unchecked_set(t, (pair_of[full],))
-        return
-    top = t - 2  # the depth whose remainder holds the last eight ranks
-    if top == 0:
-        for q in first:
-            tail = pair_of.get(full ^ q)
-            if tail is not None:
-                yield _unchecked_set(t, (pair_of[q], tail))
-        return
+    # the depth whose remainder holds the last eight ranks, or fewer when t <= 2
+    top = max(t - 2, 1)
     chosen: list[CompanionPair | None] = [None] * top
-    memo: dict[int, tuple[tuple[CompanionPair, CompanionPair], ...]] = {}
+    memo: dict[int, tuple[tuple[CompanionPair, ...], ...]] = {}
     rems = [full] * top
     # options[d] iterates the quadruples of the smallest rank left at depth d
     options = [iter(first)] + [iter(())] * (top - 1)
@@ -184,7 +183,7 @@ def enumerate_balanced(t: int, branches: Iterable[int] | None = None) -> Iterato
             if depth + 1 == top:
                 tails = memo.get(child)
                 if tails is None:
-                    tails = memo[child] = _last_two(child, table)
+                    tails = memo[child] = _tails(child, table)
                 prefix = tuple(chosen)
                 for tail in tails:
                     yield _unchecked_set(t, prefix + tail)
@@ -361,10 +360,11 @@ def find_optimal(t: int, time_budget: float | None = None) -> SearchResult:
     """
     started = time.perf_counter()
     if time_budget is not None and (type(time_budget) not in (int, float)
-                                    or not 0 <= time_budget < float("inf")):
+                                    or not 0 <= time_budget <= sys.float_info.max):
         # a bool or a string is no number of seconds; NaN compares false with
-        # every elapsed time and would switch the budget off, and infinity
-        # would let t >= 8 past its refusal for about 48 CPU-hours
+        # every elapsed time and would switch the budget off, infinity would
+        # let t >= 8 past its refusal for about 48 CPU-hours, and an int past
+        # the float range would fail to convert when added to the start time
         raise InvalidInput(
             "time_budget (--time-budget) must be a finite number of seconds >= 0, "
             f"got {time_budget!r}"

@@ -435,6 +435,13 @@ def test_search_t2(capsys):
     assert doc["optima"][0]["pairs"][0] == {"odd": [1, 8], "even": [3, 6]}
 
 
+def test_search_document_keys_in_order(capsys):
+    assert main(["search", "--t", "2"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["t", "d_star", "optima", "candidates_examined", "wall_time",
+                         "certified"]
+
+
 def test_search_t1(capsys):
     assert main(["search", "--t", "1"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -57,6 +57,16 @@ def test_family_parameters():
         t_for_z(1)
 
 
+def test_z_for_t_inverts_t_for_z_exactly():
+    # the closed form against the definition: every t below 10^5, and the t
+    # of every level up to 300 and its two neighbours
+    levels = {t_for_z(z): z for z in range(2, 301)}
+    for t in range(1, 10**5):
+        assert z_for_t(t) == levels.get(t)
+    for t, z in levels.items():
+        assert (z_for_t(t - 1), z_for_t(t), z_for_t(t + 1)) == (None, z, None)
+
+
 def test_recursive_step_t9_layout():
     ds = recursive_step(base_case(), 2)
     assert ds.t == 9

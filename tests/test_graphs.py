@@ -432,7 +432,7 @@ class Passes(tuple):
 
 
 def test_each_check_passes_over_each_graph_a_fixed_number_of_times(monkeypatch):
-    # the arcs and edges each check reads are looped over at most twice,
+    # each check reads the arcs and edges of each graph it builds once,
     # whether the set has one block or fifty: no pass per node set
     built = []
 
@@ -453,7 +453,7 @@ def test_each_check_passes_over_each_graph_a_fixed_number_of_times(monkeypatch):
             check(ds, i_star)
             loops.setdefault(check.__name__, []).append([seq.loops for seq in built])
     assert loops == {"verify_lemma2": [[1, 1]] * 2, "prop1_entry": [[1, 1, 1, 1]] * 2,
-                     "verify_prop2": [[2, 2]] * 2}
+                     "verify_prop2": [[1, 1]] * 2}
 
 
 # ----------------------------------------------------------- verify_lemma2

@@ -535,7 +535,8 @@ def test_each_tie_is_proven_once_and_no_best_is_proven(monkeypatch):
     assert bests and bests.isdisjoint(proofs)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, "5", True, False])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, "5", True, False,
+                                    pytest.param(10**400, id="10**400")])
 def test_time_budget_must_be_nonnegative(budget):
     with pytest.raises(InvalidInput):
         find_optimal(2, time_budget=budget)
@@ -552,6 +553,10 @@ def test_an_infinite_time_budget_is_refused_before_any_work(monkeypatch, t):
     for budget in (float("inf"), -float("inf")):
         with pytest.raises(InvalidInput, match="^time_budget .* finite .*, got -?inf$"):
             find_optimal(t, time_budget=budget)
+    # an int past the float range is refused the same way, not by an
+    # OverflowError when the deadline is computed
+    with pytest.raises(InvalidInput, match="^time_budget .* finite "):
+        find_optimal(t, time_budget=10**400)
 
 
 @pytest.mark.parametrize("t", [11, 1_000_000])
