@@ -258,8 +258,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if (args.swaps is None) == (not args.worst_case):
-        raise InvalidInput("eval needs exactly one of --swaps or --worst-case")
     ds = _load_sets(args.sets)
     if args.swaps is not None:
         require_valid(ds)
@@ -286,9 +284,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _adversary_checks(
     ds: DefiningSet, res: AdversaryResult, wanted: Collection[str], z: int | None
 ) -> dict[str, dict[str, Any]]:
-    """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2 and
-    bounds for a valid ds and its worst case res (upper bound only with z)."""
-    from .adversary import minimal_maximizer_property
+    """The entries of the `wanted` ones of eq8, lemma2, eq10, prop1, prop2,
+    bounds and lemma1, in that order, for a valid ds and its worst case res
+    (upper bound only with z).  lemma1 compares res, level z's d_z from
+    whichever engine found it, with d_{z+1} from one default-engine scan of
+    recursive_step(ds)."""
+    from .adversary import minimal_maximizer_property, worst_case
     from .graphs import prop1_entry, verify_lemma2, verify_prop2
 
     entries: dict[str, dict[str, Any]] = {}
@@ -311,14 +312,18 @@ def _adversary_checks(
             "holds": res.worst_case >= lower_bound(ds.t) and (ub is None or res.worst_case <= ub),
             "details": {"worst_case": res.worst_case, "lower": lower_bound_str(ds.t), "upper": ub},
         }
+    if "lemma1" in wanted:  # d_{z+1} <= 2 d_z + 2
+        d_z, d_z1 = res.worst_case, worst_case(recursive_step(ds)).worst_case
+        entries["lemma1"] = {
+            "holds": d_z1 <= 2 * d_z + 2,
+            "details": {"d_z": d_z, "d_z_plus_1": d_z1, "bound": 2 * d_z + 2},
+        }
     return entries
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .adversary import worst_case
 
-    if (args.sets is None) == (args.z is None):
-        raise InvalidInput("verify needs exactly one of --sets or --z")
     require_int(args.sample, "--sample", 0)
     # an empty --checks names the check '' and is refused like --checks ,
     requested = list(DEFAULT_CHECKS) if args.checks is None else args.checks.split(",")
@@ -340,7 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "balance" in requested:
         checks["balance"] = {"holds": report.ok, "details": {"violations": list(report.violations)}}
     res: AdversaryResult | None = None
-    needs_adversary = [c for c in requested if c in ("eq8", "lemma2", "eq10", "prop1", "prop2", "bounds")]
+    needs_adversary = [c for c in requested if c != "balance"]
     if needs_adversary:
         if not report.ok:
             for name in needs_adversary:
@@ -348,13 +353,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             res = worst_case(ds, strategy=args.strategy)
             checks.update(_adversary_checks(ds, res, requested, args.z))
-    if "lemma1" in requested:  # d_{z+1} <= 2 d_z + 2; every engine gives the same d_z
-        d_z = (res or worst_case(ds)).worst_case
-        d_z1 = worst_case(recursive_step(ds, args.z)).worst_case
-        checks["lemma1"] = {
-            "holds": d_z1 <= 2 * d_z + 2,
-            "details": {"d_z": d_z, "d_z_plus_1": d_z1, "bound": 2 * d_z + 2},
-        }
     if args.sample:
         def holds(sample_ds: DefiningSet) -> bool:
             sample_res = worst_case(sample_ds, strategy="branch_and_bound")
@@ -416,8 +414,6 @@ def _sample_failures(t: int, sample: int, seed: int, holds: Callable[[DefiningSe
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    if (args.swaps is None) == (not args.minimal_maximizer):
-        raise InvalidInput("graphs needs exactly one of --swaps or --minimal-maximizer")
     ds = _load_sets(args.sets)
     require_valid(ds)
     if args.swaps is not None:
@@ -475,9 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="discrepancy under given swaps, or the exact worst case")
     p.add_argument("--sets", required=True, help="defining-set JSON document")
-    p.add_argument("--swaps", help="swap-set JSON document")
-    p.add_argument("--worst-case", action="store_true", dest="worst_case",
-                   help="scan all swap sets and emit a certificate")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--swaps", help="swap-set JSON document")
+    mode.add_argument("--worst-case", action="store_true",
+                      help="scan all swap sets and emit a certificate")
     p.add_argument("--out", help="output path (default: stdout)")
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -504,8 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run lemma/proposition checks, emit a certificate")
-    p.add_argument("--sets", help="defining-set JSON document")
-    p.add_argument("--z", type=int, help="verify the level-z construction instead")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--sets", help="defining-set JSON document")
+    mode.add_argument("--z", type=int, help="verify the level-z construction instead")
     p.add_argument("--checks", help=f"comma list from: {','.join(ALL_CHECKS)}")
     p.add_argument("--sample", type=int, default=0,
                    help="additionally run eq8, lemma2, eq10 and prop1 on N random "
@@ -525,9 +523,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graphs", help="export the swap/potential graphs (DOT or JSON)")
     p.add_argument("--sets", required=True, help="defining-set JSON document")
-    p.add_argument("--swaps", help="swap-set JSON document")
-    p.add_argument("--minimal-maximizer", action="store_true",
-                   help="use the adversary's minimal worst-case maximizer")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--swaps", help="swap-set JSON document")
+    mode.add_argument("--minimal-maximizer", action="store_true",
+                      help="use the adversary's minimal worst-case maximizer")
     p.add_argument("--format", choices=("dot", "json"), required=True,
                    help="dot: OUT.swp.dot and OUT.pot.dot; json: OUT.graphs.json")
     p.add_argument("--out", required=True, help="output path prefix")

@@ -1,11 +1,14 @@
 """The recursive defining-set family t = 5*2^(z-2) - 1 and its bounds.
 
-Level z = 2 is the unique optimal t = 4 set; each recursive step embeds two
-shifted copies of the previous level between a closing pair {1, 5*2^(z+1)-4}
-and {5*2^z-2, 5*2^z-1}.  The worst case d_z of level z obeys
-d_{z+1} <= 2*d_z + 2 (Lemma 1, which `verify --checks lemma1` computes),
-giving d_z <= 2^(z+1) - 2 = (8t - 2) / 5.  The frontier engine finds the
-bound attained at z = 2..6 (d_z = 6, 14, 30, 62, 126: the base case's 6 in
+Level z = 2 is the unique optimal t = 4 set; each recursive step reads its
+level z from its input's t (z_for_t) and embeds two shifted copies of the
+input between a closing pair {1, 5*2^(z+1)-4} and {5*2^z-2, 5*2^z-1}, so
+it also steps any other valid set of a level's t.  The worst case d_z of
+level z obeys d_{z+1} <= 2*d_z + 2 (Lemma 1, which `verify --checks
+lemma1` computes: d_z is the worst case `verify` found for level z with
+its --strategy, d_{z+1} one default-engine scan of the step), giving
+d_z <= 2^(z+1) - 2 = (8t - 2) / 5.  The frontier engine finds the bound
+attained at z = 2..6 (d_z = 6, 14, 30, 62, 126: the base case's 6 in
 tests/test_adversary.py::test_worst_case_base_case_is_6, z = 3 in
 tests/test_frontier.py::test_level3_pins, z = 4..6 in
 tests/test_frontier.py::test_construction_levels_beyond_the_scan); that it
@@ -64,15 +67,17 @@ def base_case() -> DefiningSet:
     )
 
 
-def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
-    """Build level z+1 from the level-z set.
+def recursive_step(prev: DefiningSet) -> DefiningSet:
+    """Build level z+1 from a valid set whose t is level z's, z = z_for_t(prev.t):
+    the level-z construction or any other valid set of that t.
 
     Copy 1 is prev shifted by +1, copy 2 by +(5*2^z - 1); the closing pair
-    {1, 5*2^(z+1)-4} / {5*2^z-2, 5*2^z-1} has both sums 5*2^(z+1) - 3.
+    {1, 5*2^(z+1)-4} / {5*2^z-2, 5*2^z-1} has both sums 5*2^(z+1) - 3.  A t
+    that is no level's t raises InvalidInput naming t.
     """
-    t2 = t_for_z(z)
-    if prev.t != t2:
-        raise InvalidInput(f"level-{z} input must have t = {t2}, got {prev.t}")
+    z = z_for_t(prev.t)
+    if z is None:
+        raise InvalidInput(f"t = {prev.t} is not the t of any construction level")
     require_valid(prev)
     shift2 = 5 * 2**z - 1
     closing = CompanionPair(
@@ -84,7 +89,7 @@ def recursive_step(prev: DefiningSet, z: int) -> DefiningSet:
         + tuple(p.translate(shift2) for p in prev.pairs)
         + (closing,)
     )
-    return DefiningSet(2 * t2 + 1, pairs)
+    return DefiningSet(2 * prev.t + 1, pairs)
 
 
 def require_level(z: int) -> None:
@@ -100,8 +105,8 @@ def construct_for_z(z: int) -> DefiningSet:
     """Iterate the recursion from the base case up to level z (see require_level)."""
     require_level(z)
     ds = base_case()
-    for level in range(2, z):
-        ds = recursive_step(ds, level)
+    for _ in range(2, z):
+        ds = recursive_step(ds)
     return ds
 
 

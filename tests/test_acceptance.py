@@ -218,7 +218,7 @@ def test_criterion_10_structural_invariant_suite():
         ok = ok and validate_defining_set(ds).ok
         last = ds.pairs[-1]
         ok = ok and last.sum_odd == last.sum_even == 5 * 2**z - 3
-        stepped = recursive_step(ds, z)
+        stepped = recursive_step(ds)
         closing = stepped.pairs[-1]
         ok = ok and closing.sum_odd == closing.sum_even == 5 * 2 ** (z + 1) - 3
         cases += 3

@@ -249,13 +249,22 @@ def test_eval_worst_case_certificate(tmp_path, capsys):
     assert cert["tool_version"]
 
 
+def assert_mode_refused(argv, flags, capsys):
+    """The parser refuses argv, which gives both or neither of a command's two
+    mode flags: exit 2, nothing on stdout, and a message naming both flags."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in flags)
+
+
 def test_eval_needs_exactly_one_mode(tmp_path, capsys):
     sets = write(tmp_path / "s.json", OPT2_DOC)
-    assert main(["eval", "--sets", sets]) == EXIT_INVALID
     swaps = write(tmp_path / "w.json", {"swaps": []})
-    assert (
-        main(["eval", "--sets", sets, "--swaps", swaps, "--worst-case"]) == EXIT_INVALID
-    )
+    for modes in ([], ["--swaps", swaps, "--worst-case"]):
+        assert_mode_refused(["eval", "--sets", sets, *modes], ("--swaps", "--worst-case"), capsys)
 
 
 def test_eval_missing_file_exit3(capsys):
@@ -910,8 +919,8 @@ def test_failed_fork_checks_every_set_here(on_cores, monkeypatch, run_reaped,
 
 
 def test_verify_needs_sets_xor_z(capsys):
-    assert main(["verify"]) == EXIT_INVALID
-    assert main(["verify", "--z", "2", "--sets", "x.json"]) == EXIT_INVALID
+    for modes in ([], ["--z", "2", "--sets", "x.json"]):
+        assert_mode_refused(["verify", *modes], ("--sets", "--z"), capsys)
 
 
 def test_verify_unknown_check(capsys):
@@ -936,9 +945,9 @@ def test_verify_lemma1_refuses_an_oversize_next_level_before_building_level_z(
 ):
     real_step = construct.recursive_step
 
-    def step(prev, z):
-        assert z != 16, "level 17 built before level 18 was refused"
-        return real_step(prev, z)
+    def step(prev):
+        assert prev.t != construct.t_for_z(16), "level 17 built before level 18 was refused"
+        return real_step(prev)
 
     monkeypatch.setattr(construct, "recursive_step", step)
     start = time.perf_counter()
@@ -1010,7 +1019,12 @@ def test_graphs_json_round_trip(tmp_path, capsys):
 
 def test_graphs_needs_swaps_xor_flag(tmp_path, capsys):
     sets = write(tmp_path / "s.json", OPT2_DOC)
-    assert main(["graphs", "--sets", sets, "--format", "dot", "--out", "x"]) == EXIT_INVALID
+    swaps = write(tmp_path / "w.json", {"swaps": []})
+    out = str(tmp_path / "g")
+    for modes in ([], ["--swaps", swaps, "--minimal-maximizer"]):
+        assert_mode_refused(["graphs", "--sets", sets, *modes, "--format", "dot", "--out", out],
+                            ("--swaps", "--minimal-maximizer"), capsys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json", "w.json"]
 
 
 def test_graphs_rejects_a_repeated_swap_entry(tmp_path, capsys):

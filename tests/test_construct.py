@@ -5,6 +5,7 @@ import json
 import time
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -22,11 +23,13 @@ from swapdisc.construct import (
     z_for_t,
 )
 from swapdisc.core import (
+    STRATEGIES,
     CompanionPair,
     InvalidInput,
     SizeRefused,
     validate_defining_set,
 )
+from swapdisc.optsearch import random_balanced
 
 EQ5_PAIRS = (
     ({1, 16}, {8, 9}),
@@ -68,7 +71,7 @@ def test_z_for_t_inverts_t_for_z_exactly():
 
 
 def test_recursive_step_t9_layout():
-    ds = recursive_step(base_case(), 2)
+    ds = recursive_step(base_case())
     assert ds.t == 9
     closing = ds.pairs[-1]
     assert closing.odd == frozenset({1, 36})
@@ -82,9 +85,28 @@ def test_recursive_step_t9_layout():
 
 
 def test_recursive_step_rejects_wrong_level():
-    ds9 = recursive_step(base_case(), 2)
-    with pytest.raises(InvalidInput):
-        recursive_step(ds9, 2)
+    # the step reads its level from t: a valid set of a t that is no level's
+    # t is refused, naming t
+    ds5 = random_balanced(5, Random(1))
+    assert validate_defining_set(ds5).ok
+    with pytest.raises(InvalidInput, match="t = 5 is not the t of any construction level"):
+        recursive_step(ds5)
+
+
+def test_recursive_step_reads_its_level_from_its_set():
+    assert recursive_step(construct_for_z(3)) == construct_for_z(4)
+
+
+def test_recursive_step_of_a_random_t4_set():
+    # any valid set of a level's t steps, not only the construction: copy 1
+    # is the input shifted by 1
+    rng = Random(5)
+    for _ in range(10):
+        ds = random_balanced(4, rng)
+        stepped = recursive_step(ds)
+        assert stepped.t == 9
+        assert validate_defining_set(stepped).ok
+        assert stepped.pairs[:4] == tuple(pair.translate(1) for pair in ds.pairs)
 
 
 @pytest.mark.parametrize("z,t,top", [(2, 4, 16), (3, 9, 36), (4, 19, 76), (5, 39, 156)])
@@ -233,18 +255,38 @@ def test_lemma1_builds_and_scans_each_level_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("strategy", ["frontier", "exhaustive", "branch_and_bound"])
 def test_lemma1_entry_is_the_same_whichever_engine_scanned_level_z(strategy, capsys):
-    # beside eq8, lemma1 reads d_z from eq8's scan of level z, whatever its
-    # engine; alone, it scans level z itself and the certificate's worst
-    # case stays null
+    # lemma1 reads d_z from verify's one scan of level z, whatever its
+    # engine, alone (the default engine, exhaustive at 4t = 16) or beside eq8
     assert main(["verify", "--z", "2", "--checks", "lemma1"]) == EXIT_OK
     alone = json.loads(capsys.readouterr().out)
     assert main(["verify", "--z", "2", "--checks", "eq8,lemma1", "--strategy", strategy]) == EXIT_OK
     beside = json.loads(capsys.readouterr().out)
-    assert (alone["worst_case"], alone["adversary"]) == (None, None)
+    assert (alone["worst_case"], alone["adversary"]["engine"]) == (6, "exhaustive")
     assert (beside["worst_case"], beside["adversary"]["engine"]) == (6, strategy)
     assert beside["checks"]["lemma1"] == alone["checks"]["lemma1"] == {
         "holds": True, "details": {"d_z": 6, "d_z_plus_1": 14, "bound": 14}
     }
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_lemma1_alone_scans_level_z_with_the_strategy(strategy, monkeypatch, capsys):
+    # level z is scanned once, with --strategy, and its worst case is the
+    # certificate's; level z + 1 once, with the default engine
+    calls = []
+    real = adversary.worst_case
+
+    def spy(ds, strategy=None):
+        calls.append((ds.t, strategy))
+        return real(ds, strategy=strategy)
+
+    monkeypatch.setattr(adversary, "worst_case", spy)
+    assert main(["verify", "--z", "2", "--checks", "lemma1", "--strategy", strategy]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["worst_case"], cert["adversary"]["engine"]) == (6, strategy)
+    assert cert["checks"] == {
+        "lemma1": {"holds": True, "details": {"d_z": 6, "d_z_plus_1": 14, "bound": 14}}
+    }
+    assert calls == [(4, strategy), (9, None)]
 
 
 def test_construct_imports_nothing_of_the_package_but_core():

@@ -388,7 +388,7 @@ def oracle_cases(population):
     rng = Random(42)
     blocks = [construct_for_z(z) for z in range(2, 7)]
     blocks += [side_by_side(base_case(), k) for k in (2, 3, 7)]
-    blocks += [recursive_step(random_balanced(4, rng), 2) for _ in range(10)]
+    blocks += [recursive_step(random_balanced(4, rng)) for _ in range(10)]
     for ds in blocks:
         yield ds, worst_case(ds).minimal_maximizer
         yield ds, SwapSet(random_swap_positions(ds.t, rng))

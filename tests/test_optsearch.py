@@ -80,8 +80,8 @@ def test_enumeration_matches_partition_oracle(t):
 def test_enumeration_order_matches_ordered_reference(t):
     # the search's witness order, candidates_examined and optima order all
     # follow this order.  The last eight ranks come from a memo: at t = 2 it
-    # answers the whole set, and at t = 5 the walk reaches 52,199 eight-rank
-    # remainders, 7,903 of them distinct
+    # answers the four ranks left after the first quadruple, and at t = 5 the
+    # walk reaches 52,199 eight-rank remainders, 7,903 of them distinct
     ours = ([(p.odd, p.even) for p in ds.pairs] for ds in enumerate_balanced(t))
     for got, want in itertools.zip_longest(ours, ordered_balanced_sets(t)):
         assert got == want
